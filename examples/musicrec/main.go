@@ -41,7 +41,7 @@ func main() {
 	}{
 		{"unoptimized", nil, "every query fetches all five tables"},
 		{"feature-cache", []willump.Option{willump.WithFeatureCache(0)},
-			"per-IFV LRU keyed by user/song/... ids"},
+			"per-IFV cache keyed by user/song/... ids"},
 		{"cascades", []willump.Option{willump.WithCascades(0.01)},
 			"easy queries skip the expensive tables"},
 		{"cache+cascades", []willump.Option{willump.WithFeatureCache(0), willump.WithCascades(0.01)},

@@ -39,7 +39,10 @@ func main() {
 		report.CascadeBuilt, report.CascadeThreshold)
 
 	// Frontend A: Clipper alone — the unoptimized pipeline as a black box.
-	clipper := willump.NewServer(willump.PredictorFunc(optimized.PredictInterpreted), willump.ServeOptions{})
+	clipper, err := willump.NewPredictorServer(willump.PredictorFunc(optimized.PredictInterpreted), willump.ServeOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	clipperURL, err := clipper.Start()
 	if err != nil {
 		log.Fatal(err)

@@ -123,14 +123,6 @@ func (k *KSWindow) Add(x float64) bool {
 	return k.Drifted()
 }
 
-// SetReference freezes an explicit reference sample (copied and sorted),
-// bypassing the bootstrap phase.
-func (k *KSWindow) SetReference(xs []float64) {
-	k.ref = append(k.ref[:0], xs...)
-	sort.Float64s(k.ref)
-	k.frozen = len(k.ref) > 0
-}
-
 // Statistic returns the two-sample KS distance sup|F_ref - F_win|, or 0
 // until both samples are populated.
 func (k *KSWindow) Statistic() float64 {

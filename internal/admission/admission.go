@@ -155,9 +155,6 @@ func New(cfg Config) *Controller {
 // is active.
 func (c *Controller) Enabled() bool { return c != nil && c.cfg.SLO > 0 }
 
-// BrownoutEnabled reports whether the degradation ladder is active.
-func (c *Controller) BrownoutEnabled() bool { return c != nil && c.cfg.SLO > 0 && c.cfg.Brownout }
-
 // ewma folds sample into the running estimate with gain 1/8 (the classic
 // RTT estimator constant).
 func ewma(prev, sample int64) int64 {
@@ -534,17 +531,6 @@ func (c *Controller) Reprime(st State) {
 	if c.cfg.Brownout && st.Level >= LevelNormal && st.Level <= LevelCacheOnly {
 		c.level.Store(int32(st.Level))
 	}
-}
-
-// ForecastErrorBound returns the current shed-decision padding for normal
-// criticality (3 deviations): the bound the acceptance criterion "no
-// admitted request exceeds its deadline by more than the forecast error"
-// refers to.
-func (c *Controller) ForecastErrorBound() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return time.Duration(3 * c.rttvarNs.Load())
 }
 
 func maxI64(a, b int64) int64 {

@@ -1,141 +1,28 @@
 package cache
 
 import (
-	"fmt"
-	"math/rand"
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"willump/internal/feature"
 	"willump/internal/value"
 )
 
-func TestLRUGetPut(t *testing.T) {
-	c := NewLRU(2)
-	if _, ok := c.Get("a"); ok {
-		t.Error("empty cache should miss")
-	}
-	c.Put("a", []float64{1})
-	v, ok := c.Get("a")
-	if !ok || v[0] != 1 {
-		t.Errorf("Get(a) = %v, %v", v, ok)
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = (%d, %d), want (1, 1)", hits, misses)
-	}
-}
-
-func TestLRUEviction(t *testing.T) {
-	c := NewLRU(2)
-	c.Put("a", []float64{1})
-	c.Put("b", []float64{2})
-	c.Get("a") // refresh a; b is now LRU
-	c.Put("c", []float64{3})
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("a should have survived (recently used)")
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
-	}
-}
-
-func TestLRUUpdateExisting(t *testing.T) {
-	c := NewLRU(2)
-	c.Put("a", []float64{1})
-	c.Put("a", []float64{9})
-	v, _ := c.Get("a")
-	if v[0] != 9 {
-		t.Errorf("Get(a) = %v, want updated value 9", v)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
-	}
-}
-
-func TestLRUUnbounded(t *testing.T) {
-	c := NewLRU(0)
-	for i := 0; i < 1000; i++ {
-		c.Put(fmt.Sprint(i), []float64{float64(i)})
-	}
-	if c.Len() != 1000 {
-		t.Errorf("unbounded cache evicted: len = %d", c.Len())
-	}
-}
-
-func TestLRUReset(t *testing.T) {
-	c := NewLRU(10)
-	c.Put("a", []float64{1})
-	c.Get("a")
-	c.Reset()
-	if c.Len() != 0 {
-		t.Error("Reset should clear entries")
-	}
-	h, m := c.Stats()
-	if h != 0 || m != 0 {
-		t.Error("Reset should clear stats")
-	}
-}
-
-func TestLRUConcurrent(t *testing.T) {
-	c := NewLRU(64)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				key := fmt.Sprint(i % 100)
-				if v, ok := c.Get(key); ok && v[0] != float64(i%100) {
-					t.Errorf("corrupt value for %s: %v", key, v)
-					return
-				}
-				c.Put(key, []float64{float64(i % 100)})
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// Property: size bound is always respected and get-after-put within capacity
-// hits.
-func TestLRUBoundProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		capN := 1 + rng.Intn(20)
-		c := NewLRU(capN)
-		for i := 0; i < 200; i++ {
-			key := fmt.Sprint(rng.Intn(40))
-			c.Put(key, []float64{1})
-			if _, ok := c.Get(key); !ok {
-				return false // just-inserted key must hit
-			}
-			if c.Len() > capN {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
+// rowKey is row r's cache key as a comparable string.
+func rowKey(sources []value.Value, r int) string {
+	return string(AppendRowKey(nil, sources, r))
 }
 
 func TestRowKeyDistinguishesInputs(t *testing.T) {
 	a := value.NewStrings([]string{"ab", "a"})
 	b := value.NewStrings([]string{"c", "bc"})
-	k0 := RowKey([]value.Value{a, b}, 0)
-	k1 := RowKey([]value.Value{a, b}, 1)
+	k0 := rowKey([]value.Value{a, b}, 0)
+	k1 := rowKey([]value.Value{a, b}, 1)
 	if k0 == k1 {
 		t.Errorf("ambiguous keys: %q vs %q", k0, k1)
 	}
 	ints := value.NewInts([]int64{1, 12})
 	ints2 := value.NewInts([]int64{21, 2})
-	if RowKey([]value.Value{ints, ints2}, 0) == RowKey([]value.Value{ints, ints2}, 1) {
+	if rowKey([]value.Value{ints, ints2}, 0) == rowKey([]value.Value{ints, ints2}, 1) {
 		t.Error("int keys collide")
 	}
 }
@@ -150,45 +37,38 @@ func TestRowKeySeparatorAmbiguityFixed(t *testing.T) {
 	joined := value.NewStrings([]string{"a\x1fb"})
 	colA := value.NewStrings([]string{"a"})
 	colB := value.NewStrings([]string{"b"})
-	if RowKey([]value.Value{joined}, 0) == RowKey([]value.Value{colA, colB}, 0) {
+	if rowKey([]value.Value{joined}, 0) == rowKey([]value.Value{colA, colB}, 0) {
 		t.Error("string containing the column separator still collides")
 	}
 	// One token "x\x1ey" vs two tokens "x", "y": collided before.
 	joinedTok := value.NewTokens([][]string{{"x\x1ey"}})
 	splitTok := value.NewTokens([][]string{{"x", "y"}})
-	if RowKey([]value.Value{joinedTok}, 0) == RowKey([]value.Value{splitTok}, 0) {
+	if rowKey([]value.Value{joinedTok}, 0) == rowKey([]value.Value{splitTok}, 0) {
 		t.Error("token containing the token separator still collides")
 	}
 	// Token-list boundary vs content: {"ab","c"} vs {"a","bc"}.
 	t1 := value.NewTokens([][]string{{"ab", "c"}, {"a", "bc"}})
-	if RowKey([]value.Value{t1}, 0) == RowKey([]value.Value{t1}, 1) {
+	if rowKey([]value.Value{t1}, 0) == rowKey([]value.Value{t1}, 1) {
 		t.Error("token boundary ambiguity")
 	}
 	// Kind confusion: string "07" vs int 7-ish byte patterns must differ via
 	// kind tags.
 	s := value.NewStrings([]string{"\x07\x00\x00\x00\x00\x00\x00\x00"})
 	n := value.NewInts([]int64{7})
-	if RowKey([]value.Value{s}, 0) == RowKey([]value.Value{n}, 0) {
+	if rowKey([]value.Value{s}, 0) == rowKey([]value.Value{n}, 0) {
 		t.Error("string/int kind confusion")
 	}
 }
 
-// TestAppendRowKeyMatchesRowKey: the byte-appending fast path and the string
-// convenience form must encode identically.
-func TestAppendRowKeyMatchesRowKey(t *testing.T) {
+// TestAppendRowKeyAppends: encoding extends dst, never restarts it.
+func TestAppendRowKeyAppends(t *testing.T) {
 	cols := []value.Value{
 		value.NewInts([]int64{42}),
 		value.NewStrings([]string{"user-x"}),
 		value.NewFloats([]float64{2.5}),
 		value.NewTokens([][]string{{"a", "bb"}}),
 	}
-	buf := AppendRowKey(nil, cols, 0)
-	if string(buf) != RowKey(cols, 0) {
-		t.Error("AppendRowKey and RowKey disagree")
-	}
-	// Appending extends, never restarts.
-	buf2 := AppendRowKey([]byte("prefix"), cols, 0)
-	if string(buf2) != "prefix"+RowKey(cols, 0) {
+	if got := string(AppendRowKey([]byte("prefix"), cols, 0)); got != "prefix"+rowKey(cols, 0) {
 		t.Error("AppendRowKey does not append")
 	}
 }
@@ -223,36 +103,36 @@ func TestAppendRowKeyZeroAlloc(t *testing.T) {
 func TestRowKeyMatrixColumns(t *testing.T) {
 	m := feature.DenseFromRows([][]float64{{1, 0, 2}, {1, 0, 3}})
 	col := value.NewMat(m)
-	if RowKey([]value.Value{col}, 0) == RowKey([]value.Value{col}, 1) {
+	if rowKey([]value.Value{col}, 0) == rowKey([]value.Value{col}, 1) {
 		t.Error("rows differing only in a matrix column alias to one key")
 	}
 	csr, err := feature.NewCSR(2, 3, []int{0, 2, 4}, []int{0, 2, 0, 2}, []float64{1, 2, 1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dk := RowKey([]value.Value{col}, 0)
-	sk := RowKey([]value.Value{value.NewMat(csr)}, 0)
+	dk := rowKey([]value.Value{col}, 0)
+	sk := rowKey([]value.Value{value.NewMat(csr)}, 0)
 	if dk != sk {
 		t.Error("dense and CSR views of the same row encode differently")
 	}
 	// Zero rows still encode a non-empty, tagged key.
 	zero := value.NewMat(feature.NewDense(1, 3))
-	if RowKey([]value.Value{zero}, 0) == "" {
+	if rowKey([]value.Value{zero}, 0) == "" {
 		t.Error("all-zero matrix row encodes empty")
 	}
 }
 
 func TestRowKeyStable(t *testing.T) {
 	v := value.NewInts([]int64{7})
-	if RowKey([]value.Value{v}, 0) != RowKey([]value.Value{v}, 0) {
-		t.Error("RowKey not deterministic")
+	if rowKey([]value.Value{v}, 0) != rowKey([]value.Value{v}, 0) {
+		t.Error("AppendRowKey not deterministic")
 	}
 	f := value.NewFloats([]float64{3.14})
-	if RowKey([]value.Value{f}, 0) == "" {
+	if rowKey([]value.Value{f}, 0) == "" {
 		t.Error("float key empty")
 	}
 	tk := value.NewTokens([][]string{{"a", "b"}})
-	if RowKey([]value.Value{tk}, 0) == "" {
+	if rowKey([]value.Value{tk}, 0) == "" {
 		t.Error("token key empty")
 	}
 }

@@ -1,6 +1,6 @@
 // Package cache implements the caching layers of the paper's section 4.5.
 //
-// The production structure is Sharded: a concurrent feature-vector cache
+// The one cache structure is Sharded: a concurrent feature-vector cache
 // used both per-IFV (the feature-level cache, keyed by the raw-input sources
 // of the IFV's feature generator) and end-to-end (the Clipper-style
 // prediction cache of Tables 2 and 3, keyed by the entire input tuple). It
@@ -21,7 +21,4 @@
 // Which IFVs get a cache, and how a global entry budget is split between
 // them, is decided statistically at Optimize time (internal/core's cache
 // planner) from profiled generator costs and training-set key reuse.
-//
-// LRU, the previous global-mutex list-based implementation, is retained as
-// the single-mutex reference baseline for the concurrent benchmarks.
 package cache

@@ -96,14 +96,6 @@ func appendMatRowKey(dst []byte, m feature.Matrix, r int) []byte {
 	return binary.AppendUvarint(dst, uint64(cols))
 }
 
-// RowKey encodes row r of the given source columns into a cache key string.
-// It is the allocating convenience form of AppendRowKey, used where keys are
-// retained (dedup maps, the singleflight table); hot paths keep the byte
-// form.
-func RowKey(sources []value.Value, r int) string {
-	return string(AppendRowKey(nil, sources, r))
-}
-
 // FNV-1a constants (64-bit).
 const (
 	fnvOffset64 = 14695981039346656037

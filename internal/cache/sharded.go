@@ -29,8 +29,7 @@ func (s Stats) HitRate() float64 {
 
 // Sharded is a concurrent fixed-capacity feature-vector cache: a power-of-two
 // number of independently locked shards, each an open-addressing hash table
-// over a slab of entries with CLOCK eviction. It replaces the global-mutex
-// list-based LRU on the serving hot path:
+// over a slab of entries with CLOCK eviction, built for the serving hot path:
 //
 //   - lookups take one shard mutex, not a global one, so concurrent workers
 //     on different keys proceed in parallel;
@@ -40,7 +39,7 @@ func (s Stats) HitRate() float64 {
 //   - entries live in a slab and eviction recycles their key/value buffers in
 //     place — no container/list, no per-entry allocation once warm;
 //   - CopyInto copies the cached vector into a caller-owned destination, so
-//     no internal slice escapes (the aliasing footgun of the old LRU.Get).
+//     no internal slice escapes.
 //
 // Capacity <= 0 means unbounded (the "unlimited cache size" configuration of
 // the paper's remote-feature experiments): shards grow and never evict.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -302,6 +303,7 @@ func TestCachePlanArtifactRoundTrip(t *testing.T) {
 	if err := Save(o, &buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := buf.Bytes()
 	loaded, err := Load(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -317,6 +319,43 @@ func TestCachePlanArtifactRoundTrip(t *testing.T) {
 	}
 	if loaded.opts.FeatureCacheBudget != 256 {
 		t.Errorf("budget = %d, want 256", loaded.opts.FeatureCacheBudget)
+	}
+
+	// The same artifact as a pre-planner build wrote it — flat fields only,
+	// no plan — loads through the spec path: one cache of the flat capacity
+	// per IFV, and predictions bit-identical to the pipeline that was saved.
+	art, err := artifact.Read(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art.Options.FeatureCachePlanned, art.Options.FeatureCachePlan = false, nil
+	art.Options.FeatureCacheBudget, art.Options.FeatureCacheCapacity = 0, 64
+	var legacyBuf bytes.Buffer
+	if err := artifact.Write(&legacyBuf, art); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := Load(&legacyBuf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := legacy.Prog.CacheSpecs()
+	if len(specs) != 2 || specs[0] != (weld.CacheSpec{IFV: 0, Capacity: 64}) || specs[1] != (weld.CacheSpec{IFV: 1, Capacity: 64}) {
+		t.Errorf("legacy flat artifact installed %+v, want capacity 64 on both IFVs", specs)
+	}
+	wantPreds, err := o.PredictBatch(context.Background(), train.Inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ { // cold caches, then warm
+		gotPreds, err := legacy.PredictBatch(context.Background(), train.Inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range wantPreds {
+			if math.Float64bits(gotPreds[i]) != math.Float64bits(wantPreds[i]) {
+				t.Fatalf("pass %d: legacy pred[%d] = %v, want bit-identical %v", pass, i, gotPreds[i], wantPreds[i])
+			}
+		}
 	}
 }
 

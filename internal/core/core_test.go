@@ -178,8 +178,7 @@ func TestOptimizeFeatureCache(t *testing.T) {
 	if _, err := o.PredictBatch(context.Background(), test.Inputs); err != nil {
 		t.Fatal(err)
 	}
-	hits, _ := o.Prog.CacheStats()
-	if hits == 0 {
+	if o.Prog.FeatureCacheStats().Hits == 0 {
 		t.Error("feature cache recorded no hits over a repeated batch")
 	}
 }

@@ -216,20 +216,23 @@ func LoadWithResolver(r io.Reader, tables map[string]ops.Table, resolve TableRes
 // Planner-written artifacts (FeatureCachePlanned) replay their recorded plan
 // verbatim — an empty plan means the planner deliberately cached nothing
 // (e.g. every generator was uncacheable), not that information is missing.
-// Only pre-planner artifacts fall back to the legacy flat layout.
+// Pre-planner artifacts carry only the flat fields and map onto the same
+// spec path: one spec of FeatureCacheCapacity per IFV.
 func applyLoadedCachePlan(prog *weld.Program, opts artifact.Options) {
 	if !opts.FeatureCache {
 		return
 	}
+	var specs []weld.CacheSpec
 	if opts.FeatureCachePlanned {
-		specs := make([]weld.CacheSpec, len(opts.FeatureCachePlan))
-		for i, sp := range opts.FeatureCachePlan {
-			specs[i] = weld.CacheSpec{IFV: sp.IFV, Capacity: sp.Capacity}
+		for _, sp := range opts.FeatureCachePlan {
+			specs = append(specs, weld.CacheSpec{IFV: sp.IFV, Capacity: sp.Capacity})
 		}
-		prog.EnableFeatureCachingSpecs(specs)
-		return
+	} else {
+		for _, i := range prog.AllIFVs() {
+			specs = append(specs, weld.CacheSpec{IFV: i, Capacity: opts.FeatureCacheCapacity})
+		}
 	}
-	prog.EnableFeatureCaching(opts.FeatureCacheCapacity, nil)
+	prog.EnableFeatureCachingSpecs(specs)
 }
 
 // encodeCachePlan converts the program's active cache plan to its artifact

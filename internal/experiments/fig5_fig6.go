@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"willump/internal/cascade"
 	"willump/internal/core"
 	"willump/internal/metrics"
 	"willump/internal/model"
@@ -20,6 +21,11 @@ type Fig5Row struct {
 	PythonThroughput   float64
 	CompiledThroughput float64
 	CascadesThroughput float64 // 0 for regression benchmarks (N/A)
+	// CascadedFrac is the share of test rows the cascade sent on to the full
+	// model (cascade.ServeStats Cascaded/Total): the cause of the cascade
+	// speedup, and unlike the throughput ratio the same on every run of one
+	// plan.
+	CascadedFrac float64
 
 	PythonAccuracy   float64
 	CompiledAccuracy float64
@@ -30,19 +36,21 @@ type Fig5Row struct {
 // benchmarks with data tables stored locally.
 func Fig5(w io.Writer, s Setup) ([]Fig5Row, error) {
 	header(w, "Figure 5: batch throughput (rows/s), local tables")
-	fmt.Fprintf(w, "%-10s %14s %14s %14s\n", "benchmark", "python", "compiled", "+cascades")
+	fmt.Fprintf(w, "%-10s %14s %14s %14s %10s %10s\n", "benchmark", "python", "compiled", "+cascades", "speedup", "full rows")
 	var out []Fig5Row
 	for _, name := range pipeline.Names() {
 		row, err := fig5One(name, s)
 		if err != nil {
 			return nil, err
 		}
-		casc := "N/A"
+		casc, speedup, full := "N/A", "N/A", "N/A"
 		if row.CascadesThroughput > 0 {
 			casc = fmt.Sprintf("%14.0f", row.CascadesThroughput)
+			speedup = fmt.Sprintf("%.2fx", row.CascadesThroughput/row.CompiledThroughput)
+			full = fmt.Sprintf("%.1f%%", 100*row.CascadedFrac)
 		}
-		fmt.Fprintf(w, "%-10s %14.0f %14.0f %14s\n",
-			row.Benchmark, row.PythonThroughput, row.CompiledThroughput, casc)
+		fmt.Fprintf(w, "%-10s %14.0f %14.0f %14s %10s %10s\n",
+			row.Benchmark, row.PythonThroughput, row.CompiledThroughput, casc, speedup, full)
 		out = append(out, row)
 	}
 	return out, nil
@@ -89,13 +97,15 @@ func fig5One(name string, s Setup) (Fig5Row, error) {
 		defer bc.Close()
 		if rep.CascadeBuilt {
 			var cascPreds []float64
+			var served cascade.ServeStats
 			row.CascadesThroughput, err = metrics.Throughput(bc.Test.Len(), s.Reps, func() error {
-				cascPreds, err = oc.PredictBatch(context.Background(), bc.Test.Inputs)
+				cascPreds, served, err = oc.PredictBatchOptions(context.Background(), bc.Test.Inputs, core.PredictOptions{})
 				return err
 			})
 			if err != nil {
 				return Fig5Row{}, err
 			}
+			row.CascadedFrac = float64(served.Cascaded) / float64(served.Total)
 			row.CascadesAccuracy = accuracyOf(bc.Pipeline.Model, cascPreds, bc.Test.Y)
 		}
 	}
@@ -109,26 +119,32 @@ type Fig6Row struct {
 	PythonLatency   time.Duration
 	CompiledLatency time.Duration
 	CascadesLatency time.Duration // 0 for regression benchmarks
+	// CascadedFrac is the share of the timed point queries whose small-model
+	// confidence fell below the threshold, so that the full model ran
+	// (cascade.ServeStats Cascaded/Total over the same rows as one batch).
+	CascadedFrac float64
 }
 
 // Fig6 reproduces Figure 6: example-at-a-time query latency across all six
 // benchmarks with data tables stored locally.
 func Fig6(w io.Writer, s Setup) ([]Fig6Row, error) {
 	header(w, "Figure 6: example-at-a-time latency, local tables")
-	fmt.Fprintf(w, "%-10s %14s %14s %14s\n", "benchmark", "python", "compiled", "+cascades")
+	fmt.Fprintf(w, "%-10s %14s %14s %14s %10s %10s\n", "benchmark", "python", "compiled", "+cascades", "speedup", "full rows")
 	var out []Fig6Row
 	for _, name := range pipeline.Names() {
 		row, err := fig6One(name, s)
 		if err != nil {
 			return nil, err
 		}
-		casc := "N/A"
+		casc, speedup, full := "N/A", "N/A", "N/A"
 		if row.CascadesLatency > 0 {
 			casc = row.CascadesLatency.Round(time.Microsecond).String()
+			speedup = fmt.Sprintf("%.2fx", float64(row.CompiledLatency)/float64(row.CascadesLatency))
+			full = fmt.Sprintf("%.1f%%", 100*row.CascadedFrac)
 		}
-		fmt.Fprintf(w, "%-10s %14s %14s %14s\n", row.Benchmark,
+		fmt.Fprintf(w, "%-10s %14s %14s %14s %10s %10s\n", row.Benchmark,
 			row.PythonLatency.Round(time.Microsecond),
-			row.CompiledLatency.Round(time.Microsecond), casc)
+			row.CompiledLatency.Round(time.Microsecond), casc, speedup, full)
 		out = append(out, row)
 	}
 	return out, nil
@@ -182,6 +198,11 @@ func fig6One(name string, s Setup) (Fig6Row, error) {
 			if err != nil {
 				return Fig6Row{}, err
 			}
+			_, served, err := oc.PredictBatchOptions(context.Background(), boundedRows(bc.Test, k).Inputs, core.PredictOptions{})
+			if err != nil {
+				return Fig6Row{}, err
+			}
+			row.CascadedFrac = float64(served.Cascaded) / float64(served.Total)
 		}
 	}
 	return row, nil

@@ -203,20 +203,19 @@ func Perf(w io.Writer, s Setup) ([]PerfRow, error) {
 	return out, nil
 }
 
-// cacheZipfWorkers and cacheZipfOps shape the raw-cache comparison workload:
-// 8 goroutines of Zipfian lookup-or-insert traffic, the acceptance bar of
-// the sharded-cache rewrite (>= 2x the old single-mutex LRU).
+// cacheZipfWorkers and cacheZipfOps shape the raw-cache workload: 8
+// goroutines of Zipfian lookup-or-insert traffic. BENCH_pr5.json keeps the
+// last cache-zipf-mutexlru row, measured on the single-mutex LRU the sharded
+// cache replaced.
 const (
 	cacheZipfWorkers = 8
 	cacheZipfOps     = 60000
 )
 
-// cachePerfRows measures the cache structures themselves under concurrent
-// Zipfian load: the sharded production cache against the retained
-// single-mutex LRU baseline, both serving the same key stream. ns/op is
-// per operation per worker (wall time x workers / total ops); quantiles are
-// per-1000-op chunks divided down, since a single cache op is below timer
-// resolution.
+// cachePerfRows measures the sharded cache itself under concurrent Zipfian
+// load. ns/op is aggregate throughput (wall time over total operations
+// completed by all workers); quantiles are per-1000-op chunks on a single
+// worker divided down, since a single cache op is below timer resolution.
 func cachePerfRows(s Setup) []PerfRow {
 	rng := rand.New(rand.NewSource(s.Seed + 200))
 	zipf := rand.NewZipf(rng, 1.1, 1, 16383)
@@ -224,9 +223,9 @@ func cachePerfRows(s Setup) []PerfRow {
 	for i := range keys {
 		keys[i] = int64(zipf.Uint64())
 	}
-	const capacity = 1024
+	c := cache.NewSharded(1024, 0)
 
-	shardedRun := func(c *cache.Sharded, workers, ops int) time.Duration {
+	run := func(workers, ops int) time.Duration {
 		var wg sync.WaitGroup
 		start := time.Now()
 		for w := 0; w < workers; w++ {
@@ -251,67 +250,28 @@ func cachePerfRows(s Setup) []PerfRow {
 		wg.Wait()
 		return time.Since(start)
 	}
-	lruRun := func(c *cache.LRU, workers, ops int) time.Duration {
-		var wg sync.WaitGroup
+
+	run(cacheZipfWorkers, 4096) // warm
+	best := time.Duration(1<<63 - 1)
+	for rep := 0; rep < 3; rep++ {
+		if d := run(cacheZipfWorkers, cacheZipfOps); d < best {
+			best = d
+		}
+	}
+	const chunk = 1000
+	lats := make([]time.Duration, 64)
+	for i := range lats {
 		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ids := []int64{0}
-				cols := []value.Value{value.NewInts(ids)}
-				val := []float64{1, 2}
-				for i := 0; i < ops; i++ {
-					ids[0] = keys[(w*ops+i)%len(keys)]
-					key := cache.RowKey(cols, 0)
-					if _, ok := c.Get(key); !ok {
-						c.Put(key, val)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		return time.Since(start)
+		run(1, chunk)
+		lats[i] = time.Since(start) / chunk
 	}
-
-	measure := func(name string, run func(workers, ops int) time.Duration) PerfRow {
-		run(cacheZipfWorkers, 4096) // warm
-		best := time.Duration(1<<63 - 1)
-		for rep := 0; rep < 3; rep++ {
-			if d := run(cacheZipfWorkers, cacheZipfOps); d < best {
-				best = d
-			}
-		}
-		totalOps := cacheZipfWorkers * cacheZipfOps
-		// Per-chunk latency quantiles on a single worker (1000 ops/chunk).
-		const chunk = 1000
-		lats := make([]time.Duration, 64)
-		for i := range lats {
-			start := time.Now()
-			run(1, chunk)
-			lats[i] = time.Since(start) / chunk
-		}
-		sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
-		// ns/op is aggregate throughput: wall time over total operations
-		// completed by all workers. The sharded/mutex-LRU ratio of this
-		// number is the headline speedup.
-		return PerfRow{
-			Workload: name,
-			NsPerOp:  float64(best.Nanoseconds()) / float64(totalOps),
-			P50Ns:    lats[len(lats)/2].Nanoseconds(),
-			P99Ns:    lats[len(lats)*99/100].Nanoseconds(),
-		}
-	}
-
-	sharded := cache.NewSharded(capacity, 0)
-	shardedRow := measure("cache-zipf-sharded", func(workers, ops int) time.Duration {
-		return shardedRun(sharded, workers, ops)
-	})
-	lru := cache.NewLRU(capacity)
-	lruRow := measure("cache-zipf-mutexlru", func(workers, ops int) time.Duration {
-		return lruRun(lru, workers, ops)
-	})
-	return []PerfRow{shardedRow, lruRow}
+	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
+	return []PerfRow{{
+		Workload: "cache-zipf-sharded",
+		NsPerOp:  float64(best.Nanoseconds()) / float64(cacheZipfWorkers*cacheZipfOps),
+		P50Ns:    lats[len(lats)/2].Nanoseconds(),
+		P99Ns:    lats[len(lats)*99/100].Nanoseconds(),
+	}}
 }
 
 // latencyQuantiles times iters calls of fn individually and returns the

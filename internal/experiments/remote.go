@@ -1,9 +1,10 @@
 package experiments
 
 // This file implements `willump-bench -exp remote-lookup`: a store-latency
-// sweep over the remote feature-store predict path, comparing the toy
-// synchronous kvstore client against the production store client with async
-// prefetch, and prefetch plus hedging under injected tail latency. The rows
+// sweep over the remote feature-store predict path, comparing the store
+// client behind the benchmark pipelines' synchronous view against the same
+// client with async prefetch, and prefetch plus hedging under injected tail
+// latency. The rows
 // ride along in BENCH_<rev>.json next to the perf workloads; they track
 // latency only (allocs are reported as zero — the path is network-bound and
 // spawns goroutines by design, so allocation counts would be noise).
@@ -20,6 +21,7 @@ import (
 	"willump/internal/graph"
 	"willump/internal/kvstore"
 	"willump/internal/ops"
+	"willump/internal/pipeline"
 	"willump/internal/store"
 	"willump/internal/value"
 	"willump/internal/weld"
@@ -107,12 +109,11 @@ func remoteCell(s Setup, lat time.Duration, mode string, iters int) (PerfRow, er
 	var table ops.Table
 	switch mode {
 	case "sync":
-		cli, err := kvstore.Dial(addr, 2)
-		if err != nil {
+		var be pipeline.RemoteBackend
+		defer be.Close()
+		if table, err = be.Dial(addr, 2); err != nil {
 			return PerfRow{}, err
 		}
-		defer cli.Close()
-		table = cli
 	case "prefetch", "prefetch+hedge":
 		cli, err := store.Dial(context.Background(), store.Config{
 			Addr:  addr,

@@ -58,7 +58,10 @@ func table6One(name string, s Setup) ([]Table6Row, error) {
 	defer b.Close()
 
 	measure := func(pred serving.Predictor, batchSize int) (time.Duration, error) {
-		srv := serving.NewServer(pred, serving.Options{})
+		srv, err := serving.NewPredictorServer(pred, serving.Options{})
+		if err != nil {
+			return 0, err
+		}
 		base, err := srv.Start()
 		if err != nil {
 			return 0, err

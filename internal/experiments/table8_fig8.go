@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"time"
 
 	"willump/internal/cascade"
 	"willump/internal/core"
@@ -229,19 +230,29 @@ func fig8Sweep(name string, prog *weld.Program, test core.Dataset, s Setup, maxT
 	for i := 0; i < k; i++ {
 		points[i] = test.Row(i).Inputs
 	}
-	base, err := metrics.Latency(k, func(i int) error {
-		_, err := prog.RunPoint(context.Background(), points[i])
-		return err
-	})
+	// One pooled point query with the IFVs computed across threads workers
+	// (one worker is the sequential path).
+	latency := func(threads int) (time.Duration, error) {
+		return metrics.Latency(k, func(i int) error {
+			r, err := prog.NewRun(context.Background(), points[i])
+			if err != nil {
+				return err
+			}
+			defer r.Close()
+			if err := r.ComputeIFVsParallel(prog.AllIFVs(), threads); err != nil {
+				return err
+			}
+			_, err = r.PointMatrix(prog.AllIFVs())
+			return err
+		})
+	}
+	base, err := latency(1)
 	if err != nil {
 		return nil, err
 	}
 	rows := []Fig8Row{{Benchmark: name, Threads: 1, Speedup: 1}}
 	for threads := 2; threads <= maxThreads; threads++ {
-		lat, err := metrics.Latency(k, func(i int) error {
-			_, err := prog.RunPointParallel(context.Background(), points[i], threads)
-			return err
-		})
+		lat, err := latency(threads)
 		if err != nil {
 			return nil, err
 		}

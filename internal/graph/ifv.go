@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // IFV describes one independent feature vector: the output of one feature
 // generator (paper section 4.1). Feature generators form disjoint subgraphs;
@@ -234,15 +231,4 @@ func (a *Analysis) ExecutionOrder(g *Graph, ifvs []int) []NodeID {
 		}
 	}
 	return order
-}
-
-// SortedIFVIndices returns 0..len(IFVs)-1; a convenience for callers that
-// need the full set.
-func (a *Analysis) SortedIFVIndices() []int {
-	idx := make([]int, len(a.IFVs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Ints(idx)
-	return idx
 }

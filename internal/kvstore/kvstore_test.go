@@ -1,15 +1,23 @@
-package kvstore
+// The server is tested from outside the package, through the one wire client
+// (store.Client, which imports kvstore) and the protocol.go frame helpers.
+package kvstore_test
 
 import (
 	"context"
+	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"willump/internal/kvstore"
+	"willump/internal/store"
 )
 
-func startServer(t *testing.T, dim int, latency time.Duration, rows map[int64][]float64) (*Server, *Client) {
+// startServer starts a loaded server and dials it with retries off, so
+// every client lookup is exactly one server request.
+func startServer(t *testing.T, dim int, latency time.Duration, rows map[int64][]float64) (*kvstore.Server, *store.Client) {
 	t.Helper()
-	srv := NewServer(dim, latency)
+	srv := kvstore.NewServer(dim, latency)
 	if err := srv.Load(rows); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -18,7 +26,7 @@ func startServer(t *testing.T, dim int, latency time.Duration, rows map[int64][]
 		t.Fatalf("Start: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	cli, err := Dial(addr, dim)
+	cli, err := store.Dial(context.Background(), store.Config{Addr: addr, ExpectDim: dim, Retries: -1})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -67,7 +75,7 @@ func TestBatchCountsAsOneRequest(t *testing.T) {
 }
 
 func TestLoadValidatesDim(t *testing.T) {
-	srv := NewServer(2, 0)
+	srv := kvstore.NewServer(2, 0)
 	if err := srv.Load(map[int64][]float64{1: {1, 2, 3}}); err == nil {
 		t.Error("want error for wrong-width row")
 	}
@@ -197,15 +205,33 @@ func TestLookupBatchCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestCheckSchema: the dim probe validates the server's table width up
-// front, so a mis-bound table fails with a descriptive error at bind time
-// rather than corrupt rows at predict time.
-func TestCheckSchema(t *testing.T) {
-	_, cli := startServer(t, 3, 0, map[int64][]float64{1: {1, 2, 3}})
-	if err := cli.CheckSchema(3); err != nil {
-		t.Errorf("CheckSchema(3): %v", err)
+// TestDimProbe: the 'D' frame reports the server's table width, which is
+// what lets clients reject a mis-bound table at dial or bind time rather
+// than decode corrupt rows at predict time.
+func TestDimProbe(t *testing.T) {
+	srv := kvstore.NewServer(3, 0)
+	addr, err := srv.Start()
+	if err != nil {
+		t.Fatalf("Start: %v", err)
 	}
-	if err := cli.CheckSchema(4); err == nil {
-		t.Error("CheckSchema(4) accepted a width mismatch")
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(kvstore.AppendDimProbe(nil)); err != nil {
+		t.Fatalf("write probe: %v", err)
+	}
+	dim, err := kvstore.ReadDimResponse(conn)
+	if err != nil || dim != 3 {
+		t.Errorf("dim probe = %d, %v; want 3", dim, err)
+	}
+	if srv.Requests() != 0 {
+		t.Errorf("dim probe counted as %d MGET requests, want 0", srv.Requests())
+	}
+	if _, err := store.Dial(context.Background(), store.Config{Addr: addr, ExpectDim: 4}); err == nil {
+		t.Error("Dial expecting 4-wide rows accepted a 3-wide server")
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"math"
 )
 
-// Wire framing shared by the toy pooled Client and the production
-// internal/store client. Both speak to the same Server, so the byte-level
-// encode/decode lives here once instead of being duplicated per client.
+// Wire framing shared by the Server and its one client, internal/store: the
+// byte-level encode/decode lives here once, next to the server that defines
+// it.
 //
 //	mget request:  'M' | uint32 n | n x int64 keys
 //	mget response: uint32 n | n x (uint32 dim | dim x float64)

@@ -1,8 +1,9 @@
 // Package kvstore implements the remote feature store used by the lookup
-// benchmarks: an in-process TCP key-value server and a pipelining client.
-// It substitutes for the Redis instance in the paper's experimental setup
-// (section 6.1). A configurable per-request latency models the datacenter
-// round trip; the client counts remote requests, the metric of paper Table 2.
+// benchmarks: an in-process TCP key-value server and its wire protocol (the
+// client is internal/store). It substitutes for the Redis instance in the
+// paper's experimental setup (section 6.1). A configurable per-request
+// latency models the datacenter round trip; server and client both count
+// MGET requests, the metric of paper Table 2.
 //
 // Protocol (binary, little-endian):
 //

@@ -87,26 +87,6 @@ func NewUniformKeys(n int64, seed int64) *UniformKeys {
 // Next implements Keys.
 func (u *UniformKeys) Next() int64 { return u.rng.Int63n(u.n) }
 
-// ReplayKeys replays a recorded key sequence, cycling if the run is longer
-// than the recording.
-type ReplayKeys struct {
-	keys []int64
-	i    int
-}
-
-// NewReplayKeys wraps a recorded key slice.
-func NewReplayKeys(keys []int64) *ReplayKeys { return &ReplayKeys{keys: keys} }
-
-// Next implements Keys.
-func (r *ReplayKeys) Next() int64 {
-	if len(r.keys) == 0 {
-		return 0
-	}
-	k := r.keys[r.i%len(r.keys)]
-	r.i++
-	return k
-}
-
 // keysFromSpec builds a Keys stream from a scenario spec. The key seed is
 // offset from the arrival seed so the two streams are independent.
 func keysFromSpec(s ScenarioSpec) (Keys, error) {

@@ -58,8 +58,8 @@ func WriteTrace(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
-// ReadTrace parses a trace file back into a schedule. Replaying the result
-// with ReplayArrivals/ReplayKeys reproduces the recorded run exactly.
+// ReadTrace parses a trace file back into a schedule; replaying the events
+// reproduces the recorded run exactly.
 func ReadTrace(r io.Reader) ([]Event, error) {
 	br := bufio.NewReader(r)
 	line, err := br.ReadBytes('\n')

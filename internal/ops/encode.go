@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"willump/internal/artifact"
-	"willump/internal/feature"
 	"willump/internal/value"
 )
 
@@ -84,23 +83,7 @@ func (o *OneHot) Fit(ins []value.Value) error {
 
 // Apply implements graph.Op.
 func (o *OneHot) Apply(ins []value.Value) (value.Value, error) {
-	if !o.fitted {
-		return value.Value{}, fmt.Errorf("ops: %s: Apply before Fit", o.Name())
-	}
-	if len(ins) != 1 {
-		return value.Value{}, errArity(o.Name(), len(ins), 1)
-	}
-	if ins[0].Kind != value.Strings {
-		return value.Value{}, errKind(o.Name(), 0, ins[0].Kind, value.Strings)
-	}
-	b := feature.NewCSRBuilder(len(o.cats))
-	for _, s := range ins[0].Strings {
-		if col, ok := o.cats[s]; ok {
-			b.Add(col, 1)
-		}
-		b.EndRow()
-	}
-	return value.NewMat(b.Build()), nil
+	return applyFresh(o, ins)
 }
 
 // ApplyBoxed implements graph.Op.
@@ -177,24 +160,7 @@ func (o *Ordinal) Fit(ins []value.Value) error {
 
 // Apply implements graph.Op.
 func (o *Ordinal) Apply(ins []value.Value) (value.Value, error) {
-	if !o.fitted {
-		return value.Value{}, fmt.Errorf("ops: %s: Apply before Fit", o.Name())
-	}
-	if len(ins) != 1 {
-		return value.Value{}, errArity(o.Name(), len(ins), 1)
-	}
-	if ins[0].Kind != value.Strings {
-		return value.Value{}, errKind(o.Name(), 0, ins[0].Kind, value.Strings)
-	}
-	out := make([]float64, len(ins[0].Strings))
-	for i, s := range ins[0].Strings {
-		if code, ok := o.codes[s]; ok {
-			out[i] = code
-		} else {
-			out[i] = -1
-		}
-	}
-	return value.NewFloats(out), nil
+	return applyFresh(o, ins)
 }
 
 // ApplyBoxed implements graph.Op.
@@ -282,27 +248,7 @@ func (s *StandardScale) Fit(ins []value.Value) error {
 
 // Apply implements graph.Op.
 func (s *StandardScale) Apply(ins []value.Value) (value.Value, error) {
-	if !s.fitted {
-		return value.Value{}, fmt.Errorf("ops: %s: Apply before Fit", s.Name())
-	}
-	if len(ins) != 1 {
-		return value.Value{}, errArity(s.Name(), len(ins), 1)
-	}
-	m, err := ins[0].AsMatrix()
-	if err != nil {
-		return value.Value{}, fmt.Errorf("ops: %s: %w", s.Name(), err)
-	}
-	if m.Cols() != len(s.mean) {
-		return value.Value{}, fmt.Errorf("ops: %s: input has %d cols, fitted on %d", s.Name(), m.Cols(), len(s.mean))
-	}
-	out := feature.NewDense(m.Rows(), m.Cols())
-	for r := 0; r < m.Rows(); r++ {
-		row := out.Row(r)
-		for c := 0; c < m.Cols(); c++ {
-			row[c] = (m.At(r, c) - s.mean[c]) * s.invStd[c]
-		}
-	}
-	return value.NewMat(out), nil
+	return applyFresh(s, ins)
 }
 
 // ApplyBoxed implements graph.Op.
@@ -359,26 +305,7 @@ func (n *NumericStats) row(x float64, dst []float64) {
 
 // Apply implements graph.Op.
 func (n *NumericStats) Apply(ins []value.Value) (value.Value, error) {
-	if len(ins) != 1 {
-		return value.Value{}, errArity(n.Name(), len(ins), 1)
-	}
-	var xs []float64
-	switch ins[0].Kind {
-	case value.Floats:
-		xs = ins[0].Floats
-	case value.Ints:
-		xs = make([]float64, len(ins[0].Ints))
-		for i, v := range ins[0].Ints {
-			xs[i] = float64(v)
-		}
-	default:
-		return value.Value{}, errKind(n.Name(), 0, ins[0].Kind, value.Floats)
-	}
-	m := feature.NewDense(len(xs), n.Width())
-	for i, x := range xs {
-		n.row(x, m.Row(i))
-	}
-	return value.NewMat(m), nil
+	return applyFresh(n, ins)
 }
 
 // ApplyBoxed implements graph.Op.

@@ -143,32 +143,7 @@ func (f *FusedText) tokensFor(s string, scratch []string) []string {
 // Apply implements graph.Op: one pass per document straight into the CSR
 // builder.
 func (f *FusedText) Apply(ins []value.Value) (value.Value, error) {
-	if len(ins) != 1 {
-		return value.Value{}, errArity(f.Name(), len(ins), 1)
-	}
-	if ins[0].Kind != value.Strings {
-		return value.Value{}, errKind(f.Name(), 0, ins[0].Kind, value.Strings)
-	}
-	b := feature.NewCSRBuilder(f.Width())
-	counts := make(map[int]int)
-	tfs := newTFScratch()
-	var scratch []string
-	for _, s := range ins[0].Strings {
-		toks := f.tokensFor(s, scratch)
-		scratch = toks[:0]
-		switch {
-		case f.tfidf != nil:
-			f.tfidf.transformRow(toks, tfs, b)
-		case f.cv != nil:
-			f.cv.transformRow(toks, counts, b)
-		default:
-			for _, tok := range toks {
-				b.Add(f.hv.bucket(tok), 1)
-			}
-			b.EndRow()
-		}
-	}
-	return value.NewMat(b.Build()), nil
+	return applyFresh(f, ins)
 }
 
 // ApplyBoxed implements graph.Op. Fused ops never run on the interpreted

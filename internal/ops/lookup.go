@@ -15,8 +15,8 @@ import (
 
 // Table is a keyed feature table: the abstraction behind the paper's "remote
 // data lookup, data joins" operators (Music, Credit, Tracking benchmarks).
-// Implementations include the in-memory LocalTable and the kvstore client's
-// remote table.
+// Implementations include the in-memory LocalTable and the remote store
+// client (internal/store).
 type Table interface {
 	// Dim returns the width of each stored feature vector.
 	Dim() int
@@ -282,7 +282,7 @@ func (l *Lookup) lookupRows(ctx context.Context, keys []int64) ([][]float64, err
 
 // Apply implements graph.Op.
 func (l *Lookup) Apply(ins []value.Value) (value.Value, error) {
-	return l.ApplyCtx(context.Background(), ins)
+	return applyFresh(l, ins)
 }
 
 // ApplyCtx is Apply with request-context propagation: when the bound table

@@ -49,17 +49,7 @@ func (w *WordNGrams) expand(tokens []string) []string {
 
 // Apply implements graph.Op.
 func (w *WordNGrams) Apply(ins []value.Value) (value.Value, error) {
-	if len(ins) != 1 {
-		return value.Value{}, errArity(w.Name(), len(ins), 1)
-	}
-	if ins[0].Kind != value.Tokens {
-		return value.Value{}, errKind(w.Name(), 0, ins[0].Kind, value.Tokens)
-	}
-	out := make([][]string, len(ins[0].Tokens))
-	for i, toks := range ins[0].Tokens {
-		out[i] = w.expand(toks)
-	}
-	return value.NewTokens(out), nil
+	return applyFresh(w, ins)
 }
 
 // ApplyBoxed implements graph.Op.
@@ -110,17 +100,7 @@ func (c *CharNGrams) expand(s string) []string {
 
 // Apply implements graph.Op.
 func (c *CharNGrams) Apply(ins []value.Value) (value.Value, error) {
-	if len(ins) != 1 {
-		return value.Value{}, errArity(c.Name(), len(ins), 1)
-	}
-	if ins[0].Kind != value.Strings {
-		return value.Value{}, errKind(c.Name(), 0, ins[0].Kind, value.Strings)
-	}
-	out := make([][]string, len(ins[0].Strings))
-	for i, s := range ins[0].Strings {
-		out[i] = c.expand(s)
-	}
-	return value.NewTokens(out), nil
+	return applyFresh(c, ins)
 }
 
 // ApplyBoxed implements graph.Op.

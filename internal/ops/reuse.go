@@ -12,10 +12,11 @@ import (
 
 // This file implements graph.IntoApplier — the pooled executor's
 // allocation-free operator contract — for the hot built-in operators. Every
-// ApplyInto produces output bit-identical to the operator's Apply, but
-// writes it into buffers owned by the per-step scratch cell the executor
-// threads through, so the steady-state predict path stops allocating once
-// the buffers have grown to the workload's shape.
+// ApplyInto writes its output into buffers owned by the per-step scratch cell
+// the executor threads through, so the steady-state predict path stops
+// allocating once the buffers have grown to the workload's shape. Each
+// operator's Apply is applyFresh over its ApplyInto, so the two agree by
+// construction and input validation lives here only.
 //
 // All reuse state lives in the scratch cell (never reclaimed from *out):
 // the executor guarantees a step's scratch is used by exactly one run at a
@@ -42,6 +43,17 @@ var (
 	_ graph.IntoApplier     = (*CharNGrams)(nil)
 	_ graph.Elementwise     = (*Clip)(nil)
 )
+
+// applyFresh is the Apply of every built-in IntoApplier: ApplyInto over an
+// empty output slot and scratch cell, so the result owns fresh buffers.
+func applyFresh(op graph.IntoApplier, ins []value.Value) (value.Value, error) {
+	var out value.Value
+	var scratch any
+	if err := op.ApplyInto(ins, &out, &scratch); err != nil {
+		return value.Value{}, err
+	}
+	return out, nil
+}
 
 // csrScratch backs the sparse-output vectorizers: a reused CSR builder, the
 // matrix whose slices it reclaims between runs, and the per-row tally
@@ -391,6 +403,9 @@ func (l *Lookup) ApplyInto(ins []value.Value, out *value.Value, scratch *any) er
 		vecs, err := l.lookupRows(context.Background(), keys)
 		if err != nil {
 			return fmt.Errorf("ops: %s: %w", l.Name(), err)
+		}
+		if len(vecs) != len(keys) {
+			return fmt.Errorf("ops: %s: table returned %d rows, want %d", l.Name(), len(vecs), len(keys))
 		}
 		for i, v := range vecs {
 			row := dst.Row(i)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"unicode"
 
-	"willump/internal/feature"
 	"willump/internal/value"
 )
 
@@ -44,17 +43,7 @@ func cleanString(s string) string {
 
 // Apply implements graph.Op (columnar path).
 func (c *Clean) Apply(ins []value.Value) (value.Value, error) {
-	if len(ins) != 1 {
-		return value.Value{}, errArity(c.Name(), len(ins), 1)
-	}
-	if ins[0].Kind != value.Strings {
-		return value.Value{}, errKind(c.Name(), 0, ins[0].Kind, value.Strings)
-	}
-	out := make([]string, len(ins[0].Strings))
-	for i, s := range ins[0].Strings {
-		out[i] = cleanString(s)
-	}
-	return value.NewStrings(out), nil
+	return applyFresh(c, ins)
 }
 
 // ApplyBoxed implements graph.Op (row-at-a-time path).
@@ -86,17 +75,7 @@ func (t *Tokenize) Commutative() bool { return false }
 
 // Apply implements graph.Op.
 func (t *Tokenize) Apply(ins []value.Value) (value.Value, error) {
-	if len(ins) != 1 {
-		return value.Value{}, errArity(t.Name(), len(ins), 1)
-	}
-	if ins[0].Kind != value.Strings {
-		return value.Value{}, errKind(t.Name(), 0, ins[0].Kind, value.Strings)
-	}
-	out := make([][]string, len(ins[0].Strings))
-	for i, s := range ins[0].Strings {
-		out[i] = strings.Fields(s)
-	}
-	return value.NewTokens(out), nil
+	return applyFresh(t, ins)
 }
 
 // ApplyBoxed implements graph.Op.
@@ -169,18 +148,7 @@ func (t *TextStats) statsRow(s string, dst []float64) {
 
 // Apply implements graph.Op.
 func (t *TextStats) Apply(ins []value.Value) (value.Value, error) {
-	if len(ins) != 1 {
-		return value.Value{}, errArity(t.Name(), len(ins), 1)
-	}
-	if ins[0].Kind != value.Strings {
-		return value.Value{}, errKind(t.Name(), 0, ins[0].Kind, value.Strings)
-	}
-	n := len(ins[0].Strings)
-	m := feature.NewDense(n, t.Width())
-	for i, s := range ins[0].Strings {
-		t.statsRow(s, m.Row(i))
-	}
-	return value.NewMat(m), nil
+	return applyFresh(t, ins)
 }
 
 // ApplyBoxed implements graph.Op.

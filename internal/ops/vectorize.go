@@ -184,21 +184,7 @@ func (t *TFIDF) transformRow(doc []string, s *tfScratch, b *feature.CSRBuilder) 
 
 // Apply implements graph.Op.
 func (t *TFIDF) Apply(ins []value.Value) (value.Value, error) {
-	if !t.fitted {
-		return value.Value{}, fmt.Errorf("ops: %s: Apply before Fit", t.Name())
-	}
-	if len(ins) != 1 {
-		return value.Value{}, errArity(t.Name(), len(ins), 1)
-	}
-	if ins[0].Kind != value.Tokens {
-		return value.Value{}, errKind(t.Name(), 0, ins[0].Kind, value.Tokens)
-	}
-	b := feature.NewCSRBuilder(len(t.idf))
-	scratch := newTFScratch()
-	for _, doc := range ins[0].Tokens {
-		t.transformRow(doc, scratch, b)
-	}
-	return value.NewMat(b.Build()), nil
+	return applyFresh(t, ins)
 }
 
 // ApplyBoxed implements graph.Op. The boxed path returns a fully dense row,
@@ -321,21 +307,7 @@ func (c *CountVectorizer) transformRow(doc []string, counts map[int]int, b *feat
 
 // Apply implements graph.Op.
 func (c *CountVectorizer) Apply(ins []value.Value) (value.Value, error) {
-	if !c.fitted {
-		return value.Value{}, fmt.Errorf("ops: %s: Apply before Fit", c.Name())
-	}
-	if len(ins) != 1 {
-		return value.Value{}, errArity(c.Name(), len(ins), 1)
-	}
-	if ins[0].Kind != value.Tokens {
-		return value.Value{}, errKind(c.Name(), 0, ins[0].Kind, value.Tokens)
-	}
-	b := feature.NewCSRBuilder(len(c.vocab))
-	counts := make(map[int]int)
-	for _, doc := range ins[0].Tokens {
-		c.transformRow(doc, counts, b)
-	}
-	return value.NewMat(b.Build()), nil
+	return applyFresh(c, ins)
 }
 
 // ApplyBoxed implements graph.Op.
@@ -391,20 +363,7 @@ func (h *HashingVectorizer) bucket(tok string) int {
 
 // Apply implements graph.Op.
 func (h *HashingVectorizer) Apply(ins []value.Value) (value.Value, error) {
-	if len(ins) != 1 {
-		return value.Value{}, errArity(h.Name(), len(ins), 1)
-	}
-	if ins[0].Kind != value.Tokens {
-		return value.Value{}, errKind(h.Name(), 0, ins[0].Kind, value.Tokens)
-	}
-	b := feature.NewCSRBuilder(h.Buckets)
-	for _, doc := range ins[0].Tokens {
-		for _, tok := range doc {
-			b.Add(h.bucket(tok), 1)
-		}
-		b.EndRow()
-	}
-	return value.NewMat(b.Build()), nil
+	return applyFresh(h, ins)
 }
 
 // ApplyBoxed implements graph.Op.

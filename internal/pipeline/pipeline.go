@@ -7,12 +7,14 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"willump/internal/core"
 	"willump/internal/kvstore"
 	"willump/internal/ops"
+	"willump/internal/store"
 	"willump/internal/value"
 )
 
@@ -43,7 +45,45 @@ type RemoteBackend struct {
 	Latency time.Duration
 
 	servers []*kvstore.Server
-	clients []*kvstore.Client
+	clients []*store.Client
+}
+
+// syncTable is the synchronous view of a store client: ops.Table and
+// ops.CtxTable, but not ops.AsyncTable. Without StartLookup weld cannot
+// prefetch every lookup when a run starts, so a remote request is issued only
+// where a plan step consumes it — which is what lets the remote experiments
+// (Tables 2-3) show cascades and feature caching removing requests.
+type syncTable struct{ c *store.Client }
+
+func (t syncTable) Dim() int        { return t.c.Dim() }
+func (t syncTable) Requests() int64 { return t.c.Requests() }
+func (t syncTable) LookupBatch(keys []int64) ([][]float64, error) {
+	return t.c.LookupBatch(keys)
+}
+func (t syncTable) LookupBatchCtx(ctx context.Context, keys []int64) ([][]float64, error) {
+	return t.c.LookupBatchCtx(ctx, keys)
+}
+
+// Dial connects to a kvstore server that is already running and returns the
+// synchronous view of its table; Close closes the connection. The client runs
+// with retries, hedging and the circuit breaker off, so one lookup is one
+// request and a store failure is an error rather than a degraded answer; the
+// long request timeout covers fit-time lookups, which fetch a whole training
+// split in one multi-get from a server with injected latency.
+func (b *RemoteBackend) Dial(addr string, dim int) (ops.Table, error) {
+	cli, err := store.Dial(context.Background(), store.Config{
+		Addr:             addr,
+		ExpectDim:        dim,
+		RequestTimeout:   10 * time.Second,
+		Retries:          -1,
+		BreakerThreshold: -1,
+		FallbackCapacity: -1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	b.clients = append(b.clients, cli)
+	return syncTable{cli}, nil
 }
 
 // Table implements Backend.
@@ -56,14 +96,13 @@ func (b *RemoteBackend) Table(name string, dim int, rows map[int64][]float64) (o
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: starting table %s: %w", name, err)
 	}
-	cli, err := kvstore.Dial(addr, dim)
+	t, err := b.Dial(addr, dim)
 	if err != nil {
 		srv.Close()
 		return nil, fmt.Errorf("pipeline: dialing table %s: %w", name, err)
 	}
 	b.servers = append(b.servers, srv)
-	b.clients = append(b.clients, cli)
-	return cli, nil
+	return t, nil
 }
 
 // Close implements Backend.

@@ -58,8 +58,7 @@ func fixtureRow() map[string]value.Value {
 }
 
 // TestNewPredictorServerError pins the error-returning constructor path: a
-// configuration that could never serve a request is reported, not panicked,
-// while the deprecated NewServer keeps its panicking contract.
+// configuration that could never serve a request is reported, not panicked.
 func TestNewPredictorServerError(t *testing.T) {
 	if _, err := NewPredictorServer(nil, Options{}); err == nil {
 		t.Error("nil predictor accepted")
@@ -71,14 +70,7 @@ func TestNewPredictorServerError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	defer s.Close()
-
-	defer func() {
-		if recover() == nil {
-			t.Error("deprecated NewServer did not panic on a nil predictor")
-		}
-	}()
-	NewServer(nil, Options{})
+	s.Close()
 }
 
 // TestMetricsEndpoint scrapes /metrics from a traced deployment and checks

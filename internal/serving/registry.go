@@ -413,7 +413,7 @@ func (v *version) buildPredictor(o *core.Optimized, p Predictor) Predictor {
 	if v.opts.CacheCapacity != 0 {
 		capacity := v.opts.CacheCapacity
 		if capacity < 0 {
-			capacity = 0 // unbounded LRU
+			capacity = 0 // unbounded
 		}
 		keys := v.opts.CacheKeyOrder
 		if len(keys) == 0 {

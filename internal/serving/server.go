@@ -124,20 +124,6 @@ func NewPredictorServer(p Predictor, opts Options) (*Server, error) {
 	return NewRegistryServer(reg), nil
 }
 
-// NewServer wraps a single predictor with the serving frontend, deploying
-// it as the registry's default model.
-//
-// Deprecated: NewServer panics on a configuration that could never serve a
-// request (a nil predictor, or a prediction cache enabled without
-// CacheKeyOrder). Use NewPredictorServer, which returns the error instead.
-func NewServer(p Predictor, opts Options) *Server {
-	s, err := NewPredictorServer(p, opts)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
-}
-
 // NewRegistryServer wraps a registry with the HTTP serving frontend. The
 // server owns the registry's lifecycle: Shutdown (or Close) drains and
 // closes it.

@@ -22,9 +22,19 @@ var doubler = PredictorFunc(func(_ context.Context, inputs map[string]value.Valu
 	return out, nil
 })
 
+// newServer wraps p as the default model of a not-yet-started server.
+func newServer(t *testing.T, p Predictor, opts Options) *Server {
+	t.Helper()
+	srv, err := NewPredictorServer(p, opts)
+	if err != nil {
+		t.Fatalf("NewPredictorServer: %v", err)
+	}
+	return srv
+}
+
 func startServer(t *testing.T, p Predictor, opts Options) (*Server, *Client) {
 	t.Helper()
-	srv := NewServer(p, opts)
+	srv := newServer(t, p, opts)
 	base, err := srv.Start()
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -218,7 +228,7 @@ func TestShutdownDrainsInFlightBatch(t *testing.T) {
 		<-release
 		return make([]float64, inputs["x"].Len()), nil
 	})
-	srv := NewServer(slow, Options{})
+	srv := newServer(t, slow, Options{})
 	base, err := srv.Start()
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -277,7 +287,7 @@ func TestShutdownDeadlineCancelsWork(t *testing.T) {
 		<-ctx.Done() // hold until cancelled
 		return nil, ctx.Err()
 	})
-	srv := NewServer(slow, Options{})
+	srv := newServer(t, slow, Options{})
 	base, err := srv.Start()
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -330,7 +340,7 @@ func TestClientPredictContextCancel(t *testing.T) {
 
 // TestServeAfterCloseRejected verifies post-Close requests fail cleanly.
 func TestServeAfterCloseRejected(t *testing.T) {
-	srv := NewServer(doubler, Options{})
+	srv := newServer(t, doubler, Options{})
 	base, err := srv.Start()
 	if err != nil {
 		t.Fatalf("Start: %v", err)

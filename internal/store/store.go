@@ -1,8 +1,8 @@
-// Package store implements the production remote feature-store client that
-// replaces the toy kvstore.Client on the predict path. It speaks the same
-// wire protocol (one pipelined MGET round trip per batch, the property the
-// paper's Table 2 request counts measure) but owns everything a production
-// deployment needs around that round trip:
+// Package store implements the remote feature-store client: the one wire
+// client of a kvstore server. It speaks kvstore's protocol (one pipelined
+// MGET round trip per batch, the property the paper's Table 2 request counts
+// measure) and owns everything a production deployment needs around that
+// round trip:
 //
 //   - a connection pool with per-request context deadlines, so a stalled
 //     store can never wedge a prediction;
@@ -17,8 +17,8 @@
 //     overlap the network round trip with local feature compute.
 //
 // The client implements ops.Table, ops.CtxTable, ops.AsyncTable,
-// ops.SchemaChecker and ops.StoreStatsReporter, so it drops into lookup
-// operators anywhere a kvstore.Client did.
+// ops.SchemaChecker and ops.StoreStatsReporter, so it drops into any lookup
+// operator.
 package store
 
 import (

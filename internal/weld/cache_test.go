@@ -14,7 +14,7 @@ import (
 func TestCachedMatchesUncached(t *testing.T) {
 	g, inputs, _, _ := lookupPipeline(t)
 	p, full := fitProgram(t, g, inputs)
-	p.EnableFeatureCaching(0, nil)
+	p.EnableFeatureCachingSpecs([]CacheSpec{{IFV: 0}, {IFV: 1}})
 	ctx := context.Background()
 	for pass := 0; pass < 3; pass++ {
 		got, err := p.RunBatch(ctx, inputs)
@@ -29,7 +29,7 @@ func TestCachedMatchesUncached(t *testing.T) {
 			"song": inputs["song"].Gather([]int{row}),
 		}
 		for pass := 0; pass < 2; pass++ { // miss then hit
-			m, err := p.RunPoint(ctx, point)
+			m, err := p.RunBatch(ctx, point)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func TestCacheSpecsPartialCoverage(t *testing.T) {
 func TestCachedConcurrentPointRuns(t *testing.T) {
 	g, inputs, _, _ := lookupPipeline(t)
 	p, full := fitProgram(t, g, inputs)
-	p.EnableFeatureCaching(4, nil) // small: hits, misses, and evictions mix
+	p.EnableFeatureCachingSpecs([]CacheSpec{{IFV: 0, Capacity: 4}, {IFV: 1, Capacity: 4}}) // small: hits, misses, and evictions mix
 	ctx := context.Background()
 	users := inputs["user"].Ints
 	songs := inputs["song"].Ints

@@ -86,16 +86,3 @@ func (p *Program) RunInterpreted(ctx context.Context, inputs map[string]value.Va
 	}
 	return feature.DenseFromRows(rows), nil
 }
-
-// RunInterpretedPoint executes one example-at-a-time query on the
-// interpreted path.
-func (p *Program) RunInterpretedPoint(ctx context.Context, inputs map[string]value.Value) ([]float64, error) {
-	m, err := p.RunInterpreted(ctx, inputs)
-	if err != nil {
-		return nil, err
-	}
-	if m.Rows() != 1 {
-		return nil, fmt.Errorf("weld: point query got %d rows", m.Rows())
-	}
-	return feature.RowDense(m, 0, nil), nil
-}

@@ -184,7 +184,7 @@ func TestPrefetchSkipsCachedIFVs(t *testing.T) {
 	p, inputs := remotePipeline(t, client, 0)
 
 	remoteIFV := p.prefetch[0].ifv
-	p.EnableFeatureCaching(128, []int{remoteIFV})
+	p.EnableFeatureCachingSpecs([]CacheSpec{{IFV: remoteIFV, Capacity: 128}})
 	client.ResetRequests()
 
 	run := func() {

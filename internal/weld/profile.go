@@ -133,13 +133,6 @@ func (p *Profile) DriverSeconds() float64 {
 	return p.driverSeconds
 }
 
-// TotalSeconds returns accumulated end-to-end execution time.
-func (p *Profile) TotalSeconds() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.totalSeconds
-}
-
 // DriverOverheadFraction returns driver time as a fraction of total
 // execution time (the section 6.4 Weld-drivers microbenchmark).
 func (p *Profile) DriverOverheadFraction() float64 {

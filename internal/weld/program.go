@@ -337,21 +337,6 @@ func (p *Program) EnableFeatureCachingSpecs(specs []CacheSpec) {
 	}
 }
 
-// EnableFeatureCaching attaches a feature-level cache of one flat capacity
-// (<= 0 for unbounded) to the listed IFVs; passing nil selects all IFVs.
-// This is the pre-planner flat configuration, kept for callers that tune
-// capacity by hand.
-func (p *Program) EnableFeatureCaching(capacity int, ifvs []int) {
-	if ifvs == nil {
-		ifvs = p.allIFVs
-	}
-	specs := make([]CacheSpec, len(ifvs))
-	for j, i := range ifvs {
-		specs[j] = CacheSpec{IFV: i, Capacity: capacity}
-	}
-	p.EnableFeatureCachingSpecs(specs)
-}
-
 // DisableFeatureCaching removes all feature-level caches.
 func (p *Program) DisableFeatureCaching() {
 	p.caches = nil
@@ -383,13 +368,6 @@ func (p *Program) IFVCacheStats(i int) (cache.Stats, bool) {
 		return cache.Stats{}, false
 	}
 	return p.caches[i].Stats(), true
-}
-
-// CacheStats sums hits and misses over all feature-level caches (the legacy
-// two-counter form; FeatureCacheStats reports the full counter set).
-func (p *Program) CacheStats() (hits, misses int64) {
-	s := p.FeatureCacheStats()
-	return s.Hits, s.Misses
 }
 
 // EnableLiveProfile turns on shadow profiling: traced requests accumulate

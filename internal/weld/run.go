@@ -931,21 +931,9 @@ func (p *Program) RunBatchSharded(ctx context.Context, inputs map[string]value.V
 	}
 	// Validate presence and equal lengths up front: a mismatch must be an
 	// error here, not an out-of-range panic inside a shard goroutine.
-	n := -1
-	for _, sid := range p.G.Sources() {
-		label := p.G.Node(sid).Label
-		v, ok := inputs[label]
-		if !ok {
-			return nil, fmt.Errorf("weld: missing input %q", label)
-		}
-		if n == -1 {
-			n = v.Len()
-		} else if v.Len() != n {
-			return nil, fmt.Errorf("weld: input %q has %d rows, want %d", label, v.Len(), n)
-		}
-	}
-	if n <= 0 {
-		return p.RunBatch(ctx, inputs) // resolve reports the precise error
+	_, n, err := p.resolveInputs(inputs)
+	if err != nil {
+		return nil, err
 	}
 	shards := parallel.Shard(n, workers)
 	if len(shards) <= 1 {
@@ -993,13 +981,6 @@ func (p *Program) RunBatchSharded(ctx context.Context, inputs map[string]value.V
 	return out, nil
 }
 
-// RunPoint executes the pipeline for a single data input (an
-// example-at-a-time query), sequentially. The returned matrix escapes; the
-// allocation-free point path is NewRun + PointMatrix + Close.
-func (p *Program) RunPoint(ctx context.Context, inputs map[string]value.Value) (feature.Matrix, error) {
-	return p.RunBatch(ctx, inputs)
-}
-
 // ComputeIFVsParallel computes the given IFVs with their generators
 // distributed across workers by LPT over profiled costs (section 4.4:
 // feature generators are computationally independent, so they run
@@ -1041,23 +1022,6 @@ func (r *BatchRun) ComputeIFVsParallel(idx []int, workers int) error {
 		}
 	}
 	return nil
-}
-
-// RunPointParallel executes a single-input query with query-aware
-// parallelization. The returned matrix escapes; the pooled path is NewRun +
-// ComputeIFVsParallel + PointMatrix + Close.
-func (p *Program) RunPointParallel(ctx context.Context, inputs map[string]value.Value, workers int) (feature.Matrix, error) {
-	if workers <= 1 || len(p.A.IFVs) <= 1 {
-		return p.RunBatch(ctx, inputs)
-	}
-	r, err := p.NewRun(ctx, inputs)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.ComputeIFVsParallel(p.AllIFVs(), workers); err != nil {
-		return nil, err
-	}
-	return r.Matrix(p.AllIFVs())
 }
 
 func sortInts(a []int) {

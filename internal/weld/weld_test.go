@@ -252,7 +252,7 @@ func TestSubsetRunGathersComputedState(t *testing.T) {
 func TestFeatureCachingReducesTableRequests(t *testing.T) {
 	g, inputs, userTable, songTable := lookupPipeline(t)
 	p, full := fitProgram(t, g, inputs)
-	p.EnableFeatureCaching(0, nil)
+	p.EnableFeatureCachingSpecs([]CacheSpec{{IFV: 0}, {IFV: 1}})
 	reqU := userTable.Requests()
 	reqS := songTable.Requests()
 	got, err := p.RunBatch(context.Background(), inputs)
@@ -277,8 +277,7 @@ func TestFeatureCachingReducesTableRequests(t *testing.T) {
 	if userTable.Requests() != reqU {
 		t.Error("second run should be fully served from the feature cache")
 	}
-	hits, _ := p.CacheStats()
-	if hits == 0 {
+	if p.FeatureCacheStats().Hits == 0 {
 		t.Error("cache reported no hits")
 	}
 }
@@ -287,11 +286,18 @@ func TestPointParallelMatchesSequential(t *testing.T) {
 	g, inputs := textPipeline(t)
 	p, _ := fitProgram(t, g, inputs)
 	point := map[string]value.Value{"text": value.NewStrings([]string{"bad dog bad"})}
-	seq, err := p.RunPoint(context.Background(), point)
+	seq, err := p.RunBatch(context.Background(), point)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := p.RunPointParallel(context.Background(), point, 4)
+	r, err := p.NewRun(context.Background(), point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ComputeIFVsParallel(p.AllIFVs(), 4); err != nil {
+		t.Fatal(err)
+	}
+	par, err := r.Matrix(p.AllIFVs())
 	if err != nil {
 		t.Fatal(err)
 	}

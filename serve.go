@@ -116,16 +116,6 @@ func NewPredictorServer(p Predictor, opts ServeOptions) (*Server, error) {
 	return serving.NewPredictorServer(p, opts)
 }
 
-// NewServer wraps a single predictor with the serving frontend, deploying
-// it as the default model of a fresh registry.
-//
-// Deprecated: NewServer panics when the default model cannot deploy (nil
-// predictor, or a prediction cache without key columns). Use
-// NewPredictorServer, which returns the error instead.
-func NewServer(p Predictor, opts ServeOptions) *Server {
-	return serving.NewServer(p, opts)
-}
-
 // Serve hosts an optimized pipeline behind a new serving frontend (not yet
 // started), deployed as the default model — so the legacy /predict route,
 // per-request options, and /topk (when the pipeline was optimized for
