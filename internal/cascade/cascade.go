@@ -81,7 +81,7 @@ func BuildApprox(ctx context.Context, prog *weld.Program, fullModel model.Model,
 	if err != nil {
 		return nil, err
 	}
-	effX, err := run.Matrix(efficient)
+	effX, err := run.MatrixShared(efficient)
 	if err != nil {
 		return nil, fmt.Errorf("cascade: computing efficient training features: %w", err)
 	}
@@ -149,15 +149,17 @@ func (c *Cascade) selectThreshold(ctx context.Context, validInputs map[string]va
 	if err != nil {
 		return err
 	}
-	effX, err := run.Matrix(c.Efficient)
-	if err != nil {
-		return err
-	}
-	fullX, err := run.Matrix(c.Prog.AllIFVs())
+	// The run's shared matrix is valid until the next one is asked for, so
+	// the small model scores before the run resumes to the full features.
+	effX, err := run.MatrixShared(c.Efficient)
 	if err != nil {
 		return err
 	}
 	smallP := c.Small.Predict(effX)
+	fullX, err := run.MatrixShared(c.Prog.AllIFVs())
+	if err != nil {
+		return err
+	}
 	fullP := c.Full.Predict(fullX)
 	c.FullAccuracy = model.Accuracy(fullP, validY)
 

@@ -44,7 +44,7 @@ func OracleSelect(ctx context.Context, prog *weld.Program, fullModel model.Model
 	if err != nil {
 		return nil, err
 	}
-	fullValidX, err := validRun.Matrix(prog.AllIFVs())
+	fullValidX, err := validRun.MatrixShared(prog.AllIFVs())
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +63,7 @@ func OracleSelect(ctx context.Context, prog *weld.Program, fullModel model.Model
 			}
 		}
 		sort.Ints(subset)
-		effTrainX, err := trainRun.Matrix(subset)
+		effTrainX, err := trainRun.MatrixShared(subset)
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +71,7 @@ func OracleSelect(ctx context.Context, prog *weld.Program, fullModel model.Model
 		if err := small.Train(effTrainX, trainY); err != nil {
 			return nil, err
 		}
-		effValidX, err := validRun.Matrix(subset)
+		effValidX, err := validRun.MatrixShared(subset)
 		if err != nil {
 			return nil, err
 		}

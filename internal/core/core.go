@@ -383,15 +383,26 @@ func (o *Optimized) PredictBatch(ctx context.Context, inputs map[string]value.Va
 }
 
 // PredictFull predicts a batch with the compiled full pipeline, bypassing
-// any cascade (the "Willump Compilation" configuration of Figures 5 and 6).
-// The features materialize into a pooled run state that is recycled once
-// the model has consumed them.
+// any cascade (the "Willump Compilation" configuration of Figures 5 and 6,
+// and PredictBatch itself when no cascade is deployed). The features
+// materialize into a pooled run state that is recycled once the model has
+// consumed them.
 func (o *Optimized) PredictFull(ctx context.Context, inputs map[string]value.Value) ([]float64, error) {
-	run, x, err := o.Prog.RunBatchShared(ctx, inputs)
+	run, err := o.compiledRun(ctx, inputs)
 	if err != nil {
 		return nil, err
 	}
 	defer run.Close()
+	x, err := run.MatrixShared(o.Prog.AllIFVs())
+	if err != nil {
+		return nil, err
+	}
+	if tr := trace.FromContext(ctx); tr != nil {
+		t0 := time.Now()
+		preds := o.Model.Predict(x)
+		tr.Record(trace.StageModelScore, t0)
+		return preds, nil
+	}
 	return o.Model.Predict(x), nil
 }
 
@@ -402,25 +413,34 @@ func (o *Optimized) PredictPoint(ctx context.Context, inputs map[string]value.Va
 	return o.PredictPointOptions(ctx, inputs, ResolvePredict(opts...))
 }
 
-// predictPointCompiled is the compiled (no-cascade) point path: a pooled
-// run state, the plan executed over the single row (query-aware parallel
-// when Workers > 1), the feature vector materialized into the state's
-// buffer, and the model scored in place — zero heap allocations once warm
-// for fully compiled plans.
-func (o *Optimized) predictPointCompiled(ctx context.Context, inputs map[string]value.Value) (float64, error) {
+// compiledRun starts the run every compiled, uncascaded predict shares: a
+// pooled state with the plan's IFVs computed on Workers goroutines when
+// Workers > 1 — weld picks generator-parallel for a point and row-parallel
+// for a batch (operators are row-local, so either is bit-identical to the
+// sequential path). The caller assembles, scores in place and Closes.
+func (o *Optimized) compiledRun(ctx context.Context, inputs map[string]value.Value) (*weld.BatchRun, error) {
 	run, err := o.Prog.NewRun(ctx, inputs)
+	if err != nil {
+		return nil, err
+	}
+	if o.opts.Workers > 1 {
+		if err := run.ComputeIFVsParallel(o.Prog.AllIFVs(), o.opts.Workers); err != nil {
+			run.Close()
+			return nil, err
+		}
+	}
+	return run, nil
+}
+
+// predictPointCompiled is the compiled (no-cascade) point path: the feature
+// vector materialized into the run state's buffer and the model scored in
+// place — zero heap allocations once warm for fully compiled plans.
+func (o *Optimized) predictPointCompiled(ctx context.Context, inputs map[string]value.Value) (float64, error) {
+	run, err := o.compiledRun(ctx, inputs)
 	if err != nil {
 		return 0, err
 	}
 	defer run.Close()
-	if run.Len() != 1 {
-		return 0, fmt.Errorf("core: point query got %d rows", run.Len())
-	}
-	if o.opts.Workers > 1 {
-		if err := run.ComputeIFVsParallel(o.Prog.AllIFVs(), o.opts.Workers); err != nil {
-			return 0, err
-		}
-	}
 	x, err := run.PointMatrix(o.Prog.AllIFVs())
 	if err != nil {
 		return 0, err

@@ -9,6 +9,7 @@ import (
 	"willump/internal/graph"
 	"willump/internal/model"
 	"willump/internal/ops"
+	"willump/internal/trace"
 	"willump/internal/value"
 )
 
@@ -119,6 +120,32 @@ func TestOptimizePointQueries(t *testing.T) {
 		}
 		if math.Abs(got-batch[i]) > 1e-9 {
 			t.Fatalf("point %d = %v, batch = %v", i, got, batch[i])
+		}
+	}
+}
+
+// TestBatchTraceCarriesModelScore: a sampled uncascaded batch records the
+// model:score span whether its features were computed sequentially or on row
+// shards (Workers > 1) — both go through the one compiled predict shape.
+func TestBatchTraceCarriesModelScore(t *testing.T) {
+	p, train, valid, test := classificationPipeline(t)
+	for _, workers := range []int{0, 2} {
+		o, _, err := Optimize(context.Background(), p, train, valid, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.EnableTracing(1, 8)
+		if _, err := o.PredictBatch(context.Background(), test.Inputs); err != nil {
+			t.Fatal(err)
+		}
+		stages := make(map[string]bool)
+		for _, tr := range o.Tracer().Traces() {
+			for _, sp := range tr.Spans {
+				stages[sp.Stage] = true
+			}
+		}
+		if !stages[trace.StageModelScore] {
+			t.Errorf("workers=%d: sampled batch carries no %q span (saw %v)", workers, trace.StageModelScore, stages)
 		}
 	}
 }

@@ -211,28 +211,8 @@ func (o *Optimized) predictBatchOptions(ctx context.Context, inputs map[string]v
 		}
 		return o.Cascade.PredictBatchThreshold(ctx, inputs, t)
 	}
-	if o.opts.Workers > 1 {
-		// Data-parallel compiled batch: contiguous row shards end-to-end on
-		// separate workers. Every operator is row-local, so the merged
-		// result is bit-identical to the sequential path.
-		x, err := o.Prog.RunBatchSharded(ctx, inputs, o.opts.Workers)
-		if err != nil {
-			return nil, cascade.ServeStats{}, err
-		}
-		return o.Model.Predict(x), cascade.ServeStats{}, nil
-	}
-	run, x, err := o.Prog.RunBatchShared(ctx, inputs)
-	if err != nil {
-		return nil, cascade.ServeStats{}, err
-	}
-	defer run.Close()
-	if tr := trace.FromContext(ctx); tr != nil {
-		t0 := time.Now()
-		preds := o.Model.Predict(x)
-		tr.Record(trace.StageModelScore, t0)
-		return preds, cascade.ServeStats{}, nil
-	}
-	return o.Model.Predict(x), cascade.ServeStats{}, nil
+	preds, err := o.PredictFull(ctx, inputs)
+	return preds, cascade.ServeStats{}, err
 }
 
 // PredictPointOptions is the options-resolved example-at-a-time entry

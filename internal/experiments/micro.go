@@ -35,7 +35,7 @@ func MicroDrivers(w io.Writer, s Setup) ([]DriverRow, error) {
 		}
 		o.Prog.Prof.ResetDriver()
 		for rep := 0; rep < 3; rep++ {
-			if _, err := o.PredictFull(context.Background(), b.Test.Inputs); err != nil {
+			if _, err := o.Features(context.Background(), b.Test.Inputs); err != nil {
 				b.Close()
 				return nil, err
 			}

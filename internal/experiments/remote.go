@@ -188,7 +188,7 @@ func remoteCell(s Setup, lat time.Duration, mode string, iters int) (PerfRow, er
 			return err
 		}
 		defer r.Close()
-		_, err = r.Matrix(prog.AllIFVs())
+		_, err = r.MatrixShared(prog.AllIFVs())
 		return err
 	}
 	for i := 0; i < 3; i++ { // warm pools and connections

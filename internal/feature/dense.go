@@ -120,15 +120,6 @@ func GrowDense(prev *Dense, rows, cols int) *Dense {
 	return prev
 }
 
-// SetData re-points d at a new shape and backing slice, reusing the header.
-// len(data) must equal rows*cols.
-func (d *Dense) SetData(rows, cols int, data []float64) {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("feature: SetData: len(data)=%d, want %d", len(data), rows*cols))
-	}
-	d.rows, d.cols, d.data = rows, cols, data
-}
-
 // Clone returns a deep copy of d.
 func (d *Dense) Clone() *Dense {
 	out := NewDense(d.rows, d.cols)

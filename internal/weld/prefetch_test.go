@@ -2,9 +2,12 @@ package weld
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"willump/internal/feature"
 	"willump/internal/graph"
 	"willump/internal/kvstore"
 	"willump/internal/ops"
@@ -125,8 +128,10 @@ func TestPrefetchIndexSelectsRemoteLookups(t *testing.T) {
 		t.Fatalf("NewRun: %v", err)
 	}
 	defer r.Close()
-	if r.hasPending() {
-		t.Error("local-table run reports pending prefetches")
+	for _, pd := range r.pending {
+		if pd != nil {
+			t.Error("local-table run reports pending prefetches")
+		}
 	}
 }
 
@@ -144,8 +149,8 @@ func TestPrefetchOverlapsRemoteFetchWithLocalCompute(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRun: %v", err)
 	}
-	if _, err := warm.Matrix(p.AllIFVs()); err != nil {
-		t.Fatalf("warm Matrix: %v", err)
+	if _, err := warm.MatrixShared(p.AllIFVs()); err != nil {
+		t.Fatalf("warm MatrixShared: %v", err)
 	}
 	warm.Close()
 
@@ -155,9 +160,9 @@ func TestPrefetchOverlapsRemoteFetchWithLocalCompute(t *testing.T) {
 		t.Fatalf("NewRun: %v", err)
 	}
 	defer r.Close()
-	m, err := r.Matrix(p.AllIFVs())
+	m, err := r.MatrixShared(p.AllIFVs())
 	if err != nil {
-		t.Fatalf("Matrix: %v", err)
+		t.Fatalf("MatrixShared: %v", err)
 	}
 	elapsed := time.Since(start)
 
@@ -194,8 +199,8 @@ func TestPrefetchSkipsCachedIFVs(t *testing.T) {
 			t.Fatalf("NewRun: %v", err)
 		}
 		defer r.Close()
-		if _, err := r.Matrix(p.AllIFVs()); err != nil {
-			t.Fatalf("Matrix: %v", err)
+		if _, err := r.MatrixShared(p.AllIFVs()); err != nil {
+			t.Fatalf("MatrixShared: %v", err)
 		}
 	}
 	run()
@@ -229,7 +234,7 @@ func TestBreakerOpenDegradesPredictionsEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: NewRun: %v", i, err)
 		}
-		m, err := r.Matrix(p.AllIFVs())
+		m, err := r.MatrixShared(p.AllIFVs())
 		if err != nil {
 			t.Fatalf("run %d failed; breaker must degrade, not error: %v", i, err)
 		}
@@ -246,5 +251,111 @@ func TestBreakerOpenDegradesPredictionsEndToEnd(t *testing.T) {
 	}
 	if st.Degraded < 19 {
 		t.Errorf("degraded lookups = %d, want >= 19 (every run after the breaker opened)", st.Degraded)
+	}
+}
+
+// countingAsyncTable is a local table behind the async interface whose
+// handles count how they ended, so a test can tell a joined or cancelled
+// fetch from one left running.
+type countingAsyncTable struct {
+	*ops.LocalTable
+	started, waited, cancelled atomic.Int64
+}
+
+type countingHandle struct {
+	t    *countingAsyncTable
+	keys []int64
+}
+
+func (t *countingAsyncTable) StartLookup(_ context.Context, keys []int64) ops.PendingLookup {
+	t.started.Add(1)
+	return &countingHandle{t: t, keys: keys}
+}
+
+func (h *countingHandle) Wait(context.Context) ([][]float64, error) {
+	h.t.waited.Add(1)
+	return h.t.LookupBatch(h.keys)
+}
+
+func (h *countingHandle) Cancel() { h.t.cancelled.Add(1) }
+
+// failOn is a compilable Apply-only operator that fails on a batch holding
+// the poison value.
+type failOn struct{ poison float64 }
+
+func (failOn) Name() string      { return "fail_on" }
+func (failOn) Compilable() bool  { return true }
+func (failOn) Commutative() bool { return false }
+func (f failOn) Apply(ins []value.Value) (value.Value, error) {
+	for _, x := range ins[0].Floats {
+		if x == f.poison {
+			return value.Value{}, errors.New("poisoned row")
+		}
+	}
+	return ins[0], nil
+}
+func (f failOn) ApplyBoxed(ins []any) (any, error) { return ins[0], nil }
+
+// TestRowParallelFailedShardCancelsPrefetch: when one row shard of a
+// parallel batch fails, every shard still goes back to the pool and no
+// prefetch handle is left neither joined nor cancelled. A healthy sharded
+// batch fetches each key once, on the parent run.
+func TestRowParallelFailedShardCancelsPrefetch(t *testing.T) {
+	rows := make(map[int64][]float64, 16)
+	for k := int64(0); k < 16; k++ {
+		rows[k] = []float64{float64(k), float64(2 * k)}
+	}
+	table := &countingAsyncTable{LocalTable: ops.NewLocalTable(2, rows)}
+	b := graph.NewBuilder()
+	cat := b.Add("concat", ops.NewConcat(),
+		b.Add("remote_features", ops.NewLookup("remote", table), b.Input("rid")),
+		b.Add("checked", failOn{poison: -1}, b.Input("x")))
+	b.SetOutput(cat)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := map[string]value.Value{
+		"rid": value.NewInts([]int64{1, 2, 3, 4, 5, 6}),
+		"x":   value.NewFloats([]float64{10, 20, 30, 40, 50, 60}),
+	}
+	p, want := fitProgram(t, g, good)
+	if len(p.prefetch) != 1 {
+		t.Fatalf("prefetch specs = %d, want 1", len(p.prefetch))
+	}
+	run := func(in map[string]value.Value) (feature.Matrix, error) {
+		r, err := p.NewRun(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if err := r.ComputeIFVsParallel(p.AllIFVs(), 3); err != nil {
+			return nil, err
+		}
+		m, err := r.MatrixShared(p.AllIFVs())
+		if err != nil {
+			return nil, err
+		}
+		return owned(m), nil
+	}
+
+	got, err := run(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matricesClose(t, got, want, 0)
+	if s, w, c := table.started.Load(), table.waited.Load(), table.cancelled.Load(); s != 1 || w != 1 || c != 0 {
+		t.Errorf("healthy sharded batch: %d fetches started, %d joined, %d cancelled; want 1, 1, 0", s, w, c)
+	}
+
+	bad := map[string]value.Value{
+		"rid": good["rid"],
+		"x":   value.NewFloats([]float64{10, 20, 30, 40, 50, -1}), // the last shard fails
+	}
+	if _, err := run(bad); err == nil {
+		t.Fatal("poisoned shard did not fail the batch")
+	}
+	if s, w, c := table.started.Load(), table.waited.Load(), table.cancelled.Load(); s != w+c {
+		t.Errorf("after a failed shard: %d fetches started but only %d joined + %d cancelled", s, w, c)
 	}
 }

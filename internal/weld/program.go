@@ -38,6 +38,7 @@ type step struct {
 	ifv   int            // index of the IFV whose generator contains this step; -1 for preprocessing
 	spine bool           // true for spine (concat / elementwise) steps
 	label string         // precomputed trace span label ("step:<op>"), so recording allocates nothing
+	pre   int            // index into Program.prefetch when the step's lookup can prefetch, else -1; set by Fuse
 }
 
 // Program is a compiled ML inference pipeline: the optimized executable the
@@ -49,8 +50,16 @@ type Program struct {
 	// Order is the block-sorted node order used by unfused (profiling)
 	// execution.
 	Order []graph.NodeID
-	// Steps is the fused compiled plan in execution order.
-	Steps []step
+	// Steps is the fused compiled plan in execution order. preSteps and
+	// ifvSteps[i] index into it: the preprocessing steps and IFV i's
+	// generator steps, so a run walks exactly the steps it needs.
+	// reusable[id] says whether node slot id's previous buffer may be
+	// written over (the ownership rule of state.go). All three are laid out
+	// by Fuse.
+	Steps    []step
+	preSteps []int
+	ifvSteps [][]int
+	reusable []bool
 
 	// Widths maps IFV roots to output widths; set by Fit.
 	Widths map[graph.NodeID]int
@@ -81,9 +90,9 @@ type Program struct {
 	pool *sync.Pool
 
 	// ifvSpine[i] lists the non-concat spine operators applicable to IFV i,
-	// in spine order; precomputed so Matrix/MatrixShared need no per-call
+	// in spine order; precomputed so the assembler needs no per-call
 	// ancestor analysis. spineFallback is true when any of them does not
-	// implement graph.Elementwise, forcing the generic Apply-based path.
+	// implement graph.Elementwise, forcing the generic Apply-based branch.
 	ifvSpine      [][]graph.Op
 	spineFallback bool
 
@@ -94,20 +103,17 @@ type Program struct {
 	// Lookup steps keyed directly by a source column whose table supports
 	// ops.AsyncTable. A run kicks these fetches off before local feature
 	// compute begins, so the store round trip overlaps CPU work.
-	// prefetchOf maps step index -> prefetch spec index (-1 otherwise).
-	// Both are built by Fuse; nil before.
-	prefetch   []prefetchSpec
-	prefetchOf []int
+	// Laid out by Fuse (each such step's pre field indexes it); nil before.
+	prefetch []prefetchSpec
 
 	fitted bool
 }
 
 // prefetchSpec is one async-prefetchable lookup step.
 type prefetchSpec struct {
-	step int            // index into Steps
-	ifv  int            // IFV whose generator contains the step
-	src  graph.NodeID   // the source node carrying the key column
-	at   ops.AsyncTable // the step's table, asserted once at fuse time
+	ifv int            // IFV whose generator contains the step
+	src graph.NodeID   // the source node carrying the key column
+	at  ops.AsyncTable // the step's table, asserted once at fuse time
 }
 
 // Compile builds a Program from a transformation graph: analysis, block
@@ -136,8 +142,8 @@ func Compile(g *graph.Graph) (*Program, error) {
 }
 
 // buildSpineIndex precomputes, per IFV, the chain of non-concat spine
-// operators that apply to it (the elementwise transforms Matrix folds over
-// each IFV's output before concatenation).
+// operators that apply to it (the elementwise transforms the assembler folds
+// over each IFV's output before concatenation).
 func (p *Program) buildSpineIndex() {
 	p.ifvSpine = make([][]graph.Op, len(p.A.IFVs))
 	p.spineFallback = false
@@ -281,34 +287,42 @@ func topoSortSteps(steps []step, g *graph.Graph) []step {
 // Fusing also installs the run-state pool sized for the final plan shape.
 func (p *Program) Fuse() {
 	p.buildSteps(true)
-	p.buildPrefetchIndex()
+	p.layoutSteps()
 	p.initPool()
 }
 
-// buildPrefetchIndex finds the fused plan's async-prefetchable lookup
-// steps: a Lookup whose only input is a raw source (its key column is
-// available the moment a run starts) and whose table can begin a fetch
-// without blocking. Plans without such steps get an empty index and pay
-// nothing at run time.
-func (p *Program) buildPrefetchIndex() {
+// layoutSteps decides, once per fused plan, everything a run would otherwise
+// rediscover per call: which steps are preprocessing and which belong to
+// each IFV's generator, which node slots hold state-owned buffers (a step
+// that writes through ApplyInto or the interpreted driver; see state.go),
+// and which lookup steps can prefetch — a Lookup whose only input is a raw
+// source (its key column is available the moment a run starts) and whose
+// table can begin a fetch without blocking. Plans without such steps get an
+// empty prefetch index and pay nothing at run time.
+func (p *Program) layoutSteps() {
+	p.preSteps = nil
+	p.ifvSteps = make([][]int, len(p.A.IFVs))
+	p.reusable = make([]bool, p.G.NumNodes())
 	p.prefetch = nil
-	p.prefetchOf = make([]int, len(p.Steps))
 	for si := range p.Steps {
-		p.prefetchOf[si] = -1
 		st := &p.Steps[si]
+		if st.ifv >= 0 {
+			p.ifvSteps[st.ifv] = append(p.ifvSteps[st.ifv], si)
+		} else if !st.spine {
+			p.preSteps = append(p.preSteps, si)
+		}
+		_, into := st.op.(graph.IntoApplier)
+		p.reusable[st.out] = into || !st.op.Compilable()
+
+		st.pre = -1
 		lk, ok := st.op.(*ops.Lookup)
-		if !ok || st.ifv < 0 || len(st.ins) != 1 {
+		if !ok || st.ifv < 0 || len(st.ins) != 1 || !p.G.Node(st.ins[0]).IsSource() {
 			continue
 		}
-		if !p.G.Node(st.ins[0]).IsSource() {
-			continue
+		if at, ok := lk.Table().(ops.AsyncTable); ok {
+			st.pre = len(p.prefetch)
+			p.prefetch = append(p.prefetch, prefetchSpec{ifv: st.ifv, src: st.ins[0], at: at})
 		}
-		at, ok := lk.Table().(ops.AsyncTable)
-		if !ok {
-			continue
-		}
-		p.prefetchOf[si] = len(p.prefetch)
-		p.prefetch = append(p.prefetch, prefetchSpec{step: si, ifv: st.ifv, src: st.ins[0], at: at})
 	}
 }
 
@@ -411,18 +425,21 @@ func (p *Program) Fitted() bool { return p.fitted }
 // CloneRuntime returns a runtime clone of a fitted program for trialing an
 // alternative plan (a canary candidate) beside the original. The clone
 // shares everything that is read-only at inference time — graph, analysis,
-// fused steps, fitted operators, spine/prefetch indexes — but owns its own
-// mutable runtime state: a copied cost model, fresh feature caches built
-// from the same plan (so the candidate's hit counters don't pollute the
-// incumbent's), a fresh run-state pool (pooled states hold per-program
-// cache references), and its own live-profile accumulator when the
-// original had one.
+// fused steps and their layout, fitted operators, spine/prefetch indexes —
+// but owns its own mutable runtime state: a copied cost model, fresh feature
+// caches built from the same plan (so the candidate's hit counters don't
+// pollute the incumbent's), a fresh run-state pool (pooled states hold
+// per-program cache references), and its own live-profile accumulator when
+// the original had one.
 func (p *Program) CloneRuntime() *Program {
 	c := &Program{
 		G:             p.G,
 		A:             p.A,
 		Order:         p.Order,
 		Steps:         p.Steps,
+		preSteps:      p.preSteps,
+		ifvSteps:      p.ifvSteps,
+		reusable:      p.reusable,
 		Widths:        p.Widths,
 		Spans:         p.Spans,
 		Prof:          p.Prof.Clone(),
@@ -431,7 +448,6 @@ func (p *Program) CloneRuntime() *Program {
 		spineFallback: p.spineFallback,
 		allIFVs:       p.allIFVs,
 		prefetch:      p.prefetch,
-		prefetchOf:    p.prefetchOf,
 		fitted:        p.fitted,
 	}
 	if p.live != nil {
@@ -448,26 +464,33 @@ func (p *Program) CloneRuntime() *Program {
 	return c
 }
 
-// resolveInputs maps source labels to columnar values and validates equal
-// batch lengths.
+// resolveInputs maps source labels to columnar values (indexed by node) and
+// validates equal batch lengths.
 func (p *Program) resolveInputs(inputs map[string]value.Value) ([]value.Value, int, error) {
 	vals := make([]value.Value, p.G.NumNodes())
+	n, err := p.resolveInto(inputs, vals)
+	return vals, n, err
+}
+
+// resolveInto is resolveInputs writing the caller's columns into vals,
+// without allocating.
+func (p *Program) resolveInto(inputs map[string]value.Value, vals []value.Value) (int, error) {
 	n := -1
 	for _, sid := range p.G.Sources() {
 		label := p.G.Node(sid).Label
 		v, ok := inputs[label]
 		if !ok {
-			return nil, 0, fmt.Errorf("weld: missing input %q", label)
+			return 0, fmt.Errorf("weld: missing input %q", label)
 		}
 		if n == -1 {
 			n = v.Len()
 		} else if v.Len() != n {
-			return nil, 0, fmt.Errorf("weld: input %q has %d rows, want %d", label, v.Len(), n)
+			return 0, fmt.Errorf("weld: input %q has %d rows, want %d", label, v.Len(), n)
 		}
 		vals[sid] = v
 	}
 	if n < 0 {
-		return nil, 0, fmt.Errorf("weld: graph has no sources")
+		return 0, fmt.Errorf("weld: graph has no sources")
 	}
-	return vals, n, nil
+	return n, nil
 }

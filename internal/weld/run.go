@@ -3,6 +3,7 @@ package weld
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,27 +39,25 @@ type BatchRun struct {
 	// the unsampled fast path stays allocation-free.
 	tr *trace.Trace
 
-	vals  []value.Value // per-node computed values; sources prefilled
-	owned []bool        // slot buffers allocated (and exclusively held) by this state
-	have  []bool
+	vals []value.Value // per-node computed values; sources prefilled
+	have []bool
 
-	preDone bool
 	ifvDone []bool
+	// late[i] marks IFV i as waiting on a prefetch this run started: such
+	// IFVs compute last, so local CPU work overlaps the store round trips.
+	late []bool
 
 	// Per-step reusable execution state.
 	stepIns [][]value.Value
 	scratch []any
 
-	// Point-query output: the concatenated feature vector and its 1-row
-	// dense wrapper.
-	vec  []float64
-	mat1 *feature.Dense
-
-	// MatrixShared output buffers.
-	hsDense   *feature.Dense
-	hsCSR     *feature.CSR
-	hsBuilder feature.CSRBuilder
-	ordered   []int
+	// Assembler output buffers (dense for all-dense batches and every point
+	// query, CSR otherwise) and its per-call scratch.
+	outDense   *feature.Dense
+	outCSR     *feature.CSR
+	outBuilder feature.CSRBuilder
+	ordered    []int
+	roots      []*value.Value
 
 	// cacheScr[i] is IFV i's cached-execution scratch. Indexed per IFV so
 	// ComputeIFVsParallel workers (which own disjoint IFV sets) never share
@@ -89,7 +88,7 @@ type ifvCacheScratch struct {
 }
 
 // NewRun starts a compiled run over the given inputs. ctx governs the whole
-// run: every subsequent ComputeIFVs/Matrix call on the run observes it.
+// run: every subsequent call on the run observes it.
 func (p *Program) NewRun(ctx context.Context, inputs map[string]value.Value) (*BatchRun, error) {
 	if !p.fitted {
 		return nil, fmt.Errorf("weld: run before Fit")
@@ -98,50 +97,30 @@ func (p *Program) NewRun(ctx context.Context, inputs map[string]value.Value) (*B
 		return nil, err
 	}
 	r := p.getRun(ctx)
-	if err := r.resolveInto(inputs); err != nil {
+	n, err := p.resolveInto(inputs, r.vals)
+	if err != nil {
 		r.Close()
 		return nil, err
 	}
-	if len(p.prefetch) > 0 {
-		r.startPrefetch()
+	r.n = n
+	for _, sid := range p.G.Sources() {
+		r.have[sid] = true
 	}
-	return r, nil
-}
-
-// startPrefetch kicks off the plan's async remote lookups before any local
-// compute runs, so the store round trips overlap CPU work. IFVs with a
-// feature cache are skipped: the cached path fetches only its misses, and
-// prefetching every key would defeat the cache.
-func (r *BatchRun) startPrefetch() {
-	for j := range r.p.prefetch {
-		sp := &r.p.prefetch[j]
-		if r.p.caches != nil && r.p.caches[sp.ifv] != nil {
+	// Kick off the plan's async remote lookups before any local compute
+	// runs, so the store round trips overlap CPU work. IFVs with a feature
+	// cache are skipped: the cached path fetches only its misses, and
+	// prefetching every key would defeat the cache.
+	for j := range p.prefetch {
+		sp := &p.prefetch[j]
+		if p.caches != nil && p.caches[sp.ifv] != nil {
 			continue
 		}
 		if v := r.vals[sp.src]; v.Kind == value.Ints {
-			r.pending[j] = sp.at.StartLookup(r.ctx, v.Ints)
+			r.pending[j] = sp.at.StartLookup(ctx, v.Ints)
+			r.late[sp.ifv] = true
 		}
 	}
-}
-
-// hasPending reports whether any prefetch is still outstanding.
-func (r *BatchRun) hasPending() bool {
-	for _, pd := range r.pending {
-		if pd != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// ifvPending reports whether IFV i is waiting on an outstanding prefetch.
-func (r *BatchRun) ifvPending(i int) bool {
-	for j := range r.p.prefetch {
-		if r.p.prefetch[j].ifv == i && r.pending[j] != nil {
-			return true
-		}
-	}
-	return false
+	return r, nil
 }
 
 // Len returns the batch size.
@@ -174,7 +153,8 @@ func (r *BatchRun) runStep(si int) error {
 	return err
 }
 
-// execStep is runStep's body: it executes plan step si without tracing.
+// execStep is runStep's body: it executes plan step si without tracing,
+// writing the step's value through its slot's destination (see dest).
 func (r *BatchRun) execStep(si int) error {
 	st := &r.p.Steps[si]
 	ins := r.stepIns[si]
@@ -187,58 +167,42 @@ func (r *BatchRun) execStep(si int) error {
 	if !st.op.Compilable() {
 		return r.runPythonStep(si, ins)
 	}
+	out := r.dest(st.out)
 	if lk, ok := st.op.(*ops.Lookup); ok {
 		// Join an outstanding async prefetch here — where the lookup's
 		// output is first consumed — bounded by the run's (request) context.
-		if r.p.prefetchOf != nil {
-			if pi := r.p.prefetchOf[si]; pi >= 0 && r.pending[pi] != nil {
-				pd := r.pending[pi]
-				r.pending[pi] = nil
-				rows, err := pd.Wait(r.ctx)
-				if err != nil {
-					return fmt.Errorf("weld: step %s: %w", st.op.Name(), err)
-				}
-				out, err := lk.Materialize(rows, r.n)
-				if err != nil {
-					return fmt.Errorf("weld: step %s: %w", st.op.Name(), err)
-				}
-				r.vals[st.out] = out
-				r.owned[st.out] = true
-				r.have[st.out] = true
-				return nil
+		if pi := st.pre; pi >= 0 && r.pending[pi] != nil {
+			pd := r.pending[pi]
+			r.pending[pi] = nil
+			rows, err := pd.Wait(r.ctx)
+			if err == nil {
+				*out, err = lk.Materialize(rows, r.n)
 			}
+			return st.wrap(err)
 		}
 		// Synchronous remote lookups still get deadline/cancellation
 		// propagation when the table honors contexts; local tables keep the
 		// allocation-free ApplyInto path below.
 		if _, isCtx := lk.Table().(ops.CtxTable); isCtx {
-			out, err := lk.ApplyCtx(r.ctx, ins)
-			if err != nil {
-				return fmt.Errorf("weld: step %s: %w", st.op.Name(), err)
-			}
-			r.vals[st.out] = out
-			r.owned[st.out] = true
-			r.have[st.out] = true
-			return nil
+			var err error
+			*out, err = lk.ApplyCtx(r.ctx, ins)
+			return st.wrap(err)
 		}
 	}
 	if ia, ok := st.op.(graph.IntoApplier); ok {
-		if !r.owned[st.out] {
-			r.vals[st.out] = value.Value{}
-		}
-		if err := ia.ApplyInto(ins, &r.vals[st.out], &r.scratch[si]); err != nil {
-			return fmt.Errorf("weld: step %s: %w", st.op.Name(), err)
-		}
-	} else {
-		out, err := st.op.Apply(ins)
-		if err != nil {
-			return fmt.Errorf("weld: step %s: %w", st.op.Name(), err)
-		}
-		r.vals[st.out] = out
+		return st.wrap(ia.ApplyInto(ins, out, &r.scratch[si]))
 	}
-	r.owned[st.out] = true
-	r.have[st.out] = true
-	return nil
+	var err error
+	*out, err = st.op.Apply(ins)
+	return st.wrap(err)
+}
+
+// wrap names the step in an operator's error.
+func (st *step) wrap(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("weld: step %s: %w", st.op.Name(), err)
 }
 
 // pyScratch is the per-step driver buffer pair for interpreted-boundary
@@ -299,13 +263,9 @@ func (r *BatchRun) runPythonStep(si int, ins []value.Value) error {
 		r.p.Prof.addNode(id, n, opSec/float64(len(st.nodes)))
 	}
 
-	// Driver in: boxed -> columnar, reusing the slot's previous column when
-	// the state owns it.
+	// Driver in: boxed -> columnar, reusing the slot's previous column.
 	start = time.Now()
-	if !r.owned[st.out] {
-		r.vals[st.out] = value.Value{}
-	}
-	err := value.FromBoxedInto(outs[:n], &r.vals[st.out])
+	err := value.FromBoxedInto(outs[:n], r.dest(st.out))
 	// Drop the boxed references either way: they point into caller input
 	// columns, and a pooled state must not extend their lifetime.
 	clear(boxed)
@@ -314,64 +274,57 @@ func (r *BatchRun) runPythonStep(si int, ins []value.Value) error {
 		return fmt.Errorf("weld: python step %s: %w", st.op.Name(), err)
 	}
 	r.p.Prof.addDriver(time.Since(start).Seconds())
-
-	r.owned[st.out] = true
-	r.have[st.out] = true
 	return nil
 }
 
-// computePreprocessing runs all preprocessing steps once per run.
-func (r *BatchRun) computePreprocessing() error {
-	if r.preDone {
-		return nil
-	}
-	for si := range r.p.Steps {
-		st := &r.p.Steps[si]
-		if st.ifv == -1 && !st.spine {
-			if r.have[st.out] {
-				continue
-			}
-			if err := r.runStep(si); err != nil {
-				return err
-			}
+// runSteps executes the listed plan steps whose outputs the run does not
+// hold yet; the lists are laid out per region at Fuse (see layoutSteps).
+func (r *BatchRun) runSteps(steps []int) error {
+	for _, si := range steps {
+		if r.have[r.p.Steps[si].out] {
+			continue
 		}
-	}
-	r.preDone = true
-	return nil
-}
-
-// ComputeIFVs materializes the selected IFVs (by index), going through the
-// per-IFV feature cache when one is attached. While async prefetches are
-// outstanding, IFVs that do not wait on one compute first: their local CPU
-// work overlaps the store round trips, and the prefetched IFVs join last,
-// right where their output is consumed.
-func (r *BatchRun) ComputeIFVs(idx []int) error {
-	if err := r.computePreprocessing(); err != nil {
-		return err
-	}
-	if r.hasPending() {
-		for _, i := range idx {
-			if !r.ifvPending(i) {
-				if err := r.computeIFV(i); err != nil {
-					return err
-				}
-			}
-		}
-		for _, i := range idx {
-			if r.ifvPending(i) {
-				if err := r.computeIFV(i); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for _, i := range idx {
-		if err := r.computeIFV(i); err != nil {
+		if err := r.runStep(si); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// computeIFVs materializes the selected IFVs (by index) after the
+// preprocessing steps, going through the per-IFV feature cache when one is
+// attached. IFVs waiting on a prefetch this run started compute last: the
+// others' local CPU work overlaps the store round trips, and the prefetched
+// ones join right where their output is consumed.
+func (r *BatchRun) computeIFVs(idx []int) error {
+	if err := r.runSteps(r.p.preSteps); err != nil {
+		return err
+	}
+	deferred := false
+	for _, i := range idx {
+		if r.late[i] {
+			deferred = true
+		} else if err := r.computeIFV(i); err != nil {
+			return err
+		}
+	}
+	if deferred {
+		for _, i := range idx {
+			if err := r.computeIFV(i); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// clock reads the time for a span of a traced run; unsampled runs skip the
+// clock read, and Record on their nil trace is a no-op.
+func (r *BatchRun) clock() (t time.Time) {
+	if r.tr != nil {
+		t = time.Now()
+	}
+	return t
 }
 
 // computeIFV materializes one IFV (cached or direct), once.
@@ -379,10 +332,7 @@ func (r *BatchRun) computeIFV(i int) error {
 	if r.ifvDone[i] {
 		return nil
 	}
-	var t0 time.Time
-	if r.tr != nil {
-		t0 = time.Now()
-	}
+	t0 := r.clock()
 	var c *cache.Sharded
 	if r.p.caches != nil {
 		c = r.p.caches[i]
@@ -392,28 +342,12 @@ func (r *BatchRun) computeIFV(i int) error {
 			return err
 		}
 	} else {
-		if err := r.computeIFVDirect(i); err != nil {
+		if err := r.runSteps(r.p.ifvSteps[i]); err != nil {
 			return err
 		}
 	}
-	if r.tr != nil {
-		r.tr.Record(r.p.ifvLabels[i], t0)
-	}
+	r.tr.Record(r.p.ifvLabels[i], t0)
 	r.ifvDone[i] = true
-	return nil
-}
-
-// computeIFVDirect executes the IFV's generator steps over the whole batch.
-func (r *BatchRun) computeIFVDirect(i int) error {
-	for si := range r.p.Steps {
-		st := &r.p.Steps[si]
-		if st.ifv != i || r.have[st.out] {
-			continue
-		}
-		if err := r.runStep(si); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -442,10 +376,7 @@ func (r *BatchRun) computeIFVCached(i int, c *cache.Sharded) error {
 	cs.missRows = cs.missRows[:0]
 	cs.keyBuf = cs.keyBuf[:0]
 	cs.offs[0] = 0
-	var t0 time.Time
-	if r.tr != nil {
-		t0 = time.Now()
-	}
+	t0 := r.clock()
 	for row := 0; row < r.n; row++ {
 		cs.keyBuf = cache.AppendRowKey(cs.keyBuf, cs.srcVals, row)
 		cs.offs[row+1] = len(cs.keyBuf)
@@ -455,54 +386,51 @@ func (r *BatchRun) computeIFVCached(i int, c *cache.Sharded) error {
 			cs.missRows = append(cs.missRows, row)
 		}
 	}
-	if r.tr != nil {
-		r.tr.Record(trace.StageCacheLookup, t0)
-	}
+	r.tr.Record(trace.StageCacheLookup, t0)
 	if len(cs.missRows) > 0 {
-		var t1 time.Time
-		if r.tr != nil {
-			t1 = time.Now()
-		}
-		// Deduplicate misses within the batch: one computation per distinct
-		// key, scattered to every row sharing it. This is where feature-level
-		// caching beats end-to-end caching — repeated sub-keys recur across
-		// data inputs even when full inputs never repeat (section 4.5).
-		rowsByKey := make(map[string][]int, len(cs.missRows))
-		var reprRows []int
-		for _, row := range cs.missRows {
-			key := cs.keyBuf[cs.offs[row]:cs.offs[row+1]]
-			if _, seen := rowsByKey[string(key)]; !seen {
-				reprRows = append(reprRows, row)
-			}
-			rowsByKey[string(key)] = append(rowsByKey[string(key)], row)
-		}
-		sub, err := r.gatherForIFV(i, reprRows)
-		if err != nil {
+		t1 := r.clock()
+		if err := r.fillMisses(i, c, cs, out); err != nil {
 			return err
 		}
-		if err := sub.computeIFVDirect(i); err != nil {
-			return err
-		}
-		for k, repr := range reprRows {
-			vec, err := appendRowVec(cs.rowBuf[:0], sub.vals[ifv.Root], k)
-			if err != nil {
-				return fmt.Errorf("weld: IFV %d output: %w", i, err)
-			}
-			cs.rowBuf = vec
-			key := cs.keyBuf[cs.offs[repr]:cs.offs[repr+1]]
-			for _, row := range rowsByKey[string(key)] {
-				copy(out.Row(row), vec)
-			}
-			c.Put(cs.hashes[repr], key, vec)
-		}
-		sub.Close()
-		if r.tr != nil {
-			r.tr.Record(trace.StageCacheFill, t1)
-		}
+		r.tr.Record(trace.StageCacheFill, t1)
 	}
-	r.vals[ifv.Root] = value.NewMat(out)
-	r.owned[ifv.Root] = true
-	r.have[ifv.Root] = true
+	*r.dest(ifv.Root) = value.NewMat(out)
+	return nil
+}
+
+// fillMisses computes IFV i for the batch rows the cache missed, on a
+// sub-run over one representative row per distinct key, scatters each
+// vector to every row sharing the key, and publishes it. Deduplicating
+// within the batch is where feature-level caching beats end-to-end caching —
+// repeated sub-keys recur across data inputs even when full inputs never
+// repeat (section 4.5).
+func (r *BatchRun) fillMisses(i int, c *cache.Sharded, cs *ifvCacheScratch, out *feature.Dense) error {
+	rowsByKey := make(map[string][]int, len(cs.missRows))
+	var reprRows []int
+	for _, row := range cs.missRows {
+		key := cs.keyBuf[cs.offs[row]:cs.offs[row+1]]
+		if _, seen := rowsByKey[string(key)]; !seen {
+			reprRows = append(reprRows, row)
+		}
+		rowsByKey[string(key)] = append(rowsByKey[string(key)], row)
+	}
+	sub := r.SubsetRun(reprRows)
+	defer sub.Close()
+	if err := sub.runSteps(r.p.ifvSteps[i]); err != nil {
+		return err
+	}
+	for k, repr := range reprRows {
+		vec, err := appendRowVec(cs.rowBuf[:0], sub.vals[r.p.A.IFVs[i].Root], k)
+		if err != nil {
+			return fmt.Errorf("weld: IFV %d output: %w", i, err)
+		}
+		cs.rowBuf = vec
+		key := cs.keyBuf[cs.offs[repr]:cs.offs[repr+1]]
+		for _, row := range rowsByKey[string(key)] {
+			copy(out.Row(row), vec)
+		}
+		c.Put(cs.hashes[repr], key, vec)
+	}
 	return nil
 }
 
@@ -520,28 +448,16 @@ func (r *BatchRun) computePointCached(i int, c *cache.Sharded, width int, cs *if
 	h := cache.Hash64(key)
 	out := feature.GrowDense(cs.dense, 1, width)
 	cs.dense = out
-	var t0 time.Time
-	if r.tr != nil {
-		t0 = time.Now()
-	}
+	t0 := r.clock()
 	hit := c.CopyInto(h, key, out.Row(0))
-	if r.tr != nil {
-		r.tr.Record(trace.StageCacheLookup, t0)
-	}
+	r.tr.Record(trace.StageCacheLookup, t0)
 	if hit {
-		r.vals[root] = value.NewMat(out)
-		r.owned[root] = true
-		r.have[root] = true
+		*r.dest(root) = value.NewMat(out)
 		return nil
 	}
-	var t1 time.Time
-	if r.tr != nil {
-		t1 = time.Now()
-	}
+	t1 := r.clock()
 	err := r.pointCacheFill(i, c, cs, out, key, h, root)
-	if r.tr != nil {
-		r.tr.Record(trace.StageCacheFill, t1)
-	}
+	r.tr.Record(trace.StageCacheFill, t1)
 	return err
 }
 
@@ -553,7 +469,7 @@ func (r *BatchRun) pointCacheFill(i int, c *cache.Sharded, cs *ifvCacheScratch, 
 		// The leader computes the generator directly on this run (the output
 		// lands in the root slot, exactly like the uncached path) and
 		// publishes the materialized row.
-		if err := r.computeIFVDirect(i); err != nil {
+		if err := r.runSteps(r.p.ifvSteps[i]); err != nil {
 			return err
 		}
 		vec, err := appendRowVec(cs.rowBuf[:0], r.vals[root], 0)
@@ -571,7 +487,7 @@ func (r *BatchRun) pointCacheFill(i int, c *cache.Sharded, cs *ifvCacheScratch, 
 		// The leader failed, or this waiter's own context died while waiting
 		// — neither may silently corrupt this request. Compute locally: a
 		// dead context fails fast on the first plan-step check.
-		return r.computeIFVDirect(i)
+		return r.runSteps(r.p.ifvSteps[i])
 	}
 	if leader {
 		return nil // the root slot already holds the computed value
@@ -579,14 +495,12 @@ func (r *BatchRun) pointCacheFill(i int, c *cache.Sharded, cs *ifvCacheScratch, 
 	// PeekInto, not CopyInto: this lookup already counted its miss above,
 	// and the coalesced re-read must not also count a hit.
 	if c.PeekInto(h, key, out.Row(0)) {
-		r.vals[root] = value.NewMat(out)
-		r.owned[root] = true
-		r.have[root] = true
+		*r.dest(root) = value.NewMat(out)
 		return nil
 	}
 	// The published entry was evicted before we could read it (tiny cache
 	// under hostile churn): compute locally, without re-coalescing.
-	return r.computeIFVDirect(i)
+	return r.runSteps(r.p.ifvSteps[i])
 }
 
 // appendRowVec materializes one row of an IFV root's value into dst
@@ -605,104 +519,74 @@ func appendRowVec(dst []float64, v value.Value, row int) ([]float64, error) {
 	}
 }
 
-// gatherForIFV builds a sub-run over the given rows containing everything
-// the IFV's generator reads: raw sources and preprocessing outputs.
-func (r *BatchRun) gatherForIFV(i int, rows []int) (*BatchRun, error) {
-	sub := r.p.getRun(r.ctx)
-	sub.n = len(rows)
-	sub.preDone = true
-	for id, ok := range r.have {
-		if ok {
-			sub.setOwnedValue(id, r.vals[id], rows)
-			sub.have[id] = true
-		}
-	}
-	// The IFV's own root must be recomputed even if a previous pass stored a
-	// value for it.
-	root := r.p.A.IFVs[i].Root
-	sub.have[root] = false
-	return sub, nil
-}
-
 // SubsetRun returns a new run restricted to the given rows, carrying over
 // every value already computed (gathered to the subset). Cascades use it to
-// run the full model only on low-confidence rows; top-K uses it to re-rank
-// the filtered subset. The sub-run is pooled like any other: Close it when
-// nothing derived from it escapes.
+// run the full model only on low-confidence rows, top-K to re-rank the
+// filtered subset, the feature cache to compute its misses and the
+// row-parallel batch mode to shard; it is the one way a run over part of
+// another run's rows is made. The sub-run is pooled like any other: Close it
+// when nothing derived from it escapes.
 func (r *BatchRun) SubsetRun(rows []int) *BatchRun {
 	sub := r.p.getRun(r.ctx)
 	sub.n = len(rows)
-	sub.preDone = r.preDone
 	copy(sub.ifvDone, r.ifvDone)
 	for id, ok := range r.have {
 		if ok {
-			sub.setOwnedValue(id, r.vals[id], rows)
-			sub.have[id] = true
+			value.GatherInto(sub.dest(graph.NodeID(id)), r.vals[id], rows)
 		}
 	}
 	return sub
 }
 
-// Matrix computes and horizontally concatenates the selected IFVs in leaf
-// order, applying elementwise spine operators per IFV (valid because they
-// commute with concatenation). Selecting every IFV reproduces the full
-// feature vector of the original pipeline.
-//
-// Matrix allocates its result; runs whose Matrix output escapes must not be
-// Closed. Predict paths that consume the features in place use MatrixShared
-// instead.
-func (r *BatchRun) Matrix(idx []int) (feature.Matrix, error) {
-	if err := r.ComputeIFVs(idx); err != nil {
-		return nil, err
+// PointMatrix is MatrixShared for a point query: it insists on a single-row
+// run, whose matrix is always the dense 1 x w form, so the model scores the
+// row without a sparse walk.
+func (r *BatchRun) PointMatrix(idx []int) (feature.Matrix, error) {
+	if r.n != 1 {
+		return nil, fmt.Errorf("weld: point query got %d rows", r.n)
 	}
-	ordered := append([]int(nil), idx...)
-	sortInts(ordered)
-	mats := make([]feature.Matrix, len(ordered))
-	for j, i := range ordered {
-		m, err := r.vals[r.p.A.IFVs[i].Root].AsMatrix()
-		if err != nil {
-			return nil, fmt.Errorf("weld: IFV %d output: %w", i, err)
-		}
-		mats[j] = m
-	}
-	// Apply elementwise (non-concat) spine ops to the IFVs beneath them.
-	for j, i := range ordered {
-		for _, op := range r.p.ifvSpine[i] {
-			v, err := op.Apply([]value.Value{value.NewMat(mats[j])})
-			if err != nil {
-				return nil, fmt.Errorf("weld: spine op %s: %w", op.Name(), err)
-			}
-			m, err := v.AsMatrix()
-			if err != nil {
-				return nil, err
-			}
-			mats[j] = m
-		}
-	}
-	return feature.HStack(mats...), nil
+	return r.MatrixShared(idx)
 }
 
-// MatrixShared computes the same matrix as Matrix into run-owned pooled
-// buffers: after warm-up it performs no heap allocation. The result is valid
-// only until the next MatrixShared/PointMatrix call on this run or Close;
-// it must be consumed (model prediction, row extraction) before either.
+// MatrixShared is the one assembler: it computes the selected IFVs and
+// horizontally concatenates them in leaf order into run-owned pooled
+// buffers, applying elementwise spine operators per IFV (valid because they
+// commute with concatenation). Selecting every IFV reproduces the full
+// feature vector of the original pipeline; calling it again with a superset
+// of IFVs (the cascade resume) reuses everything already computed. The
+// output is dense for a single row or when every selected root is dense;
+// otherwise rows stream into a reused CSR builder. After warm-up it performs
+// no heap allocation. The result is valid only until the next MatrixShared
+// or PointMatrix call on this run or Close; it must be consumed (model
+// prediction, row extraction) before either.
 func (r *BatchRun) MatrixShared(idx []int) (feature.Matrix, error) {
-	if r.p.spineFallback {
-		// A non-elementwise spine operator is present; only the generic
-		// Apply-based path can evaluate it.
-		return r.Matrix(idx)
-	}
-	if err := r.ComputeIFVs(idx); err != nil {
+	if err := r.computeIFVs(idx); err != nil {
 		return nil, err
 	}
 	r.ordered = append(r.ordered[:0], idx...)
 	ordered := r.ordered
-	sortInts(ordered)
+	slices.Sort(ordered)
 
 	total, allDense := 0, true
+	r.roots = r.roots[:0]
 	for _, i := range ordered {
-		root := r.p.A.IFVs[i].Root
-		v := r.vals[root]
+		v := &r.vals[r.p.A.IFVs[i].Root]
+		if r.p.spineFallback && len(r.p.ifvSpine[i]) > 0 {
+			// A spine operator that is not elementwise, or whose in-place
+			// sparse application would diverge from Apply: evaluate the
+			// IFV's spine through Apply here, and emit the result as is.
+			out := *v
+			for _, op := range r.p.ifvSpine[i] {
+				m, err := out.AsMatrix()
+				if err != nil {
+					return nil, fmt.Errorf("weld: IFV %d output: %w", i, err)
+				}
+				if out, err = op.Apply([]value.Value{value.NewMat(m)}); err != nil {
+					return nil, fmt.Errorf("weld: spine op %s: %w", op.Name(), err)
+				}
+			}
+			v = &out
+		}
 		switch v.Kind {
 		case value.Floats, value.Ints:
 			total++
@@ -714,90 +598,112 @@ func (r *BatchRun) MatrixShared(idx []int) (feature.Matrix, error) {
 		default:
 			return nil, fmt.Errorf("weld: IFV %d output: cannot view %s as matrix", i, v.Kind)
 		}
+		r.roots = append(r.roots, v)
 	}
 
-	if allDense {
-		dst := feature.GrowDense(r.hsDense, r.n, total)
-		r.hsDense = dst
-		off := 0
-		for _, i := range ordered {
-			root := r.p.A.IFVs[i].Root
-			v := r.vals[root]
-			w := 1
-			if v.Kind == value.Mat {
-				w = v.Mat.Cols()
-			}
-			for row := 0; row < r.n; row++ {
-				seg := dst.Row(row)[off : off+w]
-				switch v.Kind {
-				case value.Floats:
-					seg[0] = v.Floats[row]
-				case value.Ints:
-					seg[0] = float64(v.Ints[row])
-				case value.Mat:
-					copy(seg, v.Mat.(*feature.Dense).Row(row))
-				}
-				for _, op := range r.p.ifvSpine[i] {
-					applyElementwise(op.(graph.Elementwise), seg)
-				}
-			}
-			off += w
-		}
-		return dst, nil
+	var dst *feature.Dense
+	b := &r.outBuilder
+	if r.n == 1 || allDense {
+		dst = feature.GrowDense(r.outDense, r.n, total)
+		r.outDense = dst
+	} else {
+		b.ResetFrom(total, r.outCSR)
 	}
-
-	// Sparse (or mixed) path: stream every row straight into a reused CSR
-	// builder, applying elementwise spine ops per stored entry — their
-	// sparse semantics (implicit zeros stay zero) by construction.
-	b := &r.hsBuilder
-	prev := r.hsCSR
-	b.ResetFrom(total, prev)
 	for row := 0; row < r.n; row++ {
 		off := 0
-		for _, i := range ordered {
-			root := r.p.A.IFVs[i].Root
-			v := r.vals[root]
-			ew := r.p.ifvSpine[i]
-			switch v.Kind {
-			case value.Floats:
-				b.Add(off, applySpineScalar(ew, v.Floats[row]))
-				off++
-			case value.Ints:
-				b.Add(off, applySpineScalar(ew, float64(v.Ints[row])))
-				off++
-			case value.Mat:
-				switch m := v.Mat.(type) {
-				case *feature.Dense:
-					// Skip zeros like the ForEachNZ-based HStack path did:
-					// storing them would inflate nnz for mostly-zero dense
-					// blocks (spine ops here are sparse-safe, f(0) == 0).
-					for c, x := range m.Row(row) {
-						if x != 0 {
-							b.Add(off+c, applySpineScalar(ew, x))
-						}
-					}
-				case *feature.CSR:
-					cols, vals := m.RowView(row)
-					for k, c := range cols {
-						b.Add(off+c, applySpineScalar(ew, vals[k]))
-					}
-				default:
-					m.ForEachNZ(row, func(c int, x float64) {
-						b.Add(off+c, applySpineScalar(ew, x))
-					})
-				}
-				off += v.Mat.Cols()
+		for j, i := range ordered {
+			var spine []graph.Op
+			if !r.p.spineFallback {
+				spine = r.p.ifvSpine[i]
+			}
+			if dst != nil {
+				off += writeDense(dst.Row(row)[off:], r.roots[j], row, spine)
+			} else {
+				off += writeSparse(b, off, r.roots[j], row, spine)
 			}
 		}
-		b.EndRow()
+		if dst == nil {
+			b.EndRow()
+		}
 	}
-	if prev == nil {
-		prev = b.Build()
+	if dst != nil {
+		return dst, nil
+	}
+	if r.outCSR == nil {
+		r.outCSR = b.Build()
 	} else {
-		b.BuildInto(prev)
+		b.BuildInto(r.outCSR)
 	}
-	r.hsCSR = prev
-	return r.hsCSR, nil
+	return r.outCSR, nil
+}
+
+// writeDense writes row of root value v, with the elementwise spine folded
+// over it, into the head of seg and returns its width.
+func writeDense(seg []float64, v *value.Value, row int, spine []graph.Op) int {
+	switch v.Kind {
+	case value.Floats:
+		seg = seg[:1]
+		seg[0] = v.Floats[row]
+	case value.Ints:
+		seg = seg[:1]
+		seg[0] = float64(v.Ints[row])
+	case value.Mat:
+		seg = seg[:v.Mat.Cols()]
+		switch m := v.Mat.(type) {
+		case *feature.Dense:
+			copy(seg, m.Row(row))
+		case *feature.CSR:
+			clear(seg)
+			cols, vals := m.RowView(row)
+			for k, c := range cols {
+				seg[c] = vals[k]
+			}
+		default:
+			clear(seg)
+			m.ForEachNZ(row, func(c int, x float64) { seg[c] = x })
+		}
+	}
+	for _, op := range spine {
+		ew := op.(graph.Elementwise)
+		for k, x := range seg {
+			seg[k] = ew.ApplyScalar(x)
+		}
+	}
+	return len(seg)
+}
+
+// writeSparse streams row of root value v into the CSR builder at column
+// offset off and returns its width. Spine ops apply per stored entry — their
+// sparse semantics (implicit zeros stay zero) by construction.
+func writeSparse(b *feature.CSRBuilder, off int, v *value.Value, row int, spine []graph.Op) int {
+	switch v.Kind {
+	case value.Floats:
+		b.Add(off, applySpineScalar(spine, v.Floats[row]))
+	case value.Ints:
+		b.Add(off, applySpineScalar(spine, float64(v.Ints[row])))
+	case value.Mat:
+		switch m := v.Mat.(type) {
+		case *feature.Dense:
+			// Skip zeros: storing them would inflate nnz for mostly-zero
+			// dense blocks (spine ops here are sparse-safe, f(0) == 0).
+			for c, x := range m.Row(row) {
+				if x != 0 {
+					b.Add(off+c, applySpineScalar(spine, x))
+				}
+			}
+		case *feature.CSR:
+			cols, vals := m.RowView(row)
+			for k, c := range cols {
+				b.Add(off+c, applySpineScalar(spine, vals[k]))
+			}
+		default:
+			m.ForEachNZ(row, func(c int, x float64) {
+				b.Add(off+c, applySpineScalar(spine, x))
+			})
+		}
+		return v.Mat.Cols()
+	}
+	return 1
 }
 
 // applySpineScalar folds a chain of elementwise spine ops over one value.
@@ -808,212 +714,102 @@ func applySpineScalar(ops []graph.Op, v float64) float64 {
 	return v
 }
 
-// PointMatrix computes the selected IFVs of a single-row run and returns a
-// pooled 1 x w dense matrix over the run's feature-vector buffer. After
-// warm-up the call performs no heap allocation for fully compiled plans.
-// The result is valid until the next PointMatrix/MatrixShared call on this
-// run or Close. Calling it again with a superset of IFVs (the cascade
-// resume) reuses everything already computed.
-func (r *BatchRun) PointMatrix(idx []int) (feature.Matrix, error) {
-	if r.n != 1 {
-		return nil, fmt.Errorf("weld: point query got %d rows", r.n)
-	}
-	if r.p.spineFallback {
-		m, err := r.Matrix(idx)
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-	if err := r.ComputeIFVs(idx); err != nil {
-		return nil, err
-	}
-	r.ordered = append(r.ordered[:0], idx...)
-	ordered := r.ordered
-	sortInts(ordered)
-	total := 0
-	for _, i := range ordered {
-		total += r.p.Widths[r.p.A.IFVs[i].Root]
-	}
-	if cap(r.vec) < total {
-		r.vec = make([]float64, total)
-	}
-	vec := r.vec[:total]
-	off := 0
-	for _, i := range ordered {
-		root := r.p.A.IFVs[i].Root
-		w := r.p.Widths[root]
-		seg := vec[off : off+w]
-		v := r.vals[root]
-		switch v.Kind {
-		case value.Floats:
-			seg[0] = v.Floats[0]
-		case value.Ints:
-			seg[0] = float64(v.Ints[0])
-		case value.Mat:
-			switch m := v.Mat.(type) {
-			case *feature.Dense:
-				copy(seg, m.Row(0))
-			case *feature.CSR:
-				for j := range seg {
-					seg[j] = 0
-				}
-				cols, vals := m.RowView(0)
-				for k, c := range cols {
-					seg[c] = vals[k]
-				}
-			default:
-				for j := range seg {
-					seg[j] = 0
-				}
-				m.ForEachNZ(0, func(c int, x float64) { seg[c] = x })
-			}
-		default:
-			return nil, fmt.Errorf("weld: IFV %d output: cannot view %s as matrix", i, v.Kind)
-		}
-		for _, op := range r.p.ifvSpine[i] {
-			applyElementwise(op.(graph.Elementwise), seg)
-		}
-		off += w
-	}
-	r.mat1.SetData(1, total, vec)
-	return r.mat1, nil
-}
-
 // AllIFVs returns the index list [0, len(IFVs)). The slice is shared and
 // must not be mutated.
 func (p *Program) AllIFVs() []int { return p.allIFVs }
 
 // RunBatch compiles-and-executes the whole pipeline over a batch, returning
-// the full feature matrix. The context is checked between plan steps, so
-// cancelling it aborts a long batch promptly. The returned matrix escapes
-// the run, so the state is left to the GC instead of the pool; predict
-// paths that consume features in place use NewRun + MatrixShared + Close.
+// the full feature matrix as a copy the caller owns. The context is checked
+// between plan steps, so cancelling it aborts a long batch promptly. This is
+// the one place end-to-end time is recorded for the profiler's
+// driver-overhead accounting; predict paths that consume features in place
+// use NewRun + MatrixShared + Close and never take the profile lock.
 func (p *Program) RunBatch(ctx context.Context, inputs map[string]value.Value) (feature.Matrix, error) {
 	start := time.Now()
 	r, err := p.NewRun(ctx, inputs)
 	if err != nil {
 		return nil, err
 	}
-	m, err := r.Matrix(p.AllIFVs())
-	p.Prof.addTotal(time.Since(start).Seconds())
-	return m, err
-}
-
-// RunBatchShared executes the whole pipeline over a batch on a pooled run,
-// returning the run together with its shared feature matrix. The caller
-// consumes the matrix (e.g. model prediction) and then Closes the run to
-// recycle every buffer. End-to-end timing is recorded like RunBatch, so the
-// profiler's driver-overhead accounting is preserved.
-func (p *Program) RunBatchShared(ctx context.Context, inputs map[string]value.Value) (*BatchRun, feature.Matrix, error) {
-	start := time.Now()
-	r, err := p.NewRun(ctx, inputs)
-	if err != nil {
-		return nil, nil, err
-	}
+	defer r.Close()
 	m, err := r.MatrixShared(p.AllIFVs())
-	if err != nil {
-		r.Close()
-		return nil, nil, err
-	}
-	p.Prof.addTotal(time.Since(start).Seconds())
-	return r, m, nil
-}
-
-// RunBatchSharded executes the pipeline data-parallel across workers, each
-// handling a contiguous row shard (the paper's batch parallelization mode:
-// different inputs end-to-end on different threads). Each shard runs on its
-// own pooled state; the shard matrices are merged into a fresh result and
-// the states recycled.
-func (p *Program) RunBatchSharded(ctx context.Context, inputs map[string]value.Value, workers int) (feature.Matrix, error) {
-	if !p.fitted {
-		return nil, fmt.Errorf("weld: run before Fit")
-	}
-	// Validate presence and equal lengths up front: a mismatch must be an
-	// error here, not an out-of-range panic inside a shard goroutine.
-	_, n, err := p.resolveInputs(inputs)
 	if err != nil {
 		return nil, err
 	}
-	shards := parallel.Shard(n, workers)
-	if len(shards) <= 1 {
-		return p.RunBatch(ctx, inputs)
+	rows := make([]int, r.n)
+	for i := range rows {
+		rows[i] = i
 	}
-	start := time.Now()
-	runs := make([]*BatchRun, len(shards))
-	mats := make([]feature.Matrix, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for w, sh := range shards {
-		wg.Add(1)
-		go func(w int, sh [2]int) {
-			defer wg.Done()
-			rows := make([]int, 0, sh[1]-sh[0])
-			for i := sh[0]; i < sh[1]; i++ {
-				rows = append(rows, i)
-			}
-			sub := make(map[string]value.Value, len(inputs))
-			for k, v := range inputs {
-				sub[k] = v.Gather(rows)
-			}
-			r, err := p.NewRun(ctx, sub)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			runs[w] = r
-			mats[w], errs[w] = r.MatrixShared(p.AllIFVs())
-		}(w, sh)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	// VStack copies the shard matrices into the merged result, so the shard
-	// states can be recycled immediately after.
-	out := feature.VStack(mats...)
-	for _, r := range runs {
-		r.Close()
-	}
+	out := m.Gather(rows)
 	p.Prof.addTotal(time.Since(start).Seconds())
 	return out, nil
 }
 
-// ComputeIFVsParallel computes the given IFVs with their generators
-// distributed across workers by LPT over profiled costs (section 4.4:
-// feature generators are computationally independent, so they run
-// concurrently; static assignment avoids scheduling overhead). Feature
-// generators are disjoint subgraphs, so each worker writes only its own
-// generators' node slots and the shared state stays race-free.
+// ComputeIFVsParallel computes the given IFVs on up to workers goroutines,
+// choosing the paper's parallelization mode from the batch size (section
+// 4.4). A point query spreads its feature generators over the workers by
+// LPT over profiled costs: generators are disjoint subgraphs, so each worker
+// writes only its own generators' node slots and the shared state stays
+// race-free, and static assignment avoids scheduling overhead. A batch runs
+// contiguous row shards as sub-runs of this run — different inputs
+// end-to-end on different threads — and stacks their IFV roots back into
+// this run's slots; IFVs waiting on the batch's own prefetch are not
+// sharded but joined here afterwards, so each key is fetched once.
 func (r *BatchRun) ComputeIFVsParallel(idx []int, workers int) error {
-	if workers <= 1 || len(idx) <= 1 {
-		return r.ComputeIFVs(idx)
+	if workers <= 1 || (r.n == 1 && len(idx) <= 1) {
+		return r.computeIFVs(idx)
 	}
-	if err := r.computePreprocessing(); err != nil {
+	// Preprocessing runs once, here: the workers below find its outputs held.
+	if err := r.runSteps(r.p.preSteps); err != nil {
 		return err
 	}
-	costs := make([]float64, len(idx))
-	for j, i := range idx {
-		costs[j] = r.p.Prof.IFVCost(r.p.A, i)
-	}
-	groups := parallel.Assign(costs, workers)
-	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
-	for w, g := range groups {
-		if len(g) == 0 {
-			continue
+	// runs[w] computes IFVs work[w] on its own goroutine.
+	var runs []*BatchRun
+	var work [][]int
+	var sharded []int
+	if r.n == 1 {
+		costs := make([]float64, len(idx))
+		for j, i := range idx {
+			costs[j] = r.p.Prof.IFVCost(r.p.A, i)
 		}
-		wg.Add(1)
-		go func(w int, g []int) {
-			defer wg.Done()
-			ifvs := make([]int, len(g))
-			for j, gi := range g {
-				ifvs[j] = idx[gi]
+		for _, g := range parallel.Assign(costs, workers) {
+			if len(g) == 0 {
+				continue
 			}
-			errs[w] = r.ComputeIFVs(ifvs)
-		}(w, g)
+			for j, gi := range g {
+				g[j] = idx[gi]
+			}
+			runs, work = append(runs, r), append(work, g)
+		}
+	} else {
+		for _, i := range idx {
+			if !r.ifvDone[i] && !r.late[i] {
+				sharded = append(sharded, i)
+			}
+		}
+		shards := parallel.Shard(r.n, workers)
+		if len(sharded) == 0 || len(shards) <= 1 {
+			return r.computeIFVs(idx)
+		}
+		rows := make([]int, r.n)
+		for row := range rows {
+			rows[row] = row
+		}
+		for _, sh := range shards {
+			sub := r.SubsetRun(rows[sh[0]:sh[1]])
+			// Every shard goes back to the pool on every path, after its
+			// roots were stacked below.
+			defer sub.Close()
+			runs, work = append(runs, sub), append(work, sharded)
+		}
+	}
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for w := range runs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = runs[w].computeIFVs(work[w])
+		}(w)
 	}
 	wg.Wait()
 	for _, e := range errs {
@@ -1021,13 +817,18 @@ func (r *BatchRun) ComputeIFVsParallel(idx []int, workers int) error {
 			return e
 		}
 	}
-	return nil
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+	mats := make([]feature.Matrix, len(runs))
+	for _, i := range sharded {
+		root := r.p.A.IFVs[i].Root
+		for w, sub := range runs {
+			m, err := sub.vals[root].AsMatrix()
+			if err != nil {
+				return fmt.Errorf("weld: IFV %d output: %w", i, err)
+			}
+			mats[w] = m
 		}
+		*r.dest(root) = value.NewMat(feature.VStack(mats...))
+		r.ifvDone[i] = true
 	}
+	return r.computeIFVs(idx)
 }

@@ -2,10 +2,8 @@ package weld
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
-	"willump/internal/feature"
 	"willump/internal/graph"
 	"willump/internal/ops"
 	"willump/internal/trace"
@@ -14,21 +12,28 @@ import (
 
 // The pooled execution subsystem: every fused Program owns a sync.Pool of
 // run states whose buffers are preallocated from the plan shape (node count,
-// step count, per-step arity, IFV widths). A BatchRun acquired from the pool
-// and recycled with Close reuses, on its next acquisition:
+// step count, per-step arity). A BatchRun acquired from the pool and
+// recycled with Close reuses, on its next acquisition:
 //
-//   - the per-node value, availability, and ownership slices;
+//   - the per-node value and availability slices;
 //   - the per-step input slices (no per-step make([]value.Value, ...));
 //   - the per-step operator scratch cells driving ApplyInto buffer reuse;
 //   - the interpreted-boundary driver buffers;
-//   - the point-query feature vector and its 1-row matrix wrapper;
-//   - the shared-output matrix buffers behind MatrixShared.
+//   - the assembler's output buffers behind MatrixShared and PointMatrix.
 //
 // After warm-up a compiled point query executes with zero heap allocations,
-// and batch predictions allocate only their result slices. The ownership
-// slice is the safety mechanism: a slot is reused as an ApplyInto or
-// GatherInto destination only when the state itself allocated its buffers,
-// so caller-provided input columns are never scribbled on.
+// and batch predictions allocate only their result slices.
+//
+// The one ownership rule: whether a node slot's previous buffer may be
+// written over is a property of the plan, fixed at Fuse in
+// Program.reusable. A slot is reusable when the step producing it writes
+// into memory the state allocated: an operator with ApplyInto, or an
+// interpreted step (reboxed by FromBoxedInto). Source slots hold the
+// caller's columns, and an operator that has only Apply may return its input
+// or a view of it, so neither is ever an ApplyInto, FromBoxedInto or
+// GatherInto destination: dest clears them before every write and Close
+// drops them. Every computed value is written through dest (only NewRun
+// places the caller's columns directly), so nothing else has to know the rule.
 
 // initPool sizes and installs the state pool for the current fused plan.
 // Called at the end of Fuse, so re-fusing drops states shaped for the old
@@ -43,9 +48,9 @@ func (p *Program) newState() *BatchRun {
 	r := &BatchRun{
 		p:        p,
 		vals:     make([]value.Value, nn),
-		owned:    make([]bool, nn),
 		have:     make([]bool, nn),
 		ifvDone:  make([]bool, len(p.A.IFVs)),
+		late:     make([]bool, len(p.A.IFVs)),
 		stepIns:  make([][]value.Value, len(p.Steps)),
 		scratch:  make([]any, len(p.Steps)),
 		cacheScr: make([]ifvCacheScratch, len(p.A.IFVs)),
@@ -54,71 +59,64 @@ func (p *Program) newState() *BatchRun {
 	for i := range p.Steps {
 		r.stepIns[i] = make([]value.Value, len(p.Steps[i].ins))
 	}
-	total := 0
-	for _, ifv := range p.A.IFVs {
-		total += p.Widths[ifv.Root]
-	}
-	r.vec = make([]float64, total)
-	r.mat1 = feature.WrapDense(1, total, r.vec)
 	return r
 }
 
-// getRun acquires a reset run state from the pool (or a fresh one when the
-// program has not been fused yet).
+// getRun acquires a reset run state from the pool.
 func (p *Program) getRun(ctx context.Context) *BatchRun {
-	var r *BatchRun
-	if p.pool != nil {
-		r = p.pool.Get().(*BatchRun)
-	} else {
-		r = p.newState()
-	}
+	r := p.pool.Get().(*BatchRun)
 	r.ctx = ctx
 	r.tr = trace.FromContext(ctx)
-	r.preDone = false
-	for i := range r.have {
-		r.have[i] = false
-	}
-	for i := range r.ifvDone {
-		r.ifvDone[i] = false
-	}
+	clear(r.have)
+	clear(r.ifvDone)
+	clear(r.late)
 	// Sub-runs and fresh acquisitions must never see another run's
 	// outstanding prefetch handles.
-	for i := range r.pending {
-		r.pending[i] = nil
-	}
+	clear(r.pending)
 	return r
+}
+
+// dest returns slot id as the destination of the write that is about to
+// produce its value, and marks the slot computed: the one place the
+// ownership rule above is applied. A write that fails fails the run, so the
+// mark never outlives a value that is not there.
+func (r *BatchRun) dest(id graph.NodeID) *value.Value {
+	if !r.p.reusable[id] {
+		r.vals[id] = value.Value{}
+	}
+	r.have[id] = true
+	return &r.vals[id]
 }
 
 // Close recycles the run's buffers into its Program's pool. After Close,
 // the run and every matrix, vector, or value obtained from it are invalid.
 // Only call Close when nothing derived from the run escaped: the predict
 // paths use MatrixShared/PointMatrix (whose outputs they consume before
-// closing), while callers that return matrices onward (Features, training
-// helpers) simply skip Close and let the GC reclaim the state.
+// closing) and RunBatch returns a copy, while callers that keep a shared
+// matrix (training helpers) simply skip Close and let the GC reclaim the
+// state.
 func (r *BatchRun) Close() {
 	if r == nil || r.p == nil || r.p.pool == nil {
 		return
 	}
 	// Drop references to values the state does not own (caller input
-	// columns) so pooling does not extend their lifetime; state-owned
-	// buffers are retained as the reuse arena.
+	// columns, and whatever an Apply-only operator returned) so pooling does
+	// not extend their lifetime; state-owned buffers are retained as the
+	// reuse arena.
 	for i := range r.vals {
-		if !r.owned[i] {
+		if !r.p.reusable[i] {
 			r.vals[i] = value.Value{}
 		}
 	}
 	for _, ins := range r.stepIns {
-		for i := range ins {
-			ins[i] = value.Value{}
-		}
+		clear(ins)
 	}
+	clear(r.roots[:cap(r.roots)])
 	// Cache scratch holds views of node-slot values (which may be caller
 	// input columns); drop them too. Key/row/dense buffers stay as the reuse
 	// arena.
 	for i := range r.cacheScr {
-		for j := range r.cacheScr[i].srcVals {
-			r.cacheScr[i].srcVals[j] = value.Value{}
-		}
+		clear(r.cacheScr[i].srcVals)
 	}
 	// Abandoned prefetches (a cascade that never consumed the lookup, an
 	// early error) must not keep fetching after the run is recycled.
@@ -133,43 +131,6 @@ func (r *BatchRun) Close() {
 	r.p.pool.Put(r)
 }
 
-// resolveInto maps source labels onto the run's value slots and validates
-// equal batch lengths, without allocating.
-func (r *BatchRun) resolveInto(inputs map[string]value.Value) error {
-	p := r.p
-	n := -1
-	for _, sid := range p.G.Sources() {
-		label := p.G.Node(sid).Label
-		v, ok := inputs[label]
-		if !ok {
-			return fmt.Errorf("weld: missing input %q", label)
-		}
-		if n == -1 {
-			n = v.Len()
-		} else if v.Len() != n {
-			return fmt.Errorf("weld: input %q has %d rows, want %d", label, v.Len(), n)
-		}
-		r.vals[sid] = v
-		r.owned[sid] = false
-		r.have[sid] = true
-	}
-	if n < 0 {
-		return fmt.Errorf("weld: graph has no sources")
-	}
-	r.n = n
-	return nil
-}
-
-// setOwnedValue gathers src's selected rows into slot id, reusing the
-// slot's buffers only when the state owns them.
-func (r *BatchRun) setOwnedValue(id int, src value.Value, rows []int) {
-	if !r.owned[id] {
-		r.vals[id] = value.Value{}
-	}
-	value.GatherInto(&r.vals[id], src, rows)
-	r.owned[id] = true
-}
-
 // growScratch returns a slice of length n reusing s's backing array when
 // possible. Contents are unspecified.
 func growScratch[T any](s []T, n int) []T {
@@ -177,12 +138,4 @@ func growScratch[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// applyElementwise maps an elementwise spine operator over a dense segment
-// in place.
-func applyElementwise(op graph.Elementwise, seg []float64) {
-	for i, v := range seg {
-		seg[i] = op.ApplyScalar(v)
-	}
 }

@@ -2,8 +2,10 @@ package weld
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"willump/internal/feature"
@@ -176,9 +178,9 @@ func TestSubsetIFVMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRun: %v", err)
 	}
-	m0, err := r.Matrix([]int{0})
+	m0, err := r.MatrixShared([]int{0})
 	if err != nil {
-		t.Fatalf("Matrix([0]): %v", err)
+		t.Fatalf("MatrixShared([0]): %v", err)
 	}
 	if m0.Cols() != 2 {
 		t.Fatalf("IFV 0 cols = %d, want 2 (user features)", m0.Cols())
@@ -193,7 +195,7 @@ func TestSubsetIFVMatrix(t *testing.T) {
 	// Computing only IFV 0 must not touch the song table.
 	songBefore := songTable.Requests()
 	r2, _ := p.NewRun(context.Background(), inputs)
-	if _, err := r2.Matrix([]int{0}); err != nil {
+	if _, err := r2.MatrixShared([]int{0}); err != nil {
 		t.Fatal(err)
 	}
 	if songTable.Requests() != songBefore {
@@ -209,11 +211,11 @@ func TestResumeRunCompletesFullMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Matrix([]int{0}); err != nil {
+	if _, err := r.MatrixShared([]int{0}); err != nil {
 		t.Fatal(err)
 	}
 	// Resume: computing the rest must reuse IFV 0 and produce the full matrix.
-	m, err := r.Matrix(p.AllIFVs())
+	m, err := r.MatrixShared(p.AllIFVs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +229,12 @@ func TestSubsetRunGathersComputedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Matrix([]int{0}); err != nil {
+	if _, err := r.MatrixShared([]int{0}); err != nil {
 		t.Fatal(err)
 	}
 	userReqsBefore := userTable.Requests()
 	sub := r.SubsetRun([]int{1, 3})
-	m, err := sub.Matrix(p.AllIFVs())
+	m, err := sub.MatrixShared(p.AllIFVs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +299,7 @@ func TestPointParallelMatchesSequential(t *testing.T) {
 	if err := r.ComputeIFVsParallel(p.AllIFVs(), 4); err != nil {
 		t.Fatal(err)
 	}
-	par, err := r.Matrix(p.AllIFVs())
+	par, err := r.MatrixShared(p.AllIFVs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +309,15 @@ func TestPointParallelMatchesSequential(t *testing.T) {
 func TestBatchShardedMatchesSequential(t *testing.T) {
 	g, inputs := textPipeline(t)
 	p, want := fitProgram(t, g, inputs)
-	got, err := p.RunBatchSharded(context.Background(), inputs, 3)
+	r, err := p.NewRun(context.Background(), inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.ComputeIFVsParallel(p.AllIFVs(), 3); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.MatrixShared(p.AllIFVs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,36 +442,313 @@ func TestSpineElementwiseOpAppliedPerIFV(t *testing.T) {
 	matricesClose(t, interp, want, 1e-12)
 }
 
-// Property: compiled and interpreted agree on random text batches.
-func TestCompiledInterpretedAgreeProperty(t *testing.T) {
-	g, inputs := textPipeline(t)
-	p, _ := fitProgram(t, g, inputs)
-	words := []string{"bad", "dog", "cat", "fox", "sun", "rain", "good", "day"}
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(5)
-		docs := make([]string, n)
-		for i := range docs {
-			k := 1 + rng.Intn(6)
-			s := ""
-			for j := 0; j < k; j++ {
-				if j > 0 {
-					s += " "
-				}
-				s += words[rng.Intn(len(words))]
+// passthrough is a compilable operator with only Apply that returns its
+// input column itself, so the slot it fills holds caller memory.
+type passthrough struct{}
+
+func (passthrough) Name() string                                 { return "passthrough" }
+func (passthrough) Compilable() bool                             { return true }
+func (passthrough) Commutative() bool                            { return false }
+func (passthrough) Apply(ins []value.Value) (value.Value, error) { return ins[0], nil }
+func (passthrough) ApplyBoxed(ins []any) (any, error)            { return ins[0], nil }
+
+// passthroughPipeline builds concat(passthrough(x), passthrough(y)) over a
+// float and an int column: two IFVs whose roots are scalar columns.
+func passthroughPipeline(t *testing.T) (*graph.Graph, map[string]value.Value) {
+	t.Helper()
+	b := graph.NewBuilder()
+	cat := b.Add("concat", ops.NewConcat(),
+		b.Add("px", passthrough{}, b.Input("x")),
+		b.Add("py", passthrough{}, b.Input("y")))
+	b.SetOutput(cat)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return g, map[string]value.Value{
+		"x": value.NewFloats([]float64{0.5, 1.5, 2.5, 3.5}),
+		"y": value.NewInts([]int64{1, 2, 3, 4}),
+	}
+}
+
+// TestPooledSubsetRunNeverWritesCallerColumns: an operator that has only
+// Apply may hand its input back, leaving a caller's column in the slot. A
+// pooled state must neither keep that column past Close nor gather a later
+// sub-run's rows into it.
+func TestPooledSubsetRunNeverWritesCallerColumns(t *testing.T) {
+	g, fit := passthroughPipeline(t)
+	p, _ := fitProgram(t, g, fit)
+	batch := func(base float64) map[string]value.Value {
+		return map[string]value.Value{
+			"x": value.NewFloats([]float64{base, base + 1, base + 2, base + 3}),
+			"y": value.NewInts([]int64{int64(base), int64(base) + 1, int64(base) + 2, int64(base) + 3}),
+		}
+	}
+	ctx := context.Background()
+	a, bb, c := batch(100), batch(200), batch(500)
+	var live []*BatchRun
+	for _, in := range []map[string]value.Value{a, bb} {
+		r, err := p.NewRun(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.MatrixShared(p.AllIFVs()); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, r)
+	}
+	for _, r := range live {
+		r.Close()
+	}
+	r, err := p.NewRun(ctx, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.MatrixShared(p.AllIFVs()); err != nil {
+		t.Fatal(err)
+	}
+	sub := r.SubsetRun([]int{3, 2})
+	defer sub.Close()
+	m, err := sub.MatrixShared(p.AllIFVs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.At(0, 0) != 503 || m.At(1, 0) != 502 || m.At(0, 1) != 503 || m.At(1, 1) != 502 {
+		t.Errorf("subset rows = [%v %v; %v %v], want [503 503; 502 502]", m.At(0, 0), m.At(0, 1), m.At(1, 0), m.At(1, 1))
+	}
+	for base, in := range map[float64]map[string]value.Value{100: a, 200: bb, 500: c} {
+		if want := batch(base); !reflect.DeepEqual(in, want) {
+			t.Errorf("caller batch %v overwritten: x = %v, y = %v", base, in["x"].Floats, in["y"].Ints)
+		}
+	}
+}
+
+// owned copies a run's shared matrix so it survives the run.
+func owned(m feature.Matrix) feature.Matrix {
+	rows := make([]int, m.Rows())
+	for i := range rows {
+		rows[i] = i
+	}
+	return m.Gather(rows)
+}
+
+// execModes are the surviving ways to drive a compiled plan; each returns
+// the full feature matrix of in, rows in input order.
+var execModes = []struct {
+	name string
+	run  func(p *Program, in map[string]value.Value, n int, rng *rand.Rand) (feature.Matrix, error)
+}{
+	{"batch", func(p *Program, in map[string]value.Value, n int, _ *rand.Rand) (feature.Matrix, error) {
+		return p.RunBatch(context.Background(), in)
+	}},
+	{"subset-permutation", func(p *Program, in map[string]value.Value, n int, rng *rand.Rand) (feature.Matrix, error) {
+		r, err := p.NewRun(context.Background(), in)
+		if err != nil {
+			return nil, err
+		}
+		defer r.Close()
+		perm := rng.Perm(n)
+		sub := r.SubsetRun(perm)
+		defer sub.Close()
+		m, err := sub.MatrixShared(p.AllIFVs())
+		if err != nil {
+			return nil, err
+		}
+		inv := make([]int, n)
+		for k, row := range perm {
+			inv[row] = k
+		}
+		return m.Gather(inv), nil
+	}},
+	{"row-parallel", func(p *Program, in map[string]value.Value, n int, _ *rand.Rand) (feature.Matrix, error) {
+		return runWith(p, in, func(r *BatchRun) (feature.Matrix, error) {
+			if err := r.ComputeIFVsParallel(p.AllIFVs(), 3); err != nil {
+				return nil, err
 			}
-			docs[i] = s
+			return r.MatrixShared(p.AllIFVs())
+		})
+	}},
+	{"point-by-point", func(p *Program, in map[string]value.Value, n int, _ *rand.Rand) (feature.Matrix, error) {
+		return pointwise(p, in, n, 1)
+	}},
+	{"ifv-parallel-point", func(p *Program, in map[string]value.Value, n int, _ *rand.Rand) (feature.Matrix, error) {
+		return pointwise(p, in, n, 2)
+	}},
+	{"efficient-then-all", func(p *Program, in map[string]value.Value, n int, _ *rand.Rand) (feature.Matrix, error) {
+		return runWith(p, in, func(r *BatchRun) (feature.Matrix, error) {
+			if _, err := r.MatrixShared([]int{0}); err != nil {
+				return nil, err
+			}
+			return r.MatrixShared(p.AllIFVs())
+		})
+	}},
+	{"cached-cold-warm", func(p *Program, in map[string]value.Value, n int, _ *rand.Rand) (feature.Matrix, error) {
+		specs := make([]CacheSpec, len(p.A.IFVs))
+		for i := range specs {
+			specs[i] = CacheSpec{IFV: i, Capacity: 3} // small: the warm pass mixes hits, misses and evictions
 		}
-		in := map[string]value.Value{"text": value.NewStrings(docs)}
-		a, err := p.RunBatch(context.Background(), in)
+		p.EnableFeatureCachingSpecs(specs)
+		defer p.DisableFeatureCaching()
+		cold, err := p.RunBatch(context.Background(), in)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		b, err := p.RunInterpreted(context.Background(), in)
+		warm, err := p.RunBatch(context.Background(), in)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		matricesClose(t, a, b, 1e-9)
+		if !feature.Equal(cold, warm) {
+			return nil, fmt.Errorf("warm cached result differs from cold")
+		}
+		return warm, nil
+	}},
+}
+
+// runWith drives one pooled run over in and returns a copy of what body
+// assembled.
+func runWith(p *Program, in map[string]value.Value, body func(*BatchRun) (feature.Matrix, error)) (feature.Matrix, error) {
+	r, err := p.NewRun(context.Background(), in)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	m, err := body(r)
+	if err != nil {
+		return nil, err
+	}
+	return owned(m), nil
+}
+
+// pointwise answers in one row at a time through PointMatrix, with the IFVs
+// spread over workers goroutines when workers > 1.
+func pointwise(p *Program, in map[string]value.Value, n, workers int) (feature.Matrix, error) {
+	rows := make([]feature.Matrix, n)
+	for row := range rows {
+		point := make(map[string]value.Value, len(in))
+		for k, v := range in {
+			point[k] = v.Gather([]int{row})
+		}
+		m, err := runWith(p, point, func(r *BatchRun) (feature.Matrix, error) {
+			if err := r.ComputeIFVsParallel(p.AllIFVs(), workers); err != nil {
+				return nil, err
+			}
+			return r.PointMatrix(p.AllIFVs())
+		})
+		if err != nil {
+			return nil, err
+		}
+		rows[row] = m
+	}
+	return feature.VStack(rows...), nil
+}
+
+// Property: every way of driving the compiled plan agrees with the
+// interpreted reference on random batches — text generators, lookup
+// generators, scalar IFV roots from operators that have only Apply, and a
+// plan whose spine needs the generic Apply branch —
+// including 1-row batches and the empty batch (where the reference has no
+// width to compare, so only the row count is checked).
+func TestCompiledInterpretedAgreeProperty(t *testing.T) {
+	words := []string{"bad", "dog", "cat", "fox", "sun", "rain", "good", "day"}
+	tg, tin := textPipeline(t)
+	tp, _ := fitProgram(t, tg, tin)
+	lg, lin, _, _ := lookupPipeline(t)
+	lp, _ := fitProgram(t, lg, lin)
+
+	// clip(concat(stats(x), stats(y))) with bounds excluding zero: applying
+	// the clip to stored entries only would diverge from Apply, so the plan
+	// must take the assembler's generic spine branch.
+	b := graph.NewBuilder()
+	cat := b.Add("concat", ops.NewConcat(),
+		b.Add("nx", ops.NewNumericStats(), b.Input("x")),
+		b.Add("ny", ops.NewNumericStats(), b.Input("y")))
+	b.SetOutput(b.Add("clip", ops.NewClip(1, 5), cat))
+	cg, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, _ := fitProgram(t, cg, map[string]value.Value{
+		"x": value.NewFloats([]float64{-5, 0, 7}),
+		"y": value.NewFloats([]float64{3, -9, 0}),
+	})
+	if !cp.spineFallback {
+		t.Fatal("clip with bounds excluding zero did not select the generic spine branch")
+	}
+
+	pg, pin := passthroughPipeline(t)
+	pp, _ := fitProgram(t, pg, pin)
+
+	plans := []struct {
+		name string
+		p    *Program
+		gen  func(rng *rand.Rand, n int) map[string]value.Value
+	}{
+		{"scalar-roots", pp, func(rng *rand.Rand, n int) map[string]value.Value {
+			x, y := make([]float64, n), make([]int64, n)
+			for i := range x {
+				x[i], y[i] = rng.Float64(), int64(rng.Intn(9))
+			}
+			return map[string]value.Value{"x": value.NewFloats(x), "y": value.NewInts(y)}
+		}},
+		{"text", tp, func(rng *rand.Rand, n int) map[string]value.Value {
+			docs := make([]string, n)
+			for i := range docs {
+				k := 1 + rng.Intn(6)
+				s := ""
+				for j := 0; j < k; j++ {
+					if j > 0 {
+						s += " "
+					}
+					s += words[rng.Intn(len(words))]
+				}
+				docs[i] = s
+			}
+			return map[string]value.Value{"text": value.NewStrings(docs)}
+		}},
+		{"lookup", lp, func(rng *rand.Rand, n int) map[string]value.Value {
+			users, songs := make([]int64, n), make([]int64, n)
+			for i := range users {
+				users[i], songs[i] = int64(rng.Intn(3)), int64(rng.Intn(2))
+			}
+			return map[string]value.Value{"user": value.NewInts(users), "song": value.NewInts(songs)}
+		}},
+		{"spine-fallback", cp, func(rng *rand.Rand, n int) map[string]value.Value {
+			x, y := make([]float64, n), make([]float64, n)
+			for i := range x {
+				x[i], y[i] = float64(rng.Intn(17)-8), float64(rng.Intn(17)-8)
+			}
+			return map[string]value.Value{"x": value.NewFloats(x), "y": value.NewFloats(y)}
+		}},
+	}
+	rng := rand.New(rand.NewSource(99))
+	for _, plan := range plans {
+		for trial := 0; trial < 20; trial++ {
+			n := trial // 0 and 1 first, then random sizes
+			if trial > 1 {
+				n = 1 + rng.Intn(7)
+			}
+			in := plan.gen(rng, n)
+			var want feature.Matrix
+			if n > 0 {
+				var err error
+				if want, err = plan.p.RunInterpreted(context.Background(), in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, mode := range execModes {
+				got, err := mode.run(plan.p, in, n, rng)
+				if err != nil {
+					t.Fatalf("%s/%s n=%d: %v", plan.name, mode.name, n, err)
+				}
+				if got.Rows() != n {
+					t.Fatalf("%s/%s n=%d: %d rows out", plan.name, mode.name, n, got.Rows())
+				}
+				if n > 0 {
+					matricesClose(t, got, want, 1e-9)
+				}
+			}
+		}
 	}
 }
 
@@ -496,25 +783,30 @@ func TestParallelPythonStepsRaceFree(t *testing.T) {
 	if _, err := p.Fit(context.Background(), inputs); err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.RunBatch(context.Background(), inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 20; rep++ {
-		r, err := p.NewRun(context.Background(), inputs)
+	// One row puts both python generators on one state (generator-parallel);
+	// the whole batch runs them on row shards (row-parallel).
+	point := map[string]value.Value{"a": value.NewFloats(av[:1]), "b": value.NewFloats(bv[:1])}
+	for _, in := range []map[string]value.Value{point, inputs} {
+		want, err := p.RunBatch(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.ComputeIFVsParallel(p.AllIFVs(), 2); err != nil {
-			t.Fatal(err)
+		for rep := 0; rep < 20; rep++ {
+			r, err := p.NewRun(context.Background(), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.ComputeIFVsParallel(p.AllIFVs(), 2); err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.MatrixShared(p.AllIFVs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !feature.Equal(want, got) {
+				t.Fatalf("rep %d: parallel python-step result differs from sequential", rep)
+			}
+			r.Close()
 		}
-		got, err := r.MatrixShared(p.AllIFVs())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !feature.Equal(want, got) {
-			t.Fatalf("rep %d: parallel python-step result differs from sequential", rep)
-		}
-		r.Close()
 	}
 }
