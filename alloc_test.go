@@ -8,6 +8,7 @@ import (
 
 	"willump/internal/core"
 	"willump/internal/fixture"
+	"willump/internal/model"
 	"willump/internal/value"
 )
 
@@ -259,6 +260,73 @@ func TestPredictBatchAllocBound(t *testing.T) {
 	})
 	if allocs > 8 {
 		t.Fatalf("warm cascade PredictBatch allocates %.1f objects/op, want <= 8", allocs)
+	}
+}
+
+// TestTextPipelineAllocBounds pins the steady-state allocations of the
+// paper's own text pipelines (Toxic cascade, Product top-K), whose operators
+// run as allocation-free kernels over reused scratch.
+func TestTextPipelineAllocBounds(t *testing.T) {
+	skipIfRace(t)
+	ctx := context.Background()
+
+	o, bm := textFixture(t, "toxic", core.Options{Cascades: true})
+	if o.Cascade == nil {
+		t.Fatal("toxic: no cascade was built")
+	}
+	// A row the small model answers computes the efficient IFV alone: the
+	// shared clean never runs for it, and nothing touches the heap.
+	small, err := o.Approx.SmallOnlyPredict(ctx, bm.Test.Inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	easy := -1
+	for i, p := range small {
+		if model.Confidence(p) > o.Cascade.Threshold {
+			easy = i
+			break
+		}
+	}
+	if easy < 0 {
+		t.Fatal("toxic: the small model answers no test row")
+	}
+	point := bm.Test.Row(easy).Inputs
+	warmAllocs := func(runs int, f func() error) float64 {
+		t.Helper()
+		for i := 0; i < 5; i++ {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(runs, func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs := warmAllocs(200, func() error { _, err := o.PredictPoint(ctx, point); return err }); allocs != 0 {
+		t.Errorf("warm small-model toxic PredictPoint allocates %.1f objects/op, want 0", allocs)
+	}
+
+	// A 1024-row cascaded batch (7010 allocations before the kernels):
+	// measured 5 — the small model's prediction slice (which is the result),
+	// the hard-row index slice, the hard rows' copy of the caller's text
+	// column (a sub-run never reuses a source slot), the one string Clean
+	// converts its byte buffer to, and the full model's prediction slice;
+	// the bound leaves room for buffer growth and a pool refill after a GC.
+	batch := firstRows(bm.Test, 1024)
+	if allocs := warmAllocs(20, func() error { _, err := o.PredictBatch(ctx, batch); return err }); allocs > 10 {
+		t.Errorf("warm 1024-row toxic PredictBatch allocates %.1f objects/op, want <= 10", allocs)
+	}
+
+	// TopK(20) over 2000 candidates (4411 before): measured 7 — the filter
+	// model's scores, the 200 kept candidates, their copy of the caller's
+	// title column, Clean's one string, the full model's scores, the top 20
+	// of those, and the result.
+	op, bp := textFixture(t, "product", core.Options{TopK: true})
+	cands := firstRows(bp.Test, 2000)
+	if allocs := warmAllocs(20, func() error { _, err := op.TopK(ctx, cands, 20); return err }); allocs > 12 {
+		t.Errorf("warm TopK(20) over 2000 product rows allocates %.1f objects/op, want <= 12", allocs)
 	}
 }
 

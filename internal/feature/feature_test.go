@@ -2,6 +2,7 @@ package feature
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -149,6 +150,60 @@ func TestCSRBuilderCancellingDuplicatesDropped(t *testing.T) {
 	m := b.Build()
 	if m.NNZ() != 0 {
 		t.Errorf("NNZ = %d, want 0 after exact cancellation", m.NNZ())
+	}
+}
+
+// Rows whose columns arrive strictly ascending skip the sort and the merge;
+// rows that do not keep them. Both kinds, interleaved in one builder, must
+// produce the matrix a per-row map would, and entries added after the last
+// EndRow are not part of it.
+func TestCSRBuilderSortedAndUnsortedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const cols = 12
+	b := NewCSRBuilder(cols)
+	var want []map[int]float64
+	for r := 0; r < 200; r++ {
+		row := make(map[int]float64)
+		if r%2 == 0 { // ascending, no duplicates
+			for c := 0; c < cols; c++ {
+				if rng.Intn(3) == 0 {
+					v := float64(1 + rng.Intn(5))
+					b.Add(c, v)
+					row[c] = v
+				}
+			}
+		} else { // any order, duplicates, cancellations
+			for k := rng.Intn(10); k > 0; k-- {
+				c, v := rng.Intn(cols), float64(rng.Intn(5)-2)
+				b.Add(c, v)
+				row[c] += v
+			}
+		}
+		b.EndRow()
+		want = append(want, row)
+	}
+	b.Add(3, 9) // never ended
+	m := b.Build()
+	if m.Rows() != len(want) {
+		t.Fatalf("rows = %d, want %d", m.Rows(), len(want))
+	}
+	nnz := 0
+	for r, row := range want {
+		for c := 0; c < cols; c++ {
+			if got := m.At(r, c); got != row[c] {
+				t.Fatalf("At(%d,%d) = %v, want %v", r, c, got, row[c])
+			}
+			if row[c] != 0 {
+				nnz++
+			}
+		}
+		cs, _ := m.RowView(r)
+		if !sort.IntsAreSorted(cs) {
+			t.Fatalf("row %d columns %v not ascending", r, cs)
+		}
+	}
+	if m.NNZ() != nnz {
+		t.Errorf("NNZ = %d, want %d (no stored zeros, no unended entries)", m.NNZ(), nnz)
 	}
 }
 

@@ -137,16 +137,18 @@ func (m *CSR) ToDense() *Dense {
 	return d
 }
 
-// CSRBuilder incrementally assembles a CSR matrix row by row.
+// CSRBuilder incrementally assembles a CSR matrix row by row. Entries of
+// the row being built are appended straight to the matrix's index and value
+// slices, past the last committed row; EndRow commits them.
 type CSRBuilder struct {
 	cols    int
 	indptr  []int
 	indices []int
 	values  []float64
-	// scratch for sorting a row's entries before commit
-	rowCols []int
-	rowVals []float64
-	sorter  rowSorter // reused across EndRow calls to avoid per-row boxing
+	// unsorted records that the current row's columns did not arrive
+	// strictly ascending, so EndRow must sort them and merge duplicates.
+	unsorted bool
+	sorter   rowSorter // reused across EndRow calls to avoid per-row boxing
 }
 
 // NewCSRBuilder returns a builder for matrices with the given column count.
@@ -163,31 +165,39 @@ func (b *CSRBuilder) Add(c int, v float64) {
 	if c < 0 || c >= b.cols {
 		panic(fmt.Sprintf("feature: CSRBuilder.Add: column %d out of range [0, %d)", c, b.cols))
 	}
-	b.rowCols = append(b.rowCols, c)
-	b.rowVals = append(b.rowVals, v)
+	if n := len(b.indices); n > b.indptr[len(b.indptr)-1] && c <= b.indices[n-1] {
+		b.unsorted = true
+	}
+	b.indices = append(b.indices, c)
+	b.values = append(b.values, v)
 }
 
-// EndRow finishes the current row: entries are sorted by column and
-// duplicates summed.
+// EndRow finishes the current row. Columns that arrived strictly ascending
+// (every vectorizer, OneHot and the assembler's concatenation of sorted IFV
+// rows) are already in place; otherwise the row's entries are sorted by
+// column and duplicates summed, dropping sums that cancel to zero.
 func (b *CSRBuilder) EndRow() {
-	if len(b.rowCols) > 1 {
-		b.sorter.cols, b.sorter.vals = b.rowCols, b.rowVals
+	if b.unsorted {
+		b.unsorted = false
+		lo := b.indptr[len(b.indptr)-1]
+		cols, vals := b.indices[lo:], b.values[lo:]
+		b.sorter.cols, b.sorter.vals = cols, vals
 		sort.Sort(&b.sorter)
-	}
-	for i := 0; i < len(b.rowCols); i++ {
-		c, v := b.rowCols[i], b.rowVals[i]
-		for i+1 < len(b.rowCols) && b.rowCols[i+1] == c {
-			i++
-			v += b.rowVals[i]
+		at := 0
+		for i := 0; i < len(cols); i++ {
+			c, v := cols[i], vals[i]
+			for i+1 < len(cols) && cols[i+1] == c {
+				i++
+				v += vals[i]
+			}
+			if v != 0 {
+				cols[at], vals[at] = c, v
+				at++
+			}
 		}
-		if v != 0 {
-			b.indices = append(b.indices, c)
-			b.values = append(b.values, v)
-		}
+		b.indices, b.values = b.indices[:lo+at], b.values[:lo+at]
 	}
 	b.indptr = append(b.indptr, len(b.indices))
-	b.rowCols = b.rowCols[:0]
-	b.rowVals = b.rowVals[:0]
 }
 
 // Build finalizes and returns the CSR matrix. The builder must not be reused
@@ -204,8 +214,10 @@ func (b *CSRBuilder) BuildInto(m *CSR) {
 	m.rows = len(b.indptr) - 1
 	m.cols = b.cols
 	m.indptr = b.indptr
-	m.indices = b.indices
-	m.values = b.values
+	// Entries of a row that was never ended are not part of the matrix.
+	nnz := b.indptr[m.rows]
+	m.indices = b.indices[:nnz]
+	m.values = b.values[:nnz]
 }
 
 // ResetFrom reinitializes the builder for a matrix with the given column
@@ -223,8 +235,7 @@ func (b *CSRBuilder) ResetFrom(cols int, m *CSR) {
 	b.indptr[0] = 0
 	b.indices = b.indices[:0]
 	b.values = b.values[:0]
-	b.rowCols = b.rowCols[:0]
-	b.rowVals = b.rowVals[:0]
+	b.unsorted = false
 }
 
 type rowSorter struct {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -239,7 +240,8 @@ func TestExecutionOrderSubset(t *testing.T) {
 	clean := b.Add("clean", op("clean"), text)
 	f1 := b.Add("f1", op("f"), clean)
 	f2 := b.Add("f2", op("f"), clean)
-	cat := b.Add("concat", concatOp(), f1, f2)
+	f3 := b.Add("f3", op("f"), text) // independent of clean
+	cat := b.Add("concat", concatOp(), f1, f2, f3)
 	b.SetOutput(cat)
 	g, err := b.Build()
 	if err != nil {
@@ -249,10 +251,19 @@ func TestExecutionOrderSubset(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	order := a.ExecutionOrder(g, []int{1})
-	// Must include preprocessing (clean) and f2, not f1.
-	if len(order) != 2 || order[0] != clean || order[1] != f2 {
-		t.Errorf("ExecutionOrder = %v, want [clean f2] = [%d %d]", order, clean, f2)
+	for _, tc := range []struct {
+		ifvs []int
+		want []NodeID
+	}{
+		{[]int{1}, []NodeID{clean, f2}},        // its preprocessing ancestor, not f1
+		{[]int{2}, []NodeID{f3}},               // does not descend from clean: must not list it
+		{[]int{2, 0}, []NodeID{clean, f1, f3}}, // topological, not argument, order
+		{[]int{0, 1, 2}, []NodeID{clean, f1, f2, f3}},
+		{nil, nil},
+	} {
+		if got := a.ExecutionOrder(g, tc.ifvs); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ExecutionOrder(%v) = %v, want %v", tc.ifvs, got, tc.want)
+		}
 	}
 }
 

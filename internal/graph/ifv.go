@@ -29,7 +29,8 @@ type Analysis struct {
 	// and the model (the concatenation spine), in topological order.
 	Spine []NodeID
 	// Preprocessing nodes: ancestors of more than one feature-generator
-	// root. They execute before any feature generator.
+	// root. Each executes when a generator that descends from it is first
+	// computed (see ExecutionOrder), not ahead of every generator.
 	Preprocessing []NodeID
 
 	ifvOfNode map[NodeID]int // node -> index into IFVs, -1 for spine/preprocessing
@@ -52,7 +53,13 @@ func (a *Analysis) IFVOf(id NodeID) int {
 //  2. Any ancestor of the root node of exactly one feature generator is part
 //     of that feature generator.
 //  3. Any ancestor of the root nodes of multiple feature generators is a
-//     preprocessing node, executed before any features are computed.
+//     preprocessing node: it belongs to no generator, so its cost is charged
+//     to none. The paper runs these before any feature is computed; operators
+//     being pure, here a preprocessing node runs on demand — when, and for
+//     the rows for which, the first generator descending from it is computed
+//     — which yields the same values while an efficient IFV that does not
+//     read it never pays for it (ExecutionOrder answers what a given IFV set
+//     needs).
 //
 // The descent starts at the node closest to the model (the graph output) and
 // recursively descends commutative nodes. If the output node itself is not
@@ -211,15 +218,20 @@ func (a *Analysis) ColumnSpans(widths map[NodeID]int) ([]Span, error) {
 }
 
 // ExecutionOrder returns the node ids needed to compute the given subset of
-// IFVs (by index), comprising all preprocessing nodes followed by the
-// generators' nodes, in global topological order. Passing every IFV index
-// yields the order for the full feature vector minus the spine.
+// IFVs (by index) — the preprocessing nodes the selected generators descend
+// from, followed by the generators' own nodes — in global topological order.
+// A preprocessing node no selected generator reads is not listed. Passing
+// every IFV index yields the order for the full feature vector minus the
+// spine. The compiled executor lays its per-IFV step lists out from this.
 func (a *Analysis) ExecutionOrder(g *Graph, ifvs []int) []NodeID {
 	want := make(map[NodeID]bool)
-	for _, id := range a.Preprocessing {
-		want[id] = true
-	}
 	for _, i := range ifvs {
+		anc := g.AncestorsOf(a.IFVs[i].Root)
+		for _, id := range a.Preprocessing {
+			if anc[id] {
+				want[id] = true
+			}
+		}
 		for _, id := range a.IFVs[i].Nodes {
 			want[id] = true
 		}

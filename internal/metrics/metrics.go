@@ -11,29 +11,40 @@ import (
 	"time"
 )
 
-// Throughput measures rows/second for fn processing n rows, running one
-// warmup and reps timed repetitions and reporting the best (the standard
-// systems-benchmarking convention for steady-state throughput). A garbage
-// collection runs before each timed repetition so that allocation debt from
-// earlier measurements (e.g. the interpreted baseline's boxing garbage)
-// cannot tax this one.
+// Throughput keeps timing calls past the requested count until they add up
+// to minTimed, or maxCalls were made.
+const (
+	minTimed = 25 * time.Millisecond
+	maxCalls = 32
+)
+
+// Throughput measures rows/second for fn processing n rows, reporting the
+// best of at least reps timed calls (the standard systems-benchmarking
+// convention for steady-state throughput) — more when the calls are short
+// (see minTimed): a millisecond call can sit wholly inside
+// one burst of interference from a neighbouring process, and the best of
+// many is what shrugs that off. A garbage collection runs before each timed
+// call so that allocation debt from earlier measurements (e.g. the
+// interpreted baseline's boxing garbage) cannot tax this one, and one
+// untimed call follows it: runtime.GC first finishes a collection already
+// under way and then runs its own, and two collections empty every
+// sync.Pool, so without the warm call the timed one rebuilds the pipeline's
+// pooled run state (milliseconds) instead of showing its steady state.
 func Throughput(n int, reps int, fn func() error) (float64, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	if err := fn(); err != nil { // warmup
-		return 0, err
-	}
 	best := math.Inf(1)
-	for i := 0; i < reps; i++ {
+	var timed time.Duration
+	for i := 0; i < max(reps, 1) || (timed < minTimed && i < maxCalls); i++ {
 		runtime.GC()
+		if err := fn(); err != nil { // warm
+			return 0, err
+		}
 		start := time.Now()
 		if err := fn(); err != nil {
 			return 0, err
 		}
-		if sec := time.Since(start).Seconds(); sec < best {
-			best = sec
-		}
+		d := time.Since(start)
+		timed += d
+		best = min(best, d.Seconds())
 	}
 	if best <= 0 {
 		return math.Inf(1), nil
@@ -41,16 +52,17 @@ func Throughput(n int, reps int, fn func() error) (float64, error) {
 	return float64(n) / best, nil
 }
 
-// Latency measures the mean per-call latency of fn over k calls after one
-// warmup call and a garbage collection.
+// Latency measures the mean per-call latency of fn over k calls after a
+// garbage collection and one warmup call, in that order (see Throughput: the
+// collection may empty the pools the warmup filled).
 func Latency(k int, fn func(i int) error) (time.Duration, error) {
 	if k < 1 {
 		k = 1
 	}
+	runtime.GC()
 	if err := fn(0); err != nil { // warmup
 		return 0, err
 	}
-	runtime.GC()
 	start := time.Now()
 	for i := 0; i < k; i++ {
 		if err := fn(i); err != nil {

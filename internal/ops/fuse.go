@@ -24,6 +24,12 @@ type FusedText struct {
 	cv    *CountVectorizer
 	hv    *HashingVectorizer
 
+	// The fitted vocabulary compiled for the chain's token source, built
+	// once by FuseTextChain: words for Tokenize chains, grams for CharNGrams
+	// chains. Both nil under a HashingVectorizer, which has no vocabulary.
+	words *wordIndex
+	grams *gramIndex
+
 	label string
 }
 
@@ -79,6 +85,16 @@ func FuseTextChain(chain []graph.Op) (graph.Op, bool) {
 	default:
 		return nil, false
 	}
+	if vocab := f.vocab(); vocab != nil {
+		switch {
+		case f.cng != nil:
+			f.grams = newGramIndex(vocab, f.cng.MinN, f.cng.MaxN)
+		case f.wng != nil:
+			f.words = newWordIndex(vocab, f.wng.MinN, f.wng.MaxN)
+		default:
+			f.words = newWordIndex(vocab, 1, 1)
+		}
+	}
 	var parts []string
 	for _, op := range chain {
 		parts = append(parts, op.Name())
@@ -108,36 +124,84 @@ func (f *FusedText) Width() int {
 	}
 }
 
-// tokensFor streams one document through the cleaning/tokenizing stages,
-// reusing the scratch token slice.
-func (f *FusedText) tokensFor(s string, scratch []string) []string {
+// vocab returns the fitted vocabulary of the chain's vectorizer, nil for a
+// HashingVectorizer.
+func (f *FusedText) vocab() map[string]int {
+	switch {
+	case f.tfidf != nil:
+		return f.tfidf.vocab
+	case f.cv != nil:
+		return f.cv.vocab
+	}
+	return nil
+}
+
+// row streams one document through the whole chain into the CSR builder:
+// the (cleaned) bytes land in the scratch document buffer, the token source
+// walks them once, and nothing per token is allocated or built as a string.
+func (f *FusedText) row(doc string, s *csrScratch) {
 	if f.clean != nil {
-		s = cleanString(s)
+		s.doc = appendClean(s.doc[:0], doc)
+	} else {
+		s.doc = append(s.doc[:0], doc...)
 	}
+	switch {
+	case f.hv != nil:
+		f.hashRow(s)
+		return
+	case f.grams != nil:
+		f.grams.count(s.doc, &s.acc)
+	default:
+		s.ids = f.words.count(s.doc, &s.acc, s.ids)
+	}
+	cols, tf := s.acc.drain()
+	if f.tfidf != nil {
+		f.tfidf.emitRow(cols, tf, &s.b)
+	} else {
+		f.cv.emitRow(cols, tf, &s.b)
+	}
+}
+
+// hashRow is row's HashingVectorizer tail: every token's bucket is its
+// FNV-1a hash, folded over the document bytes in place (a word n-gram's
+// over its words and the single spaces that would join them).
+func (f *FusedText) hashRow(s *csrScratch) {
+	doc, buckets := s.doc, uint32(f.hv.Buckets)
 	if f.cng != nil {
-		scratch = scratch[:0]
 		for n := f.cng.MinN; n <= f.cng.MaxN; n++ {
-			for i := 0; i+n <= len(s); i++ {
-				scratch = append(scratch, s[i:i+n])
+			for i := 0; i+n <= len(doc); i++ {
+				s.b.Add(int(fnv32a(fnvOffset32, doc[i:i+n])%buckets), 1)
 			}
 		}
-		return scratch
+		s.b.EndRow()
+		return
 	}
-	toks := strings.Fields(s)
-	if f.wng == nil {
-		return toks
+	s.ids = s.ids[:0] // field bounds: start, end pairs
+	for i := 0; ; {
+		start, end, _ := nextField(doc, i)
+		if start == end {
+			break
+		}
+		s.ids = append(s.ids, int32(start), int32(end))
+		i = end
 	}
-	scratch = scratch[:0]
-	for n := f.wng.MinN; n <= f.wng.MaxN; n++ {
-		for i := 0; i+n <= len(toks); i++ {
-			if n == 1 {
-				scratch = append(scratch, toks[i])
-			} else {
-				scratch = append(scratch, strings.Join(toks[i:i+n], " "))
+	minN, maxN := 1, 1
+	if f.wng != nil {
+		minN, maxN = f.wng.MinN, f.wng.MaxN
+	}
+	for n := minN; n <= maxN; n++ {
+		for i := 0; i+2*n <= len(s.ids); i += 2 {
+			h := uint32(fnvOffset32)
+			for j := i; j < i+2*n; j += 2 {
+				if j > i {
+					h = (h ^ ' ') * fnvPrime32
+				}
+				h = fnv32a(h, doc[s.ids[j]:s.ids[j+1]])
 			}
+			s.b.Add(int(h%buckets), 1)
 		}
 	}
-	return scratch
+	s.b.EndRow()
 }
 
 // Apply implements graph.Op: one pass per document straight into the CSR

@@ -56,14 +56,14 @@ func applyFresh(op graph.IntoApplier, ins []value.Value) (value.Value, error) {
 }
 
 // csrScratch backs the sparse-output vectorizers: a reused CSR builder, the
-// matrix whose slices it reclaims between runs, and the per-row tally
-// state.
+// matrix whose slices it reclaims between runs, the per-row sparse
+// accumulator, and the fused chain's document bytes and token ids.
 type csrScratch struct {
-	b      feature.CSRBuilder
-	m      *feature.CSR
-	tfs    *tfScratch
-	counts map[int]int
-	toks   []string
+	b   feature.CSRBuilder
+	m   *feature.CSR
+	acc sparseAcc
+	doc []byte
+	ids []int32
 }
 
 func getCSRScratch(scratch *any) *csrScratch {
@@ -91,6 +91,8 @@ type bufScratch struct {
 	f    []float64
 	strs []string
 	toks [][]string
+	b    []byte
+	ends []int
 }
 
 func getBufScratch(scratch *any) *bufScratch {
@@ -162,12 +164,12 @@ func (t *TFIDF) ApplyInto(ins []value.Value, out *value.Value, scratch *any) err
 		return err
 	}
 	s := getCSRScratch(scratch)
-	if s.tfs == nil {
-		s.tfs = newTFScratch()
-	}
+	s.acc.reset(len(t.idf))
 	s.b.ResetFrom(len(t.idf), s.m)
 	for _, doc := range ins[0].Tokens {
-		t.transformRow(doc, s.tfs, &s.b)
+		s.acc.countTokens(doc, t.vocab)
+		cols, tf := s.acc.drain()
+		t.emitRow(cols, tf, &s.b)
 	}
 	*out = value.NewMat(s.finish())
 	return nil
@@ -182,12 +184,12 @@ func (c *CountVectorizer) ApplyInto(ins []value.Value, out *value.Value, scratch
 		return err
 	}
 	s := getCSRScratch(scratch)
-	if s.counts == nil {
-		s.counts = make(map[int]int)
-	}
+	s.acc.reset(len(c.vocab))
 	s.b.ResetFrom(len(c.vocab), s.m)
 	for _, doc := range ins[0].Tokens {
-		c.transformRow(doc, s.counts, &s.b)
+		s.acc.countTokens(doc, c.vocab)
+		cols, tf := s.acc.drain()
+		c.emitRow(cols, tf, &s.b)
 	}
 	*out = value.NewMat(s.finish())
 	return nil
@@ -212,33 +214,18 @@ func (h *HashingVectorizer) ApplyInto(ins []value.Value, out *value.Value, scrat
 
 // ApplyInto implements graph.IntoApplier: the fused text chain streams each
 // document through cleaning, tokenization, and vectorization into the
-// reused CSR builder, with one shared token scratch for the n-gram stages.
+// reused CSR builder (see row).
 func (f *FusedText) ApplyInto(ins []value.Value, out *value.Value, scratch *any) error {
 	if err := checkOneStrings(f.Name(), ins); err != nil {
 		return err
 	}
 	s := getCSRScratch(scratch)
-	if f.tfidf != nil && s.tfs == nil {
-		s.tfs = newTFScratch()
-	}
-	if f.cv != nil && s.counts == nil {
-		s.counts = make(map[int]int)
+	if f.hv == nil {
+		s.acc.reset(f.Width())
 	}
 	s.b.ResetFrom(f.Width(), s.m)
 	for _, doc := range ins[0].Strings {
-		toks := f.tokensFor(doc, s.toks)
-		s.toks = toks[:0]
-		switch {
-		case f.tfidf != nil:
-			f.tfidf.transformRow(toks, s.tfs, &s.b)
-		case f.cv != nil:
-			f.cv.transformRow(toks, s.counts, &s.b)
-		default:
-			for _, tok := range toks {
-				s.b.Add(f.hv.bucket(tok), 1)
-			}
-			s.b.EndRow()
-		}
+		f.row(doc, s)
 	}
 	*out = value.NewMat(s.finish())
 	return nil
@@ -426,16 +413,26 @@ func zeroFloats(s []float64) {
 	}
 }
 
-// ApplyInto implements graph.IntoApplier. Only the column slice is reused;
-// the cleaned strings themselves are fresh (Go strings are immutable).
+// ApplyInto implements graph.IntoApplier. The whole column is cleaned into
+// one reused byte buffer and converted to a string once (Go strings are
+// immutable, so the result cannot live in the buffer itself); the rows are
+// substrings of it, making a call one allocation however many rows it has.
 func (c *Clean) ApplyInto(ins []value.Value, out *value.Value, scratch *any) error {
 	if err := checkOneStrings(c.Name(), ins); err != nil {
 		return err
 	}
 	s := getBufScratch(scratch)
-	dst := s.strings(len(ins[0].Strings))
-	for i, str := range ins[0].Strings {
-		dst[i] = cleanString(str)
+	s.b, s.ends = s.b[:0], s.ends[:0]
+	for _, str := range ins[0].Strings {
+		s.b = appendClean(s.b, str)
+		s.ends = append(s.ends, len(s.b))
+	}
+	all := string(s.b)
+	dst := s.strings(len(s.ends))
+	start := 0
+	for i, end := range s.ends {
+		dst[i] = all[start:end]
+		start = end
 	}
 	*out = value.NewStrings(dst)
 	return nil

@@ -3,9 +3,11 @@ package ops
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
+	"math/bits"
 	"sort"
+	"strings"
+	"unicode/utf8"
 
 	"willump/internal/artifact"
 	"willump/internal/feature"
@@ -107,7 +109,9 @@ func (t *TFIDF) Fit(ins []value.Value) error {
 	t.idf = make([]float64, len(terms))
 	n := float64(len(docs))
 	for i, td := range terms {
-		t.vocab[td.term] = i
+		// The vocabulary owns its terms: a token is a substring of a
+		// training document and would keep that document's column alive.
+		t.vocab[strings.Clone(td.term)] = i
 		// Smoothed IDF as in standard implementations.
 		t.idf[i] = math.Log((1+n)/(1+float64(td.df))) + 1
 	}
@@ -115,69 +119,91 @@ func (t *TFIDF) Fit(ins []value.Value) error {
 	return nil
 }
 
-// tfScratch is reusable per-row state for TF-IDF transformation: the term
-// counts plus the touched columns in sorted order. Accumulating the
-// normalization sums in sorted column order (instead of map iteration
-// order) makes every transform bit-deterministic, which artifact round-trip
-// guarantees depend on.
-type tfScratch struct {
-	counts map[int]int
-	cols   []int
+// sparseAcc is the sparse accumulator behind every vocabulary vectorizer: a
+// dense counter per column plus a bitmap of the touched columns. Draining
+// walks the bitmap in order, so a row's columns come out ascending without a
+// sort — which also fixes the order normalization sums accumulate in, making
+// every transform bit-deterministic (artifact round-trip guarantees depend
+// on it). Counters and bitmap are all zero between rows.
+type sparseAcc struct {
+	counts  []uint32
+	touched []uint64
+	cols    []int
+	tf      []float64
 }
 
-func newTFScratch() *tfScratch { return &tfScratch{counts: make(map[int]int)} }
-
-// count tallies vocabulary hits for one document and returns the touched
-// columns sorted ascending.
-func (s *tfScratch) count(doc []string, vocab map[string]int) []int {
-	for k := range s.counts {
-		delete(s.counts, k)
+// reset sizes the accumulator for a vocabulary of width columns.
+func (a *sparseAcc) reset(width int) {
+	if len(a.counts) != width {
+		a.counts = make([]uint32, width)
+		a.touched = make([]uint64, (width+63)/64)
 	}
-	s.cols = s.cols[:0]
+}
+
+// hit counts one occurrence of column col.
+func (a *sparseAcc) hit(col int) {
+	if a.counts[col] == 0 {
+		a.touched[col>>6] |= 1 << (uint(col) & 63)
+	}
+	a.counts[col]++
+}
+
+// drain returns the touched columns in ascending order with their counts,
+// and zeroes the accumulator for the next row. The slices are reused by the
+// next drain; callers may overwrite tf.
+func (a *sparseAcc) drain() (cols []int, tf []float64) {
+	cols, tf = a.cols[:0], a.tf[:0]
+	for w, word := range a.touched {
+		if word == 0 {
+			continue
+		}
+		a.touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			col := w<<6 | bits.TrailingZeros64(word)
+			cols = append(cols, col)
+			tf = append(tf, float64(a.counts[col]))
+			a.counts[col] = 0
+		}
+	}
+	a.cols, a.tf = cols, tf
+	return cols, tf
+}
+
+// countTokens tallies the vocabulary hits of one token list.
+func (a *sparseAcc) countTokens(doc []string, vocab map[string]int) {
 	for _, tok := range doc {
 		if col, ok := vocab[tok]; ok {
-			if _, seen := s.counts[col]; !seen {
-				s.cols = append(s.cols, col)
-			}
-			s.counts[col]++
+			a.hit(col)
 		}
 	}
-	sort.Ints(s.cols)
-	return s.cols
 }
 
-// transformRow computes the TF-IDF entries for one document into builder b.
-func (t *TFIDF) transformRow(doc []string, s *tfScratch, b *feature.CSRBuilder) {
-	cols := s.count(doc, t.vocab)
+// emitRow appends one document's TF-IDF entries to b, given its drained
+// term counts (which it overwrites with the unnormalized weights). Norms sum
+// in ascending column order.
+func (t *TFIDF) emitRow(cols []int, tf []float64, b *feature.CSRBuilder) {
+	for k, col := range cols {
+		tf[k] *= t.idf[col]
+	}
+	norm := 1.0 // NormNone: x/1 is x
 	switch t.Norm {
-	case NormNone:
-		for _, col := range cols {
-			b.Add(col, float64(s.counts[col])*t.idf[col])
-		}
 	case NormL1:
-		var sum float64
-		for _, col := range cols {
-			sum += math.Abs(float64(s.counts[col]) * t.idf[col])
-		}
-		if sum == 0 {
-			sum = 1
-		}
-		for _, col := range cols {
-			b.Add(col, float64(s.counts[col])*t.idf[col]/sum)
+		norm = 0
+		for _, v := range tf {
+			norm += math.Abs(v)
 		}
 	case NormL2:
 		var sq float64
-		for _, col := range cols {
-			v := float64(s.counts[col]) * t.idf[col]
+		for _, v := range tf {
 			sq += v * v
 		}
-		norm := math.Sqrt(sq)
-		if norm == 0 {
-			norm = 1
-		}
-		for _, col := range cols {
-			b.Add(col, float64(s.counts[col])*t.idf[col]/norm)
-		}
+		norm = math.Sqrt(sq)
+	}
+	if norm == 0 {
+		norm = 1
+	}
+	for k, col := range cols {
+		b.Add(col, tf[k]/norm)
 	}
 	b.EndRow()
 }
@@ -200,10 +226,13 @@ func (t *TFIDF) ApplyBoxed(ins []any) (any, error) {
 	if !ok {
 		return nil, errBoxed(t.Name(), 0, ins[0], "[]string")
 	}
+	var acc sparseAcc
+	acc.reset(len(t.idf))
+	acc.countTokens(doc, t.vocab)
 	b := feature.NewCSRBuilder(len(t.idf))
-	t.transformRow(doc, newTFScratch(), b)
-	m := b.Build()
-	return feature.RowDense(m, 0, nil), nil
+	cols, tf := acc.drain()
+	t.emitRow(cols, tf, b)
+	return feature.RowDense(b.Build(), 0, nil), nil
 }
 
 // CountVectorizer converts token lists into raw term-count sparse vectors.
@@ -280,26 +309,19 @@ func (c *CountVectorizer) Fit(ins []value.Value) error {
 	sort.Slice(terms, func(i, j int) bool { return terms[i].term < terms[j].term })
 	c.vocab = make(map[string]int, len(terms))
 	for i, td := range terms {
-		c.vocab[td.term] = i
+		c.vocab[strings.Clone(td.term)] = i // owned, as in TFIDF.Fit
 	}
 	c.fitted = true
 	return nil
 }
 
-func (c *CountVectorizer) transformRow(doc []string, counts map[int]int, b *feature.CSRBuilder) {
-	for k := range counts {
-		delete(counts, k)
-	}
-	for _, tok := range doc {
-		if col, ok := c.vocab[tok]; ok {
-			counts[col]++
-		}
-	}
-	for col, n := range counts {
+// emitRow appends one document's term counts (or presence flags) to b.
+func (c *CountVectorizer) emitRow(cols []int, tf []float64, b *feature.CSRBuilder) {
+	for k, col := range cols {
 		if c.Binary {
 			b.Add(col, 1)
 		} else {
-			b.Add(col, float64(n))
+			b.Add(col, tf[k])
 		}
 	}
 	b.EndRow()
@@ -322,8 +344,12 @@ func (c *CountVectorizer) ApplyBoxed(ins []any) (any, error) {
 	if !ok {
 		return nil, errBoxed(c.Name(), 0, ins[0], "[]string")
 	}
+	var acc sparseAcc
+	acc.reset(len(c.vocab))
+	acc.countTokens(doc, c.vocab)
+	cols, tf := acc.drain()
 	b := feature.NewCSRBuilder(len(c.vocab))
-	c.transformRow(doc, make(map[int]int), b)
+	c.emitRow(cols, tf, b)
 	return feature.RowDense(b.Build(), 0, nil), nil
 }
 
@@ -355,10 +381,22 @@ func (h *HashingVectorizer) Commutative() bool { return false }
 // Width returns the bucket count.
 func (h *HashingVectorizer) Width() int { return h.Buckets }
 
+// bucket maps a token to its bucket: 32-bit FNV-1a modulo the bucket count.
 func (h *HashingVectorizer) bucket(tok string) int {
-	f := fnv.New32a()
-	f.Write([]byte(tok))
-	return int(f.Sum32() % uint32(h.Buckets))
+	return int(fnv32a(fnvOffset32, tok) % uint32(h.Buckets))
+}
+
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+// fnv32a folds s into the running 32-bit FNV-1a hash h.
+func fnv32a[S string | []byte](h uint32, s S) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * fnvPrime32
+	}
+	return h
 }
 
 // Apply implements graph.Op.
@@ -383,26 +421,73 @@ func (h *HashingVectorizer) ApplyBoxed(ins []any) (any, error) {
 	return feature.RowDense(b.Build(), 0, nil), nil
 }
 
-// tfidfState is the serialized form of a TFIDF operator. Terms are listed
-// in column order, so positions double as column indices.
+// vocabState is the serialized form of a fitted vocabulary. Terms are listed
+// in column order, so positions double as column indices. A term that is not
+// valid UTF-8 — byte-window char n-grams split multi-byte runes — cannot
+// travel as a JSON string (encoding/json would rewrite it to U+FFFD): its
+// Terms entry stays empty and RawTerms carries its bytes (base64) by column.
+// Vocabularies of valid UTF-8 serialize exactly as they did before RawTerms
+// existed.
+type vocabState struct {
+	Terms    []string       `json:"terms,omitempty"`
+	RawTerms map[int][]byte `json:"raw_terms,omitempty"`
+}
+
+func marshalVocab(vocab map[string]int) vocabState {
+	var st vocabState
+	if vocab == nil {
+		return st
+	}
+	st.Terms = make([]string, len(vocab))
+	for term, col := range vocab {
+		if utf8.ValidString(term) {
+			st.Terms[col] = term
+			continue
+		}
+		if st.RawTerms == nil {
+			st.RawTerms = make(map[int][]byte)
+		}
+		st.RawTerms[col] = []byte(term)
+	}
+	return st
+}
+
+// vocab rebuilds the term -> column map, rejecting states that name a
+// column out of range or a term twice.
+func (st vocabState) vocab(op string) (map[string]int, error) {
+	terms := st.Terms
+	if len(st.RawTerms) > 0 {
+		terms = append([]string(nil), terms...)
+		for col, raw := range st.RawTerms {
+			if col < 0 || col >= len(terms) {
+				return nil, fmt.Errorf("ops: %s state has raw term for column %d of %d", op, col, len(terms))
+			}
+			terms[col] = string(raw)
+		}
+	}
+	vocab := make(map[string]int, len(terms))
+	for col, term := range terms {
+		if _, dup := vocab[term]; dup {
+			return nil, fmt.Errorf("ops: %s state lists term %q twice", op, term)
+		}
+		vocab[term] = col
+	}
+	return vocab, nil
+}
+
+// tfidfState is the serialized form of a TFIDF operator.
 type tfidfState struct {
-	MaxFeatures int             `json:"max_features"`
-	Norm        int             `json:"norm"`
-	Fitted      bool            `json:"fitted"`
-	Terms       []string        `json:"terms,omitempty"`
-	IDF         artifact.Vector `json:"idf,omitempty"`
+	MaxFeatures int  `json:"max_features"`
+	Norm        int  `json:"norm"`
+	Fitted      bool `json:"fitted"`
+	vocabState
+	IDF artifact.Vector `json:"idf,omitempty"`
 }
 
 // MarshalState implements StateMarshaler.
 func (t *TFIDF) MarshalState() ([]byte, error) {
-	st := tfidfState{MaxFeatures: t.MaxFeatures, Norm: int(t.Norm), Fitted: t.fitted, IDF: artifact.Vector(t.idf)}
-	if t.vocab != nil {
-		st.Terms = make([]string, len(t.vocab))
-		for term, col := range t.vocab {
-			st.Terms[col] = term
-		}
-	}
-	return json.Marshal(st)
+	return json.Marshal(tfidfState{MaxFeatures: t.MaxFeatures, Norm: int(t.Norm), Fitted: t.fitted,
+		vocabState: marshalVocab(t.vocab), IDF: artifact.Vector(t.idf)})
 }
 
 // UnmarshalState implements StateUnmarshaler.
@@ -414,35 +499,29 @@ func (t *TFIDF) UnmarshalState(state []byte) error {
 	if len(st.Terms) != len(st.IDF) {
 		return fmt.Errorf("ops: tfidf state has %d terms but %d idf weights", len(st.Terms), len(st.IDF))
 	}
+	vocab, err := st.vocab(t.Name())
+	if err != nil {
+		return err
+	}
 	t.MaxFeatures = st.MaxFeatures
 	t.Norm = Norm(st.Norm)
 	t.fitted = st.Fitted
 	t.idf = []float64(st.IDF)
-	t.vocab = make(map[string]int, len(st.Terms))
-	for col, term := range st.Terms {
-		t.vocab[term] = col
-	}
+	t.vocab = vocab
 	return nil
 }
 
 // cvState is the serialized form of a CountVectorizer.
 type cvState struct {
-	MaxFeatures int      `json:"max_features"`
-	Binary      bool     `json:"binary,omitempty"`
-	Fitted      bool     `json:"fitted"`
-	Terms       []string `json:"terms,omitempty"`
+	MaxFeatures int  `json:"max_features"`
+	Binary      bool `json:"binary,omitempty"`
+	Fitted      bool `json:"fitted"`
+	vocabState
 }
 
 // MarshalState implements StateMarshaler.
 func (c *CountVectorizer) MarshalState() ([]byte, error) {
-	st := cvState{MaxFeatures: c.MaxFeatures, Binary: c.Binary, Fitted: c.fitted}
-	if c.vocab != nil {
-		st.Terms = make([]string, len(c.vocab))
-		for term, col := range c.vocab {
-			st.Terms[col] = term
-		}
-	}
-	return json.Marshal(st)
+	return json.Marshal(cvState{MaxFeatures: c.MaxFeatures, Binary: c.Binary, Fitted: c.fitted, vocabState: marshalVocab(c.vocab)})
 }
 
 // UnmarshalState implements StateUnmarshaler.
@@ -451,13 +530,14 @@ func (c *CountVectorizer) UnmarshalState(state []byte) error {
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
+	vocab, err := st.vocab(c.Name())
+	if err != nil {
+		return err
+	}
 	c.MaxFeatures = st.MaxFeatures
 	c.Binary = st.Binary
 	c.fitted = st.Fitted
-	c.vocab = make(map[string]int, len(st.Terms))
-	for col, term := range st.Terms {
-		c.vocab[term] = col
-	}
+	c.vocab = vocab
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"willump/internal/cascade"
@@ -183,20 +184,74 @@ func (f *Filter) SampledTopK(ctx context.Context, inputs map[string]value.Value,
 }
 
 // TopIndices returns the indices of the k largest scores in descending score
-// order, breaking ties by ascending index for determinism.
+// order, breaking ties by ascending index for determinism. A NaN score ranks
+// below every number (NaNs among themselves by ascending index), so NaNs
+// fill the tail only when fewer than k rows have a real score. k is clamped
+// to [0, len(scores)].
+//
+// It selects with a bounded heap — the k best seen so far, worst on top —
+// and sorts only those: most of the other rows cost one comparison against
+// the heap's top, and the result slice is the only allocation.
 func TopIndices(scores []float64, k int) []int {
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
+	n := len(scores)
+	k = max(0, min(k, n))
+	top := make([]int, k)
+	for i := range top {
+		top[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] > scores[idx[b]]
+	if 0 < k && k < n {
+		for i := k/2 - 1; i >= 0; i-- {
+			siftDown(scores, top, i)
 		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
+		for i := k; i < n; i++ {
+			if rankBefore(scores, i, top[0]) {
+				top[0] = i
+				siftDown(scores, top, 0)
+			}
+		}
 	}
-	return idx[:k]
+	slices.SortFunc(top, func(a, b int) int {
+		switch {
+		case rankBefore(scores, a, b):
+			return -1
+		case rankBefore(scores, b, a):
+			return 1
+		}
+		return 0
+	})
+	return top
+}
+
+// rankBefore is TopIndices' total order: whether row a ranks before row b.
+func rankBefore(scores []float64, a, b int) bool {
+	sa, sb := scores[a], scores[b]
+	if sa > sb {
+		return true
+	}
+	if sa < sb {
+		return false
+	}
+	// Equal, or a NaN is involved (every comparison above was false).
+	if aNaN, bNaN := sa != sa, sb != sb; aNaN != bNaN {
+		return bNaN
+	}
+	return a < b
+}
+
+// siftDown moves heap[i] down until the heap order that keeps the
+// worst-ranked row on top holds below position i again.
+func siftDown(scores []float64, heap []int, i int) {
+	for {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(heap); c++ {
+			if rankBefore(scores, heap[worst], heap[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		heap[i], heap[worst] = heap[worst], heap[i]
+		i = worst
+	}
 }

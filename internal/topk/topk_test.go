@@ -3,6 +3,8 @@ package topk
 import (
 	"context"
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -35,6 +37,52 @@ func TestTopIndices(t *testing.T) {
 	}
 	if len(TopIndices(scores, 10)) != 5 {
 		t.Error("k > n should cap at n")
+	}
+}
+
+// TestTopIndicesMatchesFullSort checks the bounded-heap selection against
+// sorting every index under the same order (score descending, index
+// ascending on ties), on random scores drawn from few distinct values so
+// ties straddle the cut, for every k from 0 past n.
+func TestTopIndicesMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(60)
+		scores := make([]float64, n)
+		levels := 1 + rng.Intn(8)
+		for i := range scores {
+			scores[i] = float64(rng.Intn(levels)) / 4
+		}
+		full := make([]int, n)
+		for i := range full {
+			full[i] = i
+		}
+		sort.SliceStable(full, func(a, b int) bool { return scores[full[a]] > scores[full[b]] })
+		for k := 0; k <= n+2; k++ {
+			got := TopIndices(scores, k)
+			if want := full[:min(k, n)]; !slices.Equal(got, want) {
+				t.Fatalf("n=%d k=%d scores=%v: TopIndices = %v, want %v", n, k, scores, got, want)
+			}
+		}
+	}
+	if got := TopIndices(nil, 3); len(got) != 0 {
+		t.Errorf("TopIndices(nil, 3) = %v, want empty", got)
+	}
+	if got := TopIndices([]float64{1, 2}, -1); len(got) != 0 {
+		t.Errorf("TopIndices(_, -1) = %v, want empty", got)
+	}
+}
+
+// TestTopIndicesNaNRanksLast pins the order's treatment of NaN scores: below
+// every number, -Inf included, and among themselves by ascending index.
+func TestTopIndicesNaNRanksLast(t *testing.T) {
+	nan := math.NaN()
+	scores := []float64{nan, 0.5, math.Inf(-1), nan, 0.9, 0.5}
+	want := []int{4, 1, 5, 2, 0, 3}
+	for k := 0; k <= len(scores); k++ {
+		if got := TopIndices(scores, k); !slices.Equal(got, want[:k]) {
+			t.Errorf("k=%d: TopIndices = %v, want %v", k, got, want[:k])
+		}
 	}
 }
 

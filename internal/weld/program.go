@@ -50,14 +50,17 @@ type Program struct {
 	// Order is the block-sorted node order used by unfused (profiling)
 	// execution.
 	Order []graph.NodeID
-	// Steps is the fused compiled plan in execution order. preSteps and
-	// ifvSteps[i] index into it: the preprocessing steps and IFV i's
-	// generator steps, so a run walks exactly the steps it needs.
+	// Steps is the fused compiled plan in execution order. ifvSteps[i]
+	// indexes into it: everything IFV i needs, in execution order — the
+	// preprocessing steps its generator descends from (step.ifv < 0, shared
+	// with the other IFVs descending from them), then the generator's own
+	// steps. Preprocessing is demand-driven: no step runs ahead of the first
+	// IFV that needs it, a run skips steps whose output it already holds,
+	// and so a shared step runs once per run, on that run's rows only.
 	// reusable[id] says whether node slot id's previous buffer may be
-	// written over (the ownership rule of state.go). All three are laid out
-	// by Fuse.
+	// written over (the ownership rule of state.go). Both are laid out by
+	// Fuse.
 	Steps    []step
-	preSteps []int
 	ifvSteps [][]int
 	reusable []bool
 
@@ -292,25 +295,34 @@ func (p *Program) Fuse() {
 }
 
 // layoutSteps decides, once per fused plan, everything a run would otherwise
-// rediscover per call: which steps are preprocessing and which belong to
-// each IFV's generator, which node slots hold state-owned buffers (a step
-// that writes through ApplyInto or the interpreted driver; see state.go),
-// and which lookup steps can prefetch — a Lookup whose only input is a raw
+// rediscover per call: which steps each IFV needs (graph.ExecutionOrder's
+// answer for that IFV alone, mapped to the steps producing those nodes),
+// which node slots hold state-owned buffers (a step that writes through
+// ApplyInto or the interpreted driver; see state.go), and which lookup
+// steps can prefetch — a Lookup whose only input is a raw
 // source (its key column is available the moment a run starts) and whose
 // table can begin a fetch without blocking. Plans without such steps get an
 // empty prefetch index and pay nothing at run time.
 func (p *Program) layoutSteps() {
-	p.preSteps = nil
 	p.ifvSteps = make([][]int, len(p.A.IFVs))
 	p.reusable = make([]bool, p.G.NumNodes())
 	p.prefetch = nil
+	producer := make(map[graph.NodeID]int, len(p.Steps))
+	for si := range p.Steps {
+		producer[p.Steps[si].out] = si
+	}
+	for i := range p.ifvSteps {
+		// A fused step stands for its whole chain: only its last node has a
+		// producer, and the nodes order topologically, so the list executes
+		// in order.
+		for _, id := range p.A.ExecutionOrder(p.G, []int{i}) {
+			if si, ok := producer[id]; ok {
+				p.ifvSteps[i] = append(p.ifvSteps[i], si)
+			}
+		}
+	}
 	for si := range p.Steps {
 		st := &p.Steps[si]
-		if st.ifv >= 0 {
-			p.ifvSteps[st.ifv] = append(p.ifvSteps[st.ifv], si)
-		} else if !st.spine {
-			p.preSteps = append(p.preSteps, si)
-		}
 		_, into := st.op.(graph.IntoApplier)
 		p.reusable[st.out] = into || !st.op.Compilable()
 
@@ -437,7 +449,6 @@ func (p *Program) CloneRuntime() *Program {
 		A:             p.A,
 		Order:         p.Order,
 		Steps:         p.Steps,
-		preSteps:      p.preSteps,
 		ifvSteps:      p.ifvSteps,
 		reusable:      p.reusable,
 		Widths:        p.Widths,

@@ -277,11 +277,14 @@ func (r *BatchRun) runPythonStep(si int, ins []value.Value) error {
 	return nil
 }
 
-// runSteps executes the listed plan steps whose outputs the run does not
-// hold yet; the lists are laid out per region at Fuse (see layoutSteps).
-func (r *BatchRun) runSteps(steps []int) error {
-	for _, si := range steps {
-		if r.have[r.p.Steps[si].out] {
+// runIFVSteps executes IFV i's step list (laid out at Fuse, see
+// layoutSteps), skipping every step whose output the run already holds: a
+// preprocessing step another IFV ran first, or one the parent of this
+// sub-run had computed. sharedOnly stops short of the generator's own steps.
+func (r *BatchRun) runIFVSteps(i int, sharedOnly bool) error {
+	for _, si := range r.p.ifvSteps[i] {
+		st := &r.p.Steps[si]
+		if r.have[st.out] || (sharedOnly && st.ifv >= 0) {
 			continue
 		}
 		if err := r.runStep(si); err != nil {
@@ -291,15 +294,13 @@ func (r *BatchRun) runSteps(steps []int) error {
 	return nil
 }
 
-// computeIFVs materializes the selected IFVs (by index) after the
-// preprocessing steps, going through the per-IFV feature cache when one is
-// attached. IFVs waiting on a prefetch this run started compute last: the
-// others' local CPU work overlaps the store round trips, and the prefetched
-// ones join right where their output is consumed.
+// computeIFVs materializes the selected IFVs (by index), each preceded by
+// whatever preprocessing it needs and the run does not hold yet, going
+// through the per-IFV feature cache when one is attached. IFVs waiting on a
+// prefetch this run started compute last: the others' local CPU work
+// overlaps the store round trips, and the prefetched ones join right where
+// their output is consumed.
 func (r *BatchRun) computeIFVs(idx []int) error {
-	if err := r.runSteps(r.p.preSteps); err != nil {
-		return err
-	}
 	deferred := false
 	for _, i := range idx {
 		if r.late[i] {
@@ -341,10 +342,8 @@ func (r *BatchRun) computeIFV(i int) error {
 		if err := r.computeIFVCached(i, c); err != nil {
 			return err
 		}
-	} else {
-		if err := r.runSteps(r.p.ifvSteps[i]); err != nil {
-			return err
-		}
+	} else if err := r.runIFVSteps(i, false); err != nil {
+		return err
 	}
 	r.tr.Record(r.p.ifvLabels[i], t0)
 	r.ifvDone[i] = true
@@ -399,11 +398,12 @@ func (r *BatchRun) computeIFVCached(i int, c *cache.Sharded) error {
 }
 
 // fillMisses computes IFV i for the batch rows the cache missed, on a
-// sub-run over one representative row per distinct key, scatters each
-// vector to every row sharing the key, and publishes it. Deduplicating
-// within the batch is where feature-level caching beats end-to-end caching —
-// repeated sub-keys recur across data inputs even when full inputs never
-// repeat (section 4.5).
+// sub-run over one representative row per distinct key — which also runs,
+// on those rows alone, whatever preprocessing of the IFV's this run does not
+// hold — scatters each vector to every row sharing the key, and publishes
+// it. Deduplicating within the batch is where feature-level caching beats
+// end-to-end caching — repeated sub-keys recur across data inputs even when
+// full inputs never repeat (section 4.5).
 func (r *BatchRun) fillMisses(i int, c *cache.Sharded, cs *ifvCacheScratch, out *feature.Dense) error {
 	rowsByKey := make(map[string][]int, len(cs.missRows))
 	var reprRows []int
@@ -416,7 +416,7 @@ func (r *BatchRun) fillMisses(i int, c *cache.Sharded, cs *ifvCacheScratch, out 
 	}
 	sub := r.SubsetRun(reprRows)
 	defer sub.Close()
-	if err := sub.runSteps(r.p.ifvSteps[i]); err != nil {
+	if err := sub.runIFVSteps(i, false); err != nil {
 		return err
 	}
 	for k, repr := range reprRows {
@@ -469,7 +469,7 @@ func (r *BatchRun) pointCacheFill(i int, c *cache.Sharded, cs *ifvCacheScratch, 
 		// The leader computes the generator directly on this run (the output
 		// lands in the root slot, exactly like the uncached path) and
 		// publishes the materialized row.
-		if err := r.runSteps(r.p.ifvSteps[i]); err != nil {
+		if err := r.runIFVSteps(i, false); err != nil {
 			return err
 		}
 		vec, err := appendRowVec(cs.rowBuf[:0], r.vals[root], 0)
@@ -487,7 +487,7 @@ func (r *BatchRun) pointCacheFill(i int, c *cache.Sharded, cs *ifvCacheScratch, 
 		// The leader failed, or this waiter's own context died while waiting
 		// — neither may silently corrupt this request. Compute locally: a
 		// dead context fails fast on the first plan-step check.
-		return r.runSteps(r.p.ifvSteps[i])
+		return r.runIFVSteps(i, false)
 	}
 	if leader {
 		return nil // the root slot already holds the computed value
@@ -500,7 +500,7 @@ func (r *BatchRun) pointCacheFill(i int, c *cache.Sharded, cs *ifvCacheScratch, 
 	}
 	// The published entry was evicted before we could read it (tiny cache
 	// under hostile churn): compute locally, without re-coalescing.
-	return r.runSteps(r.p.ifvSteps[i])
+	return r.runIFVSteps(i, false)
 }
 
 // appendRowVec materializes one row of an IFV root's value into dst
@@ -749,26 +749,32 @@ func (p *Program) RunBatch(ctx context.Context, inputs map[string]value.Value) (
 // 4.4). A point query spreads its feature generators over the workers by
 // LPT over profiled costs: generators are disjoint subgraphs, so each worker
 // writes only its own generators' node slots and the shared state stays
-// race-free, and static assignment avoids scheduling overhead. A batch runs
-// contiguous row shards as sub-runs of this run — different inputs
-// end-to-end on different threads — and stacks their IFV roots back into
-// this run's slots; IFVs waiting on the batch's own prefetch are not
+// race-free, and static assignment avoids scheduling overhead; the
+// preprocessing slots generators share are filled before the fan-out. A
+// batch runs contiguous row shards as sub-runs of this run — different
+// inputs end-to-end on different threads, each shard running the
+// preprocessing of its own rows — and stacks their IFV roots back into this
+// run's slots; IFVs waiting on the batch's own prefetch are not
 // sharded but joined here afterwards, so each key is fetched once.
 func (r *BatchRun) ComputeIFVsParallel(idx []int, workers int) error {
 	if workers <= 1 || (r.n == 1 && len(idx) <= 1) {
 		return r.computeIFVs(idx)
-	}
-	// Preprocessing runs once, here: the workers below find its outputs held.
-	if err := r.runSteps(r.p.preSteps); err != nil {
-		return err
 	}
 	// runs[w] computes IFVs work[w] on its own goroutine.
 	var runs []*BatchRun
 	var work [][]int
 	var sharded []int
 	if r.n == 1 {
+		// Two workers may descend from one preprocessing slot: the union of
+		// the selected IFVs' preprocessing runs once, here, and the workers
+		// below find its outputs held.
 		costs := make([]float64, len(idx))
 		for j, i := range idx {
+			if !r.ifvDone[i] {
+				if err := r.runIFVSteps(i, true); err != nil {
+					return err
+				}
+			}
 			costs[j] = r.p.Prof.IFVCost(r.p.A, i)
 		}
 		for _, g := range parallel.Assign(costs, workers) {

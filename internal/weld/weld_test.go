@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"willump/internal/feature"
@@ -322,6 +323,171 @@ func TestBatchShardedMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	matricesClose(t, got, want, 1e-12)
+}
+
+// countingClean is ops.Clean counting the rows it is handed, on every path.
+type countingClean struct {
+	*ops.Clean
+	rows *atomic.Int64
+}
+
+func (c countingClean) Apply(ins []value.Value) (value.Value, error) {
+	c.rows.Add(int64(ins[0].Len()))
+	return c.Clean.Apply(ins)
+}
+
+func (c countingClean) ApplyInto(ins []value.Value, out *value.Value, scratch *any) error {
+	c.rows.Add(int64(ins[0].Len()))
+	return c.Clean.ApplyInto(ins, out, scratch)
+}
+
+func (c countingClean) ApplyBoxed(ins []any) (any, error) {
+	c.rows.Add(1)
+	return c.Clean.ApplyBoxed(ins)
+}
+
+// sharedCleanPipeline builds the Toxic topology: a counting clean as the
+// shared preprocessing node of a word generator (IFV 0) and a char generator
+// (IFV 1), beside a cheap generator that reads the raw text (IFV 2).
+func sharedCleanPipeline(t *testing.T) (*graph.Graph, map[string]value.Value, *atomic.Int64) {
+	t.Helper()
+	rows := new(atomic.Int64)
+	b := graph.NewBuilder()
+	text := b.Input("text")
+	clean := b.Add("clean", countingClean{ops.NewClean(), rows}, text)
+	word := b.Add("word_tfidf", ops.NewTFIDF(64, ops.NormL2),
+		b.Add("ngram", ops.NewWordNGrams(1, 2), b.Add("tok", ops.NewTokenize(), clean)))
+	char := b.Add("char_tfidf", ops.NewTFIDF(64, ops.NormL2), b.Add("chars", ops.NewCharNGrams(2, 3), clean))
+	stats := b.Add("stats", ops.NewTextStats([]string{"bad"}), text)
+	b.SetOutput(b.Add("concat", ops.NewConcat(), word, char, stats))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	docs := []string{
+		"Good dog plays fetch", "BAD cat is bad!", "the quick brown fox", "bad weather today",
+		"nice sunny day", "BAD cat is bad!", "dogs and cats, living together", "the quick brown fox",
+	}
+	return g, map[string]value.Value{"text": value.NewStrings(docs)}, rows
+}
+
+// TestPreprocessingRunsOnDemand pins, by counting rows, that a preprocessing
+// node runs when — and for the rows for which — an IFV descending from it is
+// first computed: never for an efficient set that does not read it, on the
+// hard rows alone after a cascade-style resume, on the distinct missed keys
+// alone under a feature cache, and once per run however many generators
+// share it or workers compute them.
+func TestPreprocessingRunsOnDemand(t *testing.T) {
+	g, in, cleaned := sharedCleanPipeline(t)
+	p, want := fitProgram(t, g, in)
+	if len(p.A.Preprocessing) != 1 || len(p.A.IFVs) != 3 {
+		t.Fatalf("analysis found %d preprocessing nodes and %d IFVs, want 1 and 3", len(p.A.Preprocessing), len(p.A.IFVs))
+	}
+	n := in["text"].Len()
+	ctx := context.Background()
+	// counted runs body on a fresh run over in and returns the rows clean saw.
+	counted := func(body func(r *BatchRun)) int64 {
+		t.Helper()
+		r, err := p.NewRun(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		cleaned.Store(0)
+		body(r)
+		return cleaned.Load()
+	}
+	assemble := func(r *BatchRun, idx []int) feature.Matrix {
+		t.Helper()
+		m, err := r.MatrixShared(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	hard := []int{1, 4, 6}
+	if got := counted(func(r *BatchRun) {
+		assemble(r, []int{2})
+		if got := cleaned.Load(); got != 0 {
+			t.Errorf("efficient-only MatrixShared cleaned %d rows, want 0", got)
+		}
+		sub := r.SubsetRun(hard)
+		defer sub.Close()
+		m := assemble(sub, p.AllIFVs())
+		for k, row := range hard {
+			for c := 0; c < m.Cols(); c++ {
+				if m.At(k, c) != want.At(row, c) {
+					t.Fatalf("resumed hard row %d differs at column %d", row, c)
+				}
+			}
+		}
+	}); got != int64(len(hard)) {
+		t.Errorf("cascade-style resume cleaned %d rows, want the %d hard rows", got, len(hard))
+	}
+
+	if got := counted(func(r *BatchRun) { matricesClose(t, assemble(r, p.AllIFVs()), want, 0) }); got != int64(n) {
+		t.Errorf("MatrixShared(all) cleaned %d rows, want %d (once for both generators)", got, n)
+	}
+
+	for _, workers := range []int{1, 3} {
+		if got := counted(func(r *BatchRun) {
+			if err := r.ComputeIFVsParallel(p.AllIFVs(), workers); err != nil {
+				t.Fatal(err)
+			}
+			matricesClose(t, assemble(r, p.AllIFVs()), want, 0)
+		}); got != int64(n) {
+			t.Errorf("batch on %d workers cleaned %d rows, want %d", workers, got, n)
+		}
+		point := map[string]value.Value{"text": value.NewStrings(in["text"].Strings[1:2])}
+		r, err := p.NewRun(ctx, point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cleaned.Store(0)
+		if err := r.ComputeIFVsParallel(p.AllIFVs(), workers); err != nil {
+			t.Fatal(err)
+		}
+		m, err := r.PointMatrix(p.AllIFVs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < m.Cols(); c++ {
+			if m.At(0, c) != want.At(1, c) {
+				t.Fatalf("point on %d workers differs at column %d", workers, c)
+			}
+		}
+		r.Close()
+		if got := cleaned.Load(); got != 1 {
+			t.Errorf("point on %d workers cleaned %d rows, want 1", workers, got)
+		}
+	}
+
+	// A feature cache on the word IFV: a cold batch cleans one row per
+	// distinct missed key (6 distinct documents among the 8), a warm one none.
+	p.EnableFeatureCachingSpecs([]CacheSpec{{IFV: 0}})
+	defer p.DisableFeatureCaching()
+	if got := counted(func(r *BatchRun) { assemble(r, []int{0}) }); got != 6 {
+		t.Errorf("cold cached IFV cleaned %d rows, want 6 (distinct miss keys)", got)
+	}
+	if got := counted(func(r *BatchRun) { assemble(r, []int{0}) }); got != 0 {
+		t.Errorf("warm cached IFV cleaned %d rows, want 0", got)
+	}
+	point := map[string]value.Value{"text": value.NewStrings([]string{"never seen before"})}
+	for _, wantRows := range []int64{1, 0} { // point miss, then point hit
+		r, err := p.NewRun(ctx, point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cleaned.Store(0)
+		if _, err := r.PointMatrix([]int{0}); err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		if got := cleaned.Load(); got != wantRows {
+			t.Errorf("cached point query cleaned %d rows, want %d", got, wantRows)
+		}
+	}
 }
 
 func TestPythonNodeDriverAccounting(t *testing.T) {
@@ -645,8 +811,9 @@ func pointwise(p *Program, in map[string]value.Value, n, workers int) (feature.M
 
 // Property: every way of driving the compiled plan agrees with the
 // interpreted reference on random batches — text generators, lookup
-// generators, scalar IFV roots from operators that have only Apply, and a
-// plan whose spine needs the generic Apply branch —
+// generators, two text generators behind a shared preprocessing node, scalar
+// IFV roots from operators that have only Apply, and a plan whose spine
+// needs the generic Apply branch —
 // including 1-row batches and the empty batch (where the reference has no
 // width to compare, so only the row count is checked).
 func TestCompiledInterpretedAgreeProperty(t *testing.T) {
@@ -679,6 +846,24 @@ func TestCompiledInterpretedAgreeProperty(t *testing.T) {
 	pg, pin := passthroughPipeline(t)
 	pp, _ := fitProgram(t, pg, pin)
 
+	sg, sin, _ := sharedCleanPipeline(t)
+	sp, _ := fitProgram(t, sg, sin)
+
+	textDocs := func(rng *rand.Rand, n int) map[string]value.Value {
+		docs := make([]string, n)
+		for i := range docs {
+			k := 1 + rng.Intn(6)
+			s := ""
+			for j := 0; j < k; j++ {
+				if j > 0 {
+					s += " "
+				}
+				s += words[rng.Intn(len(words))]
+			}
+			docs[i] = s
+		}
+		return map[string]value.Value{"text": value.NewStrings(docs)}
+	}
 	plans := []struct {
 		name string
 		p    *Program
@@ -691,21 +876,8 @@ func TestCompiledInterpretedAgreeProperty(t *testing.T) {
 			}
 			return map[string]value.Value{"x": value.NewFloats(x), "y": value.NewInts(y)}
 		}},
-		{"text", tp, func(rng *rand.Rand, n int) map[string]value.Value {
-			docs := make([]string, n)
-			for i := range docs {
-				k := 1 + rng.Intn(6)
-				s := ""
-				for j := 0; j < k; j++ {
-					if j > 0 {
-						s += " "
-					}
-					s += words[rng.Intn(len(words))]
-				}
-				docs[i] = s
-			}
-			return map[string]value.Value{"text": value.NewStrings(docs)}
-		}},
+		{"text", tp, textDocs},
+		{"shared-preprocessing", sp, textDocs},
 		{"lookup", lp, func(rng *rand.Rand, n int) map[string]value.Value {
 			users, songs := make([]int64, n), make([]int64, n)
 			for i := range users {
