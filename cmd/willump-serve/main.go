@@ -83,7 +83,7 @@ func main() {
 		defaultModel = flag.String("default", "", "model served on the legacy /predict route (default: first deployed)")
 		addr         = flag.String("addr", "127.0.0.1:8000", "listen address (host:port)")
 		maxBatch     = flag.Int("max-batch", 0, "adaptive batching: max rows per merged batch (0 = default)")
-		batchTimeout = flag.Duration("batch-timeout", 0, "adaptive batching: max wait to fill a batch (0 = default)")
+		batchTimeout = flag.Duration("batch-timeout", 0, "adaptive batching: cap on how long a merged batch is held open for more work; the wait itself is the batch's forecast service time (0 = default 500us)")
 		queueDepth   = flag.Int("queue-depth", 0, "per-model request queue bound; full queues reject with HTTP 429 (0 = default)")
 		cache        = flag.Int("cache", 0, "per-model end-to-end prediction cache capacity (0 disables, < 0 unbounded)")
 		sloP99       = flag.Duration("slo-p99", 0, "per-model p99 completion target; enables SLO-aware admission (predictive shedding + adaptive concurrency; 0 disables)")

@@ -302,7 +302,7 @@ func (c *Controller) Admit(queued int, budget time.Duration, crit Criticality) D
 	}
 	if inflight >= lim {
 		c.shedLimit.Add(1)
-		return Decision{Shed: true, RetryAfter: c.drainForecast(queued)}
+		return Decision{Shed: true, RetryAfter: c.Forecast(queued)}
 	}
 
 	if budget <= 0 {
@@ -323,10 +323,10 @@ func (c *Controller) Admit(queued int, budget time.Duration, crit Criticality) D
 		case CritLow:
 			pad = 4
 		}
-		predicted := c.drainForecast(queued) + time.Duration(srtt+pad*rttvar)
+		predicted := c.Forecast(queued) + time.Duration(srtt+pad*rttvar)
 		if predicted > budget {
 			c.shedPredicted.Add(1)
-			return Decision{Shed: true, RetryAfter: c.drainForecast(queued)}
+			return Decision{Shed: true, RetryAfter: c.Forecast(queued)}
 		}
 	}
 	c.inflight.Add(1)
@@ -340,15 +340,20 @@ func (c *Controller) Release() {
 	}
 }
 
-// drainForecast predicts how long the current backlog takes to clear:
-// queued pendings at the forecast per-item service time, assuming the
-// batcher's single execution stream.
-func (c *Controller) drainForecast(queued int) time.Duration {
-	srtt := c.srttNs.Load()
-	if srtt <= 0 || queued <= 0 {
+// Forecast predicts the service time of items rows at the forecast per-item
+// rate: how long a backlog of that many takes to clear on the version's
+// single execution stream, and how long a batch of that many will run —
+// the bound on what the serving tier's straggler wait may cost. Zero before
+// the first observation.
+func (c *Controller) Forecast(items int) time.Duration {
+	if c == nil {
 		return 0
 	}
-	return time.Duration(int64(queued) * srtt)
+	srtt := c.srttNs.Load()
+	if srtt <= 0 || items <= 0 {
+		return 0
+	}
+	return time.Duration(int64(items) * srtt)
 }
 
 // RetryAfter is the backoff hint attached to any 429 from this model —
@@ -359,7 +364,7 @@ func (c *Controller) RetryAfter(queued int) time.Duration {
 	if c == nil {
 		return 0
 	}
-	d := c.drainForecast(queued)
+	d := c.Forecast(queued)
 	if srtt := c.srttNs.Load(); d < time.Duration(srtt) {
 		d = time.Duration(srtt)
 	}

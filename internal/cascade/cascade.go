@@ -275,7 +275,8 @@ func (c *Cascade) PredictBatchThreshold(ctx context.Context, inputs map[string]v
 
 // PredictPoint serves one example-at-a-time query through the cascade.
 func (c *Cascade) PredictPoint(ctx context.Context, inputs map[string]value.Value) (float64, error) {
-	return c.PredictPointThreshold(ctx, inputs, c.Threshold)
+	p, _, err := c.PredictPointThreshold(ctx, inputs, c.Threshold)
+	return p, err
 }
 
 // PredictPointThreshold serves one example-at-a-time query using an
@@ -283,15 +284,16 @@ func (c *Cascade) PredictPoint(ctx context.Context, inputs map[string]value.Valu
 // The query executes on the pooled point path: efficient IFVs materialize
 // into the state's feature-vector buffer, the small model scores in place,
 // and only unconfident queries resume the same state to compute the
-// remaining IFVs — zero heap allocations once warm.
-func (c *Cascade) PredictPointThreshold(ctx context.Context, inputs map[string]value.Value, threshold float64) (float64, error) {
+// remaining IFVs — zero heap allocations once warm. Like the batch path it
+// reports which model answered.
+func (c *Cascade) PredictPointThreshold(ctx context.Context, inputs map[string]value.Value, threshold float64) (float64, ServeStats, error) {
 	run, err := c.Prog.NewRun(ctx, inputs)
 	if err != nil {
-		return 0, err
+		return 0, ServeStats{}, err
 	}
 	defer run.Close()
 	if run.Len() != 1 {
-		return 0, fmt.Errorf("cascade: point query got %d rows", run.Len())
+		return 0, ServeStats{}, fmt.Errorf("cascade: point query got %d rows", run.Len())
 	}
 	s := model.GetScratch()
 	defer model.PutScratch(s)
@@ -302,27 +304,27 @@ func (c *Cascade) PredictPointThreshold(ctx context.Context, inputs map[string]v
 	}
 	effX, err := run.PointMatrix(c.Efficient)
 	if err != nil {
-		return 0, err
+		return 0, ServeStats{}, err
 	}
 	p := model.ScoreRow(c.Small, effX, 0, s)
 	if tr != nil {
 		tr.Record(trace.StageCascadeSmall, t0)
 	}
 	if model.Confidence(p) > threshold {
-		return p, nil
+		return p, ServeStats{Total: 1, SmallOnly: 1}, nil
 	}
 	if tr != nil {
 		t0 = time.Now()
 	}
 	fullX, err := run.PointMatrix(c.Prog.AllIFVs())
 	if err != nil {
-		return 0, err
+		return 0, ServeStats{}, err
 	}
 	p = model.ScoreRow(c.Full, fullX, 0, s)
 	if tr != nil {
 		tr.Record(trace.StageCascadeResume, t0)
 	}
-	return p, nil
+	return p, ServeStats{Total: 1, Cascaded: 1}, nil
 }
 
 // SmallOnlyPredict runs only the small model over a batch (the orange-X

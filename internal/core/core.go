@@ -410,7 +410,8 @@ func (o *Optimized) PredictFull(ctx context.Context, inputs map[string]value.Val
 // parallelization when Workers > 1 and cascades when deployed. Per-request
 // options (cascade-threshold override, deadline) apply to this call alone.
 func (o *Optimized) PredictPoint(ctx context.Context, inputs map[string]value.Value, opts ...PredictOption) (float64, error) {
-	return o.PredictPointOptions(ctx, inputs, ResolvePredict(opts...))
+	p, _, err := o.PredictPointOptions(ctx, inputs, ResolvePredict(opts...))
+	return p, err
 }
 
 // compiledRun starts the run every compiled, uncascaded predict shares: a

@@ -216,8 +216,9 @@ func (o *Optimized) predictBatchOptions(ctx context.Context, inputs map[string]v
 }
 
 // PredictPointOptions is the options-resolved example-at-a-time entry
-// point.
-func (o *Optimized) PredictPointOptions(ctx context.Context, inputs map[string]value.Value, po PredictOptions) (float64, error) {
+// point; like PredictBatchOptions it reports how the cascade served the
+// query (zero ServeStats when no cascade ran).
+func (o *Optimized) PredictPointOptions(ctx context.Context, inputs map[string]value.Value, po PredictOptions) (float64, cascade.ServeStats, error) {
 	if o.tracer == nil || trace.Owned(ctx) {
 		return o.predictPointOptions(ctx, inputs, po)
 	}
@@ -226,14 +227,14 @@ func (o *Optimized) PredictPointOptions(ctx context.Context, inputs map[string]v
 	if tr != nil {
 		ctx = trace.NewContext(ctx, tr)
 	}
-	p, err := o.predictPointOptions(ctx, inputs, po)
+	p, stats, err := o.predictPointOptions(ctx, inputs, po)
 	o.tracer.Finish(tr, "point", start, err)
-	return p, err
+	return p, stats, err
 }
 
-func (o *Optimized) predictPointOptions(ctx context.Context, inputs map[string]value.Value, po PredictOptions) (float64, error) {
+func (o *Optimized) predictPointOptions(ctx context.Context, inputs map[string]value.Value, po PredictOptions) (float64, cascade.ServeStats, error) {
 	if err := po.Validate(); err != nil {
-		return 0, err
+		return 0, cascade.ServeStats{}, err
 	}
 	ctx, cancel := po.boundCtx(ctx)
 	defer cancel()
@@ -247,7 +248,8 @@ func (o *Optimized) predictPointOptions(ctx context.Context, inputs map[string]v
 		}
 		return o.Cascade.PredictPointThreshold(ctx, inputs, t)
 	}
-	return o.predictPointCompiled(ctx, inputs)
+	p, err := o.predictPointCompiled(ctx, inputs)
+	return p, cascade.ServeStats{}, err
 }
 
 // BatchPredictor returns the pipeline's default batch path as a plain

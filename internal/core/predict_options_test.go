@@ -61,9 +61,12 @@ func TestSmallOnlyNeverRunsFullModel(t *testing.T) {
 	}
 
 	// Point path: same contract, and still a valid prediction.
-	pt, err := o.PredictPointOptions(context.Background(), test.Row(0).Inputs, PredictOptions{SmallOnly: true, Point: true})
+	pt, pstats, err := o.PredictPointOptions(context.Background(), test.Row(0).Inputs, PredictOptions{SmallOnly: true, Point: true})
 	if err != nil {
 		t.Fatalf("PredictPointOptions small-only: %v", err)
+	}
+	if pstats.Total != 1 || pstats.SmallOnly != 1 || pstats.Cascaded != 0 {
+		t.Fatalf("small-only point stats = %+v, want one row answered by the small model", pstats)
 	}
 	if pt != pt || pt < 0 || pt > 1 {
 		t.Fatalf("small-only point prediction = %v, want a score in [0, 1]", pt)

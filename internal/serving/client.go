@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -18,7 +19,11 @@ import (
 // Client is an RPC client for a serving frontend.
 type Client struct {
 	base string
-	http *http.Client
+	// url is base parsed once, for the predict routes, which build their
+	// request URL by value; urlErr is why it could not be.
+	url    *url.URL
+	urlErr error
+	http   *http.Client
 }
 
 // ClientOption configures a Client at construction.
@@ -74,7 +79,9 @@ func NewClient(base string, opts ...ClientOption) *Client {
 	if hc == nil {
 		hc = &http.Client{Timeout: cfg.timeout, Transport: DefaultTransport()}
 	}
-	return &Client{base: strings.TrimRight(base, "/"), http: hc}
+	c := &Client{base: strings.TrimRight(base, "/"), http: hc}
+	c.url, c.urlErr = url.Parse(c.base)
+	return c
 }
 
 // OverloadedError is the typed form of an HTTP 429 rejection. It wraps
@@ -116,49 +123,81 @@ func parseRetryAfter(h string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// post sends one RPC and maps the transport- and protocol-level failure
-// modes: HTTP 429 becomes the retryable *OverloadedError (wrapping
+// modelPath is the route of one model's verb, and its escaped form (the
+// same string unless the model name needs escaping).
+func modelPath(model, verb string) (path, escaped string) {
+	path = "/v1/models/" + model + verb
+	if esc := url.PathEscape(model); esc != model {
+		return path, "/v1/models/" + esc + verb
+	}
+	return path, path
+}
+
+// post sends one prediction RPC and maps the transport- and protocol-level
+// failure modes: HTTP 429 becomes the retryable *OverloadedError (wrapping
 // ErrOverloaded, carrying the server's Retry-After), 404 becomes
 // ErrModelNotFound, and any server-reported error is surfaced verbatim.
-func (c *Client) post(ctx context.Context, path string, body any) (*wireResponse, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return nil, err
+func (c *Client) post(ctx context.Context, path, escaped string, inputs map[string]value.Value, po core.PredictOptions) (wireResponse, error) {
+	if c.urlErr != nil {
+		return wireResponse{}, c.urlErr
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(raw))
+	body, err := encodeRequest(inputs, po)
 	if err != nil {
-		return nil, err
+		return wireResponse{}, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	u := *c.url
+	u.Path += path
+	if u.RawPath != "" || escaped != path {
+		u.RawPath = c.url.EscapedPath() + escaped
+	}
+	req := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           &u,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        http.Header{"Content-Type": jsonContentType},
+		Host:          u.Host,
+		Body:          io.NopCloser(bytes.NewReader(body)),
+		ContentLength: int64(len(body)),
+		GetBody: func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		},
+	}).WithContext(ctx)
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("serving: rpc: %w", err)
+		return wireResponse{}, fmt.Errorf("serving: rpc: %w", err)
 	}
-	defer resp.Body.Close()
 	// Map the status code before insisting on a JSON body: unmatched routes
 	// are answered by net/http's mux with plain text, and the typed errors
 	// must survive that.
 	var wire wireResponse
-	decodeErr := json.NewDecoder(resp.Body).Decode(&wire)
+	reply := getWireBuf()
+	decodeErr := reply.readAll(resp.Body)
+	resp.Body.Close()
+	if decodeErr == nil {
+		wire, decodeErr = decodeResponse(reply.b)
+	}
+	reply.release()
 	switch resp.StatusCode {
 	case http.StatusTooManyRequests:
-		return nil, &OverloadedError{
+		return wireResponse{}, &OverloadedError{
 			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 			Server:     wire.Error,
 		}
 	case http.StatusNotFound:
-		return nil, fmt.Errorf("%w (server: %s)", ErrModelNotFound, wire.Error)
+		return wireResponse{}, fmt.Errorf("%w (server: %s)", ErrModelNotFound, wire.Error)
 	}
 	if wire.Error != "" {
-		return nil, fmt.Errorf("serving: server error: %s", wire.Error)
+		return wireResponse{}, fmt.Errorf("serving: server error: %s", wire.Error)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serving: unexpected status %s", resp.Status)
+		return wireResponse{}, fmt.Errorf("serving: unexpected status %s", resp.Status)
 	}
 	if decodeErr != nil {
-		return nil, fmt.Errorf("serving: decoding response: %w", decodeErr)
+		return wireResponse{}, fmt.Errorf("serving: decoding response: %w", decodeErr)
 	}
-	return &wire, nil
+	return wire, nil
 }
 
 // get fetches a JSON document from the server.
@@ -186,26 +225,12 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 	return nil
 }
 
-// buildRequest assembles the wire request for a batch of inputs and
-// resolved per-request options.
-func buildRequest(inputs map[string]value.Value, po core.PredictOptions) (wireRequest, error) {
-	cols, err := encodeInputs(inputs)
-	if err != nil {
-		return wireRequest{}, err
-	}
-	return wireRequest{Inputs: cols, Options: fromPredictOptions(po)}, nil
-}
-
 // Predict sends one prediction RPC against the server's default model (the
 // legacy /predict route). The context's cancellation or deadline propagates
 // to the server, which aborts the queued or in-flight work for this
 // request.
 func (c *Client) Predict(ctx context.Context, inputs map[string]value.Value) ([]float64, error) {
-	req, err := buildRequest(inputs, core.PredictOptions{})
-	if err != nil {
-		return nil, err
-	}
-	wire, err := c.post(ctx, "/predict", req)
+	wire, err := c.post(ctx, "/predict", "/predict", inputs, core.PredictOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -216,11 +241,8 @@ func (c *Client) Predict(ctx context.Context, inputs map[string]value.Value) ([]
 // any per-request options (cascade-threshold override, point modality,
 // server-side deadline) on the wire.
 func (c *Client) PredictModel(ctx context.Context, model string, inputs map[string]value.Value, opts ...core.PredictOption) ([]float64, error) {
-	req, err := buildRequest(inputs, core.ResolvePredict(opts...))
-	if err != nil {
-		return nil, err
-	}
-	wire, err := c.post(ctx, "/v1/models/"+url.PathEscape(model)+"/predict", req)
+	path, escaped := modelPath(model, "/predict")
+	wire, err := c.post(ctx, path, escaped, inputs, core.ResolvePredict(opts...))
 	if err != nil {
 		return nil, err
 	}
@@ -240,11 +262,8 @@ type PredictResult struct {
 // callers that care whether their answer was brownout-degraded (and how)
 // use this; callers that only want numbers keep using PredictModel.
 func (c *Client) PredictModelResult(ctx context.Context, model string, inputs map[string]value.Value, opts ...core.PredictOption) (PredictResult, error) {
-	req, err := buildRequest(inputs, core.ResolvePredict(opts...))
-	if err != nil {
-		return PredictResult{}, err
-	}
-	wire, err := c.post(ctx, "/v1/models/"+url.PathEscape(model)+"/predict", req)
+	path, escaped := modelPath(model, "/predict")
+	wire, err := c.post(ctx, path, escaped, inputs, core.ResolvePredict(opts...))
 	if err != nil {
 		return PredictResult{}, err
 	}
@@ -257,11 +276,8 @@ func (c *Client) PredictModelResult(ctx context.Context, model string, inputs ma
 func (c *Client) TopK(ctx context.Context, model string, inputs map[string]value.Value, k int, opts ...core.PredictOption) ([]int, error) {
 	po := core.ResolvePredict(opts...)
 	po.K = k
-	req, err := buildRequest(inputs, po)
-	if err != nil {
-		return nil, err
-	}
-	wire, err := c.post(ctx, "/v1/models/"+url.PathEscape(model)+"/topk", req)
+	path, escaped := modelPath(model, "/topk")
+	wire, err := c.post(ctx, path, escaped, inputs, po)
 	if err != nil {
 		return nil, err
 	}

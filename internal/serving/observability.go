@@ -58,6 +58,9 @@ type modelMetrics struct {
 	queueLen int
 	queueCap int
 	inflight int
+	// batching is the active version's batching counters (nil between an
+	// undeploy and the snapshot).
+	batching *batchStats
 }
 
 // handleMetrics renders every deployed model's serving telemetry in
@@ -74,7 +77,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 		mm := modelMetrics{name: h.name, stats: st, tracer: h.tracer(), inflight: len(h.direct)}
 		if v := h.active.Load(); v != nil {
-			mm.queueLen, mm.queueCap = len(v.queue), cap(v.queue)
+			mm.queueLen, mm.queueCap = int(v.queued.Load()), len(v.ring)
+			mm.batching = &v.batching
 		}
 		snaps = append(snaps, mm)
 	}
@@ -113,6 +117,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	for _, m := range snaps {
 		mw.Gauge("willump_queue_capacity", "Bound of the active version's batch queue.", observ.L("model", m.name), float64(m.queueCap))
+	}
+	for _, bc := range []struct {
+		name, help string
+		get        func(*batchStats) int64
+	}{
+		{"willump_batch_inline_total", "Requests that found the active version idle and were executed at once by their own handler.", func(b *batchStats) int64 { return b.inline.Load() }},
+		{"willump_batch_merged_total", "Executions by the active version that answered more than one request.", func(b *batchStats) int64 { return b.mergedBatches.Load() }},
+		{"willump_batch_merged_rows_total", "Rows carried by the active version's merged executions.", func(b *batchStats) int64 { return b.mergedRows.Load() }},
+		{"willump_batch_straggler_waits_total", "Times the active version held a merged batch open for more work.", func(b *batchStats) int64 { return b.waits.Load() }},
+	} {
+		for _, m := range snaps {
+			if m.batching != nil {
+				mw.Counter(bc.name, bc.help, observ.L("model", m.name), float64(bc.get(m.batching)))
+			}
+		}
 	}
 	for _, m := range snaps {
 		mw.Gauge("willump_direct_inflight", "Direct-path (options, top-K) requests currently admitted.", observ.L("model", m.name), float64(m.inflight))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"willump/internal/adapt"
 	"willump/internal/admission"
+	"willump/internal/cascade"
 	"willump/internal/core"
 	"willump/internal/metrics"
 	"willump/internal/trace"
@@ -29,16 +31,16 @@ var ErrOverloaded = errors.New("serving: server overloaded")
 // name (HTTP 404 on the wire).
 var ErrModelNotFound = errors.New("serving: model not found")
 
-// errVersionStopped is the internal signal that an enqueue raced a version
+// errVersionStopped is the internal signal that a submit raced a version
 // swap; the caller re-resolves the active version and retries.
 var errVersionStopped = errors.New("serving: model version draining")
 
 // Registry hosts many named, versioned models behind one serving frontend.
-// Each deployed version owns a bounded request queue and an adaptive
-// batcher; Deploy atomically swaps a model's active version while the old
-// version's batcher drains its in-flight work, so a hot swap loses no
-// requests. A Registry is hosted by (at most) one Server, whose Shutdown
-// closes it.
+// Each deployed version batches its own traffic (see version.submit: the
+// request handlers themselves execute the batches, behind a bounded queue);
+// Deploy atomically swaps a model's active version while the old version
+// finishes the work it admitted, so a hot swap loses no requests. A Registry
+// is hosted by (at most) one Server, whose Shutdown closes it.
 type Registry struct {
 	opts Options
 
@@ -52,13 +54,14 @@ type Registry struct {
 	// cold-start admit-everything window.
 	retired map[string]admission.State
 
-	// baseCtx is the execution context for batch prediction; cancelled only
-	// on force-close, so graceful drains run work to completion.
+	// baseCtx is the execution context of merged batches, which no single
+	// member's context may abort; cancelled only on force-close, so graceful
+	// drains run work to completion.
 	baseCtx context.Context
 	cancel  context.CancelFunc
-	// batchers tracks every version's batcher goroutine, including versions
-	// already swapped out but still draining.
-	batchers sync.WaitGroup
+	// versions is every version that may still hold work: the serving ones
+	// and those swapped out but not yet drained. Close waits on them.
+	versions []*version
 }
 
 // NewRegistry returns an empty registry. opts supplies the serving defaults
@@ -83,7 +86,7 @@ type Hosted struct {
 	stats  *modelStats
 	// direct bounds concurrent direct-path requests (per-request options,
 	// top-K) the same way the queue bounds batched ones: admission control
-	// applies to every route, not just the batcher.
+	// applies to every route, not just the batched one.
 	direct chan struct{}
 	// admit is the model's SLO controller: service-time forecast,
 	// predictive shedding, adaptive concurrency limit, and the brownout
@@ -123,23 +126,28 @@ func (h *Hosted) route() *version {
 	return h.active.Load()
 }
 
-// enqueueTo admits p to the routed version, falling back to the model's
-// active version when the routed arm is draining (a canary resolved
-// between routing and enqueue) — a request never fails because a canary
-// ended underneath it. The fallback keeps the admission slot acquired on
-// the routed arm's controller (the caller's Release pairs with that
-// Admit), so for the instant of canary resolution the work runs on the
-// active arm while the drained arm's controller carries the inflight
-// accounting and service-time observation: a bounded one-request skew
-// that self-corrects on Release, preferable to double-admitting or
-// failing the request.
-func (h *Hosted) enqueueTo(v *version, p *pending) error {
-	if v != nil {
-		if err := v.enqueue(p); !errors.Is(err, errVersionStopped) {
-			return err
+// submit runs p through the routed version, falling back to the model's
+// active version when the routed arm is draining (a canary resolved between
+// routing and submit, or a hot swap is installing a new active version) — a
+// request never fails because a version ended underneath it. The fallback
+// keeps the admission slot acquired on the routed arm's controller (the
+// caller's Release pairs with that Admit), so for the instant of canary
+// resolution the work runs on the active arm while the drained arm's
+// controller carries the inflight accounting and service-time observation:
+// a bounded one-request skew that self-corrects on Release, preferable to
+// double-admitting or failing the request. delivered is false when the
+// caller gave up on a request that is still queued (see version.submit).
+func (h *Hosted) submit(v *version, p pending) (res batchResult, delivered bool) {
+	for attempt := 0; attempt < 8; attempt++ {
+		if v == nil {
+			return batchResult{err: fmt.Errorf("serving: model %q: %w", h.name, ErrModelNotFound)}, true
 		}
+		if res, delivered = v.submit(p); !errors.Is(res.err, errVersionStopped) {
+			return res, delivered
+		}
+		v = h.active.Load()
 	}
-	return h.enqueue(p)
+	return batchResult{err: fmt.Errorf("serving: model %q: version churn, request not admitted", h.name)}, true
 }
 
 // queueLen reports the active version's current queue depth (0 when the
@@ -147,7 +155,7 @@ func (h *Hosted) enqueueTo(v *version, p *pending) error {
 // model prices.
 func (h *Hosted) queueLen() int {
 	if v := h.active.Load(); v != nil {
-		return len(v.queue)
+		return int(v.queued.Load())
 	}
 	return 0
 }
@@ -173,7 +181,7 @@ func (h *Hosted) admitDirect() (release func(), err error) {
 }
 
 // version is one immutable deployed model version with its own request
-// queue and adaptive batcher.
+// queue and batching state.
 type version struct {
 	model  string
 	tag    string
@@ -200,23 +208,52 @@ type version struct {
 	// it); the brownout cache-only rung peeks it directly.
 	cache *CachedPredictor
 
-	queue chan *pending
-	stop  chan struct{} // closed to begin the drain
-	done  chan struct{} // closed when the batcher has exited
+	// Batching state (see submit). busy says a leader holds the version: it
+	// is assembling or executing a batch, or has been promoted to. Requests
+	// that arrive meanwhile wait in ring, a FIFO of QueueDepth slots starting
+	// at head; queued is its length (written under mu, read anywhere) and
+	// queuedRows the rows it holds. Once stopped is set nothing new is
+	// admitted, and drained closes when the version is also idle — idle
+	// always means an empty queue, because a leader hands off before it
+	// leaves.
+	mu         sync.Mutex
+	busy       bool
+	stopped    bool
+	ring       []*waiter
+	head       int
+	queued     atomic.Int64
+	queuedRows int
+	drained    chan struct{}
+	// need is how many queued rows would fill the batch of a leader that is
+	// waiting for stragglers (0: nobody waits); the arrival that supplies
+	// them wakes it through full.
+	need int
+	full chan struct{}
 
-	// mu fences enqueues against the swap: once stopped is set under the
-	// write lock, no further request can slip into the queue, so the
-	// batcher's final drain pass observes everything.
-	mu      sync.RWMutex
-	stopped bool
+	batching batchStats
 
-	// Batcher-owned merge scratch, reused across batches; the batcher
-	// goroutine is its only user and every prediction completes before the
-	// next batch is assembled.
+	// Leader-owned scratch, reused across batches: busy admits one leader at
+	// a time and every turn ends in handoff, whose lock orders one leader's
+	// writes before the next one's reads.
+	batch      []*waiter
 	mergeCols  map[string][]value.Value
 	mergeInput map[string]value.Value
 
 	baseCtx context.Context
+}
+
+// batchStats counts a version's batching decisions: the causes behind its
+// latency, which is what the batching tests pin.
+type batchStats struct {
+	// inline counts requests that found the version idle and were executed
+	// at once by their own handler.
+	inline atomic.Int64
+	// mergedBatches counts executions that answered more than one request,
+	// mergedRows the rows they carried.
+	mergedBatches atomic.Int64
+	mergedRows    atomic.Int64
+	// waits counts straggler waits taken.
+	waits atomic.Int64
 }
 
 // guardStats is one serving arm's guard telemetry, judged by the
@@ -266,9 +303,9 @@ func (v *version) guardSnapshot() adapt.Guard {
 }
 
 // Deploy installs version tag of the optimized pipeline under name,
-// atomically replacing any previously active version. The old version's
-// batcher keeps running until its queued work drains, so requests in flight
-// across the swap complete on the version that admitted them. The first
+// atomically replacing any previously active version. The old version keeps
+// serving what it already admitted until its queue is empty, so requests in
+// flight across the swap complete on the version that admitted them. The first
 // model deployed becomes the registry default (the legacy /predict route).
 func (r *Registry) Deploy(name, tag string, o *core.Optimized) error {
 	if o == nil {
@@ -359,29 +396,7 @@ func (r *Registry) deploy(name, tag string, o *core.Optimized, p Predictor, inpu
 			r.defaultName = name
 		}
 	}
-	v := &version{
-		model:   name,
-		tag:     tag,
-		opt:     o,
-		inputs:  append([]string(nil), inputs...),
-		opts:    r.opts,
-		stats:   h.stats,
-		admit:   h.admit,
-		guard:   newGuardStats(),
-		queue:   make(chan *pending, r.opts.QueueDepth),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		baseCtx: r.baseCtx,
-	}
-	v.pred = v.buildPredictor(o, p)
-	v.predSmall = v.buildSmallPredictor(o)
-	r.batchers.Add(1)
-	go func() {
-		defer r.batchers.Done()
-		defer close(v.done)
-		v.batcher()
-	}()
-	old := h.active.Swap(v)
+	old := h.active.Swap(r.newVersion(h, tag, o, p, inputs, h.admit))
 	r.mu.Unlock()
 
 	if old != nil {
@@ -390,25 +405,81 @@ func (r *Registry) deploy(name, tag string, o *core.Optimized, p Predictor, inpu
 	return nil
 }
 
+// newVersion assembles a version of model h with its predictors and an idle
+// batching state, and registers it for Close. The caller holds r.mu.
+func (r *Registry) newVersion(h *Hosted, tag string, o *core.Optimized, p Predictor, inputs []string, admit *admission.Controller) *version {
+	v := &version{
+		model:   h.name,
+		tag:     tag,
+		opt:     o,
+		inputs:  append([]string(nil), inputs...),
+		opts:    r.opts,
+		stats:   h.stats,
+		admit:   admit,
+		guard:   newGuardStats(),
+		ring:    make([]*waiter, r.opts.QueueDepth),
+		drained: make(chan struct{}),
+		full:    make(chan struct{}, 1),
+		baseCtx: r.baseCtx,
+	}
+	v.pred = v.buildPredictor(o, p)
+	if o != nil && o.Cascade != nil {
+		v.predSmall = v.pipelinePredictor(o, core.PredictOptions{SmallOnly: true})
+	}
+	// Versions that finished draining have nothing left for Close to wait on.
+	r.versions = slices.DeleteFunc(r.versions, func(old *version) bool {
+		select {
+		case <-old.drained:
+			return true
+		default:
+			return false
+		}
+	})
+	r.versions = append(r.versions, v)
+	return v
+}
+
+// pipelinePredictor is the optimized pipeline's entry point under fixed
+// options, recording cascade serve stats. One row takes the compiled point
+// path, which answers bit-identically without the batch path's per-call
+// buffers.
+func (v *version) pipelinePredictor(o *core.Optimized, po core.PredictOptions) Predictor {
+	stats, guard := v.stats, v.guard
+	return PredictorFunc(func(ctx context.Context, inputs map[string]value.Value) (preds []float64, err error) {
+		var cs cascade.ServeStats
+		if singleRow(inputs) {
+			var p float64
+			p, cs, err = o.PredictPointOptions(ctx, inputs, po)
+			preds = []float64{p}
+		} else {
+			preds, cs, err = o.PredictBatchOptions(ctx, inputs, po)
+		}
+		if err != nil {
+			return nil, err
+		}
+		stats.recordCascade(cs)
+		guard.cascadeTotal.Add(int64(cs.Total))
+		guard.cascadeSmall.Add(int64(cs.SmallOnly))
+		return preds, nil
+	})
+}
+
+// singleRow reports whether the request carries exactly one row (its columns
+// are all one length by the time it executes).
+func singleRow(inputs map[string]value.Value) bool {
+	for _, col := range inputs {
+		return col.Len() == 1
+	}
+	return false
+}
+
 // buildPredictor assembles the version's default batch path: the optimized
-// pipeline's zero-option entry point (recording cascade serve stats) or the
-// supplied black box, wrapped in a per-version prediction cache when the
-// registry enables one.
+// pipeline's zero-option entry point or the supplied black box, wrapped in a
+// per-version prediction cache when the registry enables one.
 func (v *version) buildPredictor(o *core.Optimized, p Predictor) Predictor {
-	var pred Predictor
+	pred := p
 	if o != nil {
-		stats, guard := v.stats, v.guard
-		pred = PredictorFunc(func(ctx context.Context, inputs map[string]value.Value) ([]float64, error) {
-			preds, cs, err := o.PredictBatchOptions(ctx, inputs, core.PredictOptions{})
-			if err == nil {
-				stats.recordCascade(cs)
-				guard.cascadeTotal.Add(int64(cs.Total))
-				guard.cascadeSmall.Add(int64(cs.SmallOnly))
-			}
-			return preds, err
-		})
-	} else {
-		pred = p
+		pred = v.pipelinePredictor(o, core.PredictOptions{})
 	}
 	if v.opts.CacheCapacity != 0 {
 		capacity := v.opts.CacheCapacity
@@ -424,25 +495,6 @@ func (v *version) buildPredictor(o *core.Optimized, p Predictor) Predictor {
 		pred = cached
 	}
 	return pred
-}
-
-// buildSmallPredictor assembles the brownout degrade path: the cascade's
-// small model answering every row (threshold 0, the full model never
-// runs). Nil when the deployment has no cascade to degrade to.
-func (v *version) buildSmallPredictor(o *core.Optimized) Predictor {
-	if o == nil || o.Cascade == nil {
-		return nil
-	}
-	stats, guard := v.stats, v.guard
-	return PredictorFunc(func(ctx context.Context, inputs map[string]value.Value) ([]float64, error) {
-		preds, cs, err := o.PredictBatchOptions(ctx, inputs, core.PredictOptions{SmallOnly: true})
-		if err == nil {
-			stats.recordCascade(cs)
-			guard.cascadeTotal.Add(int64(cs.Total))
-			guard.cascadeSmall.Add(int64(cs.SmallOnly))
-		}
-		return preds, err
-	})
 }
 
 // Undeploy removes a model from the registry. Its active version drains in
@@ -649,26 +701,25 @@ func (r *Registry) hostedModels() []*Hosted {
 	return out
 }
 
-// Close drains every deployed version's batcher and closes the registry
-// against further deploys. ctx bounds the drain; when it expires, remaining
-// work is cancelled through the execution context and Close keeps waiting
-// for the (now rapidly exiting) batchers.
+// Close drains every version — no leader and nothing queued — and closes
+// the registry against further deploys. ctx bounds the drain; when it
+// expires, merged batches are cancelled through the execution context,
+// everything still queued is answered as shutting down, and Close keeps
+// waiting for the leaders to return. A leader executing its own request
+// alone runs under that request's context, so it returns once the request's
+// owner gives up — the Server kills every request context before it
+// force-closes the registry.
 func (r *Registry) Close(ctx context.Context) error {
 	r.mu.Lock()
 	r.closed = true
-	var active []*version
+	versions := r.versions
 	var ctls []*adapt.Controller
 	for _, h := range r.models {
 		if ctl := h.adaptCtl.Swap(nil); ctl != nil {
 			ctls = append(ctls, ctl)
 		}
 		h.canaryPermille.Store(0)
-		if c := h.canary.Swap(nil); c != nil {
-			active = append(active, c)
-		}
-		if v := h.active.Load(); v != nil {
-			active = append(active, v)
-		}
+		h.canary.Store(nil)
 	}
 	r.mu.Unlock()
 
@@ -677,21 +728,18 @@ func (r *Registry) Close(ctx context.Context) error {
 	for _, ctl := range ctls {
 		ctl.Close()
 	}
-	for _, v := range active {
+	for _, v := range versions {
 		v.beginDrain()
 	}
-	drained := make(chan struct{})
-	go func() {
-		r.batchers.Wait()
-		close(drained)
-	}()
 	var err error
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		err = ctx.Err()
-		r.cancel() // abort in-flight batches between graph blocks
-		<-drained
+	for _, v := range versions {
+		select {
+		case <-v.drained:
+		case <-ctx.Done():
+			err = ctx.Err()
+			r.cancel() // abort merged batches between graph blocks
+			<-v.drained
+		}
 	}
 	r.cancel()
 	return err
@@ -734,28 +782,7 @@ func (r *Registry) StartCanary(name, tag string, o *core.Optimized, fraction flo
 		Brownout: r.opts.Brownout,
 	})
 	admit.Reprime(h.admit.State())
-	v := &version{
-		model:   name,
-		tag:     tag,
-		opt:     o,
-		inputs:  append([]string(nil), o.Inputs()...),
-		opts:    r.opts,
-		stats:   h.stats,
-		admit:   admit,
-		guard:   newGuardStats(),
-		queue:   make(chan *pending, r.opts.QueueDepth),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		baseCtx: r.baseCtx,
-	}
-	v.pred = v.buildPredictor(o, nil)
-	v.predSmall = v.buildSmallPredictor(o)
-	r.batchers.Add(1)
-	go func() {
-		defer r.batchers.Done()
-		defer close(v.done)
-		v.batcher()
-	}()
+	v := r.newVersion(h, tag, o, nil, o.Inputs(), admit)
 	// The p99 guard compares both arms' windowed latencies: reset the
 	// incumbent's window at canary start (the analogue of the counter
 	// baselines the controller snapshots) so its p99 covers the judgement
@@ -774,8 +801,8 @@ func (r *Registry) StartCanary(name, tag string, o *core.Optimized, fraction flo
 // controller that actually measured the candidate's service times), the
 // candidate redeploys through the normal zero-downtime swap — keeping its
 // warmed feature caches, since the pipeline object carries them — and
-// both the displaced incumbent and the canary's serving scaffolding drain
-// in the background.
+// both the displaced incumbent and the canary's serving scaffolding finish
+// what they admitted.
 func (r *Registry) PromoteCanary(name string) error {
 	r.mu.RLock()
 	h, ok := r.models[name]
@@ -934,323 +961,4 @@ func (r *Registry) readaptAfterDeploy(name string, o *core.Optimized) {
 		old.Close()
 	}
 	ctl.Start()
-}
-
-// enqueue admits one request to the model's active version, retrying when
-// the enqueue races a hot swap (the drained version refuses, the fresh one
-// accepts). A full queue is an admission failure: ErrOverloaded.
-func (h *Hosted) enqueue(p *pending) error {
-	for attempt := 0; attempt < 8; attempt++ {
-		v := h.active.Load()
-		if v == nil {
-			return fmt.Errorf("serving: model %q: %w", h.name, ErrModelNotFound)
-		}
-		err := v.enqueue(p)
-		if !errors.Is(err, errVersionStopped) {
-			return err
-		}
-		// A swap is installing a new active version; re-resolve it.
-	}
-	return fmt.Errorf("serving: model %q: version churn, request not admitted", h.name)
-}
-
-func (v *version) enqueue(p *pending) error {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if v.stopped {
-		return errVersionStopped
-	}
-	select {
-	case v.queue <- p:
-		return nil
-	default:
-		return ErrOverloaded
-	}
-}
-
-// beginDrain stops admission to this version and tells its batcher to
-// serve whatever is already queued, then exit. The write lock guarantees
-// every successful enqueue happened before the queue's final drain pass.
-func (v *version) beginDrain() {
-	v.mu.Lock()
-	if v.stopped {
-		v.mu.Unlock()
-		return
-	}
-	v.stopped = true
-	v.mu.Unlock()
-	close(v.stop)
-}
-
-type pending struct {
-	ctx    context.Context // the originating request's context
-	inputs map[string]value.Value
-	n      int
-	enq    time.Time // when the request entered the queue (queue-wait spans)
-	done   chan batchResult
-	// small asks the batcher for the degraded small-model-only path (set
-	// by the brownout ladder at admission). A batch executes degraded only
-	// when every member asks for it: one full-fidelity request — e.g.
-	// criticality-high traffic riding below the ladder — upgrades the
-	// whole batch.
-	small bool
-}
-
-type batchResult struct {
-	preds []float64
-	err   error
-	// degraded names the brownout rung that produced the answer
-	// (admission.Degraded*); empty for full-fidelity results.
-	degraded string
-}
-
-// batcher implements adaptive batching per deployed version: drain every
-// request already queued (without waiting — a lone request must not pay a
-// batching delay), then wait up to BatchTimeout for more only while work
-// keeps arriving, execute the merged batch once, and scatter results back
-// to waiters (Clipper's core serving loop). Requests whose contexts are
-// already dead are answered with the context error instead of joining a
-// batch. When the version is swapped out or the registry closes, the
-// batcher drains everything still queued before exiting.
-func (v *version) batcher() {
-	for {
-		var first *pending
-		select {
-		case first = <-v.queue:
-		case <-v.stop:
-			// Drain: serve whatever is still queued, then exit.
-			for {
-				select {
-				case p := <-v.queue:
-					v.runBatch([]*pending{p})
-				default:
-					return
-				}
-			}
-		}
-		if err := first.ctx.Err(); err != nil {
-			v.admit.CountExpired(1)
-			first.done <- batchResult{err: err}
-			continue
-		}
-		batch := []*pending{first}
-		rows := first.n
-		// Non-blocking drain: take whatever is queued right now.
-	drain:
-		for rows < v.opts.MaxBatch {
-			select {
-			case p := <-v.queue:
-				batch, rows = v.appendLive(batch, rows, p)
-			default:
-				break drain
-			}
-		}
-		// If we found concurrent work, wait briefly for stragglers.
-		if len(batch) > 1 && rows < v.opts.MaxBatch {
-			deadline := time.NewTimer(v.opts.BatchTimeout)
-		fill:
-			for rows < v.opts.MaxBatch {
-				select {
-				case p := <-v.queue:
-					batch, rows = v.appendLive(batch, rows, p)
-				case <-deadline.C:
-					break fill
-				case <-v.stop:
-					break fill
-				}
-			}
-			deadline.Stop()
-		}
-		v.runBatch(batch)
-	}
-}
-
-// requestCtx derives the execution context for a lone request: cancelled
-// when either the request's own context or the registry's base context
-// dies.
-func (v *version) requestCtx(p *pending) (context.Context, context.CancelFunc) {
-	if p.ctx == nil {
-		return v.baseCtx, func() {}
-	}
-	ctx, cancel := context.WithCancel(p.ctx)
-	detach := context.AfterFunc(v.baseCtx, cancel)
-	return ctx, func() { detach(); cancel() }
-}
-
-// appendLive adds p to the batch unless its request context is already dead,
-// in which case the waiter is answered immediately (counted expired).
-func (v *version) appendLive(batch []*pending, rows int, p *pending) ([]*pending, int) {
-	if err := p.ctx.Err(); err != nil {
-		v.admit.CountExpired(1)
-		p.done <- batchResult{err: err}
-		return batch, rows
-	}
-	return append(batch, p), rows + p.n
-}
-
-// allSmall reports whether every member of the batch accepted brownout
-// degradation: one full-fidelity request upgrades the whole batch.
-func allSmall(batch []*pending) bool {
-	for _, p := range batch {
-		if !p.small {
-			return false
-		}
-	}
-	return true
-}
-
-// runBatch merges the batch's inputs, predicts once under the registry's
-// execution context, and distributes results to the waiters. Members whose
-// request context died between enqueue and assembly are culled first —
-// counted expired, never executed — so a dead request can't waste the
-// batch's compute. Completions feed the admission controller's service
-// forecast.
-func (v *version) runBatch(batch []*pending) {
-	live := batch[:0]
-	for _, p := range batch {
-		if err := p.ctx.Err(); err != nil {
-			v.admit.CountExpired(1)
-			p.done <- batchResult{err: err}
-			continue
-		}
-		live = append(live, p)
-	}
-	batch = live
-	if len(batch) == 0 {
-		return
-	}
-	// Degrade to small-model-only scoring when the whole batch asked for
-	// it and the deployment has a small model to degrade to.
-	pred, degraded := v.pred, ""
-	if v.predSmall != nil && allSmall(batch) {
-		pred, degraded = v.predSmall, admission.DegradedSmallOnly
-	}
-	if len(batch) == 1 {
-		// A lone request executes under its own context, so client
-		// cancellation aborts the prediction itself. A force-close (expired
-		// Shutdown deadline) also cancels it via the base context.
-		p0 := batch[0]
-		trace.FromContext(p0.ctx).Record(trace.StageQueueWait, p0.enq)
-		ctx, cancel := v.requestCtx(p0)
-		execStart := time.Now()
-		preds, err := pred.PredictBatch(ctx, p0.inputs)
-		cancel()
-		v.admit.Observe(time.Since(execStart), time.Since(p0.enq), p0.n)
-		v.guard.record(time.Since(p0.enq), err)
-		if err == nil && degraded != "" {
-			v.admit.CountDegraded(degraded)
-		}
-		p0.done <- batchResult{preds: preds, err: err, degraded: degraded}
-		return
-	}
-	// Record each member's queue wait; the first sampled member's trace
-	// carries through the merged execution below, so weld/cascade stage
-	// spans attach to it (the other members see only queue wait and total).
-	var btr *trace.Trace
-	for _, p := range batch {
-		if tr := trace.FromContext(p.ctx); tr != nil {
-			tr.Record(trace.StageQueueWait, p.enq)
-			if btr == nil {
-				btr = tr
-			}
-		}
-	}
-	var assembleStart time.Time
-	if btr != nil {
-		assembleStart = time.Now()
-	}
-	// Merge columns across the batch's requests, reusing the version's
-	// batcher-owned scratch maps (column names are stable across batches).
-	if v.mergeCols == nil {
-		v.mergeCols = make(map[string][]value.Value)
-		v.mergeInput = make(map[string]value.Value)
-	}
-	merged := v.mergeCols
-	for k, s := range merged {
-		clear(s) // drop the previous batch's column references, not just the length
-		merged[k] = s[:0]
-	}
-	for _, p := range batch {
-		for k, val := range p.inputs {
-			merged[k] = append(merged[k], val)
-		}
-	}
-	inputs := v.mergeInput
-	clear(inputs)
-	for k, vs := range merged {
-		if len(vs) == 0 {
-			continue // column absent from this batch's requests
-		}
-		cat, err := concatValues(vs)
-		if err != nil {
-			for _, p := range batch {
-				v.guard.record(time.Since(p.enq), err)
-				p.done <- batchResult{err: err}
-			}
-			return
-		}
-		inputs[k] = cat
-	}
-	if btr != nil {
-		btr.Record(trace.StageBatchAssemble, assembleStart)
-	}
-	// A merged batch serves several independent requests, so one client's
-	// cancellation must not abort the others: execute under the registry's
-	// context, which only a force-close cancels. The sampled member's trace
-	// is re-attached so execution spans still land on it.
-	ectx := v.baseCtx
-	if btr != nil {
-		ectx = trace.NewContext(ectx, btr)
-	}
-	rows := 0
-	for _, p := range batch {
-		rows += p.n
-	}
-	execStart := time.Now()
-	preds, err := pred.PredictBatch(ectx, inputs)
-	v.admit.Observe(time.Since(execStart), time.Since(batch[0].enq), rows)
-	if err != nil {
-		for _, p := range batch {
-			v.guard.record(time.Since(p.enq), err)
-			p.done <- batchResult{err: err}
-		}
-		return
-	}
-	off := 0
-	for _, p := range batch {
-		if degraded != "" {
-			v.admit.CountDegraded(degraded)
-		}
-		v.guard.record(time.Since(p.enq), nil)
-		p.done <- batchResult{preds: preds[off : off+p.n], degraded: degraded}
-		off += p.n
-	}
-}
-
-func concatValues(vs []value.Value) (value.Value, error) {
-	if len(vs) == 1 {
-		return vs[0], nil
-	}
-	switch vs[0].Kind {
-	case value.Strings:
-		var out []string
-		for _, v := range vs {
-			out = append(out, v.Strings...)
-		}
-		return value.NewStrings(out), nil
-	case value.Floats:
-		var out []float64
-		for _, v := range vs {
-			out = append(out, v.Floats...)
-		}
-		return value.NewFloats(out), nil
-	case value.Ints:
-		var out []int64
-		for _, v := range vs {
-			out = append(out, v.Ints...)
-		}
-		return value.NewInts(out), nil
-	default:
-		return value.Value{}, fmt.Errorf("serving: cannot merge %s columns", vs[0].Kind)
-	}
 }

@@ -24,8 +24,10 @@ type Options struct {
 	// MaxBatch bounds adaptive batching: queued requests merge into batches
 	// of at most this many rows (default 256).
 	MaxBatch int
-	// BatchTimeout is how long the batcher waits to fill a batch
-	// (default 500us).
+	// BatchTimeout caps how long a merged batch is held open for more work
+	// (default 500us). It is a cap, not the wait: a batch waits no longer
+	// than its own forecast service time, and not at all when that is below
+	// what a timer can deliver.
 	BatchTimeout time.Duration
 	// QueueDepth bounds each deployed model's request queue (default 1024).
 	// A full queue rejects new requests with HTTP 429 — bounded-queue
@@ -178,11 +180,12 @@ func (s *Server) StartOn(addr string) (string, error) {
 }
 
 // Shutdown gracefully stops the server: new requests are rejected
-// immediately, in-flight requests (including any batch a model's batcher is
-// executing) drain to completion, and every batcher exits once its queue is
-// empty. The context bounds how long the drain may take; when it expires,
-// remaining work is cancelled through the execution context and pending
-// waiters receive the cancellation error.
+// immediately and in-flight requests (including every batch being executed
+// and everything queued behind one) drain to completion. The context bounds
+// how long the drain may take; when it expires the server force-closes:
+// every connection is closed, which cancels every request's own context, and
+// the execution context of merged batches is cancelled, so predictions abort
+// between graph blocks and queued waiters receive the shutdown error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.closed.Swap(true) {
 		// Another Shutdown/Close is (or was) draining: wait for it to finish
@@ -192,17 +195,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	var err error
 	if s.http != nil {
-		// Graceful HTTP drain: waits for in-flight handlers, which in turn
-		// wait on the still-running batchers for their results.
+		// Graceful HTTP drain: waits for in-flight handlers, each of which is
+		// executing a batch or waiting on the handler that is.
 		err = s.http.Shutdown(ctx)
 		if err != nil {
-			// The drain deadline expired with handlers still waiting: cancel
-			// the execution context so their batches abort between graph
-			// blocks and straggling handlers stop waiting on the batchers.
+			// The drain deadline expired with handlers still at work:
+			// force-close. A leader executing alone runs under its own
+			// request's context, which only closing its connection cancels.
 			s.reg.cancel()
+			s.http.Close() //nolint:errcheck // listeners are already closed
 		}
 	}
-	// Drain every model's batcher, then wait for the HTTP serve loop.
+	// Drain every version, then wait for the HTTP serve loop.
 	if cerr := s.reg.Close(ctx); err == nil {
 		err = cerr
 	}
@@ -252,21 +256,44 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v) //nolint:errcheck
 }
 
-// decodeRequest parses a prediction/top-K request body.
-func decodeRequest(r *http.Request) (map[string]value.Value, int, core.PredictOptions, error) {
-	var req wireRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return nil, 0, core.PredictOptions{}, badRequestf("decoding request: %v", err)
+// jsonContentType is shared by every reply and request header that carries
+// it; net/http only reads header values.
+var jsonContentType = []string{"application/json"}
+
+// writeResponse is writeJSON for a predict route's reply, through the codec.
+func writeResponse(w http.ResponseWriter, resp *wireResponse) {
+	w.Header()["Content-Type"] = jsonContentType
+	wb := getWireBuf()
+	if b, ok := appendResponse(wb.b, resp); ok {
+		wb.b = b
+		w.Write(b) //nolint:errcheck
+	} else {
+		json.NewEncoder(w).Encode(resp) //nolint:errcheck
 	}
-	inputs, n, err := decodeInputs(req.Inputs)
-	if err != nil {
-		return nil, 0, core.PredictOptions{}, fmt.Errorf("%w: %s", errBadRequest, err)
+	wb.release()
+}
+
+// readRequest resolves the model and parses the request body. A malformed
+// body is reported before an unknown model, as it always was.
+func (s *Server) readRequest(r *http.Request, name string) (h *Hosted, inputs map[string]value.Value, n int, po core.PredictOptions, err error) {
+	h, lookupErr := s.reg.lookup(name)
+	var schema []string
+	if h != nil {
+		if v := h.active.Load(); v != nil {
+			schema = v.inputs
+		}
 	}
-	po, err := req.Options.toPredictOptions()
-	if err != nil {
-		return nil, 0, core.PredictOptions{}, fmt.Errorf("%w: %s", errBadRequest, err)
+	wb := getWireBuf()
+	if err = wb.readAll(r.Body); err != nil {
+		err = badRequestf("decoding request: %v", err)
+	} else {
+		inputs, n, po, err = decodeRequest(wb.b, schema)
 	}
-	return inputs, n, po, nil
+	wb.release()
+	if err == nil {
+		err = lookupErr
+	}
+	return h, inputs, n, po, err
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name string) {
@@ -275,12 +302,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name stri
 		return
 	}
 	s.requests.Add(1)
-	inputs, n, po, err := decodeRequest(r)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	h, err := s.reg.lookup(name)
+	h, inputs, n, po, err := s.readRequest(r, name)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -290,7 +312,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name stri
 	h.adaptCtl.Load().ObserveRequest(inputs, n)
 	// The handler owns the request's trace lifecycle: the sampling decision
 	// is made here and the trace rides the request context through queue,
-	// batcher, and pipeline (whose own entry points see it and don't begin a
+	// batch, and pipeline (whose own entry points see it and don't begin a
 	// second one). The context is marked owned even when the request is
 	// unsampled, so the pipeline's entry points never Begin/Finish a second
 	// time on the same tracer (which would double-count every server-routed
@@ -347,8 +369,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name stri
 	if delivered {
 		tw.Finish(tr, h.name, start, err)
 	} else {
-		// The batcher still holds the pending whose context carries the
-		// trace; it must not be recycled under the batcher's feet.
+		// The version's queue still holds the pending whose context carries
+		// the trace; it must not be recycled under the next leader's feet.
 		tw.FinishAbandoned(tr, h.name, start, err)
 	}
 	if errors.Is(err, ErrOverloaded) {
@@ -364,7 +386,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name stri
 		writeError(w, code, err)
 		return
 	}
-	writeJSON(w, wireResponse{Predictions: preds, Degraded: degraded})
+	writeResponse(w, &wireResponse{Predictions: preds, Degraded: degraded})
 }
 
 // setRetryAfter attaches the admission controller's drain forecast to a
@@ -387,16 +409,16 @@ func setRetryAfter(w http.ResponseWriter, h *Hosted) {
 // from queue-full rejections; it still matches ErrOverloaded.
 var errPredictedMiss = fmt.Errorf("%w: predicted completion exceeds deadline", ErrOverloaded)
 
-// executeBatched admits a batchable request (zero options apart from
-// criticality) to the model's adaptive batcher, where it may merge with
-// concurrent requests. Admission is SLO-aware: the brownout ladder may
-// answer from the prediction cache or downgrade the request to
-// small-model-only scoring (returned as the degraded marker), and the
-// controller sheds requests whose forecast completion would miss their
-// budget — before they waste queue space. The returned delivered flag
-// reports whether the batcher completed the request: when false, the
-// caller abandoned a pending the batcher may still reach, so anything the
-// request's context carries (its trace) remains referenced by the batcher.
+// executeBatched runs a batchable request (zero options apart from
+// criticality) through the routed version's batching, where it executes at
+// once or merges with concurrent requests (version.submit). Admission is
+// SLO-aware: the brownout ladder may answer from the prediction cache or
+// downgrade the request to small-model-only scoring (returned as the
+// degraded marker), and the controller sheds requests whose forecast
+// completion would miss their budget — before they waste queue space. The
+// returned delivered flag reports whether the request was completed: when
+// false, the caller abandoned a pending a later leader may still reach, so
+// anything the request's context carries (its trace) remains referenced.
 func (s *Server) executeBatched(rctx context.Context, h *Hosted, inputs map[string]value.Value, n int, crit admission.Criticality) (preds []float64, degraded string, delivered bool, err error) {
 	// Canary routing happens before admission: each arm runs its own
 	// admission controller (the canary's is primed from the incumbent's
@@ -430,7 +452,7 @@ func (s *Server) executeBatched(rctx context.Context, h *Hosted, inputs map[stri
 	}
 	queued := 0
 	if v != nil {
-		queued = len(v.queue)
+		queued = int(v.queued.Load())
 	}
 	if d := admit.Admit(queued, budget, crit); d.Shed {
 		if v != nil {
@@ -439,35 +461,11 @@ func (s *Server) executeBatched(rctx context.Context, h *Hosted, inputs map[stri
 		return nil, "", true, errPredictedMiss
 	}
 	defer admit.Release()
-	p := &pending{
-		ctx: rctx, inputs: inputs, n: n, enq: time.Now(), done: make(chan batchResult, 1),
+	res, delivered := h.submit(v, pending{
+		ctx: rctx, inputs: inputs, n: n, enq: time.Now(),
 		small: level >= admission.LevelDegrade,
-	}
-	if err := h.enqueueTo(v, p); err != nil {
-		return nil, "", true, err
-	}
-	// p.done is buffered, so the batcher never blocks on an abandoned waiter.
-	select {
-	case res := <-p.done:
-		return res.preds, res.degraded, true, res.err
-	case <-rctx.Done():
-		// The client went away or its deadline expired; the batcher will
-		// notice the dead context when it reaches this request.
-		return nil, "", false, rctx.Err()
-	case <-s.reg.baseCtx.Done():
-		// Force-close: a Shutdown deadline expired and the batcher may have
-		// exited without reaching this request. Don't wait for a result that
-		// may never come.
-		return nil, "", false, errShuttingDown
-	}
-}
-
-// joinContext derives an execution context cancelled when either the
-// request's context or the registry's base context dies.
-func (s *Server) joinContext(rctx context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(rctx)
-	detach := context.AfterFunc(s.reg.baseCtx, cancel)
-	return ctx, func() { detach(); cancel() }
+	})
+	return res.preds, res.degraded, delivered, res.err
 }
 
 // executeDirect serves a request carrying per-request options. Such
@@ -476,12 +474,12 @@ func (s *Server) joinContext(rctx context.Context) (context.Context, context.Can
 // Direct execution is still admission-controlled: concurrent direct
 // requests are bounded like the batch queue, rejecting with ErrOverloaded
 // beyond the configured depth.
-func (s *Server) executeDirect(rctx context.Context, h *Hosted, inputs map[string]value.Value, n int, po core.PredictOptions) ([]float64, error) {
+func (s *Server) executeDirect(ctx context.Context, h *Hosted, inputs map[string]value.Value, n int, po core.PredictOptions) ([]float64, error) {
 	// SLO-aware gate first (shed work predicted to miss its budget, bound
 	// concurrency adaptively), then the fixed direct-slot backstop.
 	budget := po.Deadline
 	if budget <= 0 {
-		if dl, ok := rctx.Deadline(); ok {
+		if dl, ok := ctx.Deadline(); ok {
 			budget = time.Until(dl)
 		}
 	}
@@ -498,8 +496,8 @@ func (s *Server) executeDirect(rctx context.Context, h *Hosted, inputs map[strin
 	if v == nil {
 		return nil, fmt.Errorf("serving: model %q: %w", h.name, ErrModelNotFound)
 	}
-	ctx, cancel := s.joinContext(rctx)
-	defer cancel()
+	// Direct work runs under the request's own context: a force-close reaches
+	// it by closing the request's connection.
 	if v.opt == nil {
 		// Black-box predictor: the registry cannot reach inside it to
 		// override optimizer knobs, but deadline and point modality are
@@ -521,7 +519,7 @@ func (s *Server) executeDirect(rctx context.Context, h *Hosted, inputs map[strin
 		if n != 1 {
 			return nil, badRequestf("point query carries %d rows, want 1", n)
 		}
-		f, err := v.opt.PredictPointOptions(ctx, inputs, po)
+		f, _, err := v.opt.PredictPointOptions(ctx, inputs, po)
 		if err != nil {
 			return nil, err
 		}
@@ -540,12 +538,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.requests.Add(1)
-	inputs, _, po, err := decodeRequest(r)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	h, err := s.reg.lookup(r.PathValue("name"))
+	h, inputs, _, po, err := s.readRequest(r, r.PathValue("name"))
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -570,8 +563,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		po.Budget = po.K
 		degraded = admission.DegradedBudget
 	}
-	// executeTopK never enqueues to the batcher, so the handler keeps the
-	// only trace reference and plain Finish is safe.
+	// executeTopK never queues behind a batch, so the handler keeps the only
+	// trace reference and plain Finish is safe.
 	idx, err := s.executeTopK(rctx, h, inputs, po)
 	tw.Finish(tr, h.name, start, err)
 	if errors.Is(err, ErrOverloaded) {
@@ -590,16 +583,16 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if degraded != "" {
 		h.admit.CountDegraded(degraded)
 	}
-	writeJSON(w, wireResponse{Indices: idx, Degraded: degraded})
+	writeResponse(w, &wireResponse{Indices: idx, Degraded: degraded})
 }
 
 // executeTopK serves a top-K ranking over the request's batch. Top-K is a
 // whole-batch query — the ranking is relative to the rows the client sent —
 // so it never merges with other requests.
-func (s *Server) executeTopK(rctx context.Context, h *Hosted, inputs map[string]value.Value, po core.PredictOptions) ([]int, error) {
+func (s *Server) executeTopK(ctx context.Context, h *Hosted, inputs map[string]value.Value, po core.PredictOptions) ([]int, error) {
 	budget := po.Deadline
 	if budget <= 0 {
-		if dl, ok := rctx.Deadline(); ok {
+		if dl, ok := ctx.Deadline(); ok {
 			budget = time.Until(dl)
 		}
 	}
@@ -622,8 +615,6 @@ func (s *Server) executeTopK(rctx context.Context, h *Hosted, inputs map[string]
 	if po.K <= 0 {
 		return nil, badRequestf("top-K query requires options.k > 0")
 	}
-	ctx, cancel := s.joinContext(rctx)
-	defer cancel()
 	return v.opt.TopKOptions(ctx, inputs, po)
 }
 

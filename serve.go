@@ -17,10 +17,10 @@ type Predictor = serving.Predictor
 type PredictorFunc = serving.PredictorFunc
 
 // Registry hosts many named, versioned models behind one serving frontend.
-// Deploy atomically swaps a model's active version while the old version's
-// batcher drains its in-flight work (zero-downtime hot swap); every
-// deployed model gets its own bounded request queue, adaptive batcher, and
-// serving telemetry.
+// Deploy atomically swaps a model's active version while the old version
+// finishes the work it admitted (zero-downtime hot swap); every deployed
+// model gets its own bounded request queue, adaptive batching, and serving
+// telemetry.
 type Registry = serving.Registry
 
 // ModelInfo describes one deployed model (GET /v1/models).

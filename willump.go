@@ -55,7 +55,7 @@
 //
 // The serving frontend is organized around a model Registry: many named,
 // versioned pipelines hosted behind one server, each with its own bounded
-// request queue, adaptive batcher, and telemetry:
+// request queue, adaptive batching, and telemetry:
 //
 //	reg := willump.NewRegistry()
 //	reg.Deploy("toxic", "v1", optimized)
@@ -67,8 +67,8 @@
 // listed on /v1/models, and observed on /v1/models/{name}/stats (QPS,
 // latency quantiles, cascade hit rate); the legacy /predict route serves the
 // registry's default model unchanged. Deploying a new version of a live
-// model hot-swaps it atomically: the old version's batcher drains its
-// in-flight work while new requests land on the new version, so a rollout
+// model hot-swaps it atomically: the old version finishes the work it
+// admitted while new requests land on the new version, so a rollout
 // loses no requests. Overload is handled by bounded-queue admission control:
 // a full queue rejects with HTTP 429, which Client surfaces as the
 // retryable ErrOverloaded.
