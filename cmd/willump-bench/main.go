@@ -10,8 +10,12 @@
 //	willump-bench -exp fig7 -quick       # CI-sized run
 //
 // Experiments: fig5, fig6, table2 (alias table3), table4, table5, table6,
-// table7, table8, fig7, fig8, artifact, micro-drivers, micro-threshold,
-// micro-gamma, micro-opttime, all.
+// table7, table8, fig7, fig8, artifact, remote-lookup, micro-drivers,
+// micro-threshold, micro-gamma, micro-opttime, all.
+//
+// These are the paper's tables, printed for reading. The repository's
+// performance gate is benchmark/ (see BENCHMARK.json); the in-process
+// predict-path numbers are `go test -bench 'Predict|TextPipelines' .`.
 package main
 
 import (
@@ -21,24 +25,15 @@ import (
 	"os"
 	"time"
 
-	"willump/internal/benchfmt"
 	"willump/internal/experiments"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (fig5, fig6, table2..table8, fig7, fig8, perf, micro-*, all)")
-		n        = flag.Int("n", 0, "rows per benchmark (0 = experiment default)")
-		seed     = flag.Int64("seed", 1, "dataset seed")
-		quick    = flag.Bool("quick", false, "CI-sized datasets and repetition counts")
-		jsonOut  = flag.Bool("json", false, "run the perf workloads and write BENCH_<rev>.json (ns/op, allocs/op, p50/p99 per workload)")
-		rev      = flag.String("rev", "dev", "revision label used in the BENCH_<rev>.json filename")
-		outDir   = flag.String("out", ".", "directory for BENCH_<rev>.json")
-		baseline = flag.String("baseline", "", "committed BENCH_<rev>.json to compare against after -json (warn-only: regressions are logged, never fatal)")
-		jsonExit = func(err error) {
-			fmt.Fprintln(os.Stderr, "willump-bench:", err)
-			os.Exit(1)
-		}
+		exp   = flag.String("exp", "all", "experiment id (fig5, fig6, table2..table8, fig7, fig8, artifact, remote-lookup, micro-*, all)")
+		n     = flag.Int("n", 0, "rows per benchmark (0 = experiment default)")
+		seed  = flag.Int64("seed", 1, "dataset seed")
+		quick = flag.Bool("quick", false, "CI-sized datasets and repetition counts")
 	)
 	flag.Parse()
 
@@ -51,43 +46,10 @@ func main() {
 	}
 	s.Seed = *seed
 
-	if *jsonOut {
-		rows, err := writeBenchJSON(os.Stdout, s, *rev, *outDir)
-		if err != nil {
-			jsonExit(err)
-		}
-		if *baseline != "" {
-			// Warn-only on purpose: CI runners are noisy, so regressions are
-			// surfaced in the job log rather than failing the build.
-			benchfmt.Compare(os.Stdout, rows, *baseline)
-		}
-		return
-	}
-
 	if err := run(os.Stdout, *exp, s); err != nil {
-		jsonExit(err)
+		fmt.Fprintln(os.Stderr, "willump-bench:", err)
+		os.Exit(1)
 	}
-}
-
-// writeBenchJSON runs the perf workloads and records them as
-// BENCH_<rev>.json in dir (via the shared benchfmt schema), tracking ns/op,
-// allocs/op and latency quantiles across PRs.
-func writeBenchJSON(w io.Writer, s experiments.Setup, rev, dir string) ([]experiments.PerfRow, error) {
-	rows, err := experiments.Perf(w, s)
-	if err != nil {
-		return nil, err
-	}
-	remote, err := experiments.RemoteLookup(w, s)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, remote...)
-	path, err := benchfmt.Write(dir, rev, rows)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", path)
-	return rows, nil
 }
 
 type runner struct {
@@ -116,8 +78,7 @@ var runners = []runner{
 	{"fig7", "cascade threshold sweep", wrap(experiments.Fig7)},
 	{"fig8", "per-query parallelization speedup", wrap(experiments.Fig8)},
 	{"artifact", "artifact round trip: train once, deploy many", wrap(experiments.Artifact)},
-	{"perf", "pooled-executor predict paths: ns/op, allocs/op, latency quantiles", wrap(experiments.Perf)},
-	{"remote-lookup", "remote feature-store latency sweep: sync vs prefetch vs prefetch+hedge", wrap(experiments.RemoteLookup)},
+	{"remote-lookup", "remote feature-store latency sweep: sync vs prefetch vs prefetch+hedge", experiments.RemoteLookup},
 	{"micro-drivers", "Weld driver overhead", wrap(experiments.MicroDrivers)},
 	{"micro-threshold", "cascade threshold robustness", wrap(experiments.MicroThreshold)},
 	{"micro-gamma", "Algorithm 1 gamma-rule ablation", wrap(experiments.MicroGamma)},

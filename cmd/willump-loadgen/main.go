@@ -10,11 +10,11 @@
 //	willump-loadgen -self -scenario poisson,drain  # named scenarios
 //	willump-loadgen -self -record trace.out -scenario poisson
 //	willump-loadgen -self -replay trace.out
-//	willump-loadgen -self -json -rev pr8 -baseline BENCH_pr7.json
-//	willump-loadgen -self -append BENCH_pr8.json   # merge rows into an existing file
 //
-// Scenario budgets are enforced: any violated budget exits nonzero.
-// Baseline comparison is warn-only, like willump-bench.
+// Scenario budgets are enforced: any violated budget exits nonzero. The
+// latencies are read from metrics.Hist, the histogram the serving tier's own
+// stats use, so a scenario's p99 and the server's LatencyP99 are the same
+// estimator (nearest rank, bucket midpoints within 1/32).
 package main
 
 import (
@@ -26,7 +26,6 @@ import (
 	"strings"
 	"syscall"
 
-	"willump/internal/benchfmt"
 	"willump/internal/loadgen"
 )
 
@@ -38,11 +37,6 @@ func main() {
 		scale    = flag.Float64("scale", 0, "explicit QPS/duration scale factor (overrides -quick)")
 		record   = flag.String("record", "", "write each scenario's generated schedule to <path>.<scenario> trace files")
 		replay   = flag.String("replay", "", "replay a recorded trace file as scenario 'replay' instead of the catalog")
-		jsonOut  = flag.Bool("json", false, "write scenario rows to BENCH_<rev>.json")
-		rev      = flag.String("rev", "dev", "revision label for BENCH_<rev>.json")
-		outDir   = flag.String("out", ".", "directory for BENCH_<rev>.json")
-		appendTo = flag.String("append", "", "merge scenario rows into an existing BENCH json file instead of writing a new one")
-		baseline = flag.String("baseline", "", "committed BENCH json to compare against (warn-only)")
 	)
 	flag.Parse()
 	fatal := func(err error) {
@@ -83,23 +77,6 @@ func main() {
 	}
 	if err != nil {
 		fatal(err)
-	}
-
-	rows := loadgen.Rows(reports)
-	if *appendTo != "" {
-		if err := benchfmt.Append(*appendTo, *rev, rows); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nmerged %d scenario rows into %s\n", len(rows), *appendTo)
-	} else if *jsonOut {
-		path, err := benchfmt.Write(*outDir, *rev, rows)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote %s\n", path)
-	}
-	if *baseline != "" {
-		benchfmt.Compare(os.Stdout, rows, *baseline)
 	}
 
 	if failed := loadgen.Failed(reports); len(failed) > 0 {

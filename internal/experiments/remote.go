@@ -4,22 +4,20 @@ package experiments
 // sweep over the remote feature-store predict path, comparing the store
 // client behind the benchmark pipelines' synchronous view against the same
 // client with async prefetch, and prefetch plus hedging under injected tail
-// latency. The rows
-// ride along in BENCH_<rev>.json next to the perf workloads; they track
-// latency only (allocs are reported as zero — the path is network-bound and
-// spawns goroutines by design, so allocation counts would be noise).
+// latency. The rows track latency only: the path is network-bound and
+// spawns goroutines by design, so allocation counts would be noise.
 
 import (
 	"context"
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"willump/internal/graph"
 	"willump/internal/kvstore"
+	"willump/internal/metrics"
 	"willump/internal/ops"
 	"willump/internal/pipeline"
 	"willump/internal/store"
@@ -59,9 +57,15 @@ func (s *sleepOp) ApplyBoxed(ins []any) (any, error) {
 	return s.inner.ApplyBoxed(ins)
 }
 
-// RemoteLookup runs the remote feature-store sweep and returns one PerfRow
-// per (latency, mode) cell.
-func RemoteLookup(w io.Writer, s Setup) ([]PerfRow, error) {
+// remoteRow is one (store latency, mode) cell of the sweep: per-batch
+// latency over the cell's timed batches.
+type remoteRow struct {
+	mean, p50, p99 time.Duration
+}
+
+// RemoteLookup runs the remote feature-store sweep and prints one row per
+// (latency, mode) cell.
+func RemoteLookup(w io.Writer, s Setup) error {
 	header(w, "Remote lookup: store latency sweep, sync vs prefetch vs prefetch+hedge")
 	iters := 40 * s.Reps
 	if iters < 80 {
@@ -71,26 +75,23 @@ func RemoteLookup(w io.Writer, s Setup) ([]PerfRow, error) {
 		iters, remoteBatch, remoteTailEvery)
 	fmt.Fprintf(w, "%-10s %-16s %10s %10s %10s\n", "store lat", "mode", "p50 ms", "p99 ms", "mean ms")
 
-	var rows []PerfRow
 	for _, lat := range remoteSweep {
 		for _, mode := range []string{"sync", "prefetch", "prefetch+hedge"} {
 			row, err := remoteCell(s, lat, mode, iters)
 			if err != nil {
-				return nil, fmt.Errorf("remote-lookup %s @ %v: %w", mode, lat, err)
+				return fmt.Errorf("remote-lookup %s @ %v: %w", mode, lat, err)
 			}
-			rows = append(rows, row)
 			fmt.Fprintf(w, "%-10s %-16s %10.3f %10.3f %10.3f\n",
-				lat.String(), mode,
-				float64(row.P50Ns)/1e6, float64(row.P99Ns)/1e6, row.NsPerOp/1e6)
+				lat.String(), mode, ms(row.p50), ms(row.p99), ms(row.mean))
 		}
 	}
-	return rows, nil
+	return nil
 }
 
 // remoteCell measures one (latency, mode) configuration: a fused pipeline
 // joining a remote lookup with local compute of comparable cost, driven for
 // iters batches against an in-process store with injected tail latency.
-func remoteCell(s Setup, lat time.Duration, mode string, iters int) (PerfRow, error) {
+func remoteCell(s Setup, lat time.Duration, mode string, iters int) (remoteRow, error) {
 	const nKeys = 4096
 	srv := kvstore.NewServer(2, 0)
 	storeRows := make(map[int64][]float64, nKeys)
@@ -98,11 +99,11 @@ func remoteCell(s Setup, lat time.Duration, mode string, iters int) (PerfRow, er
 		storeRows[k] = []float64{float64(k), float64(2 * k)}
 	}
 	if err := srv.Load(storeRows); err != nil {
-		return PerfRow{}, err
+		return remoteRow{}, err
 	}
 	addr, err := srv.Start()
 	if err != nil {
-		return PerfRow{}, err
+		return remoteRow{}, err
 	}
 	defer srv.Close()
 
@@ -112,7 +113,7 @@ func remoteCell(s Setup, lat time.Duration, mode string, iters int) (PerfRow, er
 		var be pipeline.RemoteBackend
 		defer be.Close()
 		if table, err = be.Dial(addr, 2); err != nil {
-			return PerfRow{}, err
+			return remoteRow{}, err
 		}
 	case "prefetch", "prefetch+hedge":
 		cli, err := store.Dial(context.Background(), store.Config{
@@ -120,12 +121,12 @@ func remoteCell(s Setup, lat time.Duration, mode string, iters int) (PerfRow, er
 			Hedge: mode == "prefetch+hedge",
 		})
 		if err != nil {
-			return PerfRow{}, err
+			return remoteRow{}, err
 		}
 		defer cli.Close()
 		table = cli
 	default:
-		return PerfRow{}, fmt.Errorf("unknown mode %q", mode)
+		return remoteRow{}, fmt.Errorf("unknown mode %q", mode)
 	}
 
 	// Local compute sized to the store round trip, so overlap is visible;
@@ -147,11 +148,11 @@ func remoteCell(s Setup, lat time.Duration, mode string, iters int) (PerfRow, er
 	b.SetOutput(cat)
 	g, err := b.Build()
 	if err != nil {
-		return PerfRow{}, err
+		return remoteRow{}, err
 	}
 	prog, err := weld.Compile(g)
 	if err != nil {
-		return PerfRow{}, err
+		return remoteRow{}, err
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	batch := func() map[string]value.Value {
@@ -164,7 +165,7 @@ func remoteCell(s Setup, lat time.Duration, mode string, iters int) (PerfRow, er
 		return map[string]value.Value{"rid": value.NewInts(rids), "lid": value.NewInts(lids)}
 	}
 	if _, err := prog.Fit(context.Background(), batch()); err != nil {
-		return PerfRow{}, err
+		return remoteRow{}, err
 	}
 
 	// Tail injection starts after Fit so the fitted profile reflects the
@@ -193,29 +194,18 @@ func remoteCell(s Setup, lat time.Duration, mode string, iters int) (PerfRow, er
 	}
 	for i := 0; i < 3; i++ { // warm pools and connections
 		if err := run(); err != nil {
-			return PerfRow{}, err
+			return remoteRow{}, err
 		}
 	}
-	lats := make([]int64, iters)
-	start := time.Now()
-	for i := range lats {
+	var lats metrics.Hist
+	for i := 0; i < iters; i++ {
 		t0 := time.Now()
 		if err := run(); err != nil {
-			return PerfRow{}, err
+			return remoteRow{}, err
 		}
-		lats[i] = time.Since(t0).Nanoseconds()
+		lats.Observe(time.Since(t0))
 	}
-	total := time.Since(start)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	q := func(p float64) int64 {
-		i := int(p * float64(len(lats)-1))
-		return lats[i]
-	}
-	name := fmt.Sprintf("remote-%s-%dms", mode, lat/time.Millisecond)
-	return PerfRow{
-		Workload: name,
-		NsPerOp:  float64(total.Nanoseconds()) / float64(iters),
-		P50Ns:    q(0.50),
-		P99Ns:    q(0.99),
-	}, nil
+	return remoteRow{mean: lats.Mean(), p50: lats.Quantile(0.50), p99: lats.Quantile(0.99)}, nil
 }
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

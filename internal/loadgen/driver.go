@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-
-	"willump/internal/benchfmt"
 )
 
 // SuiteConfig parameterizes a scenario-suite run against a local env.
@@ -78,15 +76,6 @@ func RunSuite(ctx context.Context, cfg SuiteConfig) ([]Report, error) {
 		reports = append(reports, rep)
 	}
 	return reports, nil
-}
-
-// Rows converts reports to BENCH trajectory rows.
-func Rows(reports []Report) []benchfmt.Row {
-	rows := make([]benchfmt.Row, len(reports))
-	for i, r := range reports {
-		rows[i] = r.Row()
-	}
-	return rows
 }
 
 // Failed returns the reports that violated their budgets.

@@ -23,6 +23,6 @@
 //     injection, connection drops, zero-downtime hot swap, server drain),
 //     and each scenario declares an error Budget the report is checked
 //     against.
-//   - Reports carry p50/p99/p999 (HDR-style histogram), shed/degraded/error
-//     counts, and convert into the shared BENCH_<rev>.json trajectory rows.
+//   - Reports carry p50/p99/p999 (metrics.Hist, the histogram the serving
+//     tier's own stats read) and shed/degraded/error counts.
 package loadgen

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"willump/internal/benchfmt"
 )
 
 // Budget is the SLO a scenario must meet. Rate fields are fractions of
@@ -83,6 +81,8 @@ type Report struct {
 // the budget. horizon is the scheduled run length (offered QPS denominator);
 // the achieved rate uses the actual elapsed wall time.
 func BuildReport(scenario string, res *Result, horizon time.Duration, budget Budget) Report {
+	var qs [3]time.Duration
+	res.Latency.Quantiles(qs[:], 0.50, 0.99, 0.999)
 	r := Report{
 		Scenario:   scenario,
 		Requests:   res.Started,
@@ -91,11 +91,11 @@ func BuildReport(scenario string, res *Result, horizon time.Duration, budget Bud
 		Overloaded: res.Overloaded,
 		Errors:     res.Errors,
 		Elapsed:    res.Elapsed,
-		MeanNs:     int64(res.Latency.Mean()),
-		P50Ns:      res.Latency.Quantile(0.50),
-		P99Ns:      res.Latency.Quantile(0.99),
-		P999Ns:     res.Latency.Quantile(0.999),
-		MaxNs:      res.Latency.Max(),
+		MeanNs:     res.Latency.Mean().Nanoseconds(),
+		P50Ns:      qs[0].Nanoseconds(),
+		P99Ns:      qs[1].Nanoseconds(),
+		P999Ns:     qs[2].Nanoseconds(),
+		MaxNs:      res.Latency.Max().Nanoseconds(),
 		HookErrs:   res.HookErrs,
 	}
 	if horizon > 0 {
@@ -150,25 +150,6 @@ func (r Report) check(b Budget) []string {
 
 // Passed reports whether the run met its budget.
 func (r Report) Passed() bool { return len(r.Violations) == 0 }
-
-// Row converts the report into a BENCH trajectory row. The workload name is
-// prefixed "loadgen/" so scenario rows sort apart from the perf workloads
-// sharing the file.
-func (r Report) Row() benchfmt.Row {
-	return benchfmt.Row{
-		Workload:    "loadgen/" + r.Scenario,
-		NsPerOp:     float64(r.MeanNs),
-		P50Ns:       r.P50Ns,
-		P99Ns:       r.P99Ns,
-		P999Ns:      r.P999Ns,
-		Requests:    r.Requests,
-		Errors:      r.Errors,
-		Overloaded:  r.Overloaded,
-		Degraded:    r.Degraded,
-		OfferedQPS:  r.OfferedQPS,
-		AchievedQPS: r.AchievedQPS,
-	}
-}
 
 // Print writes a human-readable scenario summary.
 func (r Report) Print(w io.Writer) {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"willump/internal/metrics"
 	"willump/internal/serving"
 )
 
@@ -55,8 +56,8 @@ type Result struct {
 	// (coordinated-omission corrected). Success and failure are kept in
 	// separate histograms: shed requests return in microseconds and would
 	// otherwise mask a collapsing success tail.
-	Latency    *Histogram // successful requests only
-	FailureLat *Histogram // overloaded + errored requests
+	Latency    metrics.Hist // successful requests only
+	FailureLat metrics.Hist // overloaded + errored requests
 }
 
 type timedEvent struct {
@@ -81,10 +82,7 @@ func Run(ctx context.Context, target Target, cfg RunConfig) *Result {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	res := &Result{
-		Latency:    NewHistogram(),
-		FailureLat: NewHistogram(),
-	}
+	res := &Result{}
 
 	queue := make(chan timedEvent, len(cfg.Events))
 	start := time.Now()
@@ -141,18 +139,18 @@ func Run(ctx context.Context, target Target, cfg RunConfig) *Result {
 				rctx, cancel := context.WithTimeout(ctx, timeout)
 				err := target.Do(rctx, te.ev)
 				cancel()
-				lat := time.Since(te.sched).Nanoseconds()
+				lat := time.Since(te.sched)
 				atomic.AddInt64(&res.Completed, 1)
 				switch {
 				case err == nil:
 					atomic.AddInt64(&res.Success, 1)
-					res.Latency.Record(lat)
+					res.Latency.Observe(lat)
 				case errors.Is(err, serving.ErrOverloaded):
 					atomic.AddInt64(&res.Overloaded, 1)
-					res.FailureLat.Record(lat)
+					res.FailureLat.Observe(lat)
 				default:
 					atomic.AddInt64(&res.Errors, 1)
-					res.FailureLat.Record(lat)
+					res.FailureLat.Observe(lat)
 				}
 			}
 		}()

@@ -43,9 +43,9 @@ func TestRunOpenLoopPin(t *testing.T) {
 	// A closed-loop driver would measure ~svc per request. Open-loop with a
 	// 5x oversubscribed server, the tail must carry queueing delay many
 	// times the service time.
-	if p99 := res.Latency.Quantile(0.99); p99 < int64(5*svc) {
+	if p99 := res.Latency.Quantile(0.99); p99 < 5*svc {
 		t.Errorf("p99 %s carries no queueing delay; want >> %s (closed-loop symptom)",
-			time.Duration(p99), svc)
+			p99, svc)
 	}
 	// The backlog (~80 events at 200/s) must drain after the 100ms horizon.
 	if res.Elapsed < 300*time.Millisecond {
@@ -168,9 +168,9 @@ func TestRunContextCancel(t *testing.T) {
 func TestBudgetCheck(t *testing.T) {
 	res := &Result{
 		Started: 100, Completed: 100, Success: 90, Overloaded: 8, Errors: 2,
-		Elapsed: time.Second, Latency: NewHistogram(), FailureLat: NewHistogram(),
+		Elapsed: time.Second,
 	}
-	res.Latency.Record(int64(10 * time.Millisecond))
+	res.Latency.Observe(10 * time.Millisecond)
 
 	strict := BuildReport("s", res, time.Second, Budget{MaxErrorRate: 0, MaxOverloadRate: 0})
 	if len(strict.Violations) != 2 {

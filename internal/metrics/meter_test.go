@@ -6,113 +6,6 @@ import (
 	"time"
 )
 
-func TestWindowQuantiles(t *testing.T) {
-	w := NewWindow(100)
-	if got := w.Quantile(50); got != 0 {
-		t.Errorf("empty window quantile = %v, want 0", got)
-	}
-	for i := 1; i <= 100; i++ {
-		w.Observe(float64(i))
-	}
-	if got := w.Quantile(50); got != 50 {
-		t.Errorf("p50 = %v, want 50", got)
-	}
-	if got := w.Quantile(99); got != 99 {
-		t.Errorf("p99 = %v, want 99", got)
-	}
-	if got := w.Total(); got != 100 {
-		t.Errorf("Total = %d, want 100", got)
-	}
-}
-
-func TestWindowEvictsOldest(t *testing.T) {
-	w := NewWindow(4)
-	for i := 1; i <= 10; i++ {
-		w.Observe(float64(i))
-	}
-	snap := w.Snapshot()
-	want := []float64{7, 8, 9, 10}
-	if len(snap) != len(want) {
-		t.Fatalf("snapshot = %v, want %v", snap, want)
-	}
-	for i := range want {
-		if snap[i] != want[i] {
-			t.Fatalf("snapshot = %v, want %v", snap, want)
-		}
-	}
-	if got := w.Total(); got != 10 {
-		t.Errorf("Total = %d, want 10", got)
-	}
-}
-
-func TestWindowConcurrent(t *testing.T) {
-	w := NewWindow(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				w.Observe(1)
-				w.Quantile(50)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := w.Total(); got != 800 {
-		t.Errorf("Total = %d, want 800", got)
-	}
-}
-
-// TestWindowConcurrentQuantiles hammers Observe against the multi-quantile
-// and snapshot readers (the /metrics and stats scrape paths) from many
-// goroutines; correctness here is primarily the race detector's to judge,
-// plus basic invariants on every read.
-func TestWindowConcurrentQuantiles(t *testing.T) {
-	w := NewWindow(128)
-	var writers, readers sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		writers.Add(1)
-		go func(g int) {
-			defer writers.Done()
-			for i := 0; i < 500; i++ {
-				w.Observe(float64(g*500 + i + 1))
-			}
-		}(g)
-	}
-	for g := 0; g < 4; g++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				qs := w.Quantiles(50, 90, 99, 99.9)
-				for i := 1; i < len(qs); i++ {
-					if qs[i] < qs[i-1] {
-						t.Errorf("quantiles not monotone: %v", qs)
-						return
-					}
-				}
-				if snap := w.Snapshot(); len(snap) > 128 {
-					t.Errorf("snapshot has %d observations, cap 128", len(snap))
-					return
-				}
-			}
-		}()
-	}
-	writers.Wait() // readers keep scraping while every write lands
-	close(stop)
-	readers.Wait()
-	if got := w.Total(); got != 2000 {
-		t.Errorf("Total = %d, want 2000", got)
-	}
-}
-
 func TestMeterRate(t *testing.T) {
 	base := time.Unix(1000, 0)
 	m := NewMeter(10 * time.Second)

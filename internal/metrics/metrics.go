@@ -1,13 +1,13 @@
 // Package metrics provides the measurement utilities the evaluation harness
 // relies on: throughput/latency timing with warmup, binomial confidence
 // intervals for the "no statistically significant accuracy loss" claims
-// (section 6.3), and simple summary statistics.
+// (section 6.3), and the one latency histogram (Hist, and Sliding over the
+// latest observations) that every quantile in the repository is read from.
 package metrics
 
 import (
 	"math"
 	"runtime"
-	"sort"
 	"time"
 )
 
@@ -94,37 +94,4 @@ func BinomialCI(accuracy float64, n int) float64 {
 // accuracy over n samples is statistically significant at 95%.
 func SignificantLoss(baseline, observed float64, n int) bool {
 	return baseline-observed > BinomialCI(baseline, n)
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) by
-// nearest-rank on a sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
 }

@@ -59,22 +59,3 @@ func TestSignificantLoss(t *testing.T) {
 		t.Error("10% loss should be significant at n=1000")
 	}
 }
-
-func TestMeanAndPercentile(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if Mean(xs) != 2 {
-		t.Errorf("Mean = %v", Mean(xs))
-	}
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) should be 0")
-	}
-	if Percentile(xs, 50) != 2 {
-		t.Errorf("p50 = %v", Percentile(xs, 50))
-	}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 3 {
-		t.Error("percentile extremes wrong")
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("Percentile(nil) should be 0")
-	}
-}

@@ -215,3 +215,40 @@ func BenchmarkHTTPPointRoundTrip(b *testing.B) {
 		}
 	})
 }
+
+// TestStatsQuantileReadsAllocFree pins the two latency reads of the serving
+// tier — the canary guard's p99 and the stats snapshot's four quantiles —
+// as bucket walks over a metrics.Sliding: correct to the histogram's 1/32
+// and allocation-free (no window copy, no sort).
+func TestStatsQuantileReadsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	v := &version{guard: newGuardStats(), stats: newModelStats()}
+	start := time.Now()
+	for i := 1; i <= 400; i++ {
+		d := time.Duration(i) * 10 * time.Microsecond
+		v.guard.record(d, nil)
+		v.stats.latencies.Observe(d)
+	}
+	near := func(got, want time.Duration) bool { return (got - want).Abs() <= want/32 }
+	if g := v.guardSnapshot(); g.Requests != 400 || !near(g.P99, 3960*time.Microsecond) {
+		t.Errorf("guard snapshot: %d requests, p99 %v; want 400 and ~3.96ms", g.Requests, g.P99)
+	}
+	ms := v.stats.snapshot("m", "v1")
+	if !near(ms.LatencyP50, 2*time.Millisecond) || !near(ms.LatencyP90, 3600*time.Microsecond) ||
+		!near(ms.LatencyP99, 3960*time.Microsecond) || ms.LatencyP999 != 4*time.Millisecond {
+		t.Errorf("stats quantiles p50 %v p90 %v p99 %v p999 %v; want ~2ms, ~3.6ms, ~3.96ms and the exact max 4ms",
+			ms.LatencyP50, ms.LatencyP90, ms.LatencyP99, ms.LatencyP999)
+	}
+	if a := testing.AllocsPerRun(100, func() { v.guardSnapshot() }); a != 0 {
+		t.Errorf("guardSnapshot allocates %.1f/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { v.stats.snapshot("m", "v1") }); a != 0 {
+		t.Errorf("modelStats.snapshot allocates %.1f/op, want 0", a)
+	}
+	v.stats.record(start, nil) // the record path itself: one Observe, no allocation
+	if a := testing.AllocsPerRun(100, func() { v.stats.record(start, nil); v.guard.record(time.Millisecond, nil) }); a != 0 {
+		t.Errorf("recording a request allocates %.1f/op, want 0", a)
+	}
+}

@@ -263,20 +263,20 @@ type guardStats struct {
 	errors   atomic.Int64
 	sheds    atomic.Int64
 
-	latencies *metrics.Window // milliseconds, end-to-end from enqueue
+	latencies *metrics.Sliding // end-to-end from enqueue
 
 	cascadeTotal atomic.Int64
 	cascadeSmall atomic.Int64
 }
 
 func newGuardStats() *guardStats {
-	return &guardStats{latencies: metrics.NewWindow(512)}
+	return &guardStats{latencies: metrics.NewSliding(512)}
 }
 
 // record accounts one completed request on this arm.
 func (g *guardStats) record(d time.Duration, err error) {
 	g.requests.Add(1)
-	g.latencies.Observe(float64(d) / float64(time.Millisecond))
+	g.latencies.Observe(d)
 	if err != nil {
 		g.errors.Add(1)
 	}
@@ -293,7 +293,7 @@ func (v *version) guardSnapshot() adapt.Guard {
 		CascadeTotal: v.guard.cascadeTotal.Load(),
 		CascadeSmall: v.guard.cascadeSmall.Load(),
 	}
-	g.P99 = time.Duration(v.guard.latencies.Quantiles(99)[0] * float64(time.Millisecond))
+	g.P99 = v.guard.latencies.Quantile(0.99)
 	if v.opt != nil {
 		if cs, ok := v.opt.FeatureCacheStats(); ok {
 			g.CacheHits, g.CacheMisses = cs.Hits, cs.Misses

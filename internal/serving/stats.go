@@ -18,7 +18,7 @@ type modelStats struct {
 	errors   atomic.Int64
 	rejected atomic.Int64
 
-	latencies *metrics.Window // milliseconds
+	latencies *metrics.Sliding
 	meter     *metrics.Meter
 
 	cascadeTotal atomic.Int64
@@ -27,7 +27,7 @@ type modelStats struct {
 
 func newModelStats() *modelStats {
 	return &modelStats{
-		latencies: metrics.NewWindow(2048),
+		latencies: metrics.NewSliding(2048),
 		meter:     metrics.NewMeter(time.Minute),
 	}
 }
@@ -38,7 +38,7 @@ func (s *modelStats) record(start time.Time, err error) {
 	now := time.Now()
 	s.requests.Add(1)
 	s.meter.Mark(now)
-	s.latencies.Observe(float64(now.Sub(start)) / float64(time.Millisecond))
+	s.latencies.Observe(now.Sub(start))
 	if err != nil {
 		s.errors.Add(1)
 	}
@@ -247,7 +247,8 @@ type ModelStats struct {
 	Rejected int64
 	// QPS is the request rate over the trailing minute.
 	QPS float64
-	// LatencyP50/P90/P99/P999 are streaming quantiles over recent requests.
+	// LatencyP50/P90/P99/P999 are quantiles over the most recent requests,
+	// read from a metrics.Sliding (bucket midpoints, within 1/32).
 	LatencyP50  time.Duration
 	LatencyP90  time.Duration
 	LatencyP99  time.Duration
@@ -305,11 +306,9 @@ func (s *modelStats) snapshot(model, version string) ModelStats {
 		CascadeTotal:     s.cascadeTotal.Load(),
 		CascadeSmallOnly: s.cascadeSmall.Load(),
 	}
-	qs := s.latencies.Quantiles(50, 90, 99, 99.9)
-	ms.LatencyP50 = time.Duration(qs[0] * float64(time.Millisecond))
-	ms.LatencyP90 = time.Duration(qs[1] * float64(time.Millisecond))
-	ms.LatencyP99 = time.Duration(qs[2] * float64(time.Millisecond))
-	ms.LatencyP999 = time.Duration(qs[3] * float64(time.Millisecond))
+	var qs [4]time.Duration
+	s.latencies.Quantiles(qs[:], 0.5, 0.9, 0.99, 0.999)
+	ms.LatencyP50, ms.LatencyP90, ms.LatencyP99, ms.LatencyP999 = qs[0], qs[1], qs[2], qs[3]
 	if ms.CascadeTotal > 0 {
 		ms.CascadeHitRate = float64(ms.CascadeSmallOnly) / float64(ms.CascadeTotal)
 	}

@@ -131,7 +131,7 @@ func (c *Client) hedgeDelay() time.Duration {
 	if c.lat.Total() < minAdaptiveObservations {
 		return defaultHedgeDelay
 	}
-	d := time.Duration(c.lat.Quantile(90) * float64(time.Millisecond))
+	d := c.lat.Quantile(0.9)
 	if lo := 200 * time.Microsecond; d < lo {
 		d = lo
 	}

@@ -132,7 +132,7 @@ type Client struct {
 	mu    sync.Mutex
 	conns []*conn
 
-	lat *metrics.Window // successful attempt latency, milliseconds
+	lat *metrics.Sliding // successful attempt latency
 
 	requests     atomic.Int64
 	retries      atomic.Int64
@@ -157,7 +157,7 @@ func Dial(ctx context.Context, cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg: cfg,
-		lat: metrics.NewWindow(latencyWindow),
+		lat: metrics.NewSliding(latencyWindow),
 	}
 	c.brk.init(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	c.fb.init(cfg.FallbackCapacity)
@@ -199,7 +199,8 @@ func (c *Client) CheckSchema(dim int) error {
 
 // StoreStats implements ops.StoreStatsReporter.
 func (c *Client) StoreStats() ops.StoreStats {
-	qs := c.lat.Quantiles(50, 99)
+	var qs [2]time.Duration
+	c.lat.Quantiles(qs[:], 0.5, 0.99)
 	return ops.StoreStats{
 		Requests:     c.requests.Load(),
 		Retries:      c.retries.Load(),
@@ -209,8 +210,8 @@ func (c *Client) StoreStats() ops.StoreStats {
 		BreakerOpens: c.brk.opens.Load(),
 		Inflight:     c.inflight.Load(),
 		BreakerState: c.brk.stateString(),
-		P50Millis:    qs[0],
-		P99Millis:    qs[1],
+		P50Millis:    float64(qs[0]) / float64(time.Millisecond),
+		P99Millis:    float64(qs[1]) / float64(time.Millisecond),
 	}
 }
 
@@ -283,7 +284,7 @@ func (c *Client) lookup(ctx context.Context, keys []int64) (rows [][]float64, he
 		return nil, hedgeStart, err
 	}
 	c.brk.success()
-	c.lat.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+	c.lat.Observe(time.Since(start))
 	c.fb.store(keys, rows)
 	return rows, hedgeStart, nil
 }

@@ -1,57 +1,34 @@
 package trace
 
 import (
-	"sync/atomic"
 	"time"
+
+	"willump/internal/metrics"
 )
 
-// histBounds are the fixed latency bucket upper bounds in seconds,
-// Prometheus-style (each bucket counts observations <= bound; an implicit
-// +Inf bucket catches the rest). The range spans 10µs..2.5s: compiled point
-// queries land in the first buckets, remote-feature batch queries in the
-// last.
-var histBounds = []float64{
-	10e-6, 25e-6, 50e-6,
-	100e-6, 250e-6, 500e-6,
-	1e-3, 2.5e-3, 5e-3,
-	10e-3, 25e-3, 50e-3,
-	100e-3, 250e-3, 500e-3,
-	1, 2.5,
+// histBounds are the fixed latency bucket upper bounds of the /metrics
+// exposition, Prometheus-style (each bucket counts observations <= bound;
+// an implicit +Inf bucket catches the rest). The range spans 10µs..2.5s:
+// compiled point queries land in the first buckets, remote-feature batch
+// queries in the last. The tracer records into metrics.Hist; these bounds
+// only choose where its fine buckets are folded for exposition.
+var histBounds = []time.Duration{
+	10 * time.Microsecond, 25 * time.Microsecond, 50 * time.Microsecond,
+	100 * time.Microsecond, 250 * time.Microsecond, 500 * time.Microsecond,
+	time.Millisecond, 2500 * time.Microsecond, 5 * time.Millisecond,
+	10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
+	100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond,
+	time.Second, 2500 * time.Millisecond,
 }
 
-// histBoundsNs mirrors histBounds in integer nanoseconds so Observe
-// compares durations without float conversion.
-var histBoundsNs = func() []int64 {
-	ns := make([]int64, len(histBounds))
+// histBoundsSeconds mirrors histBounds in seconds, the exposition's unit.
+var histBoundsSeconds = func() []float64 {
+	s := make([]float64, len(histBounds))
 	for i, b := range histBounds {
-		ns[i] = int64(b * 1e9)
+		s[i] = b.Seconds()
 	}
-	return ns
+	return s
 }()
-
-// Hist is a fixed-bucket latency histogram with atomic counters: Observe is
-// lock-free and allocation-free, so it sits on the unsampled request path.
-type Hist struct {
-	counts []atomic.Int64 // len(histBounds)+1; last is +Inf
-	sumNs  atomic.Int64
-	n      atomic.Int64
-}
-
-func newHist() *Hist {
-	return &Hist{counts: make([]atomic.Int64, len(histBounds)+1)}
-}
-
-// Observe records one duration.
-func (h *Hist) Observe(d time.Duration) {
-	ns := int64(d)
-	i := 0
-	for i < len(histBoundsNs) && ns > histBoundsNs[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sumNs.Add(ns)
-	h.n.Add(1)
-}
 
 // HistSnapshot is a point-in-time copy of a histogram in Prometheus terms:
 // Bounds in seconds, Counts per bucket (non-cumulative, with the final
@@ -63,20 +40,13 @@ type HistSnapshot struct {
 	Count      int64
 }
 
-// Snapshot copies the histogram. Concurrent Observes may tear between
+// snapshot folds h under histBounds. Concurrent Observes may tear between
 // buckets and sum; the skew is bounded by in-flight observations.
-func (h *Hist) Snapshot() HistSnapshot {
-	if h == nil {
-		return HistSnapshot{}
+func snapshot(h *metrics.Hist) HistSnapshot {
+	return HistSnapshot{
+		Bounds:     histBoundsSeconds,
+		Counts:     h.CountsLE(histBounds),
+		SumSeconds: h.Sum().Seconds(),
+		Count:      h.Count(),
 	}
-	s := HistSnapshot{
-		Bounds:     histBounds,
-		Counts:     make([]int64, len(h.counts)),
-		SumSeconds: float64(h.sumNs.Load()) / 1e9,
-		Count:      h.n.Load(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
 }

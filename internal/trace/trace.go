@@ -15,8 +15,8 @@
 // Retained traces land in a fixed ring buffer (served by GET /v1/traces)
 // and slow/error requests in a second per-tracer ring (the recent-slow list
 // on per-model stats). Every finished request — sampled or not — feeds
-// fixed-bucket atomic latency histograms, so /metrics histograms cover all
-// traffic, not just the sampled slice.
+// an atomic latency histogram (metrics.Hist), so /metrics histograms cover
+// all traffic, not just the sampled slice.
 package trace
 
 import (
@@ -24,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"willump/internal/metrics"
 )
 
 // Well-known stage names recorded by the serving path. Weld step and IFV
@@ -130,9 +132,9 @@ type Tracer struct {
 
 	pool sync.Pool // *Trace
 
-	total  *Hist
+	total  metrics.Hist
 	histMu sync.RWMutex
-	hists  map[string]*Hist
+	hists  map[string]*metrics.Hist
 
 	ringMu   sync.Mutex
 	ring     []Snapshot
@@ -162,8 +164,7 @@ func NewTracer(cfg Config) *Tracer {
 	tr := &Tracer{
 		every:    uint64(cfg.SampleEvery),
 		slow:     cfg.SlowThreshold,
-		total:    newHist(),
-		hists:    make(map[string]*Hist),
+		hists:    make(map[string]*metrics.Hist),
 		ring:     make([]Snapshot, cfg.Buffer),
 		slowRing: make([]Snapshot, cfg.SlowBuffer),
 	}
@@ -345,7 +346,7 @@ func (tr *Tracer) TotalHist() HistSnapshot {
 	if tr == nil {
 		return HistSnapshot{}
 	}
-	return tr.total.Snapshot()
+	return snapshot(&tr.total)
 }
 
 // StageHists snapshots the per-stage latency histograms, keyed by stage.
@@ -358,12 +359,12 @@ func (tr *Tracer) StageHists() map[string]HistSnapshot {
 	defer tr.histMu.RUnlock()
 	out := make(map[string]HistSnapshot, len(tr.hists))
 	for stage, h := range tr.hists {
-		out[stage] = h.Snapshot()
+		out[stage] = snapshot(h)
 	}
 	return out
 }
 
-func (tr *Tracer) stageHist(stage string) *Hist {
+func (tr *Tracer) stageHist(stage string) *metrics.Hist {
 	tr.histMu.RLock()
 	h, ok := tr.hists[stage]
 	tr.histMu.RUnlock()
@@ -375,7 +376,7 @@ func (tr *Tracer) stageHist(stage string) *Hist {
 	if h, ok = tr.hists[stage]; ok {
 		return h
 	}
-	h = newHist()
+	h = new(metrics.Hist)
 	tr.hists[stage] = h
 	return h
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"willump/internal/metrics"
 )
 
 // TestFinishAbandonedLeavesTraceToLateRecorder pins the abandoned-request
@@ -263,12 +265,14 @@ func TestConcurrentRecordAndFinish(t *testing.T) {
 	}
 }
 
+// TestHistBuckets pins how the tracer's fine-grained histogram is folded
+// under the 17 exposition bounds.
 func TestHistBuckets(t *testing.T) {
-	h := newHist()
+	var h metrics.Hist
 	h.Observe(5 * time.Microsecond)  // bucket 0 (<=10µs)
 	h.Observe(30 * time.Microsecond) // bucket 2 (<=50µs)
 	h.Observe(10 * time.Second)      // +Inf bucket
-	s := h.Snapshot()
+	s := snapshot(&h)
 	if s.Count != 3 {
 		t.Fatalf("count = %d, want 3", s.Count)
 	}
@@ -278,8 +282,15 @@ func TestHistBuckets(t *testing.T) {
 	if s.SumSeconds < 10 || s.SumSeconds > 10.1 {
 		t.Fatalf("sum = %v s, want ~10", s.SumSeconds)
 	}
-	if len(s.Bounds)+1 != len(s.Counts) {
+	if len(s.Bounds) != 17 || len(s.Bounds)+1 != len(s.Counts) {
 		t.Fatalf("bounds/counts mismatch: %d vs %d", len(s.Bounds), len(s.Counts))
+	}
+	// A latency exactly on a bound counts under that bound's le.
+	for i, b := range histBounds {
+		h.Observe(b)
+		if got := snapshot(&h).Counts[i]; got != s.Counts[i]+1 {
+			t.Fatalf("observing %v moved bucket %d from %d to %d, want +1", b, i, s.Counts[i], got)
+		}
 	}
 }
 

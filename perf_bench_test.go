@@ -2,6 +2,7 @@ package willump_test
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"willump/internal/core"
@@ -12,10 +13,10 @@ import (
 
 // perfFixture builds one fitted classification pipeline shared by the
 // predict-path benchmarks: two lookup feature generators feeding a GBDT,
-// the canonical cascade topology.
-func perfFixture(b *testing.B, opts core.Options) (*core.Optimized, *fixture.Classification) {
+// the canonical cascade topology. spin sets the heavy generator's cost.
+func perfFixture(b *testing.B, spin int, opts core.Options) (*core.Optimized, *fixture.Classification) {
 	b.Helper()
-	fx, err := fixture.NewClassification(7, 2000, 500, 500, 0.7, 40)
+	fx, err := fixture.NewClassification(7, 2000, 500, 500, 0.7, spin)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func pointInputs(fx *fixture.Classification) map[string]value.Value {
 }
 
 func BenchmarkPredictPointCompiled(b *testing.B) {
-	o, fx := perfFixture(b, core.Options{})
+	o, fx := perfFixture(b, 40, core.Options{})
 	in := pointInputs(fx)
 	ctx := context.Background()
 	if _, err := o.PredictPoint(ctx, in); err != nil {
@@ -54,7 +55,7 @@ func BenchmarkPredictPointCompiled(b *testing.B) {
 }
 
 func BenchmarkPredictPointCascade(b *testing.B) {
-	o, fx := perfFixture(b, core.Options{Cascades: true})
+	o, fx := perfFixture(b, 40, core.Options{Cascades: true})
 	in := pointInputs(fx)
 	ctx := context.Background()
 	if _, err := o.PredictPoint(ctx, in); err != nil {
@@ -70,7 +71,7 @@ func BenchmarkPredictPointCascade(b *testing.B) {
 }
 
 func BenchmarkPredictBatchCompiled(b *testing.B) {
-	o, fx := perfFixture(b, core.Options{})
+	o, fx := perfFixture(b, 40, core.Options{})
 	ctx := context.Background()
 	if _, err := o.PredictBatch(ctx, fx.Test.Inputs); err != nil {
 		b.Fatal(err)
@@ -85,7 +86,7 @@ func BenchmarkPredictBatchCompiled(b *testing.B) {
 }
 
 func BenchmarkPredictBatchCascade(b *testing.B) {
-	o, fx := perfFixture(b, core.Options{Cascades: true})
+	o, fx := perfFixture(b, 40, core.Options{Cascades: true})
 	ctx := context.Background()
 	if _, err := o.PredictBatch(ctx, fx.Test.Inputs); err != nil {
 		b.Fatal(err)
@@ -96,6 +97,61 @@ func BenchmarkPredictBatchCascade(b *testing.B) {
 		if _, err := o.PredictBatch(ctx, fx.Test.Inputs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPredictFeatureCache is section 4.5's feature cache against its
+// apples-to-apples baseline: the same pipeline with a genuinely expensive
+// generator (spin 2000 — a cache over cheap generators only measures its own
+// overhead), uncached ("heavy") and with a 1024-entry cache budget
+// ("cached"), under one Zipf(1.1) key stream over the fixture's 4096-key
+// tables: 8192 point queries, then eight 512-row batches in rotation, so
+// every iteration mixes hits and misses the way a serving window would.
+// README "Performance" cites these rows.
+func BenchmarkPredictFeatureCache(b *testing.B) {
+	ctx := context.Background()
+	const points, batchRows = 8192, 512
+	zipf := rand.NewZipf(rand.New(rand.NewSource(107)), 1.1, 1, 4095)
+	cheap, heavy := make([]int64, points+8*batchRows), make([]int64, points+8*batchRows)
+	for i := range cheap {
+		cheap[i], heavy[i] = int64(zipf.Uint64()), int64(zipf.Uint64())
+	}
+	for _, mode := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"heavy", core.Options{}},
+		{"cached", core.Options{FeatureCache: true, FeatureCacheBudget: 1024}},
+	} {
+		b.Run("point-"+mode.name, func(b *testing.B) {
+			o, _ := perfFixture(b, 2000, mode.opts)
+			c, h := []int64{0}, []int64{0}
+			in := map[string]value.Value{"cheap_id": value.NewInts(c), "heavy_id": value.NewInts(h)}
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				c[0], h[0] = cheap[i%points], heavy[i%points]
+				if _, err := o.PredictPoint(ctx, in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("batch-"+mode.name, func(b *testing.B) {
+			o, _ := perfFixture(b, 2000, mode.opts)
+			batches := make([]map[string]value.Value, (len(cheap)-points)/batchRows)
+			for k := range batches {
+				lo := points + k*batchRows
+				batches[k] = map[string]value.Value{
+					"cheap_id": value.NewInts(cheap[lo : lo+batchRows]),
+					"heavy_id": value.NewInts(heavy[lo : lo+batchRows]),
+				}
+			}
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				if _, err := o.PredictBatch(ctx, batches[i%len(batches)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
