@@ -862,33 +862,49 @@ func buildDataset(rows []sample, schema []string) (core.Dataset, error) {
 	return core.Dataset{Inputs: inputs}, nil
 }
 
-// Snapshot is the controller's exported state for stats and metrics.
+// Snapshot is the controller's observable state: drift-detector readings,
+// canary lifecycle, and cumulative adaptation counters. It is also the
+// `adaptation` block of the serving stats response — the json tags are
+// that wire format, so a new field is declared here once (and exported on
+// /metrics by one row of serving's family table).
 type Snapshot struct {
-	State          string
-	CanaryTag      string
-	CanaryFraction float64
+	// State is the controller's phase: "idle", "canarying", "cooldown".
+	State string `json:"state"`
+	// CanaryTag / CanaryFraction describe the in-flight canary ("" / 0
+	// outside canary rollouts).
+	CanaryTag      string  `json:"canary_tag,omitempty"`
+	CanaryFraction float64 `json:"canary_fraction,omitempty"`
 
-	Sampled       int64
-	ShadowDropped int64
-	ReservoirRows int
+	// Sampled counts requests shadow-sampled into the detectors;
+	// ShadowDropped those lost to a full shadow queue (never blocking the
+	// hot path); ReservoirRows the rows currently available for a re-fit.
+	Sampled       int64 `json:"sampled,omitempty"`
+	ShadowDropped int64 `json:"shadow_dropped,omitempty"`
+	ReservoirRows int   `json:"reservoir_rows,omitempty"`
 
-	KeyReuseObserved float64
-	KeyReuseExpected float64
-	ScorePH          float64
-	ScoreKS          float64
-	KeyDrift         bool
-	ScoreDrift       bool
+	// KeyReuseObserved / KeyReuseExpected are the live key-reuse
+	// measurement and the cache plan's estimate it is checked against;
+	// ScorePH and ScoreKS the score-drift detector statistics. KeyDrift /
+	// ScoreDrift latch confirmed-but-unresolved drift.
+	KeyReuseObserved float64 `json:"key_reuse_observed,omitempty"`
+	KeyReuseExpected float64 `json:"key_reuse_expected,omitempty"`
+	ScorePH          float64 `json:"score_ph,omitempty"`
+	ScoreKS          float64 `json:"score_ks,omitempty"`
+	KeyDrift         bool    `json:"key_drift,omitempty"`
+	ScoreDrift       bool    `json:"score_drift,omitempty"`
 
-	KeyDriftEvents   int64
-	ScoreDriftEvents int64
-	Refits           int64
-	Canaries         int64
-	Promotions       int64
-	Rollbacks        int64
-	CanaryErrors     int64
+	// Lifecycle counters: drift confirmations by signal, plan re-fits,
+	// canaries launched, promoted, rolled back, and canary hook errors.
+	KeyDriftEvents   int64 `json:"key_drift_events,omitempty"`
+	ScoreDriftEvents int64 `json:"score_drift_events,omitempty"`
+	Refits           int64 `json:"refits,omitempty"`
+	Canaries         int64 `json:"canaries,omitempty"`
+	Promotions       int64 `json:"promotions,omitempty"`
+	Rollbacks        int64 `json:"rollbacks,omitempty"`
+	CanaryErrors     int64 `json:"canary_errors,omitempty"`
 
 	// LastRollback is the most recent rollback's reason ("" before any).
-	LastRollback string
+	LastRollback string `json:"last_rollback,omitempty"`
 }
 
 // Snapshot copies the controller's observable state.

@@ -32,6 +32,8 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+
+	"willump/internal/metrics"
 )
 
 // Criticality classes order request importance for the brownout ladder.
@@ -410,42 +412,56 @@ const (
 	DegradedCache     = "cache"
 )
 
-// Snapshot is a point-in-time copy of the controller for stats and
-// metrics export.
+// Snapshot is a point-in-time copy of the controller: the service-time
+// forecast, adaptive concurrency limit, brownout ladder position, and
+// shed/degraded/expired counters. It is also the `admission` block of the
+// serving stats response — the json tags are that wire format, so a new
+// field is declared here once (and exported on /metrics by one row of
+// serving's family table).
 type Snapshot struct {
 	// Enabled mirrors Config.SLO > 0; disabled controllers still count
-	// expired pendings.
-	Enabled bool
-	// SLO is the configured target.
-	SLO time.Duration
-	// Limit is the current adaptive concurrency limit; Inflight the work
-	// admitted under it right now.
-	Limit    int64
-	Inflight int64
-	// Level is the measured brownout rung (before criticality shifts).
-	Level Level
+	// expired pendings. Not on the wire: a client sees SLO instead.
+	Enabled bool `json:"-"`
+	// SLO is the configured p99 completion target (0 when disabled).
+	SLO metrics.Millis `json:"slo_ms,omitempty"`
+	// Limit is the current adaptive (AIMD) concurrency limit; Inflight the
+	// work admitted under it right now.
+	Limit    int64 `json:"limit,omitempty"`
+	Inflight int64 `json:"inflight,omitempty"`
+	// Level is the measured brownout rung before per-request criticality
+	// shifts: 0 normal, 1 degrade, 2 cache-only.
+	Level Level `json:"level,omitempty"`
 	// ShedPredicted counts requests shed because their forecast finish
 	// missed the budget; ShedLimit those shed at the concurrency limit;
 	// ShedBrownout those turned away at the cache-only rung.
-	ShedPredicted int64
-	ShedLimit     int64
-	ShedBrownout  int64
+	ShedPredicted int64 `json:"shed_predicted,omitempty"`
+	ShedLimit     int64 `json:"shed_limit,omitempty"`
+	ShedBrownout  int64 `json:"shed_brownout,omitempty"`
 	// Expired counts admitted pendings culled before execution because
 	// their context was already done.
-	Expired int64
+	Expired int64 `json:"expired,omitempty"`
 	// DegradedSmallOnly / DegradedBudget / DegradedCache count degraded
 	// responses by ladder rung.
-	DegradedSmallOnly int64
-	DegradedBudget    int64
-	DegradedCache     int64
+	DegradedSmallOnly int64 `json:"degraded_small_only,omitempty"`
+	DegradedBudget    int64 `json:"degraded_budget,omitempty"`
+	DegradedCache     int64 `json:"degraded_cache,omitempty"`
 	// ForecastService is the per-item service-time forecast;
 	// ForecastError its mean absolute deviation (the error bound the
 	// shedder pads predictions with).
-	ForecastService time.Duration
-	ForecastError   time.Duration
+	ForecastService metrics.Millis `json:"forecast_service_ms,omitempty"`
+	ForecastError   metrics.Millis `json:"forecast_error_ms,omitempty"`
 	// PressureRatio is EWMA(latency/SLO): > 1 means the SLO is being
 	// missed.
-	PressureRatio float64
+	PressureRatio float64 `json:"pressure,omitempty"`
+}
+
+// Silent reports a disabled controller that never shed, degraded or
+// expired anything: there is nothing to say, and stats responses leave the
+// admission block out so legacy deployments keep their shape.
+func (s Snapshot) Silent() bool {
+	return !s.Enabled && s.Expired == 0 &&
+		s.ShedPredicted == 0 && s.ShedLimit == 0 && s.ShedBrownout == 0 &&
+		s.DegradedSmallOnly == 0 && s.DegradedBudget == 0 && s.DegradedCache == 0
 }
 
 // Snapshot copies the controller state.
@@ -455,7 +471,7 @@ func (c *Controller) Snapshot() Snapshot {
 	}
 	return Snapshot{
 		Enabled:           c.Enabled(),
-		SLO:               c.cfg.SLO,
+		SLO:               metrics.Millis(c.cfg.SLO),
 		Limit:             c.limit.Load(),
 		Inflight:          c.inflight.Load(),
 		Level:             Level(c.level.Load()),
@@ -466,8 +482,8 @@ func (c *Controller) Snapshot() Snapshot {
 		DegradedSmallOnly: c.degradedSmall.Load(),
 		DegradedBudget:    c.degradedBudget.Load(),
 		DegradedCache:     c.degradedCache.Load(),
-		ForecastService:   time.Duration(c.srttNs.Load()),
-		ForecastError:     time.Duration(c.rttvarNs.Load()),
+		ForecastService:   metrics.Millis(c.srttNs.Load()),
+		ForecastError:     metrics.Millis(c.rttvarNs.Load()),
 		PressureRatio:     float64(c.latRatioMilli.Load()) / 1000,
 	}
 }

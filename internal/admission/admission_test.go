@@ -50,11 +50,11 @@ func TestForecastConvergesToServiceTime(t *testing.T) {
 	c := New(Config{SLO: time.Second})
 	feed(c, 2*time.Millisecond, 64)
 	s := c.Snapshot()
-	if s.ForecastService < time.Millisecond || s.ForecastService > 3*time.Millisecond {
-		t.Fatalf("forecast %v, want ~2ms", s.ForecastService)
+	if svc := time.Duration(s.ForecastService); svc < time.Millisecond || svc > 3*time.Millisecond {
+		t.Fatalf("forecast %v, want ~2ms", svc)
 	}
 	// Steady input: deviation collapses toward zero.
-	if s.ForecastError > time.Millisecond {
+	if time.Duration(s.ForecastError) > time.Millisecond {
 		t.Fatalf("forecast error %v, want small under steady input", s.ForecastError)
 	}
 }
@@ -106,8 +106,8 @@ func TestCriticalityShiftsShedDecision(t *testing.T) {
 	}
 	s := c.Snapshot()
 	// Pick a queue depth where mean fits but mean+3dev does not.
-	perItem := s.ForecastService
-	q := int((100*time.Millisecond - perItem - 2*s.ForecastError) / perItem)
+	perItem := time.Duration(s.ForecastService)
+	q := int((100*time.Millisecond - perItem - 2*time.Duration(s.ForecastError)) / perItem)
 	dn := c.Admit(q, 0, CritNormal)
 	dh := c.Admit(q, 0, CritHigh)
 	if !dh.Shed {

@@ -7,15 +7,17 @@ import (
 	"sync"
 )
 
-// Stats are a cache's cumulative counters.
+// Stats are a cache's cumulative counters. The json tags are the counters'
+// names in the `feature_cache` block of the serving stats response.
 type Stats struct {
 	// Hits and Misses count lookups by outcome.
-	Hits, Misses int64
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// Evictions counts entries displaced by the CLOCK policy.
-	Evictions int64
+	Evictions int64 `json:"evictions"`
 	// Coalesced counts lookups that waited on another request's in-flight
 	// computation of the same key instead of computing it themselves.
-	Coalesced int64
+	Coalesced int64 `json:"coalesced"`
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any lookup.

@@ -335,7 +335,11 @@ func (e *Env) CacheHitRate() float64 {
 // Adaptation snapshots the primary model's adaptation controller; ok is
 // false when adaptation is not enabled.
 func (e *Env) Adaptation() (adapt.Snapshot, bool) {
-	return e.reg.AdaptationSnapshot(e.ModelName)
+	ms, err := e.reg.Stats(e.ModelName)
+	if err != nil || ms.Adaptation == nil {
+		return adapt.Snapshot{}, false
+	}
+	return *ms.Adaptation, true
 }
 
 func (e *Env) inputs(key int64) map[string]value.Value {

@@ -69,30 +69,34 @@ type SchemaChecker interface {
 }
 
 // StoreStats is a point-in-time snapshot of a production remote-store
-// client's health counters, surfaced per model on /stats and /metrics. It
-// lives in ops (rather than the store package) so core and serving can
-// aggregate it without importing the client implementation.
+// client's health counters, aggregated per model over its lookup tables'
+// clients. It lives in ops (rather than the store package) so core and
+// serving can aggregate it without importing the client implementation. It
+// is also the `feature_store` block of the serving stats response — the
+// json tags and the field order are that wire format, so a new field is
+// declared here once (and exported on /metrics by one row of serving's
+// family table).
 type StoreStats struct {
 	// Requests counts remote multi-get calls that reached the network path.
-	Requests int64
+	Requests int64 `json:"requests"`
 	// Retries counts re-attempts after transient failures.
-	Retries int64
+	Retries int64 `json:"retries"`
 	// HedgesIssued / HedgesWon count speculative second attempts launched
 	// against tail latency, and how many returned before the primary.
-	HedgesIssued int64
-	HedgesWon    int64
+	HedgesIssued int64 `json:"hedges_issued,omitempty"`
+	HedgesWon    int64 `json:"hedges_won"`
 	// Degraded counts requests answered from cached/default feature values
 	// while the circuit breaker was open (the request still succeeded).
-	Degraded int64
+	Degraded int64 `json:"degraded,omitempty"`
 	// BreakerOpens counts closed/half-open -> open transitions.
-	BreakerOpens int64
-	// Inflight is the number of lookups currently on the wire.
-	Inflight int64
+	BreakerOpens int64 `json:"breaker_opens,omitempty"`
 	// BreakerState is "closed", "half-open", or "open".
-	BreakerState string
+	BreakerState string `json:"breaker_state"`
+	// Inflight is the number of lookups currently on the wire.
+	Inflight int64 `json:"inflight,omitempty"`
 	// P50Millis / P99Millis are windowed lookup latency quantiles.
-	P50Millis float64
-	P99Millis float64
+	P50Millis float64 `json:"p50_ms,omitempty"`
+	P99Millis float64 `json:"p99_ms"`
 }
 
 // merged folds another snapshot into this one (multiple store clients bound
@@ -106,7 +110,7 @@ func (s StoreStats) merged(o StoreStats) StoreStats {
 	s.Degraded += o.Degraded
 	s.BreakerOpens += o.BreakerOpens
 	s.Inflight += o.Inflight
-	if breakerRank(o.BreakerState) > breakerRank(s.BreakerState) {
+	if BreakerRank(o.BreakerState) > BreakerRank(s.BreakerState) {
 		s.BreakerState = o.BreakerState
 	}
 	s.P50Millis = max(s.P50Millis, o.P50Millis)
@@ -114,7 +118,10 @@ func (s StoreStats) merged(o StoreStats) StoreStats {
 	return s
 }
 
-func breakerRank(state string) int {
+// BreakerRank orders breaker states by how degraded the client is: 0
+// closed, 1 half-open, 2 open. It is also the state's gauge value on
+// /metrics.
+func BreakerRank(state string) int {
 	switch state {
 	case "open":
 		return 2

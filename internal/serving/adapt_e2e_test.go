@@ -166,9 +166,10 @@ func TestAdaptationDriftRefitsAndPromotes(t *testing.T) {
 	for {
 		predict()
 		if i%8 == 0 {
-			var ok bool
-			snap, ok = reg.AdaptationSnapshot("m")
-			if ok && snap.Promotions >= 1 {
+			if st, _ := reg.Stats("m"); st.Adaptation != nil {
+				snap = *st.Adaptation
+			}
+			if snap.Promotions >= 1 {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -270,9 +271,10 @@ func TestAdaptationBadCandidateRollsBack(t *testing.T) {
 	for {
 		predict()
 		if i%8 == 0 {
-			var ok bool
-			snap, ok = reg.AdaptationSnapshot("m")
-			if ok && snap.Rollbacks >= 1 {
+			if st, _ := reg.Stats("m"); st.Adaptation != nil {
+				snap = *st.Adaptation
+			}
+			if snap.Rollbacks >= 1 {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -305,9 +307,8 @@ func TestAdaptationBadCandidateRollsBack(t *testing.T) {
 	}
 
 	// The rollback left the controller cooling down, not retrying.
-	snap, _ = reg.AdaptationSnapshot("m")
-	if snap.State != "cooldown" {
-		t.Errorf("controller state after rollback = %q, want cooldown", snap.State)
+	if a := st.Adaptation; a == nil || a.State != "cooldown" {
+		t.Errorf("adaptation after rollback = %+v, want state cooldown", a)
 	}
 
 	// Service stayed clean through the whole failed rollout, keeps serving

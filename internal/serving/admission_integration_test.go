@@ -239,7 +239,7 @@ func TestBrownoutCacheOnlyEndToEnd(t *testing.T) {
 	if st.Admission.DegradedCache < 1 || st.Admission.ShedBrownout < 1 {
 		t.Errorf("admission stats = %+v, want DegradedCache >= 1 and ShedBrownout >= 1", st.Admission)
 	}
-	if st.Admission.SLO != 10*time.Millisecond {
+	if time.Duration(st.Admission.SLO) != 10*time.Millisecond {
 		t.Errorf("SLO over the wire = %v, want 10ms", st.Admission.SLO)
 	}
 }

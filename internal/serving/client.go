@@ -290,20 +290,14 @@ func (c *Client) Models(ctx context.Context) ([]ModelInfo, error) {
 	if err := c.get(ctx, "/v1/models", &list); err != nil {
 		return nil, err
 	}
-	out := make([]ModelInfo, len(list.Models))
-	for i, wi := range list.Models {
-		out[i] = fromWireModelInfo(wi)
-	}
-	return out, nil
+	return list.Models, nil
 }
 
 // Stats fetches one model's serving telemetry.
 func (c *Client) Stats(ctx context.Context, model string) (ModelStats, error) {
-	var ws wireStats
-	if err := c.get(ctx, "/v1/models/"+url.PathEscape(model)+"/stats", &ws); err != nil {
-		return ModelStats{}, err
-	}
-	return fromWireStats(ws), nil
+	var st ModelStats
+	err := c.get(ctx, "/v1/models/"+url.PathEscape(model)+"/stats", &st)
+	return st, err
 }
 
 // Traces fetches the server's retained request traces, newest first. model
@@ -325,9 +319,5 @@ func (c *Client) Traces(ctx context.Context, model string, n int) ([]RequestTrac
 	if err := c.get(ctx, path, &list); err != nil {
 		return nil, err
 	}
-	out := make([]RequestTrace, len(list.Traces))
-	for i, wt := range list.Traces {
-		out[i] = fromWireTrace(wt)
-	}
-	return out, nil
+	return list.Traces, nil
 }

@@ -163,7 +163,7 @@ func TestTracesEndpoint(t *testing.T) {
 	if len(bounded) != 2 {
 		t.Fatalf("n=2 returned %d traces", len(bounded))
 	}
-	if bounded[0].Start.Before(bounded[1].Start) {
+	if bounded[0].StartUnixNano < bounded[1].StartUnixNano {
 		t.Error("traces not newest-first")
 	}
 	// Unknown model filters to empty; bad n is a client error.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"willump/internal/core"
 	"willump/internal/fixture"
@@ -15,7 +16,8 @@ import (
 // over HTTP must carry exactly the bits in-process PredictBatch computes for
 // that row — for every row of the credit test split (the benchmark's
 // serve-http-point model) and of a cascaded fixture, where the cascade's
-// serve counters must also come out as the batch path counts them.
+// serve counters must also come out as the batch path counts them, and go
+// on counting when the row arrives with options on the direct path.
 func TestHTTPPointReplyBitEqualToBatch(t *testing.T) {
 	ctx := context.Background()
 	credit, err := pipeline.ByName("credit", pipeline.Config{Seed: 3, N: 1200})
@@ -88,6 +90,19 @@ func TestHTTPPointReplyBitEqualToBatch(t *testing.T) {
 		}
 		if g := v.guardSnapshot(); g.CascadeTotal != int64(wantStats.Total) || g.CascadeSmall != int64(wantStats.SmallOnly) {
 			t.Errorf("%s: guard cascade counters %d/%d, batch path counts %+v", tc.name, g.CascadeSmall, g.CascadeTotal, wantStats)
+		}
+		// The direct path counts a cascaded row whichever modality its
+		// options select: as a point query and as a one-row direct batch.
+		if tc.o.Cascade != nil {
+			for _, opt := range []core.PredictOption{core.WithPointQuery(), core.WithPredictDeadline(time.Minute)} {
+				if _, err := cli.PredictModel(ctx, tc.name, tc.test.Row(0).Inputs, opt); err != nil {
+					t.Fatalf("%s direct request: %v", tc.name, err)
+				}
+				wantStats.Total++
+				if st, _ := reg.Stats(tc.name); st.CascadeTotal != int64(wantStats.Total) {
+					t.Errorf("%s: cascade rows %d after a direct request, want %d", tc.name, st.CascadeTotal, wantStats.Total)
+				}
+			}
 		}
 	}
 	if st, _ := reg.Stats("cascaded"); st.CascadeSmallOnly == 0 || st.CascadeSmallOnly == st.CascadeTotal {

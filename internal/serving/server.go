@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"willump/internal/admission"
+	"willump/internal/cascade"
 	"willump/internal/core"
 	"willump/internal/trace"
 	"willump/internal/value"
@@ -273,9 +274,16 @@ func writeResponse(w http.ResponseWriter, resp *wireResponse) {
 	wb.release()
 }
 
-// readRequest resolves the model and parses the request body. A malformed
-// body is reported before an unknown model, as it always was.
-func (s *Server) readRequest(r *http.Request, name string) (h *Hosted, inputs map[string]value.Value, n int, po core.PredictOptions, err error) {
+// accept is how a predict route takes a request in: refuse it while the
+// server shuts down, count it, resolve the model and parse the body. A
+// malformed body is reported before an unknown model, as it always was. When
+// ok is false the error reply has been written.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, name string) (h *Hosted, inputs map[string]value.Value, n int, po core.PredictOptions, ok bool) {
+	if s.closed.Load() {
+		writeError(w, http.StatusServiceUnavailable, errShuttingDown)
+		return nil, nil, 0, po, false
+	}
+	s.requests.Add(1)
 	h, lookupErr := s.reg.lookup(name)
 	var schema []string
 	if h != nil {
@@ -283,6 +291,7 @@ func (s *Server) readRequest(r *http.Request, name string) (h *Hosted, inputs ma
 			schema = v.inputs
 		}
 	}
+	var err error
 	wb := getWireBuf()
 	if err = wb.readAll(r.Body); err != nil {
 		err = badRequestf("decoding request: %v", err)
@@ -293,40 +302,81 @@ func (s *Server) readRequest(r *http.Request, name string) (h *Hosted, inputs ma
 	if err == nil {
 		err = lookupErr
 	}
-	return h, inputs, n, po, err
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return nil, nil, 0, po, false
+	}
+	return h, inputs, n, po, true
+}
+
+// servedRequest is one accepted predict-route request between the start of
+// its clock and its reply: what handlePredict and handleTopK share around
+// their own execution.
+type servedRequest struct {
+	h     *Hosted
+	start time.Time
+	tw    *trace.Tracer
+	tr    *trace.Trace
+	// ctx is the request's context carrying its trace, for the execution.
+	ctx context.Context
+}
+
+// begin starts the request's clock and its trace. The handler owns the
+// request's trace lifecycle: the sampling decision is made here and the trace
+// rides the request context through queue, batch, and pipeline (whose own
+// entry points see it and don't begin a second one). The context is marked
+// owned even when the request is unsampled, so the pipeline's entry points
+// never Begin/Finish a second time on the same tracer (which would
+// double-count every server-routed request). Every tracer method is a
+// nil-receiver no-op, so untraced models pay nothing.
+func (h *Hosted) begin(ctx context.Context) servedRequest {
+	q := servedRequest{h: h, start: time.Now(), tw: h.tracer(), ctx: ctx}
+	q.tr = q.tw.Begin(h.name)
+	if q.tr != nil {
+		q.ctx = trace.NewContext(ctx, q.tr)
+	} else if q.tw != nil {
+		q.ctx = trace.MarkOwned(ctx)
+	}
+	return q
+}
+
+// end finishes the trace, accounts the request — rejected when admission
+// turned it away, served otherwise — and, when err is set, writes the error
+// reply (a 429 with the controller's Retry-After) and returns false.
+// delivered is false when the request abandoned a pending that is still
+// queued: the version's queue holds the context that carries the trace, which
+// must then not be recycled under the next leader's feet.
+func (q *servedRequest) end(w http.ResponseWriter, err error, delivered bool) bool {
+	if delivered {
+		q.tw.Finish(q.tr, q.h.name, q.start, err)
+	} else {
+		q.tw.FinishAbandoned(q.tr, q.h.name, q.start, err)
+	}
+	if errors.Is(err, ErrOverloaded) {
+		q.h.stats.reject()
+	} else {
+		q.h.stats.record(q.start, err)
+	}
+	if err == nil {
+		return true
+	}
+	code := statusFor(err)
+	if code == http.StatusTooManyRequests {
+		setRetryAfter(w, q.h)
+	}
+	writeError(w, code, err)
+	return false
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name string) {
-	if s.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, errShuttingDown)
-		return
-	}
-	s.requests.Add(1)
-	h, inputs, n, po, err := s.readRequest(r, name)
-	if err != nil {
-		writeError(w, statusFor(err), err)
+	h, inputs, n, po, ok := s.accept(w, r, name)
+	if !ok {
 		return
 	}
 	// Shadow-sample the request into the adaptation controller's drift
 	// detectors (a nil controller is a no-op; the call never blocks).
 	h.adaptCtl.Load().ObserveRequest(inputs, n)
-	// The handler owns the request's trace lifecycle: the sampling decision
-	// is made here and the trace rides the request context through queue,
-	// batch, and pipeline (whose own entry points see it and don't begin a
-	// second one). The context is marked owned even when the request is
-	// unsampled, so the pipeline's entry points never Begin/Finish a second
-	// time on the same tracer (which would double-count every server-routed
-	// request). Every tracer method is a nil-receiver no-op, so untraced
-	// models pay nothing.
-	start := time.Now()
-	tw := h.tracer()
-	tr := tw.Begin(h.name)
-	rctx := r.Context()
-	if tr != nil {
-		rctx = trace.NewContext(rctx, tr)
-	} else if tw != nil {
-		rctx = trace.MarkOwned(rctx)
-	}
+	q := h.begin(r.Context())
 	// Criticality may ride an operator-configured header when the wire
 	// options don't carry it; unknown spellings are ignored rather than
 	// rejected, so a garbage header never fails (or escalates) a request.
@@ -339,9 +389,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name stri
 	crit := admission.ParseCriticality(po.Criticality)
 	var preds []float64
 	var degraded string
+	var err error
 	delivered := true
 	if po.BatchableZero() {
-		preds, degraded, delivered, err = s.executeBatched(rctx, h, inputs, n, crit)
+		preds, degraded, delivered, err = s.executeBatched(q.ctx, h, inputs, n, crit)
 	} else {
 		// Direct path brownout: force cascade small-only scoring when the
 		// ladder says degrade and the deployment has a cascade to degrade
@@ -353,7 +404,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name stri
 				degraded = admission.DegradedSmallOnly
 			}
 		}
-		preds, err = s.executeDirect(rctx, h, inputs, n, po)
+		preds, err = s.executeDirect(q.ctx, h, inputs, n, po)
 		if err != nil {
 			degraded = ""
 		} else {
@@ -362,31 +413,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name stri
 			}
 			// Direct requests never queue, so execution time is both the
 			// service and the end-to-end observation.
-			d := time.Since(start)
+			d := time.Since(q.start)
 			h.admit.Observe(d, d, n)
 		}
 	}
-	if delivered {
-		tw.Finish(tr, h.name, start, err)
-	} else {
-		// The version's queue still holds the pending whose context carries
-		// the trace; it must not be recycled under the next leader's feet.
-		tw.FinishAbandoned(tr, h.name, start, err)
+	if q.end(w, err, delivered) {
+		writeResponse(w, &wireResponse{Predictions: preds, Degraded: degraded})
 	}
-	if errors.Is(err, ErrOverloaded) {
-		h.stats.reject()
-	} else {
-		h.stats.record(start, err)
-	}
-	if err != nil {
-		code := statusFor(err)
-		if code == http.StatusTooManyRequests {
-			setRetryAfter(w, h)
-		}
-		writeError(w, code, err)
-		return
-	}
-	writeResponse(w, &wireResponse{Predictions: preds, Degraded: degraded})
 }
 
 // setRetryAfter attaches the admission controller's drain forecast to a
@@ -468,15 +501,14 @@ func (s *Server) executeBatched(rctx context.Context, h *Hosted, inputs map[stri
 	return res.preds, res.degraded, delivered, res.err
 }
 
-// executeDirect serves a request carrying per-request options. Such
-// requests never merge into shared batches: one request's overrides must
-// not leak into another's results (and deadlines stay the request's own).
-// Direct execution is still admission-controlled: concurrent direct
-// requests are bounded like the batch queue, rejecting with ErrOverloaded
-// beyond the configured depth.
-func (s *Server) executeDirect(ctx context.Context, h *Hosted, inputs map[string]value.Value, n int, po core.PredictOptions) ([]float64, error) {
-	// SLO-aware gate first (shed work predicted to miss its budget, bound
-	// concurrency adaptively), then the fixed direct-slot backstop.
+// enterDirect is the way into direct execution, which serves the requests
+// that never merge into shared batches (per-request options, top-K). It is
+// still admission-controlled: the SLO-aware gate first (shed work predicted
+// to miss its budget, bound concurrency adaptively), then the fixed
+// direct-slot backstop that bounds concurrent direct requests like the batch
+// queue, rejecting with ErrOverloaded beyond the configured depth. On success
+// it returns the active version, and the caller must leaveDirect.
+func (h *Hosted) enterDirect(ctx context.Context, po core.PredictOptions) (*version, error) {
 	budget := po.Deadline
 	if budget <= 0 {
 		if dl, ok := ctx.Deadline(); ok {
@@ -486,28 +518,46 @@ func (s *Server) executeDirect(ctx context.Context, h *Hosted, inputs map[string
 	if d := h.admit.Admit(0, budget, admission.ParseCriticality(po.Criticality)); d.Shed {
 		return nil, errPredictedMiss
 	}
-	defer h.admit.Release()
-	release, err := h.admitDirect()
+	select {
+	case h.direct <- struct{}{}:
+	default:
+		h.admit.Release()
+		return nil, ErrOverloaded
+	}
+	if v := h.active.Load(); v != nil {
+		return v, nil
+	}
+	h.leaveDirect()
+	return nil, fmt.Errorf("serving: model %q: %w", h.name, ErrModelNotFound)
+}
+
+// leaveDirect gives back the direct slot and the admission enterDirect took.
+func (h *Hosted) leaveDirect() {
+	<-h.direct
+	h.admit.Release()
+}
+
+// executeDirect serves a request carrying per-request options. Such
+// requests never merge into shared batches: one request's overrides must
+// not leak into another's results (and deadlines stay the request's own).
+func (s *Server) executeDirect(ctx context.Context, h *Hosted, inputs map[string]value.Value, n int, po core.PredictOptions) ([]float64, error) {
+	v, err := h.enterDirect(ctx, po)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	v := h.active.Load()
-	if v == nil {
-		return nil, fmt.Errorf("serving: model %q: %w", h.name, ErrModelNotFound)
+	defer h.leaveDirect()
+	// Black-box predictor: the registry cannot reach inside it to override
+	// optimizer knobs, but deadline and point modality are generic (a point
+	// query is a single-row batch).
+	if v.opt == nil && (po.CascadeThreshold != nil || po.Budget > 0) {
+		return nil, badRequestf("model %q is a black-box predictor and does not support optimizer overrides", h.name)
+	}
+	if po.Point && n != 1 {
+		return nil, badRequestf("point query carries %d rows, want 1", n)
 	}
 	// Direct work runs under the request's own context: a force-close reaches
 	// it by closing the request's connection.
 	if v.opt == nil {
-		// Black-box predictor: the registry cannot reach inside it to
-		// override optimizer knobs, but deadline and point modality are
-		// generic (a point query is a single-row batch).
-		if po.CascadeThreshold != nil || po.Budget > 0 {
-			return nil, badRequestf("model %q is a black-box predictor and does not support optimizer overrides", h.name)
-		}
-		if po.Point && n != 1 {
-			return nil, badRequestf("point query carries %d rows, want 1", n)
-		}
 		if po.Deadline > 0 {
 			var dcancel context.CancelFunc
 			ctx, dcancel = context.WithTimeout(ctx, po.Deadline)
@@ -515,45 +565,28 @@ func (s *Server) executeDirect(ctx context.Context, h *Hosted, inputs map[string
 		}
 		return v.pred.PredictBatch(ctx, inputs)
 	}
+	var preds []float64
+	var cs cascade.ServeStats
 	if po.Point {
-		if n != 1 {
-			return nil, badRequestf("point query carries %d rows, want 1", n)
-		}
-		f, _, err := v.opt.PredictPointOptions(ctx, inputs, po)
-		if err != nil {
-			return nil, err
-		}
-		return []float64{f}, nil
+		var p float64
+		p, cs, err = v.opt.PredictPointOptions(ctx, inputs, po)
+		preds = []float64{p}
+	} else {
+		preds, cs, err = v.opt.PredictBatchOptions(ctx, inputs, po)
 	}
-	preds, cs, err := v.opt.PredictBatchOptions(ctx, inputs, po)
-	if err == nil {
-		h.stats.recordCascade(cs)
+	if err != nil {
+		return nil, err
 	}
-	return preds, err
+	h.stats.recordCascade(cs)
+	return preds, nil
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if s.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, errShuttingDown)
+	h, inputs, _, po, ok := s.accept(w, r, r.PathValue("name"))
+	if !ok {
 		return
 	}
-	s.requests.Add(1)
-	h, inputs, _, po, err := s.readRequest(r, r.PathValue("name"))
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	start := time.Now()
-	tw := h.tracer()
-	tr := tw.Begin(h.name)
-	rctx := r.Context()
-	if tr != nil {
-		rctx = trace.NewContext(rctx, tr)
-	} else if tw != nil {
-		// Owned even when unsampled, so TopKOptions doesn't count the
-		// request a second time (see handlePredict).
-		rctx = trace.MarkOwned(rctx)
-	}
+	q := h.begin(r.Context())
 	// Brownout budget shrink: under pressure, rank from the smallest legal
 	// candidate subset (exactly K) instead of the trained c_k*K policy —
 	// a cheaper, slightly-lower-recall answer rather than a shed.
@@ -564,20 +597,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		degraded = admission.DegradedBudget
 	}
 	// executeTopK never queues behind a batch, so the handler keeps the only
-	// trace reference and plain Finish is safe.
-	idx, err := s.executeTopK(rctx, h, inputs, po)
-	tw.Finish(tr, h.name, start, err)
-	if errors.Is(err, ErrOverloaded) {
-		h.stats.reject()
-	} else {
-		h.stats.record(start, err)
-	}
-	if err != nil {
-		code := statusFor(err)
-		if code == http.StatusTooManyRequests {
-			setRetryAfter(w, h)
-		}
-		writeError(w, code, err)
+	// trace reference and the request always counts as delivered.
+	idx, err := s.executeTopK(q.ctx, h, inputs, po)
+	if !q.end(w, err, true) {
 		return
 	}
 	if degraded != "" {
@@ -590,25 +612,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 // whole-batch query — the ranking is relative to the rows the client sent —
 // so it never merges with other requests.
 func (s *Server) executeTopK(ctx context.Context, h *Hosted, inputs map[string]value.Value, po core.PredictOptions) ([]int, error) {
-	budget := po.Deadline
-	if budget <= 0 {
-		if dl, ok := ctx.Deadline(); ok {
-			budget = time.Until(dl)
-		}
-	}
-	if d := h.admit.Admit(0, budget, admission.ParseCriticality(po.Criticality)); d.Shed {
-		return nil, errPredictedMiss
-	}
-	defer h.admit.Release()
-	release, err := h.admitDirect()
+	v, err := h.enterDirect(ctx, po)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	v := h.active.Load()
-	if v == nil {
-		return nil, fmt.Errorf("serving: model %q: %w", h.name, ErrModelNotFound)
-	}
+	defer h.leaveDirect()
 	if v.opt == nil || v.opt.Filter == nil {
 		return nil, badRequestf("model %q was not optimized for top-K queries", h.name)
 	}
@@ -619,19 +627,14 @@ func (s *Server) executeTopK(ctx context.Context, h *Hosted, inputs map[string]v
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	infos := s.reg.Models()
-	out := wireModelList{Models: make([]wireModelInfo, len(infos))}
-	for i, mi := range infos {
-		out.Models[i] = toWireModelInfo(mi)
-	}
-	writeJSON(w, out)
+	writeJSON(w, wireModelList{Models: s.reg.Models()})
 }
 
 func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	for _, mi := range s.reg.Models() {
 		if mi.Name == name {
-			writeJSON(w, toWireModelInfo(mi))
+			writeJSON(w, mi)
 			return
 		}
 	}
@@ -644,221 +647,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, toWireStats(st))
-}
-
-func toWireModelInfo(mi ModelInfo) wireModelInfo {
-	return wireModelInfo{
-		Name:             mi.Name,
-		Version:          mi.Version,
-		Default:          mi.Default,
-		Inputs:           mi.Inputs,
-		Cascade:          mi.Cascade,
-		CascadeThreshold: mi.CascadeThreshold,
-		TopK:             mi.TopK,
-	}
-}
-
-func fromWireModelInfo(wi wireModelInfo) ModelInfo {
-	return ModelInfo{
-		Name:             wi.Name,
-		Version:          wi.Version,
-		Default:          wi.Default,
-		Inputs:           wi.Inputs,
-		Cascade:          wi.Cascade,
-		CascadeThreshold: wi.CascadeThreshold,
-		TopK:             wi.TopK,
-	}
-}
-
-func toWireStats(st ModelStats) wireStats {
-	out := wireStats{
-		Model:    st.Model,
-		Version:  st.Version,
-		Requests: st.Requests,
-		Errors:   st.Errors,
-		Rejected: st.Rejected,
-		QPS:      st.QPS,
-		LatencyMS: wireLatency{
-			P50:  float64(st.LatencyP50) / float64(time.Millisecond),
-			P90:  float64(st.LatencyP90) / float64(time.Millisecond),
-			P99:  float64(st.LatencyP99) / float64(time.Millisecond),
-			P999: float64(st.LatencyP999) / float64(time.Millisecond),
-		},
-	}
-	for _, sq := range st.RecentSlow {
-		out.RecentSlow = append(out.RecentSlow, wireSlow{
-			StartUnixNano: sq.Start.UnixNano(),
-			LatencyMS:     float64(sq.Latency) / float64(time.Millisecond),
-			Error:         sq.Err,
-			Sampled:       sq.Sampled,
-		})
-	}
-	if st.CascadeTotal > 0 {
-		out.Cascade = &wireCascade{
-			Total:     st.CascadeTotal,
-			SmallOnly: st.CascadeSmallOnly,
-			HitRate:   st.CascadeHitRate,
-		}
-	}
-	if st.FeatureCache != nil {
-		out.FeatureCache = &wireFeatureCache{
-			Hits:      st.FeatureCache.Hits,
-			Misses:    st.FeatureCache.Misses,
-			Evictions: st.FeatureCache.Evictions,
-			Coalesced: st.FeatureCache.Coalesced,
-			HitRate:   st.FeatureCache.HitRate,
-		}
-	}
-	if st.FeatureStore != nil {
-		out.FeatureStore = &wireFeatureStore{
-			Requests:     st.FeatureStore.Requests,
-			Retries:      st.FeatureStore.Retries,
-			HedgesIssued: st.FeatureStore.HedgesIssued,
-			HedgesWon:    st.FeatureStore.HedgesWon,
-			Degraded:     st.FeatureStore.Degraded,
-			BreakerOpens: st.FeatureStore.BreakerOpens,
-			BreakerState: st.FeatureStore.BreakerState,
-			Inflight:     st.FeatureStore.Inflight,
-			P50MS:        float64(st.FeatureStore.LatencyP50) / float64(time.Millisecond),
-			P99MS:        float64(st.FeatureStore.LatencyP99) / float64(time.Millisecond),
-		}
-	}
-	if st.Admission != nil {
-		out.Admission = &wireAdmission{
-			SLOMS:             float64(st.Admission.SLO) / float64(time.Millisecond),
-			Limit:             st.Admission.Limit,
-			Inflight:          st.Admission.Inflight,
-			Level:             st.Admission.Level,
-			ShedPredicted:     st.Admission.ShedPredicted,
-			ShedLimit:         st.Admission.ShedLimit,
-			ShedBrownout:      st.Admission.ShedBrownout,
-			Expired:           st.Admission.Expired,
-			DegradedSmallOnly: st.Admission.DegradedSmallOnly,
-			DegradedBudget:    st.Admission.DegradedBudget,
-			DegradedCache:     st.Admission.DegradedCache,
-			ForecastServiceMS: float64(st.Admission.ForecastService) / float64(time.Millisecond),
-			ForecastErrorMS:   float64(st.Admission.ForecastError) / float64(time.Millisecond),
-			Pressure:          st.Admission.Pressure,
-		}
-	}
-	if st.Adaptation != nil {
-		out.Adaptation = &wireAdaptation{
-			State:            st.Adaptation.State,
-			CanaryTag:        st.Adaptation.CanaryTag,
-			CanaryFraction:   st.Adaptation.CanaryFraction,
-			Sampled:          st.Adaptation.Sampled,
-			ShadowDropped:    st.Adaptation.ShadowDropped,
-			ReservoirRows:    st.Adaptation.ReservoirRows,
-			KeyReuseObserved: st.Adaptation.KeyReuseObserved,
-			KeyReuseExpected: st.Adaptation.KeyReuseExpected,
-			ScorePH:          st.Adaptation.ScorePH,
-			ScoreKS:          st.Adaptation.ScoreKS,
-			KeyDrift:         st.Adaptation.KeyDrift,
-			ScoreDrift:       st.Adaptation.ScoreDrift,
-			KeyDriftEvents:   st.Adaptation.KeyDriftEvents,
-			ScoreDriftEvents: st.Adaptation.ScoreDriftEvents,
-			Refits:           st.Adaptation.Refits,
-			Canaries:         st.Adaptation.Canaries,
-			Promotions:       st.Adaptation.Promotions,
-			Rollbacks:        st.Adaptation.Rollbacks,
-			CanaryErrors:     st.Adaptation.CanaryErrors,
-			LastRollback:     st.Adaptation.LastRollback,
-		}
-	}
-	return out
-}
-
-func fromWireStats(ws wireStats) ModelStats {
-	out := ModelStats{
-		Model:       ws.Model,
-		Version:     ws.Version,
-		Requests:    ws.Requests,
-		Errors:      ws.Errors,
-		Rejected:    ws.Rejected,
-		QPS:         ws.QPS,
-		LatencyP50:  time.Duration(ws.LatencyMS.P50 * float64(time.Millisecond)),
-		LatencyP90:  time.Duration(ws.LatencyMS.P90 * float64(time.Millisecond)),
-		LatencyP99:  time.Duration(ws.LatencyMS.P99 * float64(time.Millisecond)),
-		LatencyP999: time.Duration(ws.LatencyMS.P999 * float64(time.Millisecond)),
-	}
-	for _, sq := range ws.RecentSlow {
-		out.RecentSlow = append(out.RecentSlow, SlowQuery{
-			Start:   time.Unix(0, sq.StartUnixNano),
-			Latency: time.Duration(sq.LatencyMS * float64(time.Millisecond)),
-			Err:     sq.Error,
-			Sampled: sq.Sampled,
-		})
-	}
-	if ws.Cascade != nil {
-		out.CascadeTotal = ws.Cascade.Total
-		out.CascadeSmallOnly = ws.Cascade.SmallOnly
-		out.CascadeHitRate = ws.Cascade.HitRate
-	}
-	if ws.FeatureCache != nil {
-		out.FeatureCache = &FeatureCacheStats{
-			Hits:      ws.FeatureCache.Hits,
-			Misses:    ws.FeatureCache.Misses,
-			Evictions: ws.FeatureCache.Evictions,
-			Coalesced: ws.FeatureCache.Coalesced,
-			HitRate:   ws.FeatureCache.HitRate,
-		}
-	}
-	if ws.FeatureStore != nil {
-		out.FeatureStore = &FeatureStoreStats{
-			Requests:     ws.FeatureStore.Requests,
-			Retries:      ws.FeatureStore.Retries,
-			HedgesIssued: ws.FeatureStore.HedgesIssued,
-			HedgesWon:    ws.FeatureStore.HedgesWon,
-			Degraded:     ws.FeatureStore.Degraded,
-			BreakerOpens: ws.FeatureStore.BreakerOpens,
-			BreakerState: ws.FeatureStore.BreakerState,
-			Inflight:     ws.FeatureStore.Inflight,
-			LatencyP50:   time.Duration(ws.FeatureStore.P50MS * float64(time.Millisecond)),
-			LatencyP99:   time.Duration(ws.FeatureStore.P99MS * float64(time.Millisecond)),
-		}
-	}
-	if ws.Admission != nil {
-		out.Admission = &AdmissionStats{
-			SLO:               time.Duration(ws.Admission.SLOMS * float64(time.Millisecond)),
-			Limit:             ws.Admission.Limit,
-			Inflight:          ws.Admission.Inflight,
-			Level:             ws.Admission.Level,
-			ShedPredicted:     ws.Admission.ShedPredicted,
-			ShedLimit:         ws.Admission.ShedLimit,
-			ShedBrownout:      ws.Admission.ShedBrownout,
-			Expired:           ws.Admission.Expired,
-			DegradedSmallOnly: ws.Admission.DegradedSmallOnly,
-			DegradedBudget:    ws.Admission.DegradedBudget,
-			DegradedCache:     ws.Admission.DegradedCache,
-			ForecastService:   time.Duration(ws.Admission.ForecastServiceMS * float64(time.Millisecond)),
-			ForecastError:     time.Duration(ws.Admission.ForecastErrorMS * float64(time.Millisecond)),
-			Pressure:          ws.Admission.Pressure,
-		}
-	}
-	if ws.Adaptation != nil {
-		out.Adaptation = &AdaptationStats{
-			State:            ws.Adaptation.State,
-			CanaryTag:        ws.Adaptation.CanaryTag,
-			CanaryFraction:   ws.Adaptation.CanaryFraction,
-			Sampled:          ws.Adaptation.Sampled,
-			ShadowDropped:    ws.Adaptation.ShadowDropped,
-			ReservoirRows:    ws.Adaptation.ReservoirRows,
-			KeyReuseObserved: ws.Adaptation.KeyReuseObserved,
-			KeyReuseExpected: ws.Adaptation.KeyReuseExpected,
-			ScorePH:          ws.Adaptation.ScorePH,
-			ScoreKS:          ws.Adaptation.ScoreKS,
-			KeyDrift:         ws.Adaptation.KeyDrift,
-			ScoreDrift:       ws.Adaptation.ScoreDrift,
-			KeyDriftEvents:   ws.Adaptation.KeyDriftEvents,
-			ScoreDriftEvents: ws.Adaptation.ScoreDriftEvents,
-			Refits:           ws.Adaptation.Refits,
-			Canaries:         ws.Adaptation.Canaries,
-			Promotions:       ws.Adaptation.Promotions,
-			Rollbacks:        ws.Adaptation.Rollbacks,
-			CanaryErrors:     ws.Adaptation.CanaryErrors,
-			LastRollback:     ws.Adaptation.LastRollback,
-		}
-	}
-	return out
+	writeJSON(w, st)
 }

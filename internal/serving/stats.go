@@ -1,13 +1,16 @@
 package serving
 
 import (
+	"encoding/json"
 	"sync/atomic"
 	"time"
 
 	"willump/internal/adapt"
 	"willump/internal/admission"
+	"willump/internal/cache"
 	"willump/internal/cascade"
 	"willump/internal/metrics"
+	"willump/internal/ops"
 )
 
 // modelStats accumulates per-model serving telemetry. One instance lives on
@@ -57,185 +60,25 @@ func (s *modelStats) recordCascade(cs cascade.ServeStats) {
 }
 
 // FeatureCacheStats is a snapshot of a deployed pipeline's feature-level
-// cache counters, summed over its per-IFV caches. Unlike the other counters
-// it lives on the pipeline (the active version), not the Hosted model, so a
-// hot swap naturally starts it fresh with the new version's caches.
+// cache counters, summed over its per-IFV caches, plus the derived hit
+// rate. Unlike the other counters it lives on the pipeline (the active
+// version), not the Hosted model, so a hot swap naturally starts it fresh
+// with the new version's caches.
 type FeatureCacheStats struct {
-	// Hits and Misses count per-row cache lookups by outcome.
-	Hits, Misses int64
-	// Evictions counts entries displaced by the eviction policy.
-	Evictions int64
-	// Coalesced counts lookups served by waiting on another request's
-	// in-flight computation of the same key (singleflight miss coalescing).
-	Coalesced int64
+	cache.Stats
 	// HitRate is Hits / (Hits + Misses), 0 before any lookup.
-	HitRate float64
-}
-
-// FeatureStoreStats is a snapshot of a deployed pipeline's remote
-// feature-store client health, aggregated over its lookup tables' store
-// clients. Like the feature-cache counters it lives on the active version's
-// pipeline, so a hot swap starts it fresh.
-type FeatureStoreStats struct {
-	// Requests counts remote multi-get calls; Retries counts re-attempts
-	// after transient failures.
-	Requests int64
-	Retries  int64
-	// HedgesIssued / HedgesWon count speculative tail-latency attempts and
-	// how many beat the primary.
-	HedgesIssued int64
-	HedgesWon    int64
-	// Degraded counts requests served from cached/default feature values
-	// while the circuit breaker was open.
-	Degraded int64
-	// BreakerOpens counts breaker open transitions; BreakerState is the
-	// current state ("closed", "half-open", "open").
-	BreakerOpens int64
-	BreakerState string
-	// Inflight is the number of store lookups currently on the wire.
-	Inflight int64
-	// LatencyP50 / LatencyP99 are windowed store round-trip quantiles.
-	LatencyP50 time.Duration
-	LatencyP99 time.Duration
-}
-
-// AdmissionStats is a snapshot of a model's SLO admission controller: the
-// service-time forecast, adaptive concurrency limit, brownout ladder
-// position, and shed/degraded/expired counters. It lives on the Hosted
-// model (like the request counters), so it survives hot swaps.
-type AdmissionStats struct {
-	// SLO is the configured p99 completion target (0 when admission is
-	// disabled — the snapshot then only carries the expired count).
-	SLO time.Duration
-	// Limit is the current adaptive (AIMD) concurrency limit; Inflight the
-	// admitted work currently queued or executing under it.
-	Limit    int64
-	Inflight int64
-	// Level is the measured brownout rung before per-request criticality
-	// shifts: 0 normal, 1 degrade (small-only / shrunken budgets), 2
-	// cache-only.
-	Level int
-	// ShedPredicted counts requests shed because their forecast completion
-	// missed their budget; ShedLimit those shed at the concurrency limit;
-	// ShedBrownout those turned away at the cache-only rung with no cached
-	// answer.
-	ShedPredicted int64
-	ShedLimit     int64
-	ShedBrownout  int64
-	// Expired counts admitted requests culled from batches before
-	// execution because their context was already done.
-	Expired int64
-	// DegradedSmallOnly / DegradedBudget / DegradedCache count successful
-	// degraded responses by brownout rung.
-	DegradedSmallOnly int64
-	DegradedBudget    int64
-	DegradedCache     int64
-	// ForecastService is the per-item service-time forecast; ForecastError
-	// its mean absolute deviation (the shedder's padding unit).
-	ForecastService time.Duration
-	ForecastError   time.Duration
-	// Pressure is EWMA(end-to-end latency / SLO): above 1, the SLO is
-	// being missed.
-	Pressure float64
-}
-
-// admissionStats converts a controller snapshot to the public stats form,
-// nil when there is nothing to report (admission disabled and every
-// counter zero) so legacy stats responses keep their shape.
-func admissionStats(c *admission.Controller) *AdmissionStats {
-	snap := c.Snapshot()
-	if !snap.Enabled && snap.Expired == 0 &&
-		snap.ShedPredicted == 0 && snap.ShedLimit == 0 && snap.ShedBrownout == 0 &&
-		snap.DegradedSmallOnly == 0 && snap.DegradedBudget == 0 && snap.DegradedCache == 0 {
-		return nil
-	}
-	return &AdmissionStats{
-		SLO:               snap.SLO,
-		Limit:             snap.Limit,
-		Inflight:          snap.Inflight,
-		Level:             int(snap.Level),
-		ShedPredicted:     snap.ShedPredicted,
-		ShedLimit:         snap.ShedLimit,
-		ShedBrownout:      snap.ShedBrownout,
-		Expired:           snap.Expired,
-		DegradedSmallOnly: snap.DegradedSmallOnly,
-		DegradedBudget:    snap.DegradedBudget,
-		DegradedCache:     snap.DegradedCache,
-		ForecastService:   snap.ForecastService,
-		ForecastError:     snap.ForecastError,
-		Pressure:          snap.PressureRatio,
-	}
-}
-
-// AdaptationStats is a snapshot of a model's online adaptation
-// controller: drift-detector state, canary lifecycle, and cumulative
-// adaptation counters. Nil on models without adaptation enabled, so
-// legacy stats responses keep their shape.
-type AdaptationStats struct {
-	// State is the controller's phase: "idle", "canarying", "cooldown".
-	State string
-	// CanaryTag / CanaryFraction describe the in-flight canary ("" / 0
-	// outside canary rollouts).
-	CanaryTag      string
-	CanaryFraction float64
-	// Sampled counts requests shadow-sampled into the detectors;
-	// ShadowDropped those lost to a full shadow queue (never blocking the
-	// hot path); ReservoirRows the rows currently available for a re-fit.
-	Sampled       int64
-	ShadowDropped int64
-	ReservoirRows int
-	// KeyReuseObserved / KeyReuseExpected are the live key-reuse
-	// measurement and the cache plan's estimate it is checked against;
-	// ScorePH and ScoreKS the score-drift detector statistics. KeyDrift /
-	// ScoreDrift latch confirmed-but-unresolved drift.
-	KeyReuseObserved float64
-	KeyReuseExpected float64
-	ScorePH          float64
-	ScoreKS          float64
-	KeyDrift         bool
-	ScoreDrift       bool
-	// Lifecycle counters: drift confirmations by signal, plan re-fits,
-	// canaries launched, promoted, rolled back, and canary hook errors.
-	KeyDriftEvents   int64
-	ScoreDriftEvents int64
-	Refits           int64
-	Canaries         int64
-	Promotions       int64
-	Rollbacks        int64
-	CanaryErrors     int64
-	// LastRollback is the most recent rollback's reason ("" before any).
-	LastRollback string
-}
-
-// adaptationStats converts a controller snapshot to the public stats form.
-func adaptationStats(c *adapt.Controller) *AdaptationStats {
-	s := c.Snapshot()
-	return &AdaptationStats{
-		State:            s.State,
-		CanaryTag:        s.CanaryTag,
-		CanaryFraction:   s.CanaryFraction,
-		Sampled:          s.Sampled,
-		ShadowDropped:    s.ShadowDropped,
-		ReservoirRows:    s.ReservoirRows,
-		KeyReuseObserved: s.KeyReuseObserved,
-		KeyReuseExpected: s.KeyReuseExpected,
-		ScorePH:          s.ScorePH,
-		ScoreKS:          s.ScoreKS,
-		KeyDrift:         s.KeyDrift,
-		ScoreDrift:       s.ScoreDrift,
-		KeyDriftEvents:   s.KeyDriftEvents,
-		ScoreDriftEvents: s.ScoreDriftEvents,
-		Refits:           s.Refits,
-		Canaries:         s.Canaries,
-		Promotions:       s.Promotions,
-		Rollbacks:        s.Rollbacks,
-		CanaryErrors:     s.CanaryErrors,
-		LastRollback:     s.LastRollback,
-	}
+	HitRate float64 `json:"hit_rate"`
 }
 
 // ModelStats is a point-in-time snapshot of one model's serving telemetry,
 // as reported on /v1/models/{name}/stats.
+//
+// A serving fact is declared once. Each section is the snapshot type of the
+// package that produces it and carries the wire's json tags there; to add a
+// stat, add a tagged field to that snapshot and one row to the /metrics
+// family table (families in observability.go), or put its JSON path on
+// TestStatsFieldsReachMetrics' notExported list with the reason. ModelStats'
+// own latency and cascade fields stay flat Go fields; MarshalJSON nests them.
 type ModelStats struct {
 	// Model and Version identify the deployment the snapshot was taken of.
 	Model   string
@@ -263,35 +106,99 @@ type ModelStats struct {
 	// counters; nil when the deployed pipeline has no feature caches.
 	FeatureCache *FeatureCacheStats
 	// FeatureStore carries the active version's remote feature-store client
-	// health; nil when no lookup table is backed by a reporting store
-	// client.
-	FeatureStore *FeatureStoreStats
+	// health, aggregated over its lookup tables' store clients; nil when no
+	// lookup table is backed by a reporting store client. Like the
+	// feature-cache counters it lives on the active version's pipeline, so a
+	// hot swap starts it fresh.
+	FeatureStore *ops.StoreStats
 	// Admission carries the SLO admission controller's snapshot; nil when
 	// admission is disabled and nothing was ever shed, degraded, or
-	// expired (legacy deployments see the stats shape unchanged).
-	Admission *AdmissionStats
+	// expired (legacy deployments see the stats shape unchanged). It lives
+	// on the Hosted model, so it survives hot swaps.
+	Admission *admission.Snapshot
 	// Adaptation carries the online adaptation controller's snapshot; nil
 	// when adaptation is not enabled on the model.
-	Adaptation *AdaptationStats
+	Adaptation *adapt.Snapshot
 	// RecentSlow lists the model's recently retained slow or failed
 	// requests (newest first); empty unless tracing is enabled on the
 	// deployed pipeline.
 	RecentSlow []SlowQuery
 }
 
+// modelStatsJSON is the stats response's shape. A block is absent when its
+// pointer is nil (cascade when no row was ever cascaded, p999 at zero), so a
+// deployment without the feature serializes exactly as it did before the
+// block existed.
+type modelStatsJSON struct {
+	Model     string  `json:"model"`
+	Version   string  `json:"version"`
+	Requests  int64   `json:"requests"`
+	Errors    int64   `json:"errors"`
+	Rejected  int64   `json:"rejected"`
+	QPS       float64 `json:"qps"`
+	LatencyMS struct {
+		P50  metrics.Millis `json:"p50"`
+		P90  metrics.Millis `json:"p90"`
+		P99  metrics.Millis `json:"p99"`
+		P999 metrics.Millis `json:"p999,omitempty"`
+	} `json:"latency_ms"`
+	Cascade struct {
+		Total     int64   `json:"total"`
+		SmallOnly int64   `json:"small_only"`
+		HitRate   float64 `json:"hit_rate"`
+	} `json:"cascade,omitzero"`
+	FeatureCache *FeatureCacheStats  `json:"feature_cache,omitempty"`
+	FeatureStore *ops.StoreStats     `json:"feature_store,omitempty"`
+	Admission    *admission.Snapshot `json:"admission,omitempty"`
+	Adaptation   *adapt.Snapshot     `json:"adaptation,omitempty"`
+	RecentSlow   []SlowQuery         `json:"recent_slow,omitempty"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (s ModelStats) MarshalJSON() ([]byte, error) {
+	w := modelStatsJSON{
+		Model: s.Model, Version: s.Version,
+		Requests: s.Requests, Errors: s.Errors, Rejected: s.Rejected, QPS: s.QPS,
+		FeatureCache: s.FeatureCache, FeatureStore: s.FeatureStore,
+		Admission: s.Admission, Adaptation: s.Adaptation, RecentSlow: s.RecentSlow,
+	}
+	w.LatencyMS.P50, w.LatencyMS.P90 = metrics.Millis(s.LatencyP50), metrics.Millis(s.LatencyP90)
+	w.LatencyMS.P99, w.LatencyMS.P999 = metrics.Millis(s.LatencyP99), metrics.Millis(s.LatencyP999)
+	w.Cascade.Total, w.Cascade.SmallOnly, w.Cascade.HitRate = s.CascadeTotal, s.CascadeSmallOnly, s.CascadeHitRate
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (s *ModelStats) UnmarshalJSON(b []byte) error {
+	var w modelStatsJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*s = ModelStats{
+		Model: w.Model, Version: w.Version,
+		Requests: w.Requests, Errors: w.Errors, Rejected: w.Rejected, QPS: w.QPS,
+		LatencyP50: time.Duration(w.LatencyMS.P50), LatencyP90: time.Duration(w.LatencyMS.P90),
+		LatencyP99: time.Duration(w.LatencyMS.P99), LatencyP999: time.Duration(w.LatencyMS.P999),
+		CascadeTotal: w.Cascade.Total, CascadeSmallOnly: w.Cascade.SmallOnly, CascadeHitRate: w.Cascade.HitRate,
+		FeatureCache: w.FeatureCache, FeatureStore: w.FeatureStore,
+		Admission: w.Admission, Adaptation: w.Adaptation, RecentSlow: w.RecentSlow,
+	}
+	return nil
+}
+
 // SlowQuery is one retained slow or failed request from the tracer's
 // recent-slow ring.
 type SlowQuery struct {
-	// Start is when the request began.
-	Start time.Time
+	// StartUnixNano is when the request began, in Unix nanoseconds.
+	StartUnixNano int64 `json:"start_unix_nano"`
 	// Latency is the request's end-to-end latency.
-	Latency time.Duration
+	Latency metrics.Millis `json:"latency_ms"`
 	// Err is the request's error text, empty on success (retained because
 	// it was slow).
-	Err string
+	Err string `json:"error,omitempty"`
 	// Sampled reports whether a full span trace was also retained for the
 	// request (GET /v1/traces); tail-sampled requests have totals only.
-	Sampled bool
+	Sampled bool `json:"sampled,omitempty"`
 }
 
 // snapshot captures the current counters.

@@ -8,11 +8,15 @@ import (
 	"willump/internal/value"
 )
 
-// This file pins the serving wire protocol: the JSON shapes exchanged by
-// Client and Server. The format is part of the deployment contract the same
-// way the artifact header is — golden-file tests in wire_test.go hold it
-// stable, and every added field must be optional (omitempty) so old clients
-// and servers interoperate with new ones.
+// This file pins the predict routes' wire protocol — request, response,
+// per-request options and input column — and the two list envelopes. The
+// format is part of the deployment contract the same way the artifact header
+// is: golden-file tests in wire_test.go hold it stable, and every added field
+// must be optional (omitempty) so old clients and servers interoperate with
+// new ones. The read routes have no wire types of their own: /stats,
+// /v1/models and /v1/traces serialize ModelStats, ModelInfo and RequestTrace
+// directly, and those (with the producers' snapshots ModelStats points to)
+// carry the json tags the same goldens pin.
 
 // wireColumn is the JSON wire format for one input column.
 type wireColumn struct {
@@ -65,161 +69,14 @@ type wireResponse struct {
 	Degraded    string    `json:"degraded,omitempty"`
 }
 
-// wireModelInfo describes one deployed model on the list/describe routes.
-type wireModelInfo struct {
-	Name             string   `json:"name"`
-	Version          string   `json:"version"`
-	Default          bool     `json:"default,omitempty"`
-	Inputs           []string `json:"inputs,omitempty"`
-	Cascade          bool     `json:"cascade,omitempty"`
-	CascadeThreshold float64  `json:"cascade_threshold,omitempty"`
-	TopK             bool     `json:"topk,omitempty"`
-}
-
 // wireModelList is the GET /v1/models response.
 type wireModelList struct {
-	Models []wireModelInfo `json:"models"`
-}
-
-// wireLatency carries latency quantiles in milliseconds. P999 is omitted
-// at zero so pre-p999 stats serialize exactly as before the field existed.
-type wireLatency struct {
-	P50  float64 `json:"p50"`
-	P90  float64 `json:"p90"`
-	P99  float64 `json:"p99"`
-	P999 float64 `json:"p999,omitempty"`
-}
-
-// wireCascade carries cascade serving counters.
-type wireCascade struct {
-	Total     int64   `json:"total"`
-	SmallOnly int64   `json:"small_only"`
-	HitRate   float64 `json:"hit_rate"`
-}
-
-// wireFeatureCache carries feature-level cache counters (absent when the
-// deployed pipeline has no feature caches, so pre-cache clients see the
-// stats shape unchanged).
-type wireFeatureCache struct {
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Evictions int64   `json:"evictions"`
-	Coalesced int64   `json:"coalesced"`
-	HitRate   float64 `json:"hit_rate"`
-}
-
-// wireFeatureStore carries remote feature-store client health (absent when
-// no lookup table is backed by a reporting store client, so legacy stats
-// responses keep their shape byte-identical).
-type wireFeatureStore struct {
-	Requests     int64   `json:"requests"`
-	Retries      int64   `json:"retries"`
-	HedgesIssued int64   `json:"hedges_issued,omitempty"`
-	HedgesWon    int64   `json:"hedges_won"`
-	Degraded     int64   `json:"degraded,omitempty"`
-	BreakerOpens int64   `json:"breaker_opens,omitempty"`
-	BreakerState string  `json:"breaker_state"`
-	Inflight     int64   `json:"inflight,omitempty"`
-	P50MS        float64 `json:"p50_ms,omitempty"`
-	P99MS        float64 `json:"p99_ms"`
-}
-
-// wireAdmission carries the SLO admission controller's state on the stats
-// response (absent when admission is disabled and nothing was ever shed,
-// degraded, or expired, so legacy stats responses keep their shape).
-type wireAdmission struct {
-	SLOMS             float64 `json:"slo_ms,omitempty"`
-	Limit             int64   `json:"limit,omitempty"`
-	Inflight          int64   `json:"inflight,omitempty"`
-	Level             int     `json:"level,omitempty"`
-	ShedPredicted     int64   `json:"shed_predicted,omitempty"`
-	ShedLimit         int64   `json:"shed_limit,omitempty"`
-	ShedBrownout      int64   `json:"shed_brownout,omitempty"`
-	Expired           int64   `json:"expired,omitempty"`
-	DegradedSmallOnly int64   `json:"degraded_small_only,omitempty"`
-	DegradedBudget    int64   `json:"degraded_budget,omitempty"`
-	DegradedCache     int64   `json:"degraded_cache,omitempty"`
-	ForecastServiceMS float64 `json:"forecast_service_ms,omitempty"`
-	ForecastErrorMS   float64 `json:"forecast_error_ms,omitempty"`
-	Pressure          float64 `json:"pressure,omitempty"`
-}
-
-// wireAdaptation carries the online adaptation controller's state on the
-// stats response (absent when adaptation is not enabled on the model, so
-// legacy stats responses keep their shape byte-identical).
-type wireAdaptation struct {
-	State            string  `json:"state"`
-	CanaryTag        string  `json:"canary_tag,omitempty"`
-	CanaryFraction   float64 `json:"canary_fraction,omitempty"`
-	Sampled          int64   `json:"sampled,omitempty"`
-	ShadowDropped    int64   `json:"shadow_dropped,omitempty"`
-	ReservoirRows    int     `json:"reservoir_rows,omitempty"`
-	KeyReuseObserved float64 `json:"key_reuse_observed,omitempty"`
-	KeyReuseExpected float64 `json:"key_reuse_expected,omitempty"`
-	ScorePH          float64 `json:"score_ph,omitempty"`
-	ScoreKS          float64 `json:"score_ks,omitempty"`
-	KeyDrift         bool    `json:"key_drift,omitempty"`
-	ScoreDrift       bool    `json:"score_drift,omitempty"`
-	KeyDriftEvents   int64   `json:"key_drift_events,omitempty"`
-	ScoreDriftEvents int64   `json:"score_drift_events,omitempty"`
-	Refits           int64   `json:"refits,omitempty"`
-	Canaries         int64   `json:"canaries,omitempty"`
-	Promotions       int64   `json:"promotions,omitempty"`
-	Rollbacks        int64   `json:"rollbacks,omitempty"`
-	CanaryErrors     int64   `json:"canary_errors,omitempty"`
-	LastRollback     string  `json:"last_rollback,omitempty"`
-}
-
-// wireSlow is one retained slow or failed request on the stats response.
-type wireSlow struct {
-	StartUnixNano int64   `json:"start_unix_nano"`
-	LatencyMS     float64 `json:"latency_ms"`
-	Error         string  `json:"error,omitempty"`
-	Sampled       bool    `json:"sampled,omitempty"`
-}
-
-// wireStats is the GET /v1/models/{name}/stats response. RecentSlow is
-// absent unless tracing is enabled on the deployed pipeline, so pre-tracing
-// clients see the stats shape unchanged.
-type wireStats struct {
-	Model        string            `json:"model"`
-	Version      string            `json:"version"`
-	Requests     int64             `json:"requests"`
-	Errors       int64             `json:"errors"`
-	Rejected     int64             `json:"rejected"`
-	QPS          float64           `json:"qps"`
-	LatencyMS    wireLatency       `json:"latency_ms"`
-	Cascade      *wireCascade      `json:"cascade,omitempty"`
-	FeatureCache *wireFeatureCache `json:"feature_cache,omitempty"`
-	FeatureStore *wireFeatureStore `json:"feature_store,omitempty"`
-	Admission    *wireAdmission    `json:"admission,omitempty"`
-	Adaptation   *wireAdaptation   `json:"adaptation,omitempty"`
-	RecentSlow   []wireSlow        `json:"recent_slow,omitempty"`
-}
-
-// wireSpan is one timed stage within a retained trace.
-type wireSpan struct {
-	Stage    string  `json:"stage"`
-	OffsetMS float64 `json:"offset_ms"`
-	DurMS    float64 `json:"dur_ms"`
-}
-
-// wireTrace is one retained request trace on the GET /v1/traces response.
-// Tail-sampled entries (slow or failed requests missed by head sampling)
-// have no id and no spans: only their totals survived.
-type wireTrace struct {
-	ID            uint64     `json:"id,omitempty"`
-	Model         string     `json:"model"`
-	StartUnixNano int64      `json:"start_unix_nano"`
-	TotalMS       float64    `json:"total_ms"`
-	Error         string     `json:"error,omitempty"`
-	Sampled       bool       `json:"sampled,omitempty"`
-	Spans         []wireSpan `json:"spans,omitempty"`
+	Models []ModelInfo `json:"models"`
 }
 
 // wireTraceList is the GET /v1/traces response.
 type wireTraceList struct {
-	Traces []wireTrace `json:"traces"`
+	Traces []RequestTrace `json:"traces"`
 }
 
 // toPredictOptions converts wire options to the internal per-request

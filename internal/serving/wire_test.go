@@ -8,8 +8,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
+	"willump/internal/adapt"
+	"willump/internal/admission"
+	"willump/internal/cache"
 	"willump/internal/core"
+	"willump/internal/metrics"
+	"willump/internal/ops"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite wire protocol golden files")
@@ -44,6 +50,15 @@ func goldenCheck[T any](t *testing.T, name string, v T) {
 	}
 	if !reflect.DeepEqual(back, v) {
 		t.Errorf("golden round trip drifted:\n got: %+v\nwant: %+v", back, v)
+	}
+	// The client half: what a decoder of the golden bytes holds encodes back
+	// to the same bytes.
+	again, err := json.MarshalIndent(back, "", "  ")
+	if err != nil {
+		t.Fatalf("re-encoding decoded golden: %v", err)
+	}
+	if again = append(again, '\n'); !bytes.Equal(again, want) {
+		t.Errorf("decode then re-encode of %s drifted:\n got: %s\nwant: %s", path, again, want)
 	}
 }
 
@@ -94,8 +109,13 @@ func TestWireResponseGolden(t *testing.T) {
 		wireResponse{Error: "serving: empty request"})
 }
 
+// The read routes' goldens below are built from the types the server
+// serializes and the client decodes into — ModelInfo, ModelStats with the
+// producers' own section snapshots, RequestTrace — so they pin what is
+// served, not a mirror of it.
+
 func TestWireModelListGolden(t *testing.T) {
-	goldenCheck(t, "wire_models.golden.json", wireModelList{Models: []wireModelInfo{
+	goldenCheck(t, "wire_models.golden.json", wireModelList{Models: []ModelInfo{
 		{
 			Name: "toxic", Version: "v2", Default: true,
 			Inputs: []string{"comment"}, Cascade: true, CascadeThreshold: 0.7, TopK: true,
@@ -104,59 +124,72 @@ func TestWireModelListGolden(t *testing.T) {
 	}})
 }
 
+// ms is a (possibly fractional) millisecond count as a duration.
+func ms(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
+
+// millis is ms for the snapshots' wire-typed durations.
+func millis(f float64) metrics.Millis { return metrics.Millis(ms(f)) }
+
 func TestWireStatsGolden(t *testing.T) {
-	goldenCheck(t, "wire_stats.golden.json", wireStats{
+	goldenCheck(t, "wire_stats.golden.json", ModelStats{
 		Model: "toxic", Version: "v2",
 		Requests: 1200, Errors: 3, Rejected: 17, QPS: 56.5,
-		LatencyMS: wireLatency{P50: 1.25, P90: 4.5, P99: 12.75},
-		Cascade:   &wireCascade{Total: 4800, SmallOnly: 4100, HitRate: 0.8541666666666666},
+		LatencyP50: ms(1.25), LatencyP90: ms(4.5), LatencyP99: ms(12.75),
+		CascadeTotal: 4800, CascadeSmallOnly: 4100, CascadeHitRate: 0.8541666666666666,
 	})
+	// Stats of a deployment with none of the optional features leak none of
+	// their blocks, nor the p999 quantile at zero: they serialize
+	// byte-identically to servers that predate each.
+	raw, err := json.Marshal(ModelStats{Model: "toxic", Version: "v5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leak := range []string{"p999", "cascade", "feature_cache", "feature_store", "admission", "adaptation", "recent_slow"} {
+		if bytes.Contains(raw, []byte(leak)) {
+			t.Errorf("bare stats leak %q: %s", leak, raw)
+		}
+	}
 }
 
 // TestWireStatsFeatureCacheGolden pins the stats shape for a model whose
-// pipeline carries feature-level caches. The field is omitempty, so the
-// pre-cache golden above also pins that cacheless models serialize
-// byte-identically to older servers.
+// pipeline carries feature-level caches.
 func TestWireStatsFeatureCacheGolden(t *testing.T) {
-	goldenCheck(t, "wire_stats_feature_cache.golden.json", wireStats{
+	goldenCheck(t, "wire_stats_feature_cache.golden.json", ModelStats{
 		Model: "music", Version: "v5",
 		Requests: 900, QPS: 12.25,
-		LatencyMS: wireLatency{P50: 0.5, P90: 1.5, P99: 3.75},
-		FeatureCache: &wireFeatureCache{
-			Hits: 8000, Misses: 2000, Evictions: 450, Coalesced: 120, HitRate: 0.8,
+		LatencyP50: ms(0.5), LatencyP90: ms(1.5), LatencyP99: ms(3.75),
+		FeatureCache: &FeatureCacheStats{
+			Stats:   cache.Stats{Hits: 8000, Misses: 2000, Evictions: 450, Coalesced: 120},
+			HitRate: 0.8,
 		},
 	})
 }
 
 // TestWireStatsFeatureStoreGolden pins the stats shape for a model whose
-// lookup tables are backed by a remote feature-store client. The block is
-// omitempty, so the legacy goldens above also pin that store-less models
-// serialize byte-identically to pre-store servers.
+// lookup tables are backed by a remote feature-store client.
 func TestWireStatsFeatureStoreGolden(t *testing.T) {
-	goldenCheck(t, "wire_stats_feature_store.golden.json", wireStats{
+	goldenCheck(t, "wire_stats_feature_store.golden.json", ModelStats{
 		Model: "credit", Version: "v3",
 		Requests: 640, QPS: 9.5,
-		LatencyMS: wireLatency{P50: 1.75, P90: 3.25, P99: 8.5},
-		FeatureStore: &wireFeatureStore{
+		LatencyP50: ms(1.75), LatencyP90: ms(3.25), LatencyP99: ms(8.5),
+		FeatureStore: &ops.StoreStats{
 			Requests: 640, Retries: 4, HedgesIssued: 31, HedgesWon: 12,
 			Degraded: 2, BreakerOpens: 1, BreakerState: "closed",
-			Inflight: 3, P50MS: 0.85, P99MS: 4.25,
+			Inflight: 3, P50Millis: 0.85, P99Millis: 4.25,
 		},
 	})
 }
 
 // TestWireStatsTracingGolden pins the stats shape for a model with tracing
-// enabled: the p999 quantile and the recent-slow list ride along. Both are
-// omitempty, so the legacy golden above also pins that tracing-less models
-// serialize byte-identically to pre-tracing servers.
+// enabled: the p999 quantile and the recent-slow list ride along.
 func TestWireStatsTracingGolden(t *testing.T) {
-	goldenCheck(t, "wire_stats_tracing.golden.json", wireStats{
+	goldenCheck(t, "wire_stats_tracing.golden.json", ModelStats{
 		Model: "toxic", Version: "v3",
 		Requests: 5000, Errors: 2, QPS: 80,
-		LatencyMS: wireLatency{P50: 1, P90: 2.5, P99: 9, P999: 27.5},
-		RecentSlow: []wireSlow{
-			{StartUnixNano: 1700000000000000000, LatencyMS: 31.5, Sampled: true},
-			{StartUnixNano: 1700000000100000000, LatencyMS: 2.25, Error: "context deadline exceeded"},
+		LatencyP50: ms(1), LatencyP90: ms(2.5), LatencyP99: ms(9), LatencyP999: ms(27.5),
+		RecentSlow: []SlowQuery{
+			{StartUnixNano: 1700000000000000000, Latency: millis(31.5), Sampled: true},
+			{StartUnixNano: 1700000000100000000, Latency: millis(2.25), Err: "context deadline exceeded"},
 		},
 	})
 }
@@ -188,19 +221,18 @@ func TestWireResponseDegradedGolden(t *testing.T) {
 }
 
 // TestWireStatsAdmissionGolden pins the stats shape for a model under SLO
-// admission control. The block is omitempty, so the legacy stats goldens
-// above also pin that admission-less models serialize byte-identically.
+// admission control.
 func TestWireStatsAdmissionGolden(t *testing.T) {
-	goldenCheck(t, "wire_stats_admission.golden.json", wireStats{
+	goldenCheck(t, "wire_stats_admission.golden.json", ModelStats{
 		Model: "toxic", Version: "v4",
 		Requests: 20000, Errors: 12, Rejected: 340, QPS: 410.5,
-		LatencyMS: wireLatency{P50: 1.5, P90: 4.25, P99: 9.75},
-		Admission: &wireAdmission{
-			SLOMS: 10, Limit: 96, Inflight: 41, Level: 1,
+		LatencyP50: ms(1.5), LatencyP90: ms(4.25), LatencyP99: ms(9.75),
+		Admission: &admission.Snapshot{
+			SLO: millis(10), Limit: 96, Inflight: 41, Level: admission.LevelDegrade,
 			ShedPredicted: 220, ShedLimit: 85, ShedBrownout: 35,
 			Expired: 14, DegradedSmallOnly: 1200, DegradedBudget: 90,
-			DegradedCache: 310, ForecastServiceMS: 2.25,
-			ForecastErrorMS: 0.75, Pressure: 0.95,
+			DegradedCache: 310, ForecastService: millis(2.25),
+			ForecastError: millis(0.75), PressureRatio: 0.95,
 		},
 	})
 	// Options without overload knobs must not leak the new fields either.
@@ -216,15 +248,13 @@ func TestWireStatsAdmissionGolden(t *testing.T) {
 }
 
 // TestWireStatsAdaptationGolden pins the stats shape for a model with
-// online adaptation enabled, mid-canary. The block is omitempty, so the
-// legacy stats goldens above also pin that non-adapted models serialize
-// byte-identically.
+// online adaptation enabled, mid-canary.
 func TestWireStatsAdaptationGolden(t *testing.T) {
-	goldenCheck(t, "wire_stats_adaptation.golden.json", wireStats{
+	goldenCheck(t, "wire_stats_adaptation.golden.json", ModelStats{
 		Model: "toxic", Version: "v5",
 		Requests: 48000, Errors: 9, QPS: 520.25,
-		LatencyMS: wireLatency{P50: 1.25, P90: 3.5, P99: 8.25},
-		Adaptation: &wireAdaptation{
+		LatencyP50: ms(1.25), LatencyP90: ms(3.5), LatencyP99: ms(8.25),
+		Adaptation: &adapt.Snapshot{
 			State: "canarying", CanaryTag: "adapt-3", CanaryFraction: 0.1,
 			Sampled: 6000, ShadowDropped: 14, ReservoirRows: 512,
 			KeyReuseObserved: 0.31, KeyReuseExpected: 0.88,
@@ -234,32 +264,24 @@ func TestWireStatsAdaptationGolden(t *testing.T) {
 			LastRollback: "guard regression",
 		},
 	})
-	// Non-adapted stats must not leak the block.
-	raw, err := json.Marshal(wireStats{Model: "toxic", Version: "v5"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(raw, []byte("adaptation")) {
-		t.Errorf("non-adapted stats leak an adaptation field: %s", raw)
-	}
 }
 
 // TestWireTracesGolden pins the GET /v1/traces shape: a head-sampled trace
 // with stage spans and a tail-sampled entry with totals only.
 func TestWireTracesGolden(t *testing.T) {
-	goldenCheck(t, "wire_traces.golden.json", wireTraceList{Traces: []wireTrace{
+	goldenCheck(t, "wire_traces.golden.json", wireTraceList{Traces: []RequestTrace{
 		{
 			ID: 42, Model: "toxic", StartUnixNano: 1700000000000000000,
-			TotalMS: 3.5, Sampled: true,
-			Spans: []wireSpan{
-				{Stage: "queue:wait", OffsetMS: 0, DurMS: 0.125},
-				{Stage: "ifv:0", OffsetMS: 0.125, DurMS: 1.5},
-				{Stage: "model:score", OffsetMS: 1.75, DurMS: 0.5},
+			Total: millis(3.5), Sampled: true,
+			Spans: []TraceSpan{
+				{Stage: "queue:wait", Offset: 0, Dur: millis(0.125)},
+				{Stage: "ifv:0", Offset: millis(0.125), Dur: millis(1.5)},
+				{Stage: "model:score", Offset: millis(1.75), Dur: millis(0.5)},
 			},
 		},
 		{
 			Model: "toxic", StartUnixNano: 1700000000200000000,
-			TotalMS: 42.5, Error: "context canceled",
+			Total: millis(42.5), Err: "context canceled",
 		},
 	}})
 }
