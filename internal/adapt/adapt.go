@@ -20,31 +20,13 @@ type Config struct {
 	// SampleEvery shadow-samples one request in N into the detectors
 	// (default 8; 1 samples everything).
 	SampleEvery int
-	// ShadowQueue bounds the sample queue between the hot path and the
-	// shadow worker; full means drop, never block (default 64).
-	ShadowQueue int
 	// Reservoir is the sliding reservoir of sampled request rows re-fits
 	// draw from (default 512).
 	Reservoir int
-	// MinReservoir is the row floor before any re-fit (default
-	// core.ReplanMinReservoirRows; values below it are raised to it).
-	MinReservoir int
-	// KeyWindow is the key-reuse drift window (default 256 samples).
-	KeyWindow int
-	// ReuseTolerance is the allowed |observed - planned| hit-rate gap
-	// (default 0.2); ReuseStrikes the consecutive out-of-band windows
-	// required (default 2).
-	ReuseTolerance float64
-	ReuseStrikes   int
-	// ScoreRef / ScoreWindow size the KS test's frozen reference and
-	// sliding window (default 256 each); KSCrit its critical coefficient
-	// (default 1.628, alpha ~ 0.01). PHDelta / PHLambda tune the
-	// Page–Hinkley test (defaults 0.005 / 0.5).
-	ScoreRef    int
-	ScoreWindow int
-	KSCrit      float64
-	PHDelta     float64
-	PHLambda    float64
+	// KeyWindow is the key-reuse drift window (default 256 samples);
+	// ReuseStrikes the consecutive out-of-band windows required (default 2).
+	KeyWindow    int
+	ReuseStrikes int
 	// CheckEvery is the detector-evaluation and canary-judgement cadence
 	// (default 250ms).
 	CheckEvery time.Duration
@@ -56,20 +38,10 @@ type Config struct {
 	// accumulates judgeable traffic (default 60s).
 	CanaryMinRequests int64
 	CanaryTimeout     time.Duration
-	// Guard tolerances: the canary fails a check when its delta error
-	// rate exceeds the incumbent's by more than GuardErrorTol (default
-	// 0.01); when its p99 exceeds both the SLO and the incumbent's p99
-	// scaled by 1+GuardLatencyTol (default 0.5); when its cache hit rate
-	// falls more than GuardHitRateSlack below the incumbent's (default
-	// 0.10); or when its small-model routing rate exceeds the re-fit's
-	// predicted rate by more than GuardSmallRateSlack (default 0.25).
-	GuardErrorTol       float64
-	GuardLatencyTol     float64
-	GuardHitRateSlack   float64
-	GuardSmallRateSlack float64
-	// SLO is the latency target the p99 guard compares against (0 keeps
-	// the guard purely relative to the incumbent).
-	SLO time.Duration
+	// GuardLatencyTol is the p99 guard's tolerance: the canary fails a check
+	// when its p99 exceeds both the serving tier's SLO (Hooks.SLO) and the
+	// incumbent's p99 scaled by 1+GuardLatencyTol (default 0.5).
+	GuardLatencyTol float64
 	// PassStreak / FailStreak are the hysteresis: consecutive passing
 	// judgements required to promote, consecutive failing ones to roll
 	// back (default 2 each).
@@ -83,18 +55,27 @@ type Config struct {
 	MutateCandidate func(*core.Optimized)
 }
 
+// The canary guard's other tolerances: the canary fails a check when its
+// delta error rate — or its delta shed rate — exceeds the incumbent's by more
+// than guardErrorTol; when its cache hit rate falls more than
+// guardHitRateSlack below the incumbent's; or when its small-model routing
+// rate exceeds the re-fit's predicted rate by more than guardSmallRateSlack.
+const (
+	guardErrorTol       = 0.01
+	guardHitRateSlack   = 0.10
+	guardSmallRateSlack = 0.25
+)
+
+// shadowQueue bounds the sample queue between the hot path and the shadow
+// worker; full means drop, never block.
+const shadowQueue = 64
+
 func (c Config) withDefaults() Config {
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = 8
 	}
-	if c.ShadowQueue <= 0 {
-		c.ShadowQueue = 64
-	}
 	if c.Reservoir <= 0 {
 		c.Reservoir = 512
-	}
-	if c.MinReservoir < core.ReplanMinReservoirRows {
-		c.MinReservoir = core.ReplanMinReservoirRows
 	}
 	if c.KeyWindow <= 0 {
 		c.KeyWindow = 256
@@ -120,17 +101,8 @@ func (c Config) withDefaults() Config {
 	if c.CanaryTimeout <= 0 {
 		c.CanaryTimeout = 60 * time.Second
 	}
-	if c.GuardErrorTol <= 0 {
-		c.GuardErrorTol = 0.01
-	}
 	if c.GuardLatencyTol <= 0 {
 		c.GuardLatencyTol = 0.5
-	}
-	if c.GuardHitRateSlack <= 0 {
-		c.GuardHitRateSlack = 0.10
-	}
-	if c.GuardSmallRateSlack <= 0 {
-		c.GuardSmallRateSlack = 0.25
 	}
 	if c.PassStreak <= 0 {
 		c.PassStreak = 2
@@ -196,6 +168,10 @@ type Hooks struct {
 	// Guards snapshots both arms; ok is false when no canary is running
 	// (e.g. an operator deploy displaced it).
 	Guards func() (incumbent, canary Guard, ok bool)
+	// SLO is the serving tier's p99 target for the model, which the p99
+	// guard compares against (0 keeps the guard purely relative to the
+	// incumbent).
+	SLO time.Duration
 }
 
 // State names the controller's lifecycle phase.
@@ -310,11 +286,11 @@ func New(opt *core.Optimized, cfg Config, hooks Hooks) *Controller {
 		hooks:   hooks,
 		ctx:     ctx,
 		cancel:  cancel,
-		shadowQ: make(chan sample, cfg.ShadowQueue),
+		shadowQ: make(chan sample, shadowQueue),
 		opt:     opt,
-		reuse:   NewReuseDrift(cfg.KeyWindow, cfg.ReuseTolerance, cfg.ReuseStrikes),
-		ph:      NewPageHinkley(cfg.PHDelta, cfg.PHLambda),
-		ks:      NewKSWindow(cfg.ScoreRef, cfg.ScoreWindow, cfg.KSCrit),
+		reuse:   NewReuseDrift(cfg.KeyWindow, cfg.ReuseStrikes),
+		ph:      new(PageHinkley),
+		ks:      NewKSWindow(scoreWindow),
 	}
 	c.reservoir = make([]sample, 0, cfg.Reservoir)
 	c.bindIncumbent(opt)
@@ -562,7 +538,7 @@ func (c *Controller) maybeRefit() {
 		c.mu.Unlock()
 		return
 	}
-	if len(c.reservoir) < c.cfg.MinReservoir {
+	if len(c.reservoir) < core.ReplanMinReservoirRows {
 		c.mu.Unlock()
 		return
 	}
@@ -677,15 +653,15 @@ func (c *Controller) judgeCanary(now time.Time) {
 	}
 
 	pass := true
-	if can.errRate(baseCan) > inc.errRate(baseInc)+c.cfg.GuardErrorTol {
+	if can.errRate(baseCan) > inc.errRate(baseInc)+guardErrorTol {
 		pass = false
 	}
 	latCeil := time.Duration(float64(inc.P99) * (1 + c.cfg.GuardLatencyTol))
-	if can.P99 > latCeil && (c.cfg.SLO <= 0 || can.P99 > c.cfg.SLO) {
+	if can.P99 > latCeil && can.P99 > c.hooks.SLO {
 		pass = false
 	}
 	if canHR, ok := can.hitRate(baseCan); ok {
-		if incHR, ok2 := inc.hitRate(baseInc); ok2 && canHR < incHR-c.cfg.GuardHitRateSlack {
+		if incHR, ok2 := inc.hitRate(baseInc); ok2 && canHR < incHR-guardHitRateSlack {
 			pass = false
 		}
 	} else if _, ok2 := inc.hitRate(baseInc); ok2 {
@@ -694,14 +670,14 @@ func (c *Controller) judgeCanary(now time.Time) {
 		pass = false
 	}
 	if havePred {
-		if sr, ok := can.smallRate(baseCan); ok && sr > predSmall+c.cfg.GuardSmallRateSlack {
+		if sr, ok := can.smallRate(baseCan); ok && sr > predSmall+guardSmallRateSlack {
 			pass = false
 		}
 	}
 	dCanShed := can.Sheds - baseCan.Sheds
 	dIncShed := inc.Sheds - baseInc.Sheds
 	if dCanReq > 0 && dIncReq > 0 {
-		if float64(dCanShed)/float64(dCanReq) > float64(dIncShed)/float64(dIncReq)+c.cfg.GuardErrorTol {
+		if float64(dCanShed)/float64(dCanReq) > float64(dIncShed)/float64(dIncReq)+guardErrorTol {
 			pass = false
 		}
 	}

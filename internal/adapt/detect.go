@@ -16,13 +16,9 @@ import (
 )
 
 // PageHinkley is a two-sided Page–Hinkley test: a sequential
-// change-point detector for a shift in the mean of a stream. delta is
-// the magnitude of mean change considered insignificant (absorbs noise);
-// lambda is the detection threshold on the cumulative deviation. Small
-// lambda detects faster but false-positives sooner.
+// change-point detector for a shift in the mean of a stream. The zero
+// value is ready to use.
 type PageHinkley struct {
-	delta, lambda float64
-
 	n       int64
 	mean    float64
 	up      float64 // cumulative deviation toward an upward shift
@@ -31,36 +27,32 @@ type PageHinkley struct {
 	downMax float64
 }
 
-// NewPageHinkley returns a detector; non-positive parameters take the
-// package defaults (delta 0.005, lambda 0.5 — tuned for probability
-// streams in [0, 1]).
-func NewPageHinkley(delta, lambda float64) *PageHinkley {
-	if delta <= 0 {
-		delta = 0.005
-	}
-	if lambda <= 0 {
-		lambda = 0.5
-	}
-	return &PageHinkley{delta: delta, lambda: lambda}
-}
+// phDelta is the magnitude of mean change considered insignificant (absorbs
+// noise); phLambda the detection threshold on the cumulative deviation (a
+// smaller one detects faster but false-positives sooner). Both are tuned for
+// probability streams in [0, 1].
+const (
+	phDelta  = 0.005
+	phLambda = 0.5
+)
 
 // Add folds one observation and reports whether the test has tripped.
 func (ph *PageHinkley) Add(x float64) bool {
 	ph.n++
 	ph.mean += (x - ph.mean) / float64(ph.n)
-	ph.up += x - ph.mean - ph.delta
+	ph.up += x - ph.mean - phDelta
 	if ph.up < ph.upMin {
 		ph.upMin = ph.up
 	}
-	ph.down += x - ph.mean + ph.delta
+	ph.down += x - ph.mean + phDelta
 	if ph.down > ph.downMax {
 		ph.downMax = ph.down
 	}
-	return ph.Score() > ph.lambda
+	return ph.Score() > phLambda
 }
 
 // Score returns the current cumulative deviation (compared against
-// lambda); it rises toward detection and is exported on stats.
+// phLambda); it rises toward detection and is exported on stats.
 func (ph *PageHinkley) Score() float64 {
 	return math.Max(ph.up-ph.upMin, ph.downMax-ph.down)
 }
@@ -76,7 +68,6 @@ func (ph *PageHinkley) Reset() {
 // first observed window) and a sliding window of recent observations.
 type KSWindow struct {
 	refSize int
-	crit    float64 // critical coefficient c(alpha); 1.628 ~ alpha 0.01
 
 	ref    []float64 // sorted once frozen
 	frozen bool
@@ -86,20 +77,16 @@ type KSWindow struct {
 	full bool
 }
 
-// NewKSWindow returns a detector with the given reference and sliding
-// window sizes; non-positive sizes default to 256, non-positive crit to
-// 1.628 (alpha ~ 0.01).
-func NewKSWindow(refSize, window int, crit float64) *KSWindow {
-	if refSize <= 0 {
-		refSize = 256
-	}
-	if window <= 0 {
-		window = 256
-	}
-	if crit <= 0 {
-		crit = 1.628
-	}
-	return &KSWindow{refSize: refSize, crit: crit, win: make([]float64, window)}
+// ksCrit is the test's critical coefficient c(alpha), alpha ~ 0.01.
+const ksCrit = 1.628
+
+// scoreWindow is the controller's KS reference and sliding-window size.
+const scoreWindow = 256
+
+// NewKSWindow returns a detector whose frozen reference and sliding window
+// both hold size observations.
+func NewKSWindow(size int) *KSWindow {
+	return &KSWindow{refSize: size, win: make([]float64, size)}
 }
 
 // Add folds one observation: the first refSize observations build the
@@ -165,7 +152,7 @@ func (k *KSWindow) Drifted() bool {
 		return false
 	}
 	n, m := float64(len(k.ref)), float64(len(k.win))
-	return k.Statistic() > k.crit*math.Sqrt((n+m)/(n*m))
+	return k.Statistic() > ksCrit*math.Sqrt((n+m)/(n*m))
 }
 
 // Reset clears both samples (reference rebuilds from the stream).
@@ -187,7 +174,6 @@ type ReuseDrift struct {
 	n        int
 	expected float64
 	haveExp  bool
-	tol      float64
 	need     int
 
 	strikes  int
@@ -195,21 +181,20 @@ type ReuseDrift struct {
 	haveObs  bool
 }
 
+// reuseTolerance is the allowed |observed - expected| hit-rate gap.
+const reuseTolerance = 0.2
+
 // NewReuseDrift returns a detector. window is the sample count per
-// measurement (default 256), tol the allowed |observed - expected|
-// (default 0.2), need the consecutive out-of-band windows required
-// (default 2).
-func NewReuseDrift(window int, tol float64, need int) *ReuseDrift {
+// measurement (default 256), need the consecutive out-of-band windows
+// required (default 2).
+func NewReuseDrift(window, need int) *ReuseDrift {
 	if window <= 0 {
 		window = 256
-	}
-	if tol <= 0 {
-		tol = 0.2
 	}
 	if need <= 0 {
 		need = 2
 	}
-	return &ReuseDrift{window: make([]uint64, window), tol: tol, need: need}
+	return &ReuseDrift{window: make([]uint64, window), need: need}
 }
 
 // SetExpected installs the plan's estimated hit rate as the reference.
@@ -241,7 +226,7 @@ func (r *ReuseDrift) Add(h uint64) bool {
 		r.SetExpected(r.observed)
 		return false
 	}
-	if math.Abs(r.observed-r.expected) > r.tol {
+	if math.Abs(r.observed-r.expected) > reuseTolerance {
 		r.strikes++
 	} else {
 		r.strikes = 0

@@ -12,7 +12,7 @@ import (
 
 func TestReuseDriftDetectsAbruptHotsetShift(t *testing.T) {
 	const window = 128
-	r := NewReuseDrift(window, 0.2, 2)
+	r := NewReuseDrift(window, 2)
 	// The plan estimated 90% reuse (a skewed hot set).
 	r.SetExpected(0.9)
 
@@ -48,7 +48,7 @@ func TestReuseDriftDetectsAbruptHotsetShift(t *testing.T) {
 
 func TestReuseDriftBootstrapsBaselineWithoutPlan(t *testing.T) {
 	const window = 64
-	r := NewReuseDrift(window, 0.2, 2)
+	r := NewReuseDrift(window, 2)
 	// No SetExpected: the first full window freezes the baseline.
 	for i := 0; i < window; i++ {
 		r.Add(uint64(i % 4))
@@ -80,7 +80,7 @@ func controlScore(i int) float64 {
 }
 
 func TestPageHinkleyDetectsGradualScoreDrift(t *testing.T) {
-	ph := NewPageHinkley(0, 0) // package defaults
+	ph := new(PageHinkley)
 	const warm = 2_000
 	for i := 0; i < warm; i++ {
 		if ph.Add(controlScore(i)) {
@@ -106,7 +106,7 @@ func TestPageHinkleyDetectsGradualScoreDrift(t *testing.T) {
 }
 
 func TestPageHinkleyNoFalsePositiveOnControl(t *testing.T) {
-	ph := NewPageHinkley(0, 0)
+	ph := new(PageHinkley)
 	for i := 0; i < 100_000; i++ {
 		if ph.Add(controlScore(i)) {
 			t.Fatalf("false positive on drift-free control at sample %d (score %.4f)", i, ph.Score())
@@ -115,7 +115,7 @@ func TestPageHinkleyNoFalsePositiveOnControl(t *testing.T) {
 }
 
 func TestKSWindowDetectsDistributionShift(t *testing.T) {
-	k := NewKSWindow(256, 256, 0) // default crit (alpha ~ 0.01)
+	k := NewKSWindow(256)
 	// Bootstrap the frozen reference from the control stream.
 	for i := 0; i < 256; i++ {
 		k.Add(controlScore(i))
@@ -152,7 +152,7 @@ func TestKSWindowIdenticalTieHeavySamplesAreNotDrift(t *testing.T) {
 		}
 		return 0.7
 	}
-	k := NewKSWindow(256, 256, 0)
+	k := NewKSWindow(256)
 	for i := 0; i < 1_024; i++ {
 		if k.Add(tied(i)) {
 			t.Fatalf("false positive on identical tied samples at %d (stat %.4f)", i, k.Statistic())
@@ -163,7 +163,7 @@ func TestKSWindowIdenticalTieHeavySamplesAreNotDrift(t *testing.T) {
 	}
 
 	// Degenerate all-equal case: every observation the same value.
-	k2 := NewKSWindow(128, 128, 0)
+	k2 := NewKSWindow(128)
 	for i := 0; i < 512; i++ {
 		if k2.Add(0.5) {
 			t.Fatalf("false positive on constant stream at %d (stat %.4f)", i, k2.Statistic())
@@ -175,7 +175,7 @@ func TestKSWindowIdenticalTieHeavySamplesAreNotDrift(t *testing.T) {
 }
 
 func TestKSWindowDetectsMassShiftOnTiedSupport(t *testing.T) {
-	k := NewKSWindow(256, 256, 0)
+	k := NewKSWindow(256)
 	// Reference: 50/50 over {0.3, 0.7}.
 	for i := 0; i < 256; i++ {
 		if i%2 == 0 {
@@ -203,7 +203,7 @@ func TestKSWindowDetectsMassShiftOnTiedSupport(t *testing.T) {
 }
 
 func TestKSWindowResetRebuildsReference(t *testing.T) {
-	k := NewKSWindow(64, 64, 0)
+	k := NewKSWindow(64)
 	for i := 0; i < 512; i++ {
 		k.Add(controlScore(i))
 	}

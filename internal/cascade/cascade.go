@@ -141,9 +141,8 @@ func Train(ctx context.Context, prog *weld.Program, fullModel model.Model,
 	return c, nil
 }
 
-// selectThreshold implements cascade stage 4: the threshold is the lowest
-// candidate such that routing confident inputs to the small model keeps
-// validation accuracy within the target of the full model's accuracy.
+// selectThreshold runs cascade stage 4 on the validation set: both models
+// score it, and SelectThreshold picks the threshold against its labels.
 func (c *Cascade) selectThreshold(ctx context.Context, validInputs map[string]value.Value, validY []float64, target float64) error {
 	run, err := c.Prog.NewRun(ctx, validInputs)
 	if err != nil {
@@ -162,28 +161,37 @@ func (c *Cascade) selectThreshold(ctx context.Context, validInputs map[string]va
 	}
 	fullP := c.Full.Predict(fullX)
 	c.FullAccuracy = model.Accuracy(fullP, validY)
+	c.Threshold, c.CascadeAccuracy, _ = SelectThreshold(smallP, fullP, validY, c.FullAccuracy, target)
+	return nil
+}
 
-	chosen := math.Inf(1)
-	chosenAcc := c.FullAccuracy
+// SelectThreshold implements cascade stage 4: the threshold is the lowest
+// candidate such that routing confident inputs to the small model keeps
+// accuracy against labels within target of baseline, the full model's own
+// accuracy. small[i] and full[i] are the two models' scores for the same
+// input. Offline the labels are the validation set's; online, where live
+// traffic has none, they are the full model's decisions and baseline is 1.
+// It returns the threshold with the mixed predictions' accuracy and the
+// fraction of inputs the small model answers alone — +Inf, baseline and 0
+// when no candidate meets the target and every input cascades.
+func SelectThreshold(small, full, labels []float64, baseline, target float64) (threshold, accuracy, smallFrac float64) {
+	mixed := make([]float64, len(small))
 	for _, t := range thresholdCandidates {
-		mixed := make([]float64, len(smallP))
+		routed := 0
 		for i := range mixed {
-			if model.Confidence(smallP[i]) > t {
-				mixed[i] = smallP[i]
+			if model.Confidence(small[i]) > t {
+				mixed[i] = small[i]
+				routed++
 			} else {
-				mixed[i] = fullP[i]
+				mixed[i] = full[i]
 			}
 		}
-		acc := model.Accuracy(mixed, validY)
-		if acc >= c.FullAccuracy-target {
-			chosen = t
-			chosenAcc = acc
-			break // candidates ascend; the first valid is the lowest
+		if acc := model.Accuracy(mixed, labels); acc >= baseline-target {
+			// Candidates ascend; the first valid is the lowest.
+			return t, acc, float64(routed) / float64(len(small))
 		}
 	}
-	c.Threshold = chosen
-	c.CascadeAccuracy = chosenAcc
-	return nil
+	return math.Inf(1), baseline, 0
 }
 
 // Restore reassembles a deployed cascade from persisted state (an

@@ -168,28 +168,55 @@ func WithCriticality(c string) PredictOption {
 	return func(po *PredictOptions) { po.Criticality = c }
 }
 
+// threshold resolves the cascade confidence threshold one call runs at, given
+// the deployed one. SmallOnly is threshold 0, which trusts the small model on
+// every row (confidences are >= 0.5 by construction), so the full model never
+// runs.
+func (po PredictOptions) threshold(deployed float64) float64 {
+	switch {
+	case po.SmallOnly:
+		return 0
+	case po.CascadeThreshold != nil:
+		return *po.CascadeThreshold
+	}
+	return deployed
+}
+
+// beginTrace starts an entry point's own trace unless the context is
+// trace-owned — it carries a trace, or the serving handler marked it while
+// leaving the request unsampled — in which case an outer owner already
+// counted the request against this tracer and beginning a second time would
+// double-count it. A zero start says nothing was begun. No closure over the
+// entry point's body: closures capture and allocate, and this path must stay
+// allocation-free when unsampled.
+func (o *Optimized) beginTrace(ctx context.Context, label string) (context.Context, *trace.Trace, time.Time) {
+	if o.tracer == nil || trace.Owned(ctx) {
+		return ctx, nil, time.Time{}
+	}
+	start := time.Now()
+	tr := o.tracer.Begin(label)
+	if tr != nil {
+		ctx = trace.NewContext(ctx, tr)
+	}
+	return ctx, tr, start
+}
+
+// endTrace finishes what beginTrace began.
+func (o *Optimized) endTrace(tr *trace.Trace, label string, start time.Time, err error) {
+	if !start.IsZero() {
+		o.tracer.Finish(tr, label, start, err)
+	}
+}
+
 // PredictBatchOptions is the options-resolved batch entry point: it applies
 // the per-request deadline and cascade-threshold override and reports how
 // the cascade served the batch (zero ServeStats when no cascade ran). The
 // serving layer calls it directly; in-process callers normally use
 // PredictBatch.
 func (o *Optimized) PredictBatchOptions(ctx context.Context, inputs map[string]value.Value, po PredictOptions) ([]float64, cascade.ServeStats, error) {
-	// When the context is trace-owned — it carries a trace, or the serving
-	// handler marked it while leaving the request unsampled — an outer
-	// owner already counted the request against this tracer; beginning a
-	// second time here would double-count it. No deferred closure: closures
-	// capture and allocate, and this path must stay allocation-free when
-	// unsampled.
-	if o.tracer == nil || trace.Owned(ctx) {
-		return o.predictBatchOptions(ctx, inputs, po)
-	}
-	start := time.Now()
-	tr := o.tracer.Begin("batch")
-	if tr != nil {
-		ctx = trace.NewContext(ctx, tr)
-	}
+	ctx, tr, start := o.beginTrace(ctx, "batch")
 	preds, stats, err := o.predictBatchOptions(ctx, inputs, po)
-	o.tracer.Finish(tr, "batch", start, err)
+	o.endTrace(tr, "batch", start, err)
 	return preds, stats, err
 }
 
@@ -200,16 +227,7 @@ func (o *Optimized) predictBatchOptions(ctx context.Context, inputs map[string]v
 	ctx, cancel := po.boundCtx(ctx)
 	defer cancel()
 	if o.Cascade != nil {
-		t := o.Cascade.Threshold
-		if po.CascadeThreshold != nil {
-			t = *po.CascadeThreshold
-		}
-		if po.SmallOnly {
-			// Threshold 0 trusts the small model on every row (confidences
-			// are >= 0.5 by construction), so the full model never runs.
-			t = 0
-		}
-		return o.Cascade.PredictBatchThreshold(ctx, inputs, t)
+		return o.Cascade.PredictBatchThreshold(ctx, inputs, po.threshold(o.Cascade.Threshold))
 	}
 	preds, err := o.PredictFull(ctx, inputs)
 	return preds, cascade.ServeStats{}, err
@@ -219,16 +237,9 @@ func (o *Optimized) predictBatchOptions(ctx context.Context, inputs map[string]v
 // point; like PredictBatchOptions it reports how the cascade served the
 // query (zero ServeStats when no cascade ran).
 func (o *Optimized) PredictPointOptions(ctx context.Context, inputs map[string]value.Value, po PredictOptions) (float64, cascade.ServeStats, error) {
-	if o.tracer == nil || trace.Owned(ctx) {
-		return o.predictPointOptions(ctx, inputs, po)
-	}
-	start := time.Now()
-	tr := o.tracer.Begin("point")
-	if tr != nil {
-		ctx = trace.NewContext(ctx, tr)
-	}
+	ctx, tr, start := o.beginTrace(ctx, "point")
 	p, stats, err := o.predictPointOptions(ctx, inputs, po)
-	o.tracer.Finish(tr, "point", start, err)
+	o.endTrace(tr, "point", start, err)
 	return p, stats, err
 }
 
@@ -239,14 +250,7 @@ func (o *Optimized) predictPointOptions(ctx context.Context, inputs map[string]v
 	ctx, cancel := po.boundCtx(ctx)
 	defer cancel()
 	if o.Cascade != nil {
-		t := o.Cascade.Threshold
-		if po.CascadeThreshold != nil {
-			t = *po.CascadeThreshold
-		}
-		if po.SmallOnly {
-			t = 0
-		}
-		return o.Cascade.PredictPointThreshold(ctx, inputs, t)
+		return o.Cascade.PredictPointThreshold(ctx, inputs, po.threshold(o.Cascade.Threshold))
 	}
 	p, err := o.predictPointCompiled(ctx, inputs)
 	return p, cascade.ServeStats{}, err
@@ -265,16 +269,9 @@ func (o *Optimized) BatchPredictor() func(context.Context, map[string]value.Valu
 // returned, and po.Budget (when positive) overrides the filter's candidate
 // subset size.
 func (o *Optimized) TopKOptions(ctx context.Context, inputs map[string]value.Value, po PredictOptions) ([]int, error) {
-	if o.tracer == nil || trace.Owned(ctx) {
-		return o.topKOptions(ctx, inputs, po)
-	}
-	start := time.Now()
-	tr := o.tracer.Begin("topk")
-	if tr != nil {
-		ctx = trace.NewContext(ctx, tr)
-	}
+	ctx, tr, start := o.beginTrace(ctx, "topk")
 	idx, err := o.topKOptions(ctx, inputs, po)
-	o.tracer.Finish(tr, "topk", start, err)
+	o.endTrace(tr, "topk", start, err)
 	return idx, err
 }
 

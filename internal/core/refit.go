@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"willump/internal/cascade"
-	"willump/internal/model"
 	"willump/internal/topk"
 	"willump/internal/weld"
 )
@@ -46,8 +44,8 @@ type RefitResult struct {
 // full model's probabilities for the same sampled live request. Live
 // traffic has no labels, so agreement with the full model stands in for
 // validation accuracy (the full model defines correctness for the
-// cascade by construction); the chosen threshold is the lowest candidate
-// whose mixed predictions keep agreement within target of 1.
+// cascade by construction): cascade.SelectThreshold, with the full model's
+// decisions as labels and a baseline of 1.
 func RefitCascadeThreshold(small, full []float64, target float64) (RefitResult, error) {
 	if len(small) != len(full) {
 		return RefitResult{}, fmt.Errorf("core: refit got %d small scores for %d full scores", len(small), len(full))
@@ -64,32 +62,10 @@ func RefitCascadeThreshold(small, full []float64, target float64) (RefitResult, 
 			fullLabels[i] = 1
 		}
 	}
-	res := RefitResult{Threshold: math.Inf(1), Agreement: 1}
-	mixed := make([]float64, len(small))
-	for _, t := range thresholdCandidates() {
-		routed := 0
-		for i := range mixed {
-			if model.Confidence(small[i]) > t {
-				mixed[i] = small[i]
-				routed++
-			} else {
-				mixed[i] = full[i]
-			}
-		}
-		agree := model.Accuracy(mixed, fullLabels)
-		if agree >= 1-target {
-			res.Threshold = t
-			res.Agreement = agree
-			res.SmallFrac = float64(routed) / float64(len(small))
-			break // candidates ascend; the first valid is the lowest
-		}
-	}
+	var res RefitResult
+	res.Threshold, res.Agreement, res.SmallFrac = cascade.SelectThreshold(small, full, fullLabels, 1, target)
 	return res, nil
 }
-
-// thresholdCandidates mirrors the cascade package's candidate grid (0.1
-// multiples over the confidence range, avoiding validation overfitting).
-func thresholdCandidates() []float64 { return []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0} }
 
 // ReplanFeatureCache re-splits the feature-cache entry budget from a
 // reservoir of sampled live request rows, reusing the statistical cache

@@ -95,7 +95,6 @@ func testAdaptConfig() adapt.Config {
 		KeyWindow:         64,
 		ReuseStrikes:      2,
 		Reservoir:         128,
-		MinReservoir:      64,
 		CheckEvery:        20 * time.Millisecond,
 		CanaryFraction:    0.5,
 		CanaryMinRequests: 30,

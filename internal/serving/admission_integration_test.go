@@ -69,20 +69,20 @@ func TestExpiredPendingCulledFromBatch(t *testing.T) {
 
 	// Occupy the batcher: request A blocks inside the predictor, so
 	// everything enqueued next stays in the queue until we release it.
-	go s.executeBatched(context.Background(), h, row(1), 1, admission.CritNormal) //nolint:errcheck
+	go serveRow(context.Background(), h, row(1)) //nolint:errcheck
 	<-pred.entered
 
 	// Request B joins the queue, then its context dies while it waits.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, delivered, err := s.executeBatched(ctx, h, row(2), 1, admission.CritNormal)
+	_, delivered, err := serveRow(ctx, h, row(2))
 	if delivered || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter: delivered=%v err=%v, want abandoned with context.Canceled", delivered, err)
 	}
 
 	close(pred.release)
 	// Request C proves the batcher moved past the corpse and still serves.
-	preds, _, delivered, err := s.executeBatched(context.Background(), h, row(3), 1, admission.CritNormal)
+	preds, delivered, err := serveRow(context.Background(), h, row(3))
 	if err != nil || !delivered || len(preds) != 1 {
 		t.Fatalf("live request after cull: preds=%v delivered=%v err=%v", preds, delivered, err)
 	}
@@ -128,7 +128,7 @@ func TestRetryAfterSurfacedOnOverloadedError(t *testing.T) {
 	// the predictive check is live (an idle model always admits — the probe
 	// rule — so shedding needs observed history AND work in the system).
 	h.admit.Observe(40*time.Millisecond, 40*time.Millisecond, 1)
-	go s_executeBatchedBG(srv, h)
+	go serveRow(context.Background(), h, map[string]value.Value{"x": value.NewFloats([]float64{1})}) //nolint:errcheck
 	<-pred.entered
 
 	_, err = cli.PredictModel(context.Background(), DefaultModelName,
@@ -148,12 +148,6 @@ func TestRetryAfterSurfacedOnOverloadedError(t *testing.T) {
 		t.Errorf("shed_predicted = %d, want >= 1", snap.ShedPredicted)
 	}
 	close(pred.release)
-}
-
-// s_executeBatchedBG holds one batched request in flight in the background.
-func s_executeBatchedBG(srv *Server, h *Hosted) {
-	srv.executeBatched(context.Background(), h, //nolint:errcheck
-		map[string]value.Value{"x": value.NewFloats([]float64{1})}, 1, admission.CritNormal)
 }
 
 // TestBrownoutCacheOnlyEndToEnd drives the full brownout round trip through

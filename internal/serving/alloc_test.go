@@ -7,14 +7,15 @@ import (
 
 	"willump/internal/core"
 	"willump/internal/fixture"
+	"willump/internal/metrics"
 	"willump/internal/value"
 )
 
 // TestRegistryPointPredictAllocBound guards the in-process half of the
-// /v1/models/{name}/predict point path — model lookup, direct-path
-// admission, and the pooled PredictPointOptions execution underneath.
-// net/http and codec costs are excluded by construction: the test drives the
-// same executeDirect path the HTTP handler calls after decoding. The
+// /v1/models/{name}/predict point path — routing, admission, and the pooled
+// PredictPointOptions execution underneath. net/http and codec costs are
+// excluded by construction: the test drives the same serve path the HTTP
+// handler calls after decoding. The
 // pipeline execution itself is allocation-free (see the root
 // TestPredictPointZeroAllocs) and the request runs under its own context, so
 // what remains is the response slice.
@@ -52,13 +53,13 @@ func TestRegistryPointPredictAllocBound(t *testing.T) {
 	po := core.PredictOptions{Point: true}
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		if _, err := s.executeDirect(ctx, h, inputs, 1, po); err != nil {
-			t.Fatal(err)
+		if a := h.serve(call{ctx: ctx, inputs: inputs, n: 1, po: po}); a.err != nil {
+			t.Fatal(a.err)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := s.executeDirect(ctx, h, inputs, 1, po); err != nil {
-			t.Fatal(err)
+		if a := h.serve(call{ctx: ctx, inputs: inputs, n: 1, po: po}); a.err != nil {
+			t.Fatal(a.err)
 		}
 	})
 	const budget = 2
@@ -108,13 +109,13 @@ func TestRegistryPointPredictAllocBoundAdmissionEnabled(t *testing.T) {
 	po := core.PredictOptions{Point: true}
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		if _, err := s.executeDirect(ctx, h, inputs, 1, po); err != nil {
-			t.Fatal(err)
+		if a := h.serve(call{ctx: ctx, inputs: inputs, n: 1, po: po}); a.err != nil {
+			t.Fatal(a.err)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := s.executeDirect(ctx, h, inputs, 1, po); err != nil {
-			t.Fatal(err)
+		if a := h.serve(call{ctx: ctx, inputs: inputs, n: 1, po: po}); a.err != nil {
+			t.Fatal(a.err)
 		}
 	})
 	const budget = 2
@@ -224,11 +225,11 @@ func TestStatsQuantileReadsAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	v := &version{guard: newGuardStats(), stats: newModelStats()}
+	v := &version{arm: &modelStats{latencies: metrics.NewSliding(512)}, stats: newModelStats()}
 	start := time.Now()
 	for i := 1; i <= 400; i++ {
 		d := time.Duration(i) * 10 * time.Microsecond
-		v.guard.record(d, nil)
+		v.arm.record(start, start.Add(d), nil)
 		v.stats.latencies.Observe(d)
 	}
 	near := func(got, want time.Duration) bool { return (got - want).Abs() <= want/32 }
@@ -247,8 +248,9 @@ func TestStatsQuantileReadsAllocFree(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { v.stats.snapshot("m", "v1") }); a != 0 {
 		t.Errorf("modelStats.snapshot allocates %.1f/op, want 0", a)
 	}
-	v.stats.record(start, nil) // the record path itself: one Observe, no allocation
-	if a := testing.AllocsPerRun(100, func() { v.stats.record(start, nil); v.guard.record(time.Millisecond, nil) }); a != 0 {
+	end := start.Add(time.Millisecond)
+	v.stats.record(start, end, nil) // the record path itself: one Observe, no allocation
+	if a := testing.AllocsPerRun(100, func() { v.stats.record(start, end, nil); v.arm.record(start, end, nil) }); a != 0 {
 		t.Errorf("recording a request allocates %.1f/op, want 0", a)
 	}
 }

@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"time"
 
-	"willump/internal/admission"
+	"willump/internal/cascade"
+	"willump/internal/core"
 	"willump/internal/trace"
 	"willump/internal/value"
 )
@@ -29,36 +30,50 @@ import (
 // callers: batches form only under concurrency, sized by how much work
 // arrived while the previous batch ran.
 
-// pending is one batchable request.
-type pending struct {
+// call is one predict-route request on its way through serve: what the
+// client sent and what the path decided about it.
+type call struct {
 	ctx    context.Context // the originating request's context
 	inputs map[string]value.Value
 	n      int
-	enq    time.Time // when the request was submitted (queue-wait spans)
-	// small asks for the degraded small-model-only path (set by the brownout
-	// ladder at admission). A batch executes degraded only when every member
-	// asks for it: one full-fidelity request — e.g. criticality-high traffic
-	// riding below the ladder — upgrades the whole batch.
-	small bool
+	po     core.PredictOptions
+	topK   bool
+	// merge marks a mergeable request: a predict whose options are zero apart
+	// from criticality. Only these share batches, route to a canary, feed the
+	// arm's guard telemetry or touch the prediction cache.
+	merge bool
+	// degraded names the rung the ladder applied (admission.Degraded*); po
+	// then carries what it changed. A merged batch executes small-only only
+	// when every member was degraded to it: one full-fidelity request — e.g.
+	// criticality-high traffic riding below the ladder — upgrades the batch.
+	degraded string
+	enq      time.Time // when the request was admitted (queue-wait spans)
 }
 
-// waiter is a pending queued behind the version's current leader.
+// waiter is a call queued behind the version's current leader.
 type waiter struct {
-	pending
-	// done carries the one message a waiter ever gets: its result, or its
+	call
+	// done carries the one message a waiter ever gets: its answer, or its
 	// promotion. Buffered, so nobody blocks on a waiter that gave up.
-	done chan batchResult
+	done chan answer
 	// promoted is set, under version.mu, when handoff names this waiter the
 	// next leader.
 	promoted bool
 }
 
-type batchResult struct {
-	preds []float64
+// answer is what serve returns for a call.
+type answer struct {
+	preds []float64 // predict
+	idx   []int     // top-K
 	err   error
 	// degraded names the brownout rung that produced the answer
 	// (admission.Degraded*); empty for full-fidelity results.
 	degraded string
+	// abandoned is set when the caller gave up (its context died, or a
+	// force-close cancelled the registry's) on a call that is still queued: a
+	// later leader may yet reach it, so whatever its context carries (its
+	// trace) stays referenced.
+	abandoned bool
 	// lead is not a result: the waiter has been promoted and leads the next
 	// batch itself.
 	lead bool
@@ -73,19 +88,16 @@ var errBatchPanicked = errors.New("serving: batch execution panicked")
 // cost more than the execution it hopes to share.
 const timerFloor = 100 * time.Microsecond
 
-// submit runs one request through the version: at once as the leader when
-// the version is idle, otherwise queued until a leader answers or promotes
-// it. delivered is false when the caller gave up (its context died, or a
-// force-close cancelled the registry's) on a request that is still queued:
-// a later leader may yet reach the pending, so whatever its context carries
-// (its trace) stays referenced.
-func (v *version) submit(p pending) (res batchResult, delivered bool) {
+// submit runs one mergeable call through the version: at once as the leader
+// when the version is idle, otherwise queued until a leader answers or
+// promotes it.
+func (v *version) submit(c call) answer {
 	v.mu.Lock()
 	queued := int(v.queued.Load())
 	switch {
 	case v.stopped:
 		v.mu.Unlock()
-		return batchResult{err: errVersionStopped}, true
+		return answer{err: errVersionStopped}
 	case !v.busy:
 		v.busy = true
 		v.mu.Unlock()
@@ -93,15 +105,15 @@ func (v *version) submit(p pending) (res batchResult, delivered bool) {
 		// Deferred, so that a predictor that panics — which net/http turns
 		// into one failed request — cannot leave the version held forever.
 		defer v.handoff()
-		return v.runLone(&p), true
+		return v.runLone(&c)
 	case queued == len(v.ring):
 		v.mu.Unlock()
-		return batchResult{err: ErrOverloaded}, true
+		return answer{err: ErrOverloaded}
 	}
-	w := &waiter{pending: p, done: make(chan batchResult, 1)}
+	w := &waiter{call: c, done: make(chan answer, 1)}
 	v.ring[(v.head+queued)%len(v.ring)] = w
 	v.queued.Add(1)
-	v.queuedRows += p.n
+	v.queuedRows += c.n
 	if v.need > 0 && v.queuedRows >= v.need {
 		v.need = 0
 		select {
@@ -111,16 +123,17 @@ func (v *version) submit(p pending) (res batchResult, delivered bool) {
 	}
 	v.mu.Unlock()
 
+	a := answer{abandoned: true}
 	select {
-	case res = <-w.done:
-		if res.lead {
-			res = v.lead(w)
+	case a = <-w.done:
+		if a.lead {
+			a = v.lead(w)
 		}
-		return res, true
-	case <-p.ctx.Done():
-		res.err = p.ctx.Err()
+		return a
+	case <-c.ctx.Done():
+		a.err = c.ctx.Err()
 	case <-v.baseCtx.Done():
-		res.err = errShuttingDown
+		a.err = errShuttingDown
 	}
 	v.mu.Lock()
 	promoted := w.promoted
@@ -131,13 +144,13 @@ func (v *version) submit(p pending) (res batchResult, delivered bool) {
 		v.admit.CountExpired(1)
 		v.handoff()
 	}
-	return res, false
+	return a
 }
 
 // gone reports why a queued request must not execute: its own context died,
 // or a force-close cancelled the registry's.
-func (v *version) gone(p *pending) error {
-	if err := p.ctx.Err(); err != nil {
+func (v *version) gone(c *call) error {
+	if err := c.ctx.Err(); err != nil {
 		return err
 	}
 	if v.baseCtx.Err() != nil {
@@ -149,12 +162,12 @@ func (v *version) gone(p *pending) error {
 // expire answers a waiter that is gone and counts it expired, so that a dead
 // request never costs the batch any compute; it reports whether it did.
 func (v *version) expire(w *waiter) bool {
-	err := v.gone(&w.pending)
+	err := v.gone(&w.call)
 	if err == nil {
 		return false
 	}
 	v.admit.CountExpired(1)
-	w.done <- batchResult{err: err}
+	w.done <- answer{err: err}
 	return true
 }
 
@@ -181,7 +194,7 @@ func (v *version) handoff() {
 	for v.queued.Load() > 0 {
 		if w := v.pop(); w != nil {
 			w.promoted = true
-			w.done <- batchResult{lead: true}
+			w.done <- answer{lead: true}
 			return
 		}
 	}
@@ -273,12 +286,12 @@ func (v *version) awaitStragglers(wait time.Duration, rows int) {
 
 // lead runs the next batch on the promoted waiter's goroutine: the waiter's
 // own request and whatever queued behind it.
-func (v *version) lead(self *waiter) (res batchResult) {
+func (v *version) lead(self *waiter) (a answer) {
 	defer v.handoff() // even if the predictor panics, as in submit
-	if err := v.gone(&self.pending); err != nil {
+	if err := v.gone(&self.call); err != nil {
 		// Died between promotion and waking.
 		v.admit.CountExpired(1)
-		return batchResult{err: err}
+		return answer{err: err}
 	}
 	batch, rows := v.take(append(v.batch[:0], self), self.n)
 	if len(batch) > 1 && rows < v.opts.MaxBatch {
@@ -295,7 +308,7 @@ func (v *version) lead(self *waiter) (res batchResult) {
 			// not be left waiting for an answer nobody will send.
 			for _, w := range batch[1:] {
 				select {
-				case w.done <- batchResult{err: errBatchPanicked}:
+				case w.done <- answer{err: errBatchPanicked}:
 				default:
 				}
 			}
@@ -304,49 +317,46 @@ func (v *version) lead(self *waiter) (res batchResult) {
 		v.batch = batch[:0]
 	}()
 	if len(batch) == 1 {
-		res = v.runLone(&self.pending)
+		a = v.runLone(&self.call)
 	} else {
-		res = v.runMerged(batch, rows)
+		a = v.runMerged(batch, rows)
 	}
 	answered = true
-	return res
+	return a
 }
 
-// runLone executes one request alone, under its own context: client
-// cancellation aborts the prediction itself, and so does a force-close,
-// which kills every request context. The completion feeds the admission
-// controller's service forecast.
-func (v *version) runLone(p *pending) batchResult {
-	if err := p.ctx.Err(); err != nil {
+// runLone executes one call alone, under its own context: client cancellation
+// aborts the prediction itself, and so does a force-close, which kills every
+// request context. It serves the idle version's leader, a promoted waiter
+// with nothing behind it, and every call that never merges.
+func (v *version) runLone(c *call) answer {
+	if err := c.ctx.Err(); err != nil {
 		v.admit.CountExpired(1)
-		return batchResult{err: err}
+		return answer{err: err}
 	}
-	pred, degraded := v.pred, ""
-	if p.small && v.predSmall != nil {
-		pred, degraded = v.predSmall, admission.DegradedSmallOnly
-	}
-	trace.FromContext(p.ctx).Record(trace.StageQueueWait, p.enq)
+	trace.FromContext(c.ctx).Record(trace.StageQueueWait, c.enq)
 	execStart := time.Now()
-	preds, err := pred.PredictBatch(p.ctx, p.inputs)
+	a, cs := v.exec(c.ctx, c.inputs, c.n, c.po, c.topK)
 	end := time.Now()
-	v.admit.Observe(end.Sub(execStart), end.Sub(p.enq), p.n)
-	v.guard.record(end.Sub(p.enq), err)
-	if err == nil && degraded != "" {
-		v.admit.CountDegraded(degraded)
-	}
-	return batchResult{preds: preds, err: err, degraded: degraded}
+	v.executed(end.Sub(execStart), end.Sub(c.enq), c.n, cs, c.merge)
+	a.degraded = c.degraded
+	v.settle(c, &a, end)
+	return a
 }
 
 // runMerged merges the batch's inputs, predicts once under the registry's
 // execution context, answers the followers and returns the leader's own
-// result (batch[0] is the leader).
-func (v *version) runMerged(batch []*waiter, rows int) batchResult {
-	// Degrade to small-model-only scoring when the whole batch asked for it
-	// and the deployment has a small model to degrade to.
-	pred, degraded := v.pred, ""
-	if v.predSmall != nil && allSmall(batch) {
-		pred, degraded = v.predSmall, admission.DegradedSmallOnly
+// answer (batch[0] is the leader).
+func (v *version) runMerged(batch []*waiter, rows int) answer {
+	// Degrade to small-model-only scoring only when the whole batch was.
+	var po core.PredictOptions
+	degraded := batch[0].degraded
+	for _, w := range batch {
+		if w.degraded == "" {
+			degraded = ""
+		}
 	}
+	po.SmallOnly = degraded != ""
 	// Record each member's queue wait; the first sampled member's trace
 	// carries through the merged execution below, so weld/cascade stage
 	// spans attach to it (the other members see only queue wait and total).
@@ -387,7 +397,7 @@ func (v *version) runMerged(batch []*waiter, rows int) batchResult {
 		}
 		cat, err := concatValues(vs)
 		if err != nil {
-			return v.deliver(batch, nil, err, "")
+			return v.deliver(batch, answer{err: err}, time.Now())
 		}
 		inputs[k] = cat
 	}
@@ -405,43 +415,57 @@ func (v *version) runMerged(batch []*waiter, rows int) batchResult {
 	v.batching.mergedBatches.Add(1)
 	v.batching.mergedRows.Add(int64(rows))
 	execStart := time.Now()
-	preds, err := pred.PredictBatch(ectx, inputs)
-	v.admit.Observe(time.Since(execStart), time.Since(batch[0].enq), rows)
-	return v.deliver(batch, preds, err, degraded)
+	a, cs := v.exec(ectx, inputs, rows, po, false)
+	end := time.Now()
+	v.executed(end.Sub(execStart), end.Sub(batch[0].enq), rows, cs, true)
+	a.degraded = degraded
+	return v.deliver(batch, a, end)
 }
 
-// deliver accounts every member's outcome, sends the followers their share
-// of the merged predictions and returns the leader's.
-func (v *version) deliver(batch []*waiter, preds []float64, err error, degraded string) (own batchResult) {
+// deliver settles every member's share of the merged answer, sends the
+// followers theirs and returns the leader's.
+func (v *version) deliver(batch []*waiter, all answer, end time.Time) (own answer) {
 	off := 0
 	for i, w := range batch {
-		res := batchResult{err: err}
-		if err == nil {
-			res = batchResult{preds: preds[off : off+w.n], degraded: degraded}
+		a := all
+		if all.err == nil {
+			a.preds = all.preds[off : off+w.n]
 			off += w.n
-			if degraded != "" {
-				v.admit.CountDegraded(degraded)
-			}
 		}
-		v.guard.record(time.Since(w.enq), err)
+		v.settle(&w.call, &a, end)
 		if i == 0 {
-			own = res
+			own = a
 		} else {
-			w.done <- res
+			w.done <- a
 		}
 	}
 	return own
 }
 
-// allSmall reports whether every member of the batch accepted brownout
-// degradation: one full-fidelity request upgrades the whole batch.
-func allSmall(batch []*waiter) bool {
-	for _, w := range batch {
-		if !w.small {
-			return false
-		}
+// executed feeds one execution — a lone call or a merged batch — to the arm's
+// service forecast, successful or not (a failure consumed service time too),
+// and counts how the cascade served it; the arm's guard telemetry sees
+// mergeable traffic only.
+func (v *version) executed(service, total time.Duration, rows int, cs cascade.ServeStats, merge bool) {
+	v.admit.Observe(service, total, rows)
+	v.stats.recordCascade(cs)
+	if merge {
+		v.arm.recordCascade(cs)
 	}
-	return true
+}
+
+// settle accounts one executed call's outcome: the degraded marker survives
+// only on a success, where it is counted, and a mergeable call is one request
+// of the arm's guard telemetry.
+func (v *version) settle(c *call, a *answer, end time.Time) {
+	if a.err != nil {
+		a.degraded = ""
+	} else if a.degraded != "" {
+		v.admit.CountDegraded(a.degraded)
+	}
+	if c.merge {
+		v.arm.record(c.enq, end, a.err)
+	}
 }
 
 func concatValues(vs []value.Value) (value.Value, error) {

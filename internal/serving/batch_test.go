@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"willump/internal/admission"
 	"willump/internal/value"
 )
 
@@ -58,7 +57,14 @@ func (p *gatedPredictor) handed() [][]float64 {
 	return append([][]float64(nil), p.calls...)
 }
 
-// batchedReply is one executeBatched outcome.
+// serveRow runs inputs down the serving path as a one-row mergeable request;
+// delivered is false when the caller abandoned a call that is still queued.
+func serveRow(ctx context.Context, h *Hosted, inputs map[string]value.Value) (preds []float64, delivered bool, err error) {
+	a := h.serve(call{ctx: ctx, inputs: inputs, n: 1})
+	return a.preds, !a.abandoned, a.err
+}
+
+// batchedReply is one serveRow outcome.
 type batchedReply struct {
 	preds     []float64
 	delivered bool
@@ -69,7 +75,7 @@ type batchedReply struct {
 func goBatched(s *Server, h *Hosted, ctx context.Context, x float64) <-chan batchedReply {
 	out := make(chan batchedReply, 1)
 	go func() {
-		preds, _, delivered, err := s.executeBatched(ctx, h, oneRow(x), 1, admission.CritNormal)
+		preds, delivered, err := serveRow(ctx, h, oneRow(x))
 		out <- batchedReply{preds, delivered, err}
 	}()
 	return out
@@ -326,7 +332,7 @@ func TestBatchingAbandonedWaitersNeverStrandTheVersion(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 200; i++ {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(rng.Intn(300))*time.Microsecond)
-				_, _, delivered, err := s.executeBatched(ctx, h, oneRow(1), 1, admission.CritNormal)
+				_, delivered, err := serveRow(ctx, h, oneRow(1))
 				cancel()
 				if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 					t.Errorf("unexpected error %v (delivered=%v)", err, delivered)
@@ -335,7 +341,7 @@ func TestBatchingAbandonedWaitersNeverStrandTheVersion(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-	preds, _, delivered, err := s.executeBatched(context.Background(), h, oneRow(1), 1, admission.CritNormal)
+	preds, delivered, err := serveRow(context.Background(), h, oneRow(1))
 	if err != nil || !delivered || len(preds) != 1 {
 		t.Fatalf("request after the storm: %v delivered=%v err=%v", preds, delivered, err)
 	}
@@ -385,7 +391,7 @@ func TestBatchingPanickingPredictorDoesNotWedge(t *testing.T) {
 	panicked := make(chan any, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		s.executeBatched(ctx, h, oneRow(2), 1, admission.CritNormal) //nolint:errcheck
+		serveRow(ctx, h, oneRow(2)) //nolint:errcheck
 	}()
 	awaitQueued(t, v, 1)
 	follower := goBatched(s, h, ctx, 3)
@@ -403,7 +409,7 @@ func TestBatchingPanickingPredictorDoesNotWedge(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("follower of the panicked batch was left waiting")
 	}
-	preds, _, delivered, err := s.executeBatched(ctx, h, oneRow(4), 1, admission.CritNormal)
+	preds, delivered, err := serveRow(ctx, h, oneRow(4))
 	if err != nil || !delivered || len(preds) != 1 {
 		t.Fatalf("request after the panic: %v delivered=%v err=%v", preds, delivered, err)
 	}
@@ -425,7 +431,7 @@ func TestHotSwapDrainsOldVersionQueue(t *testing.T) {
 	if err := s.reg.DeployPredictor(DefaultModelName, "v2", constPredictor(7), nil); err != nil {
 		t.Fatal(err)
 	}
-	preds, _, delivered, err := s.executeBatched(ctx, h, oneRow(0), 1, admission.CritNormal)
+	preds, delivered, err := serveRow(ctx, h, oneRow(0))
 	if err != nil || !delivered || preds[0] != 7 {
 		t.Fatalf("new version while the old one drains: %v delivered=%v err=%v", preds, delivered, err)
 	}

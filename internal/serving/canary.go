@@ -2,57 +2,29 @@ package serving
 
 import (
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"willump/internal/adapt"
 	"willump/internal/admission"
 	"willump/internal/core"
-	"willump/internal/metrics"
 )
 
-// This file is the registry's guarded-rollout half: per-arm guard
-// telemetry, the canary lifecycle (start, promote, roll back), and the
+// This file is the registry's guarded-rollout half: the per-arm guard
+// snapshot, the canary lifecycle (start, promote, roll back), and the
 // wiring that lets an online adaptation controller drive it.
 
-// guardStats is one serving arm's guard telemetry, judged by the
-// adaptation controller as counter deltas from a canary's start.
-type guardStats struct {
-	requests atomic.Int64
-	errors   atomic.Int64
-	sheds    atomic.Int64
-
-	latencies *metrics.Sliding // end-to-end from enqueue
-
-	cascadeTotal atomic.Int64
-	cascadeSmall atomic.Int64
-}
-
-func newGuardStats() *guardStats {
-	return &guardStats{latencies: metrics.NewSliding(512)}
-}
-
-// record accounts one completed request on this arm.
-func (g *guardStats) record(d time.Duration, err error) {
-	g.requests.Add(1)
-	g.latencies.Observe(d)
-	if err != nil {
-		g.errors.Add(1)
-	}
-}
-
-// guardSnapshot assembles the arm's adapt.Guard: outcome counters plus
-// the windowed p99 and the arm's own feature-cache counters (canary
+// guardSnapshot assembles the arm's adapt.Guard, which the adaptation
+// controller judges as counter deltas from a canary's start: outcome counters
+// plus the windowed p99 and the arm's own feature-cache counters (canary
 // pipelines clone their caches, so hit rates are genuinely per-arm).
 func (v *version) guardSnapshot() adapt.Guard {
 	g := adapt.Guard{
-		Requests:     v.guard.requests.Load(),
-		Errors:       v.guard.errors.Load(),
-		Sheds:        v.guard.sheds.Load(),
-		CascadeTotal: v.guard.cascadeTotal.Load(),
-		CascadeSmall: v.guard.cascadeSmall.Load(),
+		Requests:     v.arm.requests.Load(),
+		Errors:       v.arm.errors.Load(),
+		Sheds:        v.arm.rejected.Load(),
+		P99:          v.arm.latencies.Quantile(0.99),
+		CascadeTotal: v.arm.cascadeTotal.Load(),
+		CascadeSmall: v.arm.cascadeSmall.Load(),
 	}
-	g.P99 = v.guard.latencies.Quantile(0.99)
 	if v.opt != nil {
 		if cs, ok := v.opt.FeatureCacheStats(); ok {
 			g.CacheHits, g.CacheMisses = cs.Hits, cs.Misses
@@ -62,10 +34,10 @@ func (v *version) guardSnapshot() adapt.Guard {
 }
 
 // StartCanary deploys a candidate pipeline beside the model's active
-// version, routing the given fraction of batchable traffic to it (clamped
+// version, routing the given fraction of mergeable traffic to it (clamped
 // to [0.001, 0.5]). The canary runs its own admission controller, primed
 // from the incumbent's current forecast so the candidate never opens a
-// cold-start admit-everything window; direct-path and top-K requests stay
+// cold-start admit-everything window; option-carrying and top-K requests stay
 // on the incumbent. One canary per model: starting a second fails.
 func (r *Registry) StartCanary(name, tag string, o *core.Optimized, fraction float64) error {
 	if o == nil {
@@ -105,7 +77,7 @@ func (r *Registry) StartCanary(name, tag string, o *core.Optimized, fraction flo
 	// interval, not calmer pre-canary traffic — a load spike during the
 	// canary must penalize both arms alike.
 	if a := h.active.Load(); a != nil {
-		a.guard.latencies.Reset()
+		a.arm.latencies.Reset()
 	}
 	h.canary.Store(v)
 	h.canaryPermille.Store(pm)
@@ -237,6 +209,7 @@ func (r *Registry) newAdaptController(name string, opt *core.Optimized, cfg adap
 		Promote:  func() error { return r.PromoteCanary(name) },
 		Rollback: func() error { return r.RollbackCanary(name) },
 		Guards:   func() (adapt.Guard, adapt.Guard, bool) { return r.canaryGuards(name) },
+		SLO:      r.opts.SLOTargetP99,
 	})
 }
 

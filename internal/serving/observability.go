@@ -56,7 +56,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		if err != nil {
 			continue // undeployed between listing and snapshot
 		}
-		mm := modelMetrics{stats: st, tracer: h.tracer(), inflight: len(h.direct)}
+		mm := modelMetrics{stats: st, tracer: h.tracer(), inflight: len(h.lone)}
 		if v := h.active.Load(); v != nil {
 			mm.queueLen, mm.queueCap = int(v.queued.Load()), len(v.ring)
 			mm.batching = &v.batching

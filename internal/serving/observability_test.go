@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"willump/internal/admission"
 	"willump/internal/core"
 	"willump/internal/fixture"
 	"willump/internal/observ"
@@ -247,8 +246,8 @@ func TestUnsampledServerRequestsCountedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One direct (non-batched) request too: per-request options route through
-	// executeDirect into PredictBatchOptions, the other double-count path.
+	// One option-carrying request too: it executes alone, outside the
+	// batching, which was the other double-count path.
 	if _, err := cl.PredictModel(ctx, "fixture", fixtureRow(),
 		core.WithPredictDeadline(time.Minute)); err != nil {
 		t.Fatal(err)
@@ -291,11 +290,11 @@ func TestExecuteBatchedReportsAbandonment(t *testing.T) {
 
 	// Occupy the batcher inside the predictor, so the abandoned pending below
 	// deterministically stays queued until after its waiter gives up.
-	go s.executeBatched(context.Background(), h, inputs, 1, admission.CritNormal) //nolint:errcheck
+	go serveRow(context.Background(), h, inputs) //nolint:errcheck
 	<-entered
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, delivered, err := s.executeBatched(ctx, h, inputs, 1, admission.CritNormal)
+	_, delivered, err := serveRow(ctx, h, inputs)
 	if delivered {
 		t.Error("cancelled waiter reported delivered = true; its trace would be recycled under the batcher")
 	}
@@ -304,7 +303,7 @@ func TestExecuteBatchedReportsAbandonment(t *testing.T) {
 	}
 	close(release)
 
-	preds, _, delivered, err := s.executeBatched(context.Background(), h, inputs, 1, admission.CritNormal)
+	preds, delivered, err := serveRow(context.Background(), h, inputs)
 	if err != nil || !delivered || len(preds) != 1 {
 		t.Fatalf("live request: preds=%v delivered=%v err=%v, want a delivered result", preds, delivered, err)
 	}

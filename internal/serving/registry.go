@@ -78,24 +78,25 @@ func NewRegistry(opts Options) *Registry {
 }
 
 // Hosted is one named model: an atomically swappable active version plus
-// telemetry that survives swaps.
+// what survives swaps — telemetry, the admission controller — and serve, the
+// one path every predict and top-K request of the model runs.
 type Hosted struct {
 	name   string
 	active atomic.Pointer[version]
 	stats  *modelStats
-	// direct bounds concurrent direct-path requests (per-request options,
-	// top-K) the same way the queue bounds batched ones: admission control
-	// applies to every route, not just the batched one.
-	direct chan struct{}
+	// lone bounds the calls that execute outside the version's batching
+	// (per-request options, top-K) the same way the queue bounds the ones
+	// inside it: QueueDepth of them at once, ErrOverloaded beyond.
+	lone chan struct{}
 	// admit is the model's SLO controller: service-time forecast,
 	// predictive shedding, adaptive concurrency limit, and the brownout
 	// ladder. Like stats, it lives on the Hosted model so forecasts and
 	// counters survive hot swaps. Always non-nil; disabled (SLO zero) it
-	// admits everything and only counts expired pendings.
+	// admits everything and only counts expired waiters.
 	admit *admission.Controller
 
 	// canary is the guarded candidate version a bounded fraction of
-	// batchable traffic routes to (nil outside canary rollouts).
+	// mergeable traffic routes to (nil outside canary rollouts).
 	// canaryPermille is that fraction in thousandths of requests;
 	// routeTick spreads routing decisions deterministically so the canary
 	// sees exactly its share under any arrival order.
@@ -110,7 +111,7 @@ type Hosted struct {
 	adaptCfg *adapt.Config
 }
 
-// route picks the serving arm for one batchable request: the canary when
+// route picks the serving arm for one mergeable call: the canary when
 // one is live and the request's slot falls inside its traffic fraction,
 // the active version otherwise.
 func (h *Hosted) route() *version {
@@ -125,28 +126,27 @@ func (h *Hosted) route() *version {
 	return h.active.Load()
 }
 
-// submit runs p through the routed version, falling back to the model's
+// submit runs c through the routed version, falling back to the model's
 // active version when the routed arm is draining (a canary resolved between
 // routing and submit, or a hot swap is installing a new active version) — a
 // request never fails because a version ended underneath it. The fallback
 // keeps the admission slot acquired on the routed arm's controller (the
 // caller's Release pairs with that Admit), so for the instant of canary
 // resolution the work runs on the active arm while the drained arm's
-// controller carries the inflight accounting and service-time observation:
-// a bounded one-request skew that self-corrects on Release, preferable to
-// double-admitting or failing the request. delivered is false when the
-// caller gave up on a request that is still queued (see version.submit).
-func (h *Hosted) submit(v *version, p pending) (res batchResult, delivered bool) {
-	for attempt := 0; attempt < 8; attempt++ {
-		if v == nil {
-			return batchResult{err: fmt.Errorf("serving: model %q: %w", h.name, ErrModelNotFound)}, true
-		}
-		if res, delivered = v.submit(p); !errors.Is(res.err, errVersionStopped) {
-			return res, delivered
+// controller carries the inflight accounting: a bounded one-request skew that
+// self-corrects on Release, preferable to double-admitting or failing the
+// request.
+func (h *Hosted) submit(v *version, c call) answer {
+	for attempt := 0; attempt < 8 && v != nil; attempt++ {
+		if a := v.submit(c); !errors.Is(a.err, errVersionStopped) {
+			return a
 		}
 		v = h.active.Load()
 	}
-	return batchResult{err: fmt.Errorf("serving: model %q: version churn, request not admitted", h.name)}, true
+	if v == nil {
+		return answer{err: fmt.Errorf("serving: model %q: %w", h.name, ErrModelNotFound)}
+	}
+	return answer{err: fmt.Errorf("serving: model %q: version churn, request not admitted", h.name)}
 }
 
 // queueLen reports the active version's current queue depth (0 when the
@@ -175,7 +175,7 @@ type version struct {
 	model  string
 	tag    string
 	opt    *core.Optimized // nil when hosting a black-box Predictor
-	pred   Predictor       // default batch path (cache-wrapped when enabled)
+	box    Predictor       // the black box; nil when opt is set
 	inputs []string
 	opts   Options
 	stats  *modelStats
@@ -184,17 +184,15 @@ type version struct {
 	// incumbent's forecast) for canaries, so a misbehaving candidate sheds
 	// its own traffic slice without dragging the incumbent's forecast.
 	admit *admission.Controller
-	// guard is the arm's canary-guard telemetry: per-version request
-	// outcomes, latency, cascade routing, and sheds (unlike modelStats,
-	// which lives on the Hosted model and spans both arms).
-	guard *guardStats
-	// predSmall is the brownout degrade path: cascade small-model-only
-	// scoring. Nil unless the pipeline deploys a cascade. Deliberately not
-	// cache-wrapped — a degraded answer cached as a normal one would leak
-	// into full-fidelity traffic after the brownout clears.
-	predSmall Predictor
-	// cache is the end-to-end prediction cache when enabled (pred wraps
-	// it); the brownout cache-only rung peeks it directly.
+	// arm is the version's own telemetry, which the canary guard judges:
+	// the same accumulator as stats (which lives on the Hosted model and
+	// spans both arms), fed by mergeable traffic only — the traffic both arms
+	// can receive — so a canary is never judged against the incumbent's
+	// top-K or option-carrying latencies. Its rejected counter is the arm's
+	// sheds.
+	arm *modelStats
+	// cache is the end-to-end prediction cache when enabled. The version
+	// computes the misses itself (exec), so the cache wraps no predictor.
 	cache *CachedPredictor
 
 	// Batching state (see submit). busy says a leader holds the version: it
@@ -319,9 +317,9 @@ func (r *Registry) deploy(name, tag string, o *core.Optimized, p Predictor, inpu
 	h, ok := r.models[name]
 	if !ok {
 		h = &Hosted{
-			name:   name,
-			stats:  newModelStats(),
-			direct: make(chan struct{}, r.opts.QueueDepth),
+			name:  name,
+			stats: newModelStats(),
+			lone:  make(chan struct{}, r.opts.QueueDepth),
 			admit: admission.New(admission.Config{
 				SLO:      r.opts.SLOTargetP99,
 				Brownout: r.opts.Brownout,
@@ -355,19 +353,23 @@ func (r *Registry) newVersion(h *Hosted, tag string, o *core.Optimized, p Predic
 		model:   h.name,
 		tag:     tag,
 		opt:     o,
+		box:     p,
 		inputs:  append([]string(nil), inputs...),
 		opts:    r.opts,
 		stats:   h.stats,
 		admit:   admit,
-		guard:   newGuardStats(),
+		arm:     &modelStats{latencies: metrics.NewSliding(512)}, // no meter: nobody reads an arm's rate
 		ring:    make([]*waiter, r.opts.QueueDepth),
 		drained: make(chan struct{}),
 		full:    make(chan struct{}, 1),
 		baseCtx: r.baseCtx,
 	}
-	v.pred = v.buildPredictor(o, p)
-	if o != nil && o.Cascade != nil {
-		v.predSmall = v.pipelinePredictor(o, core.PredictOptions{SmallOnly: true})
+	if capacity := r.opts.CacheCapacity; capacity != 0 {
+		keys := r.opts.CacheKeyOrder
+		if len(keys) == 0 {
+			keys = v.inputs
+		}
+		v.cache = NewCachedPredictor(nil, max(capacity, 0), keys) // < 0: unbounded
 	}
 	// Versions that finished draining have nothing left for Close to wait on.
 	r.versions = slices.DeleteFunc(r.versions, func(old *version) bool {
@@ -382,62 +384,68 @@ func (r *Registry) newVersion(h *Hosted, tag string, o *core.Optimized, p Predic
 	return v
 }
 
-// pipelinePredictor is the optimized pipeline's entry point under fixed
-// options, recording cascade serve stats. One row takes the compiled point
-// path, which answers bit-identically without the batch path's per-call
-// buffers.
-func (v *version) pipelinePredictor(o *core.Optimized, po core.PredictOptions) Predictor {
-	stats, guard := v.stats, v.guard
-	return PredictorFunc(func(ctx context.Context, inputs map[string]value.Value) (preds []float64, err error) {
-		var cs cascade.ServeStats
-		if singleRow(inputs) {
-			var p float64
-			p, cs, err = o.PredictPointOptions(ctx, inputs, po)
-			preds = []float64{p}
-		} else {
-			preds, cs, err = o.PredictBatchOptions(ctx, inputs, po)
-		}
-		if err != nil {
-			return nil, err
-		}
-		stats.recordCascade(cs)
-		guard.cascadeTotal.Add(int64(cs.Total))
-		guard.cascadeSmall.Add(int64(cs.SmallOnly))
-		return preds, nil
-	})
+// supports refuses what this version can never answer, before the call costs
+// an admission slot: under pressure it would otherwise be told to retry
+// something that cannot succeed.
+func (v *version) supports(c *call) error {
+	switch {
+	case c.topK && (v.opt == nil || v.opt.Filter == nil):
+		return badRequestf("model %q was not optimized for top-K queries", v.model)
+	case c.topK && c.po.K <= 0:
+		return badRequestf("top-K query requires options.k > 0")
+	case c.topK:
+		return nil
+	// The registry cannot reach inside a black box to override optimizer
+	// knobs; deadline and point modality are generic (a point query is a
+	// single-row batch).
+	case v.opt == nil && (c.po.CascadeThreshold != nil || c.po.Budget > 0):
+		return badRequestf("model %q is a black-box predictor and does not support optimizer overrides", v.model)
+	case c.po.Point && c.n != 1:
+		return badRequestf("point query carries %d rows, want 1", c.n)
+	}
+	return nil
 }
 
-// singleRow reports whether the request carries exactly one row (its columns
-// are all one length by the time it executes).
-func singleRow(inputs map[string]value.Value) bool {
-	for _, col := range inputs {
-		return col.Len() == 1
+// exec is the one place a version computes: the only caller of the optimized
+// pipeline's entry points and of a black-box predictor. One row takes the
+// compiled point path, which answers bit-identically without the batch path's
+// per-call buffers. The prediction cache sees option-free predicts only, so
+// one request's overrides — or a degraded answer cached as a normal one —
+// never leak into another's results. It reports how the cascade served the
+// rows it computed.
+func (v *version) exec(ctx context.Context, inputs map[string]value.Value, n int, po core.PredictOptions, topK bool) (a answer, cs cascade.ServeStats) {
+	if topK {
+		a.idx, a.err = v.opt.TopKOptions(ctx, inputs, po)
+		return a, cs
 	}
-	return false
-}
-
-// buildPredictor assembles the version's default batch path: the optimized
-// pipeline's zero-option entry point or the supplied black box, wrapped in a
-// per-version prediction cache when the registry enables one.
-func (v *version) buildPredictor(o *core.Optimized, p Predictor) Predictor {
-	pred := p
-	if o != nil {
-		pred = v.pipelinePredictor(o, core.PredictOptions{})
-	}
-	if v.opts.CacheCapacity != 0 {
-		capacity := v.opts.CacheCapacity
-		if capacity < 0 {
-			capacity = 0 // unbounded
+	var hit probed
+	if v.cache != nil && po.BatchableZero() {
+		if hit, a.err = v.cache.probe(inputs, false); a.err != nil || len(hit.miss) == 0 {
+			a.preds = hit.out
+			return a, cs
 		}
-		keys := v.opts.CacheKeyOrder
-		if len(keys) == 0 {
-			keys = v.inputs
-		}
-		cached := NewCachedPredictor(pred, capacity, keys)
-		v.cache = cached
-		pred = cached
+		inputs, n = core.Dataset{Inputs: inputs}.Gather(hit.miss).Inputs, len(hit.miss)
 	}
-	return pred
+	switch {
+	case v.opt == nil:
+		if po.Deadline > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, po.Deadline)
+			defer cancel()
+		}
+		a.preds, a.err = v.box.PredictBatch(ctx, inputs)
+	case n == 1:
+		var p float64
+		if p, cs, a.err = v.opt.PredictPointOptions(ctx, inputs, po); a.err == nil {
+			a.preds = []float64{p}
+		}
+	default:
+		a.preds, cs, a.err = v.opt.PredictBatchOptions(ctx, inputs, po)
+	}
+	if a.err == nil && hit.out != nil {
+		a.preds = v.cache.fill(hit, a.preds)
+	}
+	return a, cs
 }
 
 // Undeploy removes a model from the registry. Its active version drains in

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"willump/internal/admission"
-	"willump/internal/cascade"
 	"willump/internal/core"
 	"willump/internal/trace"
 	"willump/internal/value"
@@ -83,7 +82,10 @@ func badRequestf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errBadRequest, fmt.Sprintf(format, args...))
 }
 
-// Server is the HTTP serving frontend over a model Registry.
+// Server is the HTTP serving frontend over a model Registry. The predict and
+// top-K routes share one handler body (handle) that decodes the request,
+// owns its trace and clock, and runs it down the model's one serving path
+// (Hosted.serve: route → degrade → admit → execute → account).
 //
 // Routes:
 //
@@ -157,13 +159,10 @@ func (s *Server) StartOn(addr string) (string, error) {
 	}
 	s.ln = ln
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
-		s.handlePredict(w, r, "")
-	})
-	mux.HandleFunc("POST /v1/models/{name}/predict", func(w http.ResponseWriter, r *http.Request) {
-		s.handlePredict(w, r, r.PathValue("name"))
-	})
-	mux.HandleFunc("POST /v1/models/{name}/topk", s.handleTopK)
+	predict := func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, false) }
+	mux.HandleFunc("POST /predict", predict)
+	mux.HandleFunc("POST /v1/models/{name}/predict", predict)
+	mux.HandleFunc("POST /v1/models/{name}/topk", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, true) })
 	mux.HandleFunc("GET /v1/models/{name}/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/models/{name}", s.handleDescribe)
 	mux.HandleFunc("GET /v1/models", s.handleList)
@@ -310,8 +309,7 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request, name string) (h 
 }
 
 // servedRequest is one accepted predict-route request between the start of
-// its clock and its reply: what handlePredict and handleTopK share around
-// their own execution.
+// its clock and its reply: what handle does around serve.
 type servedRequest struct {
 	h     *Hosted
 	start time.Time
@@ -342,20 +340,20 @@ func (h *Hosted) begin(ctx context.Context) servedRequest {
 
 // end finishes the trace, accounts the request — rejected when admission
 // turned it away, served otherwise — and, when err is set, writes the error
-// reply (a 429 with the controller's Retry-After) and returns false.
-// delivered is false when the request abandoned a pending that is still
-// queued: the version's queue holds the context that carries the trace, which
-// must then not be recycled under the next leader's feet.
-func (q *servedRequest) end(w http.ResponseWriter, err error, delivered bool) bool {
-	if delivered {
-		q.tw.Finish(q.tr, q.h.name, q.start, err)
-	} else {
+// reply (a 429 with the controller's Retry-After) and returns false. An
+// abandoned request left a call queued: the version's queue holds the context
+// that carries the trace, which must then not be recycled under the next
+// leader's feet.
+func (q *servedRequest) end(w http.ResponseWriter, err error, abandoned bool) bool {
+	if abandoned {
 		q.tw.FinishAbandoned(q.tr, q.h.name, q.start, err)
+	} else {
+		q.tw.Finish(q.tr, q.h.name, q.start, err)
 	}
 	if errors.Is(err, ErrOverloaded) {
 		q.h.stats.reject()
 	} else {
-		q.h.stats.record(q.start, err)
+		q.h.stats.record(q.start, time.Now(), err)
 	}
 	if err == nil {
 		return true
@@ -368,14 +366,17 @@ func (q *servedRequest) end(w http.ResponseWriter, err error, delivered bool) bo
 	return false
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name string) {
-	h, inputs, n, po, ok := s.accept(w, r, name)
+// handle is the body of both predict routes and the top-K route.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, topK bool) {
+	h, inputs, n, po, ok := s.accept(w, r, r.PathValue("name"))
 	if !ok {
 		return
 	}
-	// Shadow-sample the request into the adaptation controller's drift
-	// detectors (a nil controller is a no-op; the call never blocks).
-	h.adaptCtl.Load().ObserveRequest(inputs, n)
+	if !topK {
+		// Shadow-sample the request into the adaptation controller's drift
+		// detectors (a nil controller is a no-op; the call never blocks).
+		h.adaptCtl.Load().ObserveRequest(inputs, n)
+	}
 	q := h.begin(r.Context())
 	// Criticality may ride an operator-configured header when the wire
 	// options don't carry it; unknown spellings are ignored rather than
@@ -386,39 +387,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name stri
 			po.Criticality = c
 		}
 	}
-	crit := admission.ParseCriticality(po.Criticality)
-	var preds []float64
-	var degraded string
-	var err error
-	delivered := true
-	if po.BatchableZero() {
-		preds, degraded, delivered, err = s.executeBatched(q.ctx, h, inputs, n, crit)
-	} else {
-		// Direct path brownout: force cascade small-only scoring when the
-		// ladder says degrade and the deployment has a cascade to degrade
-		// to. Requests already asking for SmallOnly keep their own marker
-		// off — they got exactly what they asked for.
-		if !po.SmallOnly && h.admit.LevelFor(crit) >= admission.LevelDegrade {
-			if v := h.active.Load(); v != nil && v.opt != nil && v.opt.Cascade != nil {
-				po.SmallOnly = true
-				degraded = admission.DegradedSmallOnly
-			}
-		}
-		preds, err = s.executeDirect(q.ctx, h, inputs, n, po)
-		if err != nil {
-			degraded = ""
-		} else {
-			if degraded != "" {
-				h.admit.CountDegraded(degraded)
-			}
-			// Direct requests never queue, so execution time is both the
-			// service and the end-to-end observation.
-			d := time.Since(q.start)
-			h.admit.Observe(d, d, n)
-		}
-	}
-	if q.end(w, err, delivered) {
-		writeResponse(w, &wireResponse{Predictions: preds, Degraded: degraded})
+	a := h.serve(call{ctx: q.ctx, inputs: inputs, n: n, po: po, topK: topK})
+	if q.end(w, a.err, a.abandoned) {
+		writeResponse(w, &wireResponse{Predictions: a.preds, Indices: a.idx, Degraded: a.degraded})
 	}
 }
 
@@ -442,188 +413,105 @@ func setRetryAfter(w http.ResponseWriter, h *Hosted) {
 // from queue-full rejections; it still matches ErrOverloaded.
 var errPredictedMiss = fmt.Errorf("%w: predicted completion exceeds deadline", ErrOverloaded)
 
-// executeBatched runs a batchable request (zero options apart from
-// criticality) through the routed version's batching, where it executes at
-// once or merges with concurrent requests (version.submit). Admission is
-// SLO-aware: the brownout ladder may answer from the prediction cache or
-// downgrade the request to small-model-only scoring (returned as the
-// degraded marker), and the controller sheds requests whose forecast
-// completion would miss their budget — before they waste queue space. The
-// returned delivered flag reports whether the request was completed: when
-// false, the caller abandoned a pending a later leader may still reach, so
-// anything the request's context carries (its trace) remains referenced.
-func (s *Server) executeBatched(rctx context.Context, h *Hosted, inputs map[string]value.Value, n int, crit admission.Criticality) (preds []float64, degraded string, delivered bool, err error) {
-	// Canary routing happens before admission: each arm runs its own
-	// admission controller (the canary's is primed from the incumbent's
-	// forecast at start), so a misbehaving candidate sheds only its own
-	// traffic slice and never drags the incumbent's forecast with it. For
-	// versions installed by Deploy the arm controller IS the hosted one.
-	v := h.route()
-	admit := h.admit
-	if v != nil {
-		admit = v.admit
+// serve is the one way a request runs: route → degrade → admit → execute →
+// account, for predict and top-K calls alike. What differs between calls is
+// decided here once and nowhere else:
+//
+//   - A mergeable call (a predict whose options are zero apart from
+//     criticality) goes through the routed arm's leader-executes batching
+//     (version.submit), where it executes at once when the arm is idle — a
+//     lone request pays no batching delay and no hand-off — or merges with
+//     what queued beside it. Only mergeable calls route to a canary (each arm
+//     runs its own admission controller, the canary's primed from the
+//     incumbent's forecast, so a misbehaving candidate sheds only its own
+//     traffic slice), may be answered from the prediction cache, and feed the
+//     arm's guard telemetry.
+//   - Any other call — per-request options, top-K — never merges: one
+//     request's overrides must not leak into another's results, its deadline
+//     stays its own, and a top-K ranking is relative to the rows the client
+//     sent. It executes at once on the active version, concurrently, under
+//     its own context, QueueDepth of them at a time.
+//
+// Both kinds pass the arm's admission controller once and feed its forecast
+// with every completion.
+func (h *Hosted) serve(c call) answer {
+	crit := admission.ParseCriticality(c.po.Criticality)
+	c.merge = !c.topK && c.po.BatchableZero()
+	v := h.active.Load()
+	if c.merge {
+		v = h.route()
 	}
-	level := admit.LevelFor(crit)
-	if level >= admission.LevelCacheOnly && v != nil && v.cache != nil {
-		// Deepest brownout rung: answer from the prediction cache without
-		// touching the saturated pipeline. A miss sheds low/normal traffic;
-		// high-criticality requests fall through and still compute (one
-		// rung down, they arrive here only under extreme pressure).
-		if cached, ok := v.cache.Peek(inputs); ok {
-			admit.CountDegraded(admission.DegradedCache)
-			return cached, admission.DegradedCache, true, nil
-		}
-		if crit != admission.CritHigh {
-			admit.CountShedBrownout()
-			v.guard.sheds.Add(1)
-			return nil, "", true, fmt.Errorf("%w: brownout cache-only, no cached answer", ErrOverloaded)
-		}
+	if v == nil {
+		return answer{err: fmt.Errorf("serving: model %q: %w", h.name, ErrModelNotFound)}
 	}
-	var budget time.Duration
-	if dl, ok := rctx.Deadline(); ok {
-		budget = time.Until(dl)
+	if err := v.supports(&c); err != nil {
+		return answer{err: err}
 	}
-	queued := 0
-	if v != nil {
-		queued = int(v.queued.Load())
+	if a, done := v.degrade(&c, crit); done {
+		return a
 	}
-	if d := admit.Admit(queued, budget, crit); d.Shed {
-		if v != nil {
-			v.guard.sheds.Add(1)
-		}
-		return nil, "", true, errPredictedMiss
-	}
-	defer admit.Release()
-	res, delivered := h.submit(v, pending{
-		ctx: rctx, inputs: inputs, n: n, enq: time.Now(),
-		small: level >= admission.LevelDegrade,
-	})
-	return res.preds, res.degraded, delivered, res.err
-}
-
-// enterDirect is the way into direct execution, which serves the requests
-// that never merge into shared batches (per-request options, top-K). It is
-// still admission-controlled: the SLO-aware gate first (shed work predicted
-// to miss its budget, bound concurrency adaptively), then the fixed
-// direct-slot backstop that bounds concurrent direct requests like the batch
-// queue, rejecting with ErrOverloaded beyond the configured depth. On success
-// it returns the active version, and the caller must leaveDirect.
-func (h *Hosted) enterDirect(ctx context.Context, po core.PredictOptions) (*version, error) {
-	budget := po.Deadline
+	// SLO-aware admission: shed work whose forecast completion would miss its
+	// budget — before it wastes queue space — and bound concurrency adaptively.
+	// Only a mergeable call waits behind the arm's queue.
+	budget, queued := c.po.Deadline, 0
 	if budget <= 0 {
-		if dl, ok := ctx.Deadline(); ok {
+		if dl, ok := c.ctx.Deadline(); ok {
 			budget = time.Until(dl)
 		}
 	}
-	if d := h.admit.Admit(0, budget, admission.ParseCriticality(po.Criticality)); d.Shed {
-		return nil, errPredictedMiss
+	if c.merge {
+		queued = int(v.queued.Load())
+	}
+	if v.admit.Admit(queued, budget, crit).Shed {
+		if c.merge {
+			v.arm.reject()
+		}
+		return answer{err: errPredictedMiss}
+	}
+	defer v.admit.Release()
+	c.enq = time.Now()
+	if c.merge {
+		return h.submit(v, c)
 	}
 	select {
-	case h.direct <- struct{}{}:
+	case h.lone <- struct{}{}:
 	default:
-		h.admit.Release()
-		return nil, ErrOverloaded
+		return answer{err: ErrOverloaded}
 	}
-	if v := h.active.Load(); v != nil {
-		return v, nil
-	}
-	h.leaveDirect()
-	return nil, fmt.Errorf("serving: model %q: %w", h.name, ErrModelNotFound)
+	defer func() { <-h.lone }()
+	return v.runLone(&c)
 }
 
-// leaveDirect gives back the direct slot and the admission enterDirect took.
-func (h *Hosted) leaveDirect() {
-	<-h.direct
-	h.admit.Release()
-}
-
-// executeDirect serves a request carrying per-request options. Such
-// requests never merge into shared batches: one request's overrides must
-// not leak into another's results (and deadlines stay the request's own).
-func (s *Server) executeDirect(ctx context.Context, h *Hosted, inputs map[string]value.Value, n int, po core.PredictOptions) ([]float64, error) {
-	v, err := h.enterDirect(ctx, po)
-	if err != nil {
-		return nil, err
-	}
-	defer h.leaveDirect()
-	// Black-box predictor: the registry cannot reach inside it to override
-	// optimizer knobs, but deadline and point modality are generic (a point
-	// query is a single-row batch).
-	if v.opt == nil && (po.CascadeThreshold != nil || po.Budget > 0) {
-		return nil, badRequestf("model %q is a black-box predictor and does not support optimizer overrides", h.name)
-	}
-	if po.Point && n != 1 {
-		return nil, badRequestf("point query carries %d rows, want 1", n)
-	}
-	// Direct work runs under the request's own context: a force-close reaches
-	// it by closing the request's connection.
-	if v.opt == nil {
-		if po.Deadline > 0 {
-			var dcancel context.CancelFunc
-			ctx, dcancel = context.WithTimeout(ctx, po.Deadline)
-			defer dcancel()
+// degrade applies the brownout ladder, the one place a rung turns into what a
+// call experiences. Cache-only: a mergeable call is answered from the
+// prediction cache without touching the saturated pipeline, or shed on a miss
+// (high-criticality traffic sees one rung less and still computes). Degrade,
+// and cache-only for everything the cache cannot answer: a predict on a
+// cascade scores with the small model only, a top-K query ranks from the
+// smallest legal candidate subset (exactly K) instead of the trained c_k*K
+// policy — cheaper, slightly-lower-recall answers rather than sheds. A call
+// already asking for as much got what it asked for and carries no marker.
+func (v *version) degrade(c *call, crit admission.Criticality) (a answer, done bool) {
+	level := v.admit.LevelFor(crit)
+	if level >= admission.LevelCacheOnly && c.merge && v.cache != nil {
+		if cached, ok := v.cache.Peek(c.inputs); ok {
+			v.admit.CountDegraded(admission.DegradedCache)
+			return answer{preds: cached, degraded: admission.DegradedCache}, true
 		}
-		return v.pred.PredictBatch(ctx, inputs)
+		v.admit.CountShedBrownout()
+		v.arm.reject()
+		return answer{err: fmt.Errorf("%w: brownout cache-only, no cached answer", ErrOverloaded)}, true
 	}
-	var preds []float64
-	var cs cascade.ServeStats
-	if po.Point {
-		var p float64
-		p, cs, err = v.opt.PredictPointOptions(ctx, inputs, po)
-		preds = []float64{p}
-	} else {
-		preds, cs, err = v.opt.PredictBatchOptions(ctx, inputs, po)
+	switch {
+	case level < admission.LevelDegrade:
+	case c.topK:
+		if c.po.Budget == 0 || c.po.Budget > c.po.K {
+			c.po.Budget, c.degraded = c.po.K, admission.DegradedBudget
+		}
+	case !c.po.SmallOnly && v.opt != nil && v.opt.Cascade != nil:
+		c.po.SmallOnly, c.degraded = true, admission.DegradedSmallOnly
 	}
-	if err != nil {
-		return nil, err
-	}
-	h.stats.recordCascade(cs)
-	return preds, nil
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	h, inputs, _, po, ok := s.accept(w, r, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	q := h.begin(r.Context())
-	// Brownout budget shrink: under pressure, rank from the smallest legal
-	// candidate subset (exactly K) instead of the trained c_k*K policy —
-	// a cheaper, slightly-lower-recall answer rather than a shed.
-	crit := admission.ParseCriticality(po.Criticality)
-	var degraded string
-	if po.K > 0 && h.admit.LevelFor(crit) >= admission.LevelDegrade && (po.Budget == 0 || po.Budget > po.K) {
-		po.Budget = po.K
-		degraded = admission.DegradedBudget
-	}
-	// executeTopK never queues behind a batch, so the handler keeps the only
-	// trace reference and the request always counts as delivered.
-	idx, err := s.executeTopK(q.ctx, h, inputs, po)
-	if !q.end(w, err, true) {
-		return
-	}
-	if degraded != "" {
-		h.admit.CountDegraded(degraded)
-	}
-	writeResponse(w, &wireResponse{Indices: idx, Degraded: degraded})
-}
-
-// executeTopK serves a top-K ranking over the request's batch. Top-K is a
-// whole-batch query — the ranking is relative to the rows the client sent —
-// so it never merges with other requests.
-func (s *Server) executeTopK(ctx context.Context, h *Hosted, inputs map[string]value.Value, po core.PredictOptions) ([]int, error) {
-	v, err := h.enterDirect(ctx, po)
-	if err != nil {
-		return nil, err
-	}
-	defer h.leaveDirect()
-	if v.opt == nil || v.opt.Filter == nil {
-		return nil, badRequestf("model %q was not optimized for top-K queries", h.name)
-	}
-	if po.K <= 0 {
-		return nil, badRequestf("top-K query requires options.k > 0")
-	}
-	return v.opt.TopKOptions(ctx, inputs, po)
+	return answer{}, false
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"willump/internal/cache"
+	"willump/internal/core"
 	"willump/internal/value"
 )
 
@@ -55,57 +56,17 @@ func NewCachedPredictor(inner Predictor, capacity int, keyOrder []string) *Cache
 }
 
 // PredictBatch implements Predictor, serving repeated input tuples from the
-// cache and computing only the misses. Every column named in the cache key
-// order must be present and the same length — a missing column would
-// otherwise silently key the cache on a zero value and miscount the batch.
-// Cached predictions are copied out (CopyInto), never aliased.
+// cache and computing only the misses.
 func (p *CachedPredictor) PredictBatch(ctx context.Context, inputs map[string]value.Value) ([]float64, error) {
-	if len(p.keys) == 0 {
-		return nil, fmt.Errorf("serving: cached predictor has an empty cache key order")
+	pr, err := p.probe(inputs, false)
+	if err != nil || len(pr.miss) == 0 {
+		return pr.out, err
 	}
-	cols := make([]value.Value, len(p.keys))
-	n := -1
-	for i, k := range p.keys {
-		v, ok := inputs[k]
-		if !ok {
-			return nil, fmt.Errorf("serving: cache key column %q missing from request (have %s)", k, columnNames(inputs))
-		}
-		if n == -1 {
-			n = v.Len()
-		} else if v.Len() != n {
-			return nil, fmt.Errorf("serving: cache key column %q has %d rows, want %d", k, v.Len(), n)
-		}
-		cols[i] = v
+	preds, err := p.Inner.PredictBatch(ctx, core.Dataset{Inputs: inputs}.Gather(pr.miss).Inputs)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]float64, n)
-	var missRows []int
-	var keyBuf []byte
-	offs := make([]int, n+1)
-	hashes := make([]uint64, n)
-	for r := 0; r < n; r++ {
-		keyBuf = cache.AppendRowKey(keyBuf, cols, r)
-		offs[r+1] = len(keyBuf)
-		key := keyBuf[offs[r]:offs[r+1]]
-		hashes[r] = cache.Hash64(key)
-		if !p.cache.CopyInto(hashes[r], key, out[r:r+1]) {
-			missRows = append(missRows, r)
-		}
-	}
-	if len(missRows) > 0 {
-		sub := make(map[string]value.Value, len(inputs))
-		for k, v := range inputs {
-			sub[k] = v.Gather(missRows)
-		}
-		preds, err := p.Inner.PredictBatch(ctx, sub)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range missRows {
-			out[r] = preds[i]
-			p.cache.Put(hashes[r], keyBuf[offs[r]:offs[r+1]], preds[i:i+1])
-		}
-	}
-	return out, nil
+	return p.fill(pr, preds), nil
 }
 
 // Peek answers the batch purely from the cache: every row must hit, no
@@ -113,34 +74,68 @@ func (p *CachedPredictor) PredictBatch(ctx context.Context, inputs map[string]va
 // degraded-but-real answer without touching the saturated pipeline. The
 // lookups count toward the cache's hit/miss stats like any other.
 func (p *CachedPredictor) Peek(inputs map[string]value.Value) ([]float64, bool) {
+	pr, err := p.probe(inputs, true)
+	return pr.out, err == nil && len(pr.miss) == 0
+}
+
+// probed is one pass of a batch over the cache: out holds the cached
+// predictions, miss the rows that had none, and keys/offs/hashes each row's
+// encoded key for fill.
+type probed struct {
+	out    []float64
+	miss   []int
+	keys   []byte
+	offs   []int
+	hashes []uint64
+}
+
+// probe keys every row of the batch and looks it up, stopping at the first
+// miss when firstMiss is set. Every column named in the cache key order must
+// be present and the same length — a missing column would otherwise silently
+// key the cache on a zero value and miscount the batch. Cached predictions
+// are copied out (CopyInto), never aliased.
+func (p *CachedPredictor) probe(inputs map[string]value.Value, firstMiss bool) (probed, error) {
 	if len(p.keys) == 0 {
-		return nil, false
+		return probed{}, fmt.Errorf("serving: cached predictor has an empty cache key order")
 	}
 	cols := make([]value.Value, len(p.keys))
 	n := -1
 	for i, k := range p.keys {
 		v, ok := inputs[k]
 		if !ok {
-			return nil, false
+			return probed{}, fmt.Errorf("serving: cache key column %q missing from request (have %s)", k, columnNames(inputs))
 		}
 		if n == -1 {
 			n = v.Len()
 		} else if v.Len() != n {
-			return nil, false
+			return probed{}, fmt.Errorf("serving: cache key column %q has %d rows, want %d", k, v.Len(), n)
 		}
 		cols[i] = v
 	}
-	out := make([]float64, n)
-	var keyBuf []byte
+	pr := probed{out: make([]float64, n), offs: make([]int, n+1), hashes: make([]uint64, n)}
 	for r := 0; r < n; r++ {
-		off := len(keyBuf)
-		keyBuf = cache.AppendRowKey(keyBuf, cols, r)
-		key := keyBuf[off:]
-		if !p.cache.CopyInto(cache.Hash64(key), key, out[r:r+1]) {
-			return nil, false
+		pr.keys = cache.AppendRowKey(pr.keys, cols, r)
+		pr.offs[r+1] = len(pr.keys)
+		key := pr.keys[pr.offs[r]:]
+		pr.hashes[r] = cache.Hash64(key)
+		if !p.cache.CopyInto(pr.hashes[r], key, pr.out[r:r+1]) {
+			pr.miss = append(pr.miss, r)
+			if firstMiss {
+				break
+			}
 		}
 	}
-	return out, true
+	return pr, nil
+}
+
+// fill completes a probe with the predictions computed for its miss rows, in
+// order, and caches them.
+func (p *CachedPredictor) fill(pr probed, preds []float64) []float64 {
+	for i, r := range pr.miss {
+		pr.out[r] = preds[i]
+		p.cache.Put(pr.hashes[r], pr.keys[pr.offs[r]:pr.offs[r+1]], preds[i:i+1])
+	}
+	return pr.out
 }
 
 // Stats returns the end-to-end cache's hit and miss counts.

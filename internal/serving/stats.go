@@ -13,9 +13,10 @@ import (
 	"willump/internal/ops"
 )
 
-// modelStats accumulates per-model serving telemetry. One instance lives on
-// each Hosted model and survives version hot swaps, so operators see a
-// continuous series across deployments.
+// modelStats accumulates serving telemetry. One instance lives on each Hosted
+// model and survives version hot swaps, so operators see a continuous series
+// across deployments; every version carries another for the traffic it alone
+// served, which is what the canary guard judges (version.arm).
 type modelStats struct {
 	requests atomic.Int64
 	errors   atomic.Int64
@@ -36,12 +37,13 @@ func newModelStats() *modelStats {
 }
 
 // record accounts one served request: its latency, its outcome, and its
-// contribution to the QPS meter.
-func (s *modelStats) record(start time.Time, err error) {
-	now := time.Now()
+// contribution to the QPS meter when the accumulator keeps one.
+func (s *modelStats) record(start, end time.Time, err error) {
 	s.requests.Add(1)
-	s.meter.Mark(now)
-	s.latencies.Observe(now.Sub(start))
+	if s.meter != nil {
+		s.meter.Mark(end)
+	}
+	s.latencies.Observe(end.Sub(start))
 	if err != nil {
 		s.errors.Add(1)
 	}
