@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"willump/internal/artifact"
 	"willump/internal/core"
 	"willump/internal/model"
 	"willump/internal/ops"
@@ -117,10 +118,10 @@ func LoadFile(path string, opts ...LoadOption) (*Optimized, error) {
 // OpStateMarshaler is implemented by operators whose configuration or
 // fitted state must survive Save/Load. Models persist through the identical
 // method pair (see RegisterModel).
-type OpStateMarshaler = ops.StateMarshaler
+type OpStateMarshaler = artifact.StateMarshaler
 
 // OpStateUnmarshaler is the decoding half of OpStateMarshaler.
-type OpStateUnmarshaler = ops.StateUnmarshaler
+type OpStateUnmarshaler = artifact.StateUnmarshaler
 
 // RegisterOp registers a custom operator implementation under a stable kind
 // string so pipelines containing it can be saved and loaded. The factory

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"willump/internal/artifact"
 	"willump/internal/pipeline"
 	"willump/internal/value"
 )
@@ -97,6 +98,91 @@ func TestLoadRejectsBadHeader(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("Load error = %q, want it to contain %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestLoadRejectsModelWidthMismatch edits a saved model so its input width
+// disagrees with the feature vector the restored pipeline produces. Load
+// must refuse it, naming both widths, rather than hand back a pipeline that
+// panics (logistic weights cut short) or silently misreads columns (a GBDT
+// claiming one feature) on its first prediction.
+func TestLoadRejectsModelWidthMismatch(t *testing.T) {
+	setState := func(t *testing.T, m *artifact.Model, key string, v any) {
+		var st map[string]json.RawMessage
+		if err := json.Unmarshal(m.State, &st); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st[key] = raw
+		if m.State, err = json.Marshal(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each edit returns the width it makes the model claim and the width the
+	// pipeline really feeds it.
+	cases := []struct {
+		bench string
+		opts  []Option
+		edit  func(t *testing.T, a *artifact.Artifact, o *Optimized) (claimed, want int)
+	}{
+		{"product", nil, func(t *testing.T, a *artifact.Artifact, o *Optimized) (int, int) {
+			setState(t, &a.Model, "weights", artifact.Vector{1, 2, 3})
+			return 3, o.Model.NumFeatures()
+		}},
+		{"music", nil, func(t *testing.T, a *artifact.Artifact, o *Optimized) (int, int) {
+			setState(t, &a.Model, "num_features", 1)
+			return 1, o.Model.NumFeatures()
+		}},
+		{"price", nil, func(t *testing.T, a *artifact.Artifact, o *Optimized) (int, int) {
+			var st struct {
+				W1 []artifact.Vector `json:"w1"`
+			}
+			if err := json.Unmarshal(a.Model.State, &st); err != nil {
+				t.Fatal(err)
+			}
+			for i := range st.W1 {
+				st.W1[i] = st.W1[i][:1]
+			}
+			setState(t, &a.Model, "w1", st.W1)
+			return 1, o.Model.NumFeatures()
+		}},
+		{"toxic", []Option{WithCascades(0.01)}, func(t *testing.T, a *artifact.Artifact, o *Optimized) (int, int) {
+			if a.Approx == nil {
+				t.Skip("no cascade was selected")
+			}
+			setState(t, &a.Approx.Small, "weights", artifact.Vector{1, 2})
+			return 2, o.Approx.Small.NumFeatures()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.bench, func(t *testing.T) {
+			_, o := optimizeBenchmark(t, tc.bench, 600, tc.opts...)
+			var buf bytes.Buffer
+			if err := Save(o, &buf); err != nil {
+				t.Fatal(err)
+			}
+			art, err := artifact.Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			claimed, want := tc.edit(t, art, o)
+			buf.Reset()
+			if err := artifact.Write(&buf, art); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Load(&buf)
+			if err == nil {
+				t.Fatalf("Load accepted a model taking %d features where the pipeline produces %d", claimed, want)
+			}
+			for _, n := range []int{claimed, want} {
+				if !strings.Contains(err.Error(), fmt.Sprint(n)) {
+					t.Errorf("Load error %q does not name width %d", err, n)
+				}
 			}
 		})
 	}

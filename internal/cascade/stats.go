@@ -100,12 +100,34 @@ func featureImportances(m model.Model, x feature.Matrix, y []float64) ([]float64
 // cost-effectiveness of the set). It returns the selected IFV indices in
 // ascending order.
 func EfficientIFVs(stats []IFVStat, gamma float64) []int {
+	return selectGreedy(stats, IFVStat.CostEffectiveness, gamma)
+}
+
+// SelectMostImportant is the "Important" baseline of Table 8: greedily add
+// by raw importance, subject to the same half-total-cost budget.
+func SelectMostImportant(stats []IFVStat) []int {
+	return selectGreedy(stats, func(s IFVStat) float64 { return s.Importance }, 0)
+}
+
+// SelectCheapest is the "Cheap" baseline of Table 8: greedily add the
+// cheapest IFVs, subject to the same half-total-cost budget.
+func SelectCheapest(stats []IFVStat) []int {
+	return selectGreedy(stats, func(s IFVStat) float64 { return -s.Cost }, 0)
+}
+
+// selectGreedy is the greedy half-budget loop behind Algorithm 1 and its
+// baselines: it walks the IFVs by descending rank (ties by index), skips any
+// IFV that would push the set's cost past half the total cost, and stops at
+// the first IFV whose cost-effectiveness is below gamma times the set's
+// average. gamma = 0 never stops the loop. The selected indices come back
+// ascending.
+func selectGreedy(stats []IFVStat, rank func(IFVStat) float64, gamma float64) []int {
 	queue := make([]IFVStat, len(stats))
 	copy(queue, stats)
 	sort.Slice(queue, func(i, j int) bool {
-		ci, cj := queue[i].CostEffectiveness(), queue[j].CostEffectiveness()
-		if ci != cj {
-			return ci > cj
+		ri, rj := rank(queue[i]), rank(queue[j])
+		if ri != rj {
+			return ri > rj
 		}
 		return queue[i].Index < queue[j].Index
 	})
@@ -119,74 +141,20 @@ func EfficientIFVs(stats []IFVStat, gamma float64) []int {
 		selCost       float64
 	)
 	for _, f := range queue {
-		avgCE := 0.0
-		if selCost > 0 {
-			avgCE = selImportance / selCost
-		}
-		if f.CostEffectiveness() < gamma*avgCE {
-			break
+		if gamma > 0 {
+			avgCE := 0.0
+			if selCost > 0 {
+				avgCE = selImportance / selCost
+			}
+			if f.CostEffectiveness() < gamma*avgCE {
+				break
+			}
 		}
 		if selCost+f.Cost > totalCost/2 {
 			continue
 		}
 		selected = append(selected, f.Index)
 		selImportance += f.Importance
-		selCost += f.Cost
-	}
-	sort.Ints(selected)
-	return selected
-}
-
-// SelectMostImportant is the "Important" baseline of Table 8: greedily add
-// by raw importance, subject to the same half-total-cost budget.
-func SelectMostImportant(stats []IFVStat) []int {
-	queue := make([]IFVStat, len(stats))
-	copy(queue, stats)
-	sort.Slice(queue, func(i, j int) bool {
-		if queue[i].Importance != queue[j].Importance {
-			return queue[i].Importance > queue[j].Importance
-		}
-		return queue[i].Index < queue[j].Index
-	})
-	var totalCost float64
-	for _, s := range stats {
-		totalCost += s.Cost
-	}
-	var selected []int
-	var selCost float64
-	for _, f := range queue {
-		if selCost+f.Cost > totalCost/2 {
-			continue
-		}
-		selected = append(selected, f.Index)
-		selCost += f.Cost
-	}
-	sort.Ints(selected)
-	return selected
-}
-
-// SelectCheapest is the "Cheap" baseline of Table 8: greedily add the
-// cheapest IFVs, subject to the same half-total-cost budget.
-func SelectCheapest(stats []IFVStat) []int {
-	queue := make([]IFVStat, len(stats))
-	copy(queue, stats)
-	sort.Slice(queue, func(i, j int) bool {
-		if queue[i].Cost != queue[j].Cost {
-			return queue[i].Cost < queue[j].Cost
-		}
-		return queue[i].Index < queue[j].Index
-	})
-	var totalCost float64
-	for _, s := range stats {
-		totalCost += s.Cost
-	}
-	var selected []int
-	var selCost float64
-	for _, f := range queue {
-		if selCost+f.Cost > totalCost/2 {
-			continue
-		}
-		selected = append(selected, f.Index)
 		selCost += f.Cost
 	}
 	sort.Ints(selected)

@@ -153,6 +153,12 @@ func LoadWithResolver(r io.Reader, tables map[string]ops.Table, resolve TableRes
 	if err != nil {
 		return nil, err
 	}
+	// A model whose input width disagrees with the restored feature vector
+	// would load and then panic (or silently misread columns) on the first
+	// prediction.
+	if got, want := m.NumFeatures(), spanWidth(prog, prog.AllIFVs()); got != want {
+		return nil, fmt.Errorf("core: artifact model takes %d features but the pipeline produces %d", got, want)
+	}
 	o := &Optimized{
 		Prog:  prog,
 		Model: m,
@@ -179,6 +185,9 @@ func LoadWithResolver(r io.Reader, tables map[string]ops.Table, resolve TableRes
 			if idx < 0 || idx >= nIFVs {
 				return nil, fmt.Errorf("core: artifact efficient IFV index %d out of range [0, %d)", idx, nIFVs)
 			}
+		}
+		if got, want := small.NumFeatures(), spanWidth(prog, art.Approx.Efficient); got != want {
+			return nil, fmt.Errorf("core: artifact approximate model takes %d features but its efficient IFVs produce %d", got, want)
 		}
 		approx := &cascade.Approx{
 			Prog:      prog,
@@ -210,6 +219,15 @@ func LoadWithResolver(r io.Reader, tables map[string]ops.Table, resolve TableRes
 	}
 	applyLoadedCachePlan(prog, art.Options)
 	return o, nil
+}
+
+// spanWidth sums the column widths of the given IFVs of a fitted program.
+func spanWidth(prog *weld.Program, ifvs []int) int {
+	w := 0
+	for _, i := range ifvs {
+		w += prog.Spans[i].Width()
+	}
+	return w
 }
 
 // applyLoadedCachePlan re-installs a loaded artifact's feature-cache layout.

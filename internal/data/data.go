@@ -21,29 +21,6 @@ import (
 	"math/rand"
 )
 
-// Split holds row indices for the standard train/validation/test split.
-type Split struct {
-	Train, Valid, Test []int
-}
-
-// MakeSplit partitions n rows into contiguous train/valid/test blocks.
-func MakeSplit(n int, trainFrac, validFrac float64) Split {
-	nTrain := int(float64(n) * trainFrac)
-	nValid := int(float64(n) * validFrac)
-	var s Split
-	for i := 0; i < n; i++ {
-		switch {
-		case i < nTrain:
-			s.Train = append(s.Train, i)
-		case i < nTrain+nValid:
-			s.Valid = append(s.Valid, i)
-		default:
-			s.Test = append(s.Test, i)
-		}
-	}
-	return s
-}
-
 // zipfKeys draws n keys in [0, max) under a Zipf distribution with skew s,
 // producing the head-heavy key streams that make caching effective.
 func zipfKeys(rng *rand.Rand, n int, max uint64, s float64) []int64 {

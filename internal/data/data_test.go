@@ -187,13 +187,6 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
-func TestMakeSplit(t *testing.T) {
-	s := MakeSplit(10, 0.5, 0.2)
-	if len(s.Train) != 5 || len(s.Valid) != 2 || len(s.Test) != 3 {
-		t.Errorf("split sizes = %d/%d/%d", len(s.Train), len(s.Valid), len(s.Test))
-	}
-}
-
 // Property: zipfKeys stay in range and skew toward small keys.
 func TestZipfKeysProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -2,7 +2,9 @@
 // structure Willump's optimizations exploit, for use in unit and integration
 // tests: multiple feature generators with asymmetric computational costs and
 // a planted mix of easy inputs (classifiable from the cheap features alone)
-// and hard inputs (requiring the expensive features).
+// and hard inputs (requiring the expensive features). One builder makes every
+// fixture; NewClassification and NewRegression differ only in the label they
+// draw per row.
 package fixture
 
 import (
@@ -97,7 +99,8 @@ type Data struct {
 	Y      []float64
 }
 
-// Classification holds a complete fitted classification fixture.
+// Classification holds a complete fitted fixture: the program, its trained
+// model, the data splits and the two lookup tables.
 type Classification struct {
 	Prog       *weld.Program
 	Model      model.Model
@@ -108,6 +111,10 @@ type Classification struct {
 	CheapTable *ops.LocalTable
 	HeavyTable *ops.LocalTable
 }
+
+// Regression is a fitted regression fixture: the same topology with a
+// continuous target.
+type Regression = Classification
 
 // NewClassification builds, fits, and trains a two-generator classification
 // pipeline:
@@ -120,6 +127,35 @@ type Classification struct {
 // the heavy features for the rest, so a small model on the cheap IFV is
 // confident exactly on the easy rows.
 func NewClassification(seed int64, nTrain, nValid, nTest int, easyFrac float64, spin int) (*Classification, error) {
+	return build(seed, nTrain, nValid, nTest, spin, model.Classification, func(rng *rand.Rand, cvec, hvec []float64) float64 {
+		if rng.Float64() < easyFrac {
+			// Easy: label determined by a strong cheap-feature signal.
+			if cvec[0]+0.5*cvec[1] > 0 {
+				return 1
+			}
+			return 0
+		}
+		// Hard: cheap features near the boundary don't decide; the heavy
+		// features do.
+		if hvec[0]-hvec[1] > 0 {
+			return 1
+		}
+		return 0
+	})
+}
+
+// NewRegression mirrors NewClassification with a continuous target:
+// y = cheap signal + smaller heavy signal + noise.
+func NewRegression(seed int64, nTrain, nValid, nTest int, spin int) (*Regression, error) {
+	return build(seed, nTrain, nValid, nTest, spin, model.Regression, func(rng *rand.Rand, cvec, hvec []float64) float64 {
+		return 2*cvec[0] + cvec[1] + 0.3*hvec[0] + 0.1*rng.NormFloat64()
+	})
+}
+
+// build is the one fixture builder: tables, graph, splits, fit and a GBDT
+// for task. label draws each row's target after the row's two keys, from
+// the same generator, so every fixture's RNG stream is fixed by its seed.
+func build(seed int64, nTrain, nValid, nTest, spin int, task model.Task, label func(rng *rand.Rand, cvec, hvec []float64) float64) (*Classification, error) {
 	rng := rand.New(rand.NewSource(seed))
 	const nKeys = 4096
 	cheapRows := make(map[int64][]float64, nKeys)
@@ -152,20 +188,7 @@ func NewClassification(seed int64, nTrain, nValid, nTest int, easyFrac float64, 
 			hk := rng.Int63n(nKeys)
 			cheapIDs[i] = ck
 			heavyIDs[i] = hk
-			cvec := cheapRows[ck]
-			hvec := heavyRows[hk]
-			if rng.Float64() < easyFrac {
-				// Easy: label determined by a strong cheap-feature signal.
-				if cvec[0]+0.5*cvec[1] > 0 {
-					y[i] = 1
-				}
-			} else {
-				// Hard: cheap features near the boundary don't decide; the
-				// heavy features do.
-				if hvec[0]-hvec[1] > 0 {
-					y[i] = 1
-				}
-			}
+			y[i] = label(rng, cheapRows[ck], heavyRows[hk])
 		}
 		return Data{
 			Inputs: map[string]value.Value{
@@ -191,7 +214,7 @@ func NewClassification(seed int64, nTrain, nValid, nTest int, easyFrac float64, 
 	if err != nil {
 		return nil, err
 	}
-	m := model.NewGBDT(model.GBDTConfig{Task: model.Classification, Trees: 30, MaxDepth: 4, Seed: seed})
+	m := model.NewGBDT(model.GBDTConfig{Task: task, Trees: 30, MaxDepth: 4, Seed: seed})
 	if err := m.Train(x, train.Y); err != nil {
 		return nil, err
 	}
@@ -205,84 +228,6 @@ func NewClassification(seed int64, nTrain, nValid, nTest int, easyFrac float64, 
 		CheapTable: cheapTable,
 		HeavyTable: heavyTable,
 	}, nil
-}
-
-// Regression holds a fitted regression fixture with the same topology.
-type Regression struct {
-	Prog   *weld.Program
-	Model  model.Model
-	Train  Data
-	TrainX feature.Matrix
-	Valid  Data
-	Test   Data
-}
-
-// NewRegression mirrors NewClassification with a continuous target:
-// y = cheap signal + smaller heavy signal + noise.
-func NewRegression(seed int64, nTrain, nValid, nTest int, spin int) (*Regression, error) {
-	rng := rand.New(rand.NewSource(seed))
-	const nKeys = 4096
-	cheapRows := make(map[int64][]float64, nKeys)
-	heavyRows := make(map[int64][]float64, nKeys)
-	for k := int64(0); k < nKeys; k++ {
-		cheapRows[k] = []float64{rng.NormFloat64(), rng.NormFloat64()}
-		heavyRows[k] = []float64{rng.NormFloat64(), rng.NormFloat64()}
-	}
-	cheapTable := ops.NewLocalTable(2, cheapRows)
-	heavyTable := ops.NewLocalTable(2, heavyRows)
-
-	b := graph.NewBuilder()
-	cheapID := b.Input("cheap_id")
-	heavyID := b.Input("heavy_id")
-	cf := b.Add("cheap_features", ops.NewLookup("cheap", cheapTable), cheapID)
-	hf := b.Add("heavy_features", NewHeavyOp("heavy", heavyTable, spin), heavyID)
-	cat := b.Add("concat", ops.NewConcat(), cf, hf)
-	b.SetOutput(cat)
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	gen := func(n int) Data {
-		cheapIDs := make([]int64, n)
-		heavyIDs := make([]int64, n)
-		y := make([]float64, n)
-		for i := 0; i < n; i++ {
-			ck := rng.Int63n(nKeys)
-			hk := rng.Int63n(nKeys)
-			cheapIDs[i] = ck
-			heavyIDs[i] = hk
-			cvec := cheapRows[ck]
-			hvec := heavyRows[hk]
-			y[i] = 2*cvec[0] + cvec[1] + 0.3*hvec[0] + 0.1*rng.NormFloat64()
-		}
-		return Data{
-			Inputs: map[string]value.Value{
-				"cheap_id": value.NewInts(cheapIDs),
-				"heavy_id": value.NewInts(heavyIDs),
-			},
-			Y: y,
-		}
-	}
-	train := gen(nTrain)
-	valid := gen(nValid)
-	test := gen(nTest)
-	prog, err := weld.Compile(g)
-	if err != nil {
-		return nil, err
-	}
-	out, err := prog.Fit(context.Background(), train.Inputs)
-	if err != nil {
-		return nil, err
-	}
-	x, err := out.AsMatrix()
-	if err != nil {
-		return nil, err
-	}
-	m := model.NewGBDT(model.GBDTConfig{Task: model.Regression, Trees: 30, MaxDepth: 4, Seed: seed})
-	if err := m.Train(x, train.Y); err != nil {
-		return nil, err
-	}
-	return &Regression{Prog: prog, Model: m, Train: train, TrainX: x, Valid: valid, Test: test}, nil
 }
 
 // Check verifies a fixture's model is meaningfully better than chance on its

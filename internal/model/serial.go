@@ -3,71 +3,28 @@ package model
 import (
 	"encoding/json"
 	"fmt"
-	"reflect"
-	"sync"
 
 	"willump/internal/artifact"
 )
 
-// StateMarshaler is implemented by models that can persist their trained
-// state (hyperparameters plus learned weights) into an artifact.
-type StateMarshaler interface {
-	MarshalState() ([]byte, error)
-}
-
-// StateUnmarshaler is the decoding half of StateMarshaler: a freshly
-// constructed model restores itself from serialized state.
-type StateUnmarshaler interface {
-	UnmarshalState(state []byte) error
-}
-
-// modelRegistry maps stable kind strings to model factories and model types
-// back to their kinds, exactly like the operator registry in internal/ops.
-type modelRegistry struct {
-	mu        sync.RWMutex
-	factories map[string]func() Model
-	kinds     map[reflect.Type]string
-}
-
-var modelsReg = &modelRegistry{
-	factories: make(map[string]func() Model),
-	kinds:     make(map[reflect.Type]string),
-}
+// modelKinds backs artifact (de)serialization of models, exactly like the
+// operator registry in internal/ops.
+var modelKinds = artifact.NewRegistry[Model]("model: RegisterModel")
 
 // RegisterModel registers a model implementation under a stable kind string
 // for artifact (de)serialization. The factory must return a new, empty
-// model of a single concrete type implementing StateUnmarshaler (and
-// StateMarshaler for saving). Registering a duplicate kind or type panics.
-func RegisterModel(kind string, factory func() Model) {
-	if kind == "" {
-		panic("model: RegisterModel with empty kind")
-	}
-	proto := factory()
-	if proto == nil {
-		panic(fmt.Sprintf("model: RegisterModel(%q): factory returned nil", kind))
-	}
-	t := reflect.TypeOf(proto)
-	modelsReg.mu.Lock()
-	defer modelsReg.mu.Unlock()
-	if _, dup := modelsReg.factories[kind]; dup {
-		panic(fmt.Sprintf("model: RegisterModel: kind %q already registered", kind))
-	}
-	if prev, dup := modelsReg.kinds[t]; dup {
-		panic(fmt.Sprintf("model: RegisterModel: type %v already registered as %q", t, prev))
-	}
-	modelsReg.factories[kind] = factory
-	modelsReg.kinds[t] = kind
-}
+// model of a single concrete type implementing artifact.StateUnmarshaler
+// (and StateMarshaler for saving). Registering a duplicate kind or type
+// panics.
+func RegisterModel(kind string, factory func() Model) { modelKinds.Register(kind, factory) }
 
 // EncodeModel serializes a model into its registry kind and state payload.
 func EncodeModel(m Model) (kind string, state []byte, err error) {
-	modelsReg.mu.RLock()
-	kind, ok := modelsReg.kinds[reflect.TypeOf(m)]
-	modelsReg.mu.RUnlock()
+	kind, ok := modelKinds.Kind(m)
 	if !ok {
 		return "", nil, fmt.Errorf("model: %T is not registered; call RegisterModel to make it serializable", m)
 	}
-	sm, has := m.(StateMarshaler)
+	sm, has := m.(artifact.StateMarshaler)
 	if !has {
 		return "", nil, fmt.Errorf("model: %T implements no MarshalState", m)
 	}
@@ -80,14 +37,11 @@ func EncodeModel(m Model) (kind string, state []byte, err error) {
 
 // DecodeModel reconstructs a model from its registry kind and state.
 func DecodeModel(kind string, state []byte) (Model, error) {
-	modelsReg.mu.RLock()
-	factory, ok := modelsReg.factories[kind]
-	modelsReg.mu.RUnlock()
+	m, ok := modelKinds.New(kind)
 	if !ok {
 		return nil, fmt.Errorf("model: unknown model kind %q; register it with RegisterModel before loading", kind)
 	}
-	m := factory()
-	u, has := m.(StateUnmarshaler)
+	u, has := m.(artifact.StateUnmarshaler)
 	if !has {
 		return nil, fmt.Errorf("model: %T implements no UnmarshalState", m)
 	}
@@ -98,8 +52,8 @@ func DecodeModel(kind string, state []byte) (Model, error) {
 }
 
 func init() {
-	RegisterModel("logistic", func() Model { return &Logistic{} })
-	RegisterModel("linear_regression", func() Model { return &LinearRegression{} })
+	RegisterModel("logistic", func() Model { return NewLogistic(LinearConfig{}) })
+	RegisterModel("linear_regression", func() Model { return NewLinearRegression(LinearConfig{}) })
 	RegisterModel("gbdt", func() Model { return &GBDT{} })
 	RegisterModel("mlp", func() Model { return &MLP{} })
 }
@@ -113,30 +67,12 @@ type linearState struct {
 }
 
 // MarshalState implements StateMarshaler.
-func (m *Logistic) MarshalState() ([]byte, error) {
+func (m *linear) MarshalState() ([]byte, error) {
 	return json.Marshal(linearState{Config: m.cfg, Weights: artifact.Vector(m.w), Bias: artifact.Scalar(m.b), MeanAbs: artifact.Vector(m.meanAbs)})
 }
 
 // UnmarshalState implements StateUnmarshaler.
-func (m *Logistic) UnmarshalState(state []byte) error {
-	var st linearState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return err
-	}
-	m.cfg = st.Config.withDefaults()
-	m.w = []float64(st.Weights)
-	m.b = float64(st.Bias)
-	m.meanAbs = []float64(st.MeanAbs)
-	return nil
-}
-
-// MarshalState implements StateMarshaler.
-func (m *LinearRegression) MarshalState() ([]byte, error) {
-	return json.Marshal(linearState{Config: m.cfg, Weights: artifact.Vector(m.w), Bias: artifact.Scalar(m.b), MeanAbs: artifact.Vector(m.meanAbs)})
-}
-
-// UnmarshalState implements StateUnmarshaler.
-func (m *LinearRegression) UnmarshalState(state []byte) error {
+func (m *linear) UnmarshalState(state []byte) error {
 	var st linearState
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
@@ -267,6 +203,11 @@ func (m *MLP) UnmarshalState(state []byte) error {
 	m.cfg = st.Config.withDefaults()
 	if len(st.W1) > 0 && m.cfg.Hidden != len(st.W1) {
 		return fmt.Errorf("model: mlp state has %d hidden rows for %d hidden units", len(st.W1), m.cfg.Hidden)
+	}
+	for i, row := range st.W1 {
+		if len(row) != st.NumFeatures {
+			return fmt.Errorf("model: mlp state hidden row %d has %d weights for %d features", i, len(row), st.NumFeatures)
+		}
 	}
 	m.w1 = artifact.Floats(st.W1)
 	m.b1 = []float64(st.B1)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
 	"willump/internal/artifact"
 	"willump/internal/value"
@@ -45,40 +44,22 @@ func (o *OneHot) Width() int { return len(o.cats) }
 
 // Fit implements Fitter.
 func (o *OneHot) Fit(ins []value.Value) error {
-	if len(ins) != 1 {
-		return errArity(o.Name(), len(ins), 1)
+	if err := checkOneStrings(o.Name(), ins); err != nil {
+		return err
 	}
-	if ins[0].Kind != value.Strings {
-		return errKind(o.Name(), 0, ins[0].Kind, value.Strings)
-	}
-	freq := make(map[string]int)
-	for _, s := range ins[0].Strings {
-		freq[s]++
-	}
-	type catFreq struct {
-		cat string
-		n   int
-	}
-	cats := make([]catFreq, 0, len(freq))
-	for c, n := range freq {
-		cats = append(cats, catFreq{c, n})
-	}
-	sort.Slice(cats, func(i, j int) bool {
-		if cats[i].n != cats[j].n {
-			return cats[i].n > cats[j].n
-		}
-		return cats[i].cat < cats[j].cat
-	})
-	if len(cats) > o.MaxCategories {
-		cats = cats[:o.MaxCategories]
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i].cat < cats[j].cat })
-	o.cats = make(map[string]int, len(cats))
-	for i, c := range cats {
-		o.cats[c.cat] = i
-	}
+	o.cats = columns(rankByCount(categoryFreq(ins[0].Strings), o.MaxCategories, true))
 	o.fitted = true
 	return nil
+}
+
+// categoryFreq counts each category's rows: a categorical column is a batch
+// of one-term documents.
+func categoryFreq(cats []string) map[string]int {
+	docs := make([][]string, len(cats))
+	for i := range cats {
+		docs[i] = cats[i : i+1]
+	}
+	return docFreq(docs)
 }
 
 // Apply implements graph.Op.
@@ -109,7 +90,7 @@ func (o *OneHot) ApplyBoxed(ins []any) (any, error) {
 // code (frequency-ranked), with unknowns mapping to -1. GBDT models split on
 // these codes directly.
 type Ordinal struct {
-	codes  map[string]float64
+	codes  map[string]int
 	fitted bool
 }
 
@@ -130,30 +111,10 @@ func (o *Ordinal) Fitted() bool { return o.fitted }
 
 // Fit implements Fitter.
 func (o *Ordinal) Fit(ins []value.Value) error {
-	if len(ins) != 1 {
-		return errArity(o.Name(), len(ins), 1)
+	if err := checkOneStrings(o.Name(), ins); err != nil {
+		return err
 	}
-	if ins[0].Kind != value.Strings {
-		return errKind(o.Name(), 0, ins[0].Kind, value.Strings)
-	}
-	freq := make(map[string]int)
-	for _, s := range ins[0].Strings {
-		freq[s]++
-	}
-	cats := make([]string, 0, len(freq))
-	for c := range freq {
-		cats = append(cats, c)
-	}
-	sort.Slice(cats, func(i, j int) bool {
-		if freq[cats[i]] != freq[cats[j]] {
-			return freq[cats[i]] > freq[cats[j]]
-		}
-		return cats[i] < cats[j]
-	})
-	o.codes = make(map[string]float64, len(cats))
-	for i, c := range cats {
-		o.codes[c] = float64(i)
-	}
+	o.codes = columns(rankByCount(categoryFreq(ins[0].Strings), -1, false))
 	o.fitted = true
 	return nil
 }
@@ -176,7 +137,7 @@ func (o *Ordinal) ApplyBoxed(ins []any) (any, error) {
 		return nil, errBoxed(o.Name(), 0, ins[0], "string")
 	}
 	if code, hit := o.codes[s]; hit {
-		return code, nil
+		return float64(code), nil
 	}
 	return float64(-1), nil
 }
@@ -327,24 +288,25 @@ func (n *NumericStats) ApplyBoxed(ins []any) (any, error) {
 	return dst, nil
 }
 
-// oneHotState is the serialized form of a OneHot encoder. Categories are
-// listed in column order.
+// categoryState is the category encoders' form of the vocabulary codec
+// (vocabState, whose rules it shares: duplicates are rejected, and a
+// category that is not valid UTF-8 travels as bytes in raw_categories).
+// Categories are listed in column (or code) order.
+type categoryState struct {
+	Terms    []string       `json:"categories,omitempty"`
+	RawTerms map[int][]byte `json:"raw_categories,omitempty"`
+}
+
+// oneHotState is the serialized form of a OneHot encoder.
 type oneHotState struct {
-	MaxCategories int      `json:"max_categories"`
-	Fitted        bool     `json:"fitted"`
-	Categories    []string `json:"categories,omitempty"`
+	MaxCategories int  `json:"max_categories"`
+	Fitted        bool `json:"fitted"`
+	categoryState
 }
 
 // MarshalState implements StateMarshaler.
 func (o *OneHot) MarshalState() ([]byte, error) {
-	st := oneHotState{MaxCategories: o.MaxCategories, Fitted: o.fitted}
-	if o.cats != nil {
-		st.Categories = make([]string, len(o.cats))
-		for cat, col := range o.cats {
-			st.Categories[col] = cat
-		}
-	}
-	return json.Marshal(st)
+	return json.Marshal(oneHotState{MaxCategories: o.MaxCategories, Fitted: o.fitted, categoryState: categoryState(marshalVocab(o.cats))})
 }
 
 // UnmarshalState implements StateUnmarshaler.
@@ -353,32 +315,26 @@ func (o *OneHot) UnmarshalState(state []byte) error {
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
+	cats, err := vocabState(st.categoryState).vocab(o.Name())
+	if err != nil {
+		return err
+	}
 	o.MaxCategories = st.MaxCategories
 	o.fitted = st.Fitted
-	o.cats = make(map[string]int, len(st.Categories))
-	for col, cat := range st.Categories {
-		o.cats[cat] = col
-	}
+	o.cats = cats
 	return nil
 }
 
-// ordinalState is the serialized form of an Ordinal encoder. Categories are
-// listed in code order (position i carries code i).
+// ordinalState is the serialized form of an Ordinal encoder (position i
+// carries code i).
 type ordinalState struct {
-	Fitted     bool     `json:"fitted"`
-	Categories []string `json:"categories,omitempty"`
+	Fitted bool `json:"fitted"`
+	categoryState
 }
 
 // MarshalState implements StateMarshaler.
 func (o *Ordinal) MarshalState() ([]byte, error) {
-	st := ordinalState{Fitted: o.fitted}
-	if o.codes != nil {
-		st.Categories = make([]string, len(o.codes))
-		for cat, code := range o.codes {
-			st.Categories[int(code)] = cat
-		}
-	}
-	return json.Marshal(st)
+	return json.Marshal(ordinalState{Fitted: o.fitted, categoryState: categoryState(marshalVocab(o.codes))})
 }
 
 // UnmarshalState implements StateUnmarshaler.
@@ -387,11 +343,12 @@ func (o *Ordinal) UnmarshalState(state []byte) error {
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
-	o.fitted = st.Fitted
-	o.codes = make(map[string]float64, len(st.Categories))
-	for code, cat := range st.Categories {
-		o.codes[cat] = float64(code)
+	codes, err := vocabState(st.categoryState).vocab(o.Name())
+	if err != nil {
+		return err
 	}
+	o.fitted = st.Fitted
+	o.codes = codes
 	return nil
 }
 

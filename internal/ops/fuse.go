@@ -20,8 +20,7 @@ type FusedText struct {
 	tok   *Tokenize   // either tok (+ optional wng) or cng
 	wng   *WordNGrams // optional
 	cng   *CharNGrams
-	tfidf *TFIDF // exactly one vectorizer is non-nil
-	cv    *CountVectorizer
+	vec   vocabVectorizer // exactly one of vec and hv is non-nil
 	hv    *HashingVectorizer
 
 	// The fitted vocabulary compiled for the chain's token source, built
@@ -70,22 +69,18 @@ func FuseTextChain(chain []graph.Op) (graph.Op, bool) {
 		return nil, false
 	}
 	switch v := chain[i].(type) {
-	case *TFIDF:
-		if !v.Fitted() {
+	case vocabVectorizer:
+		if !v.terms().fitted {
 			return nil, false
 		}
-		f.tfidf = v
-	case *CountVectorizer:
-		if !v.Fitted() {
-			return nil, false
-		}
-		f.cv = v
+		f.vec = v
 	case *HashingVectorizer:
 		f.hv = v
 	default:
 		return nil, false
 	}
-	if vocab := f.vocab(); vocab != nil {
+	if f.vec != nil {
+		vocab := f.vec.terms().vocab
 		switch {
 		case f.cng != nil:
 			f.grams = newGramIndex(vocab, f.cng.MinN, f.cng.MaxN)
@@ -114,26 +109,10 @@ func (f *FusedText) Commutative() bool { return false }
 
 // Width returns the fused output width.
 func (f *FusedText) Width() int {
-	switch {
-	case f.tfidf != nil:
-		return f.tfidf.Width()
-	case f.cv != nil:
-		return f.cv.Width()
-	default:
-		return f.hv.Width()
+	if f.vec != nil {
+		return f.vec.terms().Width()
 	}
-}
-
-// vocab returns the fitted vocabulary of the chain's vectorizer, nil for a
-// HashingVectorizer.
-func (f *FusedText) vocab() map[string]int {
-	switch {
-	case f.tfidf != nil:
-		return f.tfidf.vocab
-	case f.cv != nil:
-		return f.cv.vocab
-	}
-	return nil
+	return f.hv.Width()
 }
 
 // row streams one document through the whole chain into the CSR builder:
@@ -155,11 +134,7 @@ func (f *FusedText) row(doc string, s *csrScratch) {
 		s.ids = f.words.count(s.doc, &s.acc, s.ids)
 	}
 	cols, tf := s.acc.drain()
-	if f.tfidf != nil {
-		f.tfidf.emitRow(cols, tf, &s.b)
-	} else {
-		f.cv.emitRow(cols, tf, &s.b)
-	}
+	f.vec.emitRow(cols, tf, &s.b)
 }
 
 // hashRow is row's HashingVectorizer tail: every token's bucket is its

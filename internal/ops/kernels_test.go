@@ -9,6 +9,7 @@ import (
 	"testing"
 	"unicode"
 
+	"willump/internal/artifact"
 	"willump/internal/feature"
 	"willump/internal/graph"
 	"willump/internal/value"
@@ -390,8 +391,8 @@ func FuzzTextKernels(f *testing.F) {
 type vocabOp interface {
 	graph.Op
 	Fitter
-	StateMarshaler
-	StateUnmarshaler
+	artifact.StateMarshaler
+	artifact.StateUnmarshaler
 }
 
 // Byte-window char n-grams split multi-byte runes, so a vocabulary fitted on
@@ -441,6 +442,54 @@ func TestVocabStateRejectsMalformed(t *testing.T) {
 		}
 		if err := NewCountVectorizer(4, false).UnmarshalState([]byte(state)); err == nil {
 			t.Errorf("CountVectorizer accepted %s", state)
+		}
+	}
+	// The category encoders decode through the same codec: a category listed
+	// twice would leave a OneHot narrower than its columns (a panic on the
+	// first Apply) and an Ordinal that panics when saved again.
+	for _, state := range []string{
+		`{"max_categories":4,"fitted":true,"categories":["a",""],"raw_categories":{"2":"/w=="}}`,
+		`{"max_categories":4,"fitted":true,"categories":["a","a","b"]}`,
+	} {
+		if err := NewOneHot(4).UnmarshalState([]byte(state)); err == nil {
+			t.Errorf("OneHot accepted %s", state)
+		}
+		if err := NewOrdinal().UnmarshalState([]byte(state)); err == nil {
+			t.Errorf("Ordinal accepted %s", state)
+		}
+	}
+}
+
+// A category that is not valid UTF-8 survives Save/Load like a vocabulary
+// term, instead of being rewritten to U+FFFD and scoring as unseen.
+func TestCategoryStateRoundTripNonASCII(t *testing.T) {
+	col := value.NewStrings([]string{"caf\xe9", "tea", "caf\xe9", "café"})
+	for name, mk := range map[string]func() vocabOp{
+		"one_hot": func() vocabOp { return NewOneHot(8) },
+		"ordinal": func() vocabOp { return NewOrdinal() },
+	} {
+		op := mk()
+		if err := op.Fit([]value.Value{col}); err != nil {
+			t.Fatal(err)
+		}
+		before := applyChain(t, []graph.Op{op}, col)
+		state, err := op.MarshalState()
+		if err != nil {
+			t.Fatalf("%s: MarshalState: %v", name, err)
+		}
+		loaded := mk()
+		if err := loaded.UnmarshalState(state); err != nil {
+			t.Fatalf("%s: UnmarshalState: %v", name, err)
+		}
+		after := applyChain(t, []graph.Op{loaded}, col)
+		for r := 0; r < col.Len(); r++ {
+			if b, a := before.Box(r), after.Box(r); fmt.Sprint(b) != fmt.Sprint(a) {
+				t.Errorf("%s: row %d (%q) encodes as %v before Save/Load, %v after", name, r, col.Strings[r], b, a)
+			}
+		}
+		again, err := loaded.MarshalState()
+		if err != nil || string(again) != string(state) {
+			t.Errorf("%s: re-saved state differs (err %v)", name, err)
 		}
 	}
 }

@@ -11,9 +11,7 @@ import (
 // WordNGrams expands token lists into word n-grams for n in [MinN, MaxN].
 // Multi-word grams are joined with a single space, matching the convention
 // of common vectorizer APIs.
-type WordNGrams struct {
-	MinN, MaxN int
-}
+type WordNGrams struct{ ngramRange }
 
 // NewWordNGrams returns a word n-gram expander over the inclusive range
 // [minN, maxN].
@@ -21,7 +19,7 @@ func NewWordNGrams(minN, maxN int) *WordNGrams {
 	if minN < 1 || maxN < minN {
 		panic("ops: NewWordNGrams: need 1 <= minN <= maxN")
 	}
-	return &WordNGrams{MinN: minN, MaxN: maxN}
+	return &WordNGrams{ngramRange{minN, maxN}}
 }
 
 // Name implements graph.Op.
@@ -67,16 +65,14 @@ func (w *WordNGrams) ApplyBoxed(ins []any) (any, error) {
 // CharNGrams expands raw strings into character n-grams for n in
 // [MinN, MaxN]. It operates on strings (not tokens), like char analyzers in
 // common vectorizers.
-type CharNGrams struct {
-	MinN, MaxN int
-}
+type CharNGrams struct{ ngramRange }
 
 // NewCharNGrams returns a character n-gram expander over [minN, maxN].
 func NewCharNGrams(minN, maxN int) *CharNGrams {
 	if minN < 1 || maxN < minN {
 		panic("ops: NewCharNGrams: need 1 <= minN <= maxN")
 	}
-	return &CharNGrams{MinN: minN, MaxN: maxN}
+	return &CharNGrams{ngramRange{minN, maxN}}
 }
 
 // Name implements graph.Op.
@@ -115,44 +111,25 @@ func (c *CharNGrams) ApplyBoxed(ins []any) (any, error) {
 	return c.expand(s), nil
 }
 
-// ngramState is the serialized configuration shared by the n-gram expanders.
-type ngramState struct {
+// ngramRange is the inclusive n range [MinN, MaxN] of both n-gram
+// expanders, and their one serialized state.
+type ngramRange struct {
 	MinN int `json:"min_n"`
 	MaxN int `json:"max_n"`
 }
 
 // MarshalState implements StateMarshaler.
-func (w *WordNGrams) MarshalState() ([]byte, error) {
-	return json.Marshal(ngramState{MinN: w.MinN, MaxN: w.MaxN})
-}
+func (r *ngramRange) MarshalState() ([]byte, error) { return json.Marshal(r) }
 
 // UnmarshalState implements StateUnmarshaler.
-func (w *WordNGrams) UnmarshalState(state []byte) error {
-	var st ngramState
+func (r *ngramRange) UnmarshalState(state []byte) error {
+	var st ngramRange
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
 	if st.MinN < 1 || st.MaxN < st.MinN {
-		return fmt.Errorf("ops: word_ngrams state needs 1 <= min_n <= max_n, got [%d, %d]", st.MinN, st.MaxN)
+		return fmt.Errorf("ops: n-gram state needs 1 <= min_n <= max_n, got [%d, %d]", st.MinN, st.MaxN)
 	}
-	w.MinN, w.MaxN = st.MinN, st.MaxN
-	return nil
-}
-
-// MarshalState implements StateMarshaler.
-func (c *CharNGrams) MarshalState() ([]byte, error) {
-	return json.Marshal(ngramState{MinN: c.MinN, MaxN: c.MaxN})
-}
-
-// UnmarshalState implements StateUnmarshaler.
-func (c *CharNGrams) UnmarshalState(state []byte) error {
-	var st ngramState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return err
-	}
-	if st.MinN < 1 || st.MaxN < st.MinN {
-		return fmt.Errorf("ops: char_ngrams state needs 1 <= min_n <= max_n, got [%d, %d]", st.MinN, st.MaxN)
-	}
-	c.MinN, c.MaxN = st.MinN, st.MaxN
+	*r = st
 	return nil
 }

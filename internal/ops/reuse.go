@@ -156,46 +156,6 @@ func checkOneStrings(name string, ins []value.Value) error {
 }
 
 // ApplyInto implements graph.IntoApplier.
-func (t *TFIDF) ApplyInto(ins []value.Value, out *value.Value, scratch *any) error {
-	if !t.fitted {
-		return fmt.Errorf("ops: %s: Apply before Fit", t.Name())
-	}
-	if err := checkOneTokens(t.Name(), ins); err != nil {
-		return err
-	}
-	s := getCSRScratch(scratch)
-	s.acc.reset(len(t.idf))
-	s.b.ResetFrom(len(t.idf), s.m)
-	for _, doc := range ins[0].Tokens {
-		s.acc.countTokens(doc, t.vocab)
-		cols, tf := s.acc.drain()
-		t.emitRow(cols, tf, &s.b)
-	}
-	*out = value.NewMat(s.finish())
-	return nil
-}
-
-// ApplyInto implements graph.IntoApplier.
-func (c *CountVectorizer) ApplyInto(ins []value.Value, out *value.Value, scratch *any) error {
-	if !c.fitted {
-		return fmt.Errorf("ops: %s: Apply before Fit", c.Name())
-	}
-	if err := checkOneTokens(c.Name(), ins); err != nil {
-		return err
-	}
-	s := getCSRScratch(scratch)
-	s.acc.reset(len(c.vocab))
-	s.b.ResetFrom(len(c.vocab), s.m)
-	for _, doc := range ins[0].Tokens {
-		s.acc.countTokens(doc, c.vocab)
-		cols, tf := s.acc.drain()
-		c.emitRow(cols, tf, &s.b)
-	}
-	*out = value.NewMat(s.finish())
-	return nil
-}
-
-// ApplyInto implements graph.IntoApplier.
 func (h *HashingVectorizer) ApplyInto(ins []value.Value, out *value.Value, scratch *any) error {
 	if err := checkOneTokens(h.Name(), ins); err != nil {
 		return err
@@ -263,7 +223,7 @@ func (o *Ordinal) ApplyInto(ins []value.Value, out *value.Value, scratch *any) e
 	dst := s.floats(len(ins[0].Strings))
 	for i, str := range ins[0].Strings {
 		if code, ok := o.codes[str]; ok {
-			dst[i] = code
+			dst[i] = float64(code)
 		} else {
 			dst[i] = -1
 		}

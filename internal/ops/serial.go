@@ -2,78 +2,32 @@ package ops
 
 import (
 	"fmt"
-	"reflect"
-	"sync"
 
+	"willump/internal/artifact"
 	"willump/internal/graph"
 )
 
-// StateMarshaler is implemented by operators that carry configuration or
-// fitted state worth persisting in an artifact. Stateless operators (Clean,
-// Tokenize, Concat, ...) need not implement it; their registry factory alone
-// reconstructs them.
-type StateMarshaler interface {
-	// MarshalState serializes the operator's configuration and learned
-	// state (vocabularies, category maps, scaling statistics, ...).
-	MarshalState() ([]byte, error)
-}
-
-// StateUnmarshaler is the decoding half of StateMarshaler: a freshly
-// constructed operator restores itself from serialized state.
-type StateUnmarshaler interface {
-	UnmarshalState(state []byte) error
-}
-
-// opRegistry maps stable kind strings to operator factories and operator
-// types back to their kinds. It backs artifact (de)serialization: every
-// operator type appearing in a saved pipeline must be registered, either
-// here (built-ins) or by the user through RegisterOp.
-type opRegistry struct {
-	mu        sync.RWMutex
-	factories map[string]func() graph.Op
-	kinds     map[reflect.Type]string
-}
-
-var opsReg = &opRegistry{
-	factories: make(map[string]func() graph.Op),
-	kinds:     make(map[reflect.Type]string),
-}
+// opKinds backs artifact (de)serialization of operators: every operator
+// type appearing in a saved pipeline must be registered, either here
+// (built-ins) or by the user through RegisterOp.
+var opKinds = artifact.NewRegistry[graph.Op]("ops: RegisterOp")
 
 // RegisterOp registers an operator implementation under a stable kind
 // string for artifact (de)serialization. The factory must return a new,
 // empty operator of a single concrete type; if the operator has state, that
-// type must implement StateUnmarshaler (and StateMarshaler for saving).
-// Registering a duplicate kind or type panics, mirroring gob.Register.
-func RegisterOp(kind string, factory func() graph.Op) {
-	if kind == "" {
-		panic("ops: RegisterOp with empty kind")
-	}
-	proto := factory()
-	if proto == nil {
-		panic(fmt.Sprintf("ops: RegisterOp(%q): factory returned nil", kind))
-	}
-	t := reflect.TypeOf(proto)
-	opsReg.mu.Lock()
-	defer opsReg.mu.Unlock()
-	if _, dup := opsReg.factories[kind]; dup {
-		panic(fmt.Sprintf("ops: RegisterOp: kind %q already registered", kind))
-	}
-	if prev, dup := opsReg.kinds[t]; dup {
-		panic(fmt.Sprintf("ops: RegisterOp: type %v already registered as %q", t, prev))
-	}
-	opsReg.factories[kind] = factory
-	opsReg.kinds[t] = kind
-}
+// type must implement artifact.StateUnmarshaler (and StateMarshaler for
+// saving). Stateless operators (Clean, Tokenize, Concat, ...) need neither:
+// their factory alone reconstructs them. Registering a duplicate kind or
+// type panics, mirroring gob.Register.
+func RegisterOp(kind string, factory func() graph.Op) { opKinds.Register(kind, factory) }
 
 // EncodeOp serializes an operator into its registry kind and state payload.
 func EncodeOp(op graph.Op) (kind string, state []byte, err error) {
-	opsReg.mu.RLock()
-	kind, ok := opsReg.kinds[reflect.TypeOf(op)]
-	opsReg.mu.RUnlock()
+	kind, ok := opKinds.Kind(op)
 	if !ok {
 		return "", nil, fmt.Errorf("ops: operator %s (%T) is not registered; call RegisterOp to make it serializable", op.Name(), op)
 	}
-	if m, has := op.(StateMarshaler); has {
+	if m, has := op.(artifact.StateMarshaler); has {
 		state, err = m.MarshalState()
 		if err != nil {
 			return "", nil, fmt.Errorf("ops: marshaling %s state: %w", op.Name(), err)
@@ -84,15 +38,12 @@ func EncodeOp(op graph.Op) (kind string, state []byte, err error) {
 
 // DecodeOp reconstructs an operator from its registry kind and state.
 func DecodeOp(kind string, state []byte) (graph.Op, error) {
-	opsReg.mu.RLock()
-	factory, ok := opsReg.factories[kind]
-	opsReg.mu.RUnlock()
+	op, ok := opKinds.New(kind)
 	if !ok {
 		return nil, fmt.Errorf("ops: unknown operator kind %q; register it with RegisterOp before loading", kind)
 	}
-	op := factory()
 	if len(state) > 0 {
-		u, has := op.(StateUnmarshaler)
+		u, has := op.(artifact.StateUnmarshaler)
 		if !has {
 			return nil, fmt.Errorf("ops: operator kind %q has state but %T implements no UnmarshalState", kind, op)
 		}

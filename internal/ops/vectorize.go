@@ -11,6 +11,7 @@ import (
 
 	"willump/internal/artifact"
 	"willump/internal/feature"
+	"willump/internal/graph"
 	"willump/internal/value"
 )
 
@@ -24,6 +25,106 @@ const (
 	NormL2
 )
 
+// vocabulary is the fitted term -> column map both vocabulary vectorizers
+// (TFIDF, CountVectorizer) embed. The two differ only in emitRow — how a
+// document's drained term counts become row entries — so they share one
+// Fit ranking, one Apply body and one boxed body (see vocabVectorizer).
+type vocabulary struct {
+	vocab  map[string]int
+	fitted bool
+}
+
+// Fitted implements Fitter.
+func (v *vocabulary) Fitted() bool { return v.fitted }
+
+// Width returns the learned vocabulary size. Valid after Fit.
+func (v *vocabulary) Width() int { return len(v.vocab) }
+
+// Vocabulary returns the fitted term -> column map (shared, do not mutate).
+func (v *vocabulary) Vocabulary() map[string]int { return v.vocab }
+
+func (v *vocabulary) terms() *vocabulary { return v }
+
+// fit learns the vocabulary from a token batch: the maxFeatures terms of
+// highest document frequency, numbered in lexicographic order. It returns
+// the kept terms with their document frequencies, in column order.
+func (v *vocabulary) fit(op string, maxFeatures int, ins []value.Value) ([]keyCount, error) {
+	if err := checkOneTokens(op, ins); err != nil {
+		return nil, err
+	}
+	kept := rankByCount(docFreq(ins[0].Tokens), maxFeatures, true)
+	v.vocab = columns(kept)
+	v.fitted = true
+	return kept, nil
+}
+
+// vocabVectorizer is a vectorizer over a fitted vocabulary.
+type vocabVectorizer interface {
+	graph.Op
+	terms() *vocabulary
+	// emitRow appends one document's entries to b, given its drained term
+	// counts in ascending column order (which it may overwrite).
+	emitRow(cols []int, tf []float64, b *feature.CSRBuilder)
+}
+
+// keyCount is one counted key: a term with its document frequency, or a
+// category with its frequency.
+type keyCount struct {
+	key string
+	n   int
+}
+
+// docFreq counts, for each term, the documents it occurs in.
+func docFreq(docs [][]string) map[string]int {
+	df := make(map[string]int)
+	seen := make(map[string]bool)
+	for _, doc := range docs {
+		clear(seen)
+		for _, tok := range doc {
+			if !seen[tok] {
+				seen[tok] = true
+				df[tok]++
+			}
+		}
+	}
+	return df
+}
+
+// rankByCount orders counted keys by count descending, then key ascending,
+// and keeps the first max of them (all when max < 0). lexical renumbers the
+// kept keys in key order: the stable column order of the vocabulary and
+// one-hot encoders.
+func rankByCount(counts map[string]int, max int, lexical bool) []keyCount {
+	ranked := make([]keyCount, 0, len(counts))
+	for k, n := range counts {
+		ranked = append(ranked, keyCount{k, n})
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		if ranked[i].n != ranked[j].n {
+			return ranked[i].n > ranked[j].n
+		}
+		return ranked[i].key < ranked[j].key
+	})
+	if max >= 0 && len(ranked) > max {
+		ranked = ranked[:max]
+	}
+	if lexical {
+		sort.Slice(ranked, func(i, j int) bool { return ranked[i].key < ranked[j].key })
+	}
+	return ranked
+}
+
+// columns numbers ranked keys by position. The map owns its keys: a key is
+// typically a substring of a training column (a token of a document) and
+// would keep that column alive.
+func columns(ranked []keyCount) map[string]int {
+	cols := make(map[string]int, len(ranked))
+	for i, kc := range ranked {
+		cols[strings.Clone(kc.key)] = i
+	}
+	return cols
+}
+
 // TFIDF converts token lists into TF-IDF weighted sparse feature vectors.
 // Fit learns the vocabulary (capped at MaxFeatures by document frequency)
 // and smoothed IDF weights; Apply transforms batches to CSR matrices.
@@ -33,9 +134,8 @@ type TFIDF struct {
 	MaxFeatures int
 	Norm        Norm
 
-	vocab  map[string]int
-	idf    []float64
-	fitted bool
+	vocabulary
+	idf []float64
 }
 
 // NewTFIDF returns an unfitted TF-IDF vectorizer.
@@ -55,67 +155,18 @@ func (t *TFIDF) Compilable() bool { return true }
 // Commutative implements graph.Op.
 func (t *TFIDF) Commutative() bool { return false }
 
-// Fitted implements Fitter.
-func (t *TFIDF) Fitted() bool { return t.fitted }
-
-// Width returns the learned vocabulary size. Valid after Fit.
-func (t *TFIDF) Width() int { return len(t.idf) }
-
-// Vocabulary returns the fitted term -> column map (shared, do not mutate).
-func (t *TFIDF) Vocabulary() map[string]int { return t.vocab }
-
 // Fit implements Fitter: learns vocabulary and IDF from the token batch.
 func (t *TFIDF) Fit(ins []value.Value) error {
-	if len(ins) != 1 {
-		return errArity(t.Name(), len(ins), 1)
+	kept, err := t.fit(t.Name(), t.MaxFeatures, ins)
+	if err != nil {
+		return err
 	}
-	if ins[0].Kind != value.Tokens {
-		return errKind(t.Name(), 0, ins[0].Kind, value.Tokens)
-	}
-	docs := ins[0].Tokens
-	df := make(map[string]int)
-	seen := make(map[string]bool)
-	for _, doc := range docs {
-		for k := range seen {
-			delete(seen, k)
-		}
-		for _, tok := range doc {
-			if !seen[tok] {
-				seen[tok] = true
-				df[tok]++
-			}
-		}
-	}
-	type termDF struct {
-		term string
-		df   int
-	}
-	terms := make([]termDF, 0, len(df))
-	for term, d := range df {
-		terms = append(terms, termDF{term, d})
-	}
-	sort.Slice(terms, func(i, j int) bool {
-		if terms[i].df != terms[j].df {
-			return terms[i].df > terms[j].df
-		}
-		return terms[i].term < terms[j].term
-	})
-	if len(terms) > t.MaxFeatures {
-		terms = terms[:t.MaxFeatures]
-	}
-	// Stable column order: lexicographic over the kept terms.
-	sort.Slice(terms, func(i, j int) bool { return terms[i].term < terms[j].term })
-	t.vocab = make(map[string]int, len(terms))
-	t.idf = make([]float64, len(terms))
-	n := float64(len(docs))
-	for i, td := range terms {
-		// The vocabulary owns its terms: a token is a substring of a
-		// training document and would keep that document's column alive.
-		t.vocab[strings.Clone(td.term)] = i
+	t.idf = make([]float64, len(kept))
+	n := float64(len(ins[0].Tokens))
+	for i, kc := range kept {
 		// Smoothed IDF as in standard implementations.
-		t.idf[i] = math.Log((1+n)/(1+float64(td.df))) + 1
+		t.idf[i] = math.Log((1+n)/(1+float64(kc.n))) + 1
 	}
-	t.fitted = true
 	return nil
 }
 
@@ -213,25 +264,56 @@ func (t *TFIDF) Apply(ins []value.Value) (value.Value, error) {
 	return applyFresh(t, ins)
 }
 
-// ApplyBoxed implements graph.Op. The boxed path returns a fully dense row,
-// mirroring the materialization cost a pure-Python pipeline pays.
-func (t *TFIDF) ApplyBoxed(ins []any) (any, error) {
-	if !t.fitted {
-		return nil, fmt.Errorf("ops: %s: ApplyBoxed before Fit", t.Name())
+// ApplyInto implements graph.IntoApplier.
+func (t *TFIDF) ApplyInto(ins []value.Value, out *value.Value, scratch *any) error {
+	return applyVocabInto(t, ins, out, scratch)
+}
+
+// ApplyBoxed implements graph.Op.
+func (t *TFIDF) ApplyBoxed(ins []any) (any, error) { return applyVocabBoxed(t, ins) }
+
+// applyVocabInto is the ApplyInto of every vocabulary vectorizer.
+func applyVocabInto(v vocabVectorizer, ins []value.Value, out *value.Value, scratch *any) error {
+	vb := v.terms()
+	if !vb.fitted {
+		return fmt.Errorf("ops: %s: Apply before Fit", v.Name())
+	}
+	if err := checkOneTokens(v.Name(), ins); err != nil {
+		return err
+	}
+	s := getCSRScratch(scratch)
+	s.acc.reset(len(vb.vocab))
+	s.b.ResetFrom(len(vb.vocab), s.m)
+	for _, doc := range ins[0].Tokens {
+		s.acc.countTokens(doc, vb.vocab)
+		cols, tf := s.acc.drain()
+		v.emitRow(cols, tf, &s.b)
+	}
+	*out = value.NewMat(s.finish())
+	return nil
+}
+
+// applyVocabBoxed is the ApplyBoxed of every vocabulary vectorizer. The
+// boxed path returns a fully dense row, mirroring the materialization cost
+// a pure-Python pipeline pays.
+func applyVocabBoxed(v vocabVectorizer, ins []any) (any, error) {
+	vb := v.terms()
+	if !vb.fitted {
+		return nil, fmt.Errorf("ops: %s: ApplyBoxed before Fit", v.Name())
 	}
 	if len(ins) != 1 {
-		return nil, errArity(t.Name(), len(ins), 1)
+		return nil, errArity(v.Name(), len(ins), 1)
 	}
 	doc, ok := ins[0].([]string)
 	if !ok {
-		return nil, errBoxed(t.Name(), 0, ins[0], "[]string")
+		return nil, errBoxed(v.Name(), 0, ins[0], "[]string")
 	}
 	var acc sparseAcc
-	acc.reset(len(t.idf))
-	acc.countTokens(doc, t.vocab)
-	b := feature.NewCSRBuilder(len(t.idf))
+	acc.reset(len(vb.vocab))
+	acc.countTokens(doc, vb.vocab)
+	b := feature.NewCSRBuilder(len(vb.vocab))
 	cols, tf := acc.drain()
-	t.emitRow(cols, tf, b)
+	v.emitRow(cols, tf, b)
 	return feature.RowDense(b.Build(), 0, nil), nil
 }
 
@@ -240,8 +322,7 @@ type CountVectorizer struct {
 	MaxFeatures int
 	Binary      bool
 
-	vocab  map[string]int
-	fitted bool
+	vocabulary
 }
 
 // NewCountVectorizer returns an unfitted count vectorizer. If binary is true
@@ -262,57 +343,10 @@ func (c *CountVectorizer) Compilable() bool { return true }
 // Commutative implements graph.Op.
 func (c *CountVectorizer) Commutative() bool { return false }
 
-// Fitted implements Fitter.
-func (c *CountVectorizer) Fitted() bool { return c.fitted }
-
-// Width returns the learned vocabulary size. Valid after Fit.
-func (c *CountVectorizer) Width() int { return len(c.vocab) }
-
 // Fit implements Fitter.
 func (c *CountVectorizer) Fit(ins []value.Value) error {
-	if len(ins) != 1 {
-		return errArity(c.Name(), len(ins), 1)
-	}
-	if ins[0].Kind != value.Tokens {
-		return errKind(c.Name(), 0, ins[0].Kind, value.Tokens)
-	}
-	df := make(map[string]int)
-	seen := make(map[string]bool)
-	for _, doc := range ins[0].Tokens {
-		for k := range seen {
-			delete(seen, k)
-		}
-		for _, tok := range doc {
-			if !seen[tok] {
-				seen[tok] = true
-				df[tok]++
-			}
-		}
-	}
-	type termDF struct {
-		term string
-		df   int
-	}
-	terms := make([]termDF, 0, len(df))
-	for term, d := range df {
-		terms = append(terms, termDF{term, d})
-	}
-	sort.Slice(terms, func(i, j int) bool {
-		if terms[i].df != terms[j].df {
-			return terms[i].df > terms[j].df
-		}
-		return terms[i].term < terms[j].term
-	})
-	if len(terms) > c.MaxFeatures {
-		terms = terms[:c.MaxFeatures]
-	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i].term < terms[j].term })
-	c.vocab = make(map[string]int, len(terms))
-	for i, td := range terms {
-		c.vocab[strings.Clone(td.term)] = i // owned, as in TFIDF.Fit
-	}
-	c.fitted = true
-	return nil
+	_, err := c.fit(c.Name(), c.MaxFeatures, ins)
+	return err
 }
 
 // emitRow appends one document's term counts (or presence flags) to b.
@@ -332,26 +366,13 @@ func (c *CountVectorizer) Apply(ins []value.Value) (value.Value, error) {
 	return applyFresh(c, ins)
 }
 
-// ApplyBoxed implements graph.Op.
-func (c *CountVectorizer) ApplyBoxed(ins []any) (any, error) {
-	if !c.fitted {
-		return nil, fmt.Errorf("ops: %s: ApplyBoxed before Fit", c.Name())
-	}
-	if len(ins) != 1 {
-		return nil, errArity(c.Name(), len(ins), 1)
-	}
-	doc, ok := ins[0].([]string)
-	if !ok {
-		return nil, errBoxed(c.Name(), 0, ins[0], "[]string")
-	}
-	var acc sparseAcc
-	acc.reset(len(c.vocab))
-	acc.countTokens(doc, c.vocab)
-	cols, tf := acc.drain()
-	b := feature.NewCSRBuilder(len(c.vocab))
-	c.emitRow(cols, tf, b)
-	return feature.RowDense(b.Build(), 0, nil), nil
+// ApplyInto implements graph.IntoApplier.
+func (c *CountVectorizer) ApplyInto(ins []value.Value, out *value.Value, scratch *any) error {
+	return applyVocabInto(c, ins, out, scratch)
 }
+
+// ApplyBoxed implements graph.Op.
+func (c *CountVectorizer) ApplyBoxed(ins []any) (any, error) { return applyVocabBoxed(c, ins) }
 
 // HashingVectorizer maps tokens to a fixed number of buckets with FNV
 // hashing; it needs no fitting and bounds memory, trading exactness for

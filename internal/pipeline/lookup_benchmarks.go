@@ -1,13 +1,33 @@
 package pipeline
 
 import (
-	"willump/internal/core"
 	"willump/internal/data"
 	"willump/internal/graph"
 	"willump/internal/model"
 	"willump/internal/ops"
 	"willump/internal/value"
 )
+
+// tableSpec is one keyed feature table of a lookup benchmark.
+type tableSpec struct {
+	name string
+	dim  int
+	rows map[int64][]float64
+}
+
+// bindTables materializes a lookup benchmark's tables on cfg's backend, in
+// order, keyed by table name.
+func bindTables(cfg Config, specs ...tableSpec) (map[string]ops.Table, error) {
+	tables := make(map[string]ops.Table, len(specs))
+	for _, sp := range specs {
+		t, err := cfg.Backend.Table(sp.name, sp.dim, sp.rows)
+		if err != nil {
+			return nil, err
+		}
+		tables[sp.name] = t
+	}
+	return tables, nil
+}
 
 // Music builds the Music benchmark (Table 1: remote data lookup, data
 // joins; classification; GBDT). It is the paper's Figure 1 pipeline widened
@@ -17,24 +37,12 @@ import (
 func Music(cfg Config) (*Benchmark, error) {
 	cfg = cfg.withDefaults()
 	ds := data.Music(cfg.Seed, cfg.N)
-
-	userT, err := cfg.Backend.Table("users", ds.UserDim, ds.UserRows)
-	if err != nil {
-		return nil, err
-	}
-	songT, err := cfg.Backend.Table("songs", ds.SongDim, ds.SongRows)
-	if err != nil {
-		return nil, err
-	}
-	genreT, err := cfg.Backend.Table("genres", ds.GenreDim, ds.GenreRows)
-	if err != nil {
-		return nil, err
-	}
-	artistT, err := cfg.Backend.Table("artists", ds.ArtistDim, ds.ArtistRows)
-	if err != nil {
-		return nil, err
-	}
-	contextT, err := cfg.Backend.Table("contexts", ds.ContextDim, ds.ContextRows)
+	tables, err := bindTables(cfg,
+		tableSpec{"users", ds.UserDim, ds.UserRows},
+		tableSpec{"songs", ds.SongDim, ds.SongRows},
+		tableSpec{"genres", ds.GenreDim, ds.GenreRows},
+		tableSpec{"artists", ds.ArtistDim, ds.ArtistRows},
+		tableSpec{"contexts", ds.ContextDim, ds.ContextRows})
 	if err != nil {
 		return nil, err
 	}
@@ -45,17 +53,12 @@ func Music(cfg Config) (*Benchmark, error) {
 	genre := b.Input("genre")
 	artist := b.Input("artist")
 	context := b.Input("context")
-	uf := b.Add("user_features", ops.NewLookup("users", userT), user)
-	sf := b.Add("song_features", ops.NewLookup("songs", songT), song)
-	gf := b.Add("genre_features", ops.NewLookup("genres", genreT), genre)
-	af := b.Add("artist_features", ops.NewLookup("artists", artistT), artist)
-	xf := b.Add("context_features", ops.NewLookup("contexts", contextT), context)
-	cat := b.Add("concat", ops.NewConcat(), uf, sf, gf, af, xf)
-	b.SetOutput(cat)
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
+	uf := b.Add("user_features", ops.NewLookup("users", tables["users"]), user)
+	sf := b.Add("song_features", ops.NewLookup("songs", tables["songs"]), song)
+	gf := b.Add("genre_features", ops.NewLookup("genres", tables["genres"]), genre)
+	af := b.Add("artist_features", ops.NewLookup("artists", tables["artists"]), artist)
+	xf := b.Add("context_features", ops.NewLookup("contexts", tables["contexts"]), context)
+	b.SetOutput(b.Add("concat", ops.NewConcat(), uf, sf, gf, af, xf))
 
 	inputs := map[string]value.Value{
 		"user":    value.NewInts(ds.UserIDs),
@@ -64,22 +67,9 @@ func Music(cfg Config) (*Benchmark, error) {
 		"artist":  value.NewInts(ds.ArtistIDs),
 		"context": value.NewInts(ds.ContextIDs),
 	}
-	train, valid, test := splitDataset(inputs, ds.Y, cfg.N)
-	return &Benchmark{
-		Name: "music",
-		Pipeline: &core.Pipeline{
-			Graph: g,
-			Model: model.NewGBDT(model.GBDTConfig{
-				Task: model.Classification, Trees: 40, MaxDepth: 5, Seed: cfg.Seed,
-			}),
-		},
-		Train: train, Valid: valid, Test: test,
-		Tables: map[string]ops.Table{
-			"users": userT, "songs": songT, "genres": genreT,
-			"artists": artistT, "contexts": contextT,
-		},
-		backend: cfg.Backend,
-	}, nil
+	return assemble(cfg, "music", b, model.NewGBDT(model.GBDTConfig{
+		Task: model.Classification, Trees: 40, MaxDepth: 5, Seed: cfg.Seed,
+	}), inputs, ds.Y, tables)
 }
 
 // Credit builds the Credit benchmark (Table 1: remote data lookup, data
@@ -88,16 +78,10 @@ func Music(cfg Config) (*Benchmark, error) {
 func Credit(cfg Config) (*Benchmark, error) {
 	cfg = cfg.withDefaults()
 	ds := data.Credit(cfg.Seed, cfg.N)
-
-	bureauT, err := cfg.Backend.Table("bureau", ds.BureauDim, ds.BureauRows)
-	if err != nil {
-		return nil, err
-	}
-	prevT, err := cfg.Backend.Table("previous", ds.PrevDim, ds.PrevRows)
-	if err != nil {
-		return nil, err
-	}
-	instalT, err := cfg.Backend.Table("installments", ds.InstalDim, ds.InstalRows)
+	tables, err := bindTables(cfg,
+		tableSpec{"bureau", ds.BureauDim, ds.BureauRows},
+		tableSpec{"previous", ds.PrevDim, ds.PrevRows},
+		tableSpec{"installments", ds.InstalDim, ds.InstalRows})
 	if err != nil {
 		return nil, err
 	}
@@ -106,41 +90,24 @@ func Credit(cfg Config) (*Benchmark, error) {
 	client := b.Input("client")
 	income := b.Input("income")
 	amount := b.Input("amount")
-	bf := b.Add("bureau_features", ops.NewLookup("bureau", bureauT), client)
-	pf := b.Add("previous_features", ops.NewLookup("previous", prevT), client)
-	inf := b.Add("installment_features", ops.NewLookup("installments", instalT), client)
+	bf := b.Add("bureau_features", ops.NewLookup("bureau", tables["bureau"]), client)
+	pf := b.Add("previous_features", ops.NewLookup("previous", tables["previous"]), client)
+	inf := b.Add("installment_features", ops.NewLookup("installments", tables["installments"]), client)
 	incomeStats := b.Add("income_stats", ops.NewNumericStats(), income)
 	amountStats := b.Add("amount_stats", ops.NewNumericStats(), amount)
 	// Custom "Python" UDF (non-compilable): the debt-to-income ratio
 	// features that force a language transition through Weld drivers.
 	debtRatio := b.Add("debt_ratio", ops.NewRatio(), amount, income)
-	cat := b.Add("concat", ops.NewConcat(), bf, pf, inf, incomeStats, amountStats, debtRatio)
-	b.SetOutput(cat)
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
+	b.SetOutput(b.Add("concat", ops.NewConcat(), bf, pf, inf, incomeStats, amountStats, debtRatio))
 
 	inputs := map[string]value.Value{
 		"client": value.NewInts(ds.ClientIDs),
 		"income": value.NewFloats(ds.Income),
 		"amount": value.NewFloats(ds.CreditAmount),
 	}
-	train, valid, test := splitDataset(inputs, ds.Y, cfg.N)
-	return &Benchmark{
-		Name: "credit",
-		Pipeline: &core.Pipeline{
-			Graph: g,
-			Model: model.NewGBDT(model.GBDTConfig{
-				Task: model.Regression, Trees: 40, MaxDepth: 5, Seed: cfg.Seed,
-			}),
-		},
-		Train: train, Valid: valid, Test: test,
-		Tables: map[string]ops.Table{
-			"bureau": bureauT, "previous": prevT, "installments": instalT,
-		},
-		backend: cfg.Backend,
-	}, nil
+	return assemble(cfg, "credit", b, model.NewGBDT(model.GBDTConfig{
+		Task: model.Regression, Trees: 40, MaxDepth: 5, Seed: cfg.Seed,
+	}), inputs, ds.Y, tables)
 }
 
 // Tracking builds the Tracking benchmark (Table 1: remote data lookup, data
@@ -148,16 +115,10 @@ func Credit(cfg Config) (*Benchmark, error) {
 func Tracking(cfg Config) (*Benchmark, error) {
 	cfg = cfg.withDefaults()
 	ds := data.Tracking(cfg.Seed, cfg.N)
-
-	ipT, err := cfg.Backend.Table("ips", ds.IPDim, ds.IPRows)
-	if err != nil {
-		return nil, err
-	}
-	appT, err := cfg.Backend.Table("apps", ds.AppDim, ds.AppRows)
-	if err != nil {
-		return nil, err
-	}
-	chT, err := cfg.Backend.Table("channels", ds.ChannelDim, ds.ChannelRows)
+	tables, err := bindTables(cfg,
+		tableSpec{"ips", ds.IPDim, ds.IPRows},
+		tableSpec{"apps", ds.AppDim, ds.AppRows},
+		tableSpec{"channels", ds.ChannelDim, ds.ChannelRows})
 	if err != nil {
 		return nil, err
 	}
@@ -166,34 +127,17 @@ func Tracking(cfg Config) (*Benchmark, error) {
 	ip := b.Input("ip")
 	app := b.Input("app")
 	channel := b.Input("channel")
-	ipf := b.Add("ip_features", ops.NewLookup("ips", ipT), ip)
-	apf := b.Add("app_features", ops.NewLookup("apps", appT), app)
-	chf := b.Add("channel_features", ops.NewLookup("channels", chT), channel)
-	cat := b.Add("concat", ops.NewConcat(), ipf, apf, chf)
-	b.SetOutput(cat)
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
+	ipf := b.Add("ip_features", ops.NewLookup("ips", tables["ips"]), ip)
+	apf := b.Add("app_features", ops.NewLookup("apps", tables["apps"]), app)
+	chf := b.Add("channel_features", ops.NewLookup("channels", tables["channels"]), channel)
+	b.SetOutput(b.Add("concat", ops.NewConcat(), ipf, apf, chf))
 
 	inputs := map[string]value.Value{
 		"ip":      value.NewInts(ds.IPIDs),
 		"app":     value.NewInts(ds.AppIDs),
 		"channel": value.NewInts(ds.ChannelIDs),
 	}
-	train, valid, test := splitDataset(inputs, ds.Y, cfg.N)
-	return &Benchmark{
-		Name: "tracking",
-		Pipeline: &core.Pipeline{
-			Graph: g,
-			Model: model.NewGBDT(model.GBDTConfig{
-				Task: model.Classification, Trees: 40, MaxDepth: 5, Seed: cfg.Seed,
-			}),
-		},
-		Train: train, Valid: valid, Test: test,
-		Tables: map[string]ops.Table{
-			"ips": ipT, "apps": appT, "channels": chT,
-		},
-		backend: cfg.Backend,
-	}, nil
+	return assemble(cfg, "tracking", b, model.NewGBDT(model.GBDTConfig{
+		Task: model.Classification, Trees: 40, MaxDepth: 5, Seed: cfg.Seed,
+	}), inputs, ds.Y, tables)
 }

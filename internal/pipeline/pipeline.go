@@ -3,7 +3,10 @@
 // operators in internal/ops, and the models in internal/model. Each builder
 // returns a Benchmark: an untrained core.Pipeline plus train/validation/test
 // datasets, together with handles on the pipeline's feature tables so the
-// remote-lookup experiments can count requests.
+// remote-lookup experiments can count requests. Product and Toxic share one
+// graph builder, the lookup benchmarks one table binder, and every builder
+// ends in one split-and-assemble tail; node labels and insertion order fix
+// the IFV indices, so they are part of each benchmark's definition.
 package pipeline
 
 import (
@@ -12,7 +15,9 @@ import (
 	"time"
 
 	"willump/internal/core"
+	"willump/internal/graph"
 	"willump/internal/kvstore"
+	"willump/internal/model"
 	"willump/internal/ops"
 	"willump/internal/store"
 	"willump/internal/value"
@@ -132,7 +137,7 @@ type Benchmark struct {
 	// Train, Valid, Test are the dataset splits.
 	Train, Valid, Test core.Dataset
 	// Tables maps table names to their backing stores, for request counting
-	// in the remote experiments. Empty for text benchmarks.
+	// in the remote experiments. Nil for text benchmarks.
 	Tables map[string]ops.Table
 
 	backend Backend
@@ -178,40 +183,36 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// splitDataset slices per-row columns into core Datasets.
-func splitDataset(inputs map[string]value.Value, y []float64, n int) (train, valid, test core.Dataset) {
-	s := makeSplit(n)
-	mk := func(rows []int) core.Dataset {
-		d := core.Dataset{Inputs: make(map[string]value.Value, len(inputs))}
-		for k, v := range inputs {
-			d.Inputs[k] = v.Gather(rows)
-		}
-		d.Y = make([]float64, len(rows))
-		for i, r := range rows {
-			d.Y[i] = y[r]
-		}
-		return d
+// assemble is the tail every builder shares: it builds the graph, splits
+// the per-row columns into contiguous 50/20/30 train/validation/test
+// blocks, and packages them with the untrained model and the benchmark's
+// tables (nil for the text benchmarks).
+func assemble(cfg Config, name string, b *graph.Builder, m model.Model, inputs map[string]value.Value, y []float64, tables map[string]ops.Table) (*Benchmark, error) {
+	g, err := b.Build()
+	if err != nil {
+		return nil, err
 	}
-	return mk(s.train), mk(s.valid), mk(s.test)
+	train, valid, test := splitDataset(core.Dataset{Inputs: inputs, Y: y}, cfg.N)
+	return &Benchmark{
+		Name:     name,
+		Pipeline: &core.Pipeline{Graph: g, Model: m},
+		Train:    train, Valid: valid, Test: test,
+		Tables:  tables,
+		backend: cfg.Backend,
+	}, nil
 }
 
-type split struct{ train, valid, test []int }
-
-func makeSplit(n int) split {
-	nTrain := n * 5 / 10
-	nValid := n * 2 / 10
-	var s split
-	for i := 0; i < n; i++ {
-		switch {
-		case i < nTrain:
-			s.train = append(s.train, i)
-		case i < nTrain+nValid:
-			s.valid = append(s.valid, i)
-		default:
-			s.test = append(s.test, i)
+// splitDataset cuts n rows of all into contiguous train/valid/test blocks.
+func splitDataset(all core.Dataset, n int) (train, valid, test core.Dataset) {
+	nTrain, nValid := n*5/10, n*2/10
+	block := func(lo, hi int) core.Dataset {
+		rows := make([]int, hi-lo)
+		for i := range rows {
+			rows[i] = lo + i
 		}
+		return all.Gather(rows)
 	}
-	return s
+	return block(0, nTrain), block(nTrain, nTrain+nValid), block(nTrain+nValid, n)
 }
 
 // All builds every benchmark with the same configuration. Callers must

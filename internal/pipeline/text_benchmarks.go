@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"willump/internal/core"
 	"willump/internal/data"
 	"willump/internal/graph"
 	"willump/internal/model"
@@ -11,81 +10,40 @@ import (
 
 // Product builds the Product benchmark (Table 1: string processing,
 // n-grams, TF-IDF; classification; linear model).
-//
-// Transformation graph (three IFVs):
-//
-//	title -> clean -> tok -> ngram(1,2) -> tfidf   (word features, expensive)
-//	title -> clean2 -> charNGrams(2,3) -> tfidf    (char features, expensive)
-//	title -> stats(spam keywords)                  (cheap, important)
 func Product(cfg Config) (*Benchmark, error) {
-	cfg = cfg.withDefaults()
-	ds := data.ProductTitles(cfg.Seed, cfg.N)
-
-	b := graph.NewBuilder()
-	title := b.Input("title")
-	clean := b.Add("clean", ops.NewClean(), title)
-	tok := b.Add("tok", ops.NewTokenize(), clean)
-	ng := b.Add("word_ngrams", ops.NewWordNGrams(1, 2), tok)
-	wordTF := b.Add("word_tfidf", ops.NewTFIDF(1500, ops.NormL2), ng)
-	cng := b.Add("char_ngrams", ops.NewCharNGrams(3, 4), clean)
-	charTF := b.Add("char_tfidf", ops.NewTFIDF(1500, ops.NormL2), cng)
-	stats := b.Add("stats", ops.NewTextStats(ds.Keywords), title)
-	cat := b.Add("concat", ops.NewConcat(), wordTF, charTF, stats)
-	b.SetOutput(cat)
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-
-	inputs := map[string]value.Value{"title": value.NewStrings(ds.Texts)}
-	train, valid, test := splitDataset(inputs, ds.Y, cfg.N)
-	return &Benchmark{
-		Name: "product",
-		Pipeline: &core.Pipeline{
-			Graph: g,
-			Model: model.NewLogistic(model.LinearConfig{Epochs: 8, Seed: cfg.Seed}),
-		},
-		Train: train, Valid: valid, Test: test,
-		Tables:  map[string]ops.Table{},
-		backend: cfg.Backend,
-	}, nil
+	return textClassifier(cfg, "product", "title", data.ProductTitles, 1500)
 }
 
 // Toxic builds the Toxic benchmark (Table 1: string processing, n-grams,
 // TF-IDF; classification; linear model). Same operator families as Product
 // with the curse-word statistics the paper's introduction describes.
 func Toxic(cfg Config) (*Benchmark, error) {
+	return textClassifier(cfg, "toxic", "comment", data.ToxicComments, 2000)
+}
+
+// textClassifier builds the graph Product and Toxic share, over the text
+// input named input, keeping wordFeatures word-gram terms (three IFVs):
+//
+//	text -> clean -> tok -> ngram(1,2) -> tfidf   (word features, expensive)
+//	text -> clean -> charNGrams(3,4) -> tfidf     (char features, expensive)
+//	text -> stats(planted keywords)               (cheap, important)
+func textClassifier(cfg Config, name, input string, gen func(seed int64, n int) *data.TextDataset, wordFeatures int) (*Benchmark, error) {
 	cfg = cfg.withDefaults()
-	ds := data.ToxicComments(cfg.Seed, cfg.N)
+	ds := gen(cfg.Seed, cfg.N)
 
 	b := graph.NewBuilder()
-	comment := b.Input("comment")
-	clean := b.Add("clean", ops.NewClean(), comment)
+	text := b.Input(input)
+	clean := b.Add("clean", ops.NewClean(), text)
 	tok := b.Add("tok", ops.NewTokenize(), clean)
 	ng := b.Add("word_ngrams", ops.NewWordNGrams(1, 2), tok)
-	wordTF := b.Add("word_tfidf", ops.NewTFIDF(2000, ops.NormL2), ng)
+	wordTF := b.Add("word_tfidf", ops.NewTFIDF(wordFeatures, ops.NormL2), ng)
 	cng := b.Add("char_ngrams", ops.NewCharNGrams(3, 4), clean)
 	charTF := b.Add("char_tfidf", ops.NewTFIDF(1500, ops.NormL2), cng)
-	stats := b.Add("stats", ops.NewTextStats(ds.Keywords), comment)
-	cat := b.Add("concat", ops.NewConcat(), wordTF, charTF, stats)
-	b.SetOutput(cat)
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
+	stats := b.Add("stats", ops.NewTextStats(ds.Keywords), text)
+	b.SetOutput(b.Add("concat", ops.NewConcat(), wordTF, charTF, stats))
 
-	inputs := map[string]value.Value{"comment": value.NewStrings(ds.Texts)}
-	train, valid, test := splitDataset(inputs, ds.Y, cfg.N)
-	return &Benchmark{
-		Name: "toxic",
-		Pipeline: &core.Pipeline{
-			Graph: g,
-			Model: model.NewLogistic(model.LinearConfig{Epochs: 8, Seed: cfg.Seed}),
-		},
-		Train: train, Valid: valid, Test: test,
-		Tables:  map[string]ops.Table{},
-		backend: cfg.Backend,
-	}, nil
+	return assemble(cfg, name, b, model.NewLogistic(model.LinearConfig{Epochs: 8, Seed: cfg.Seed}),
+		map[string]value.Value{input: value.NewStrings(ds.Texts)}, ds.Y, nil)
 }
 
 // Price builds the Price benchmark (Table 1: feature encoding, string
@@ -126,12 +84,7 @@ func Price(cfg Config) (*Benchmark, error) {
 	condScaled := b.Add("cond_scale", ops.NewStandardScale(), condStats)
 	shipStats := b.Add("ship_stats", ops.NewNumericStats(), shipping)
 	shipScaled := b.Add("ship_scale", ops.NewStandardScale(), shipStats)
-	cat := b.Add("concat", ops.NewConcat(), nameTF, catOH, brandOH, condScaled, shipScaled)
-	b.SetOutput(cat)
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
+	b.SetOutput(b.Add("concat", ops.NewConcat(), nameTF, catOH, brandOH, condScaled, shipScaled))
 
 	inputs := map[string]value.Value{
 		"name":      value.NewStrings(names),
@@ -140,18 +93,8 @@ func Price(cfg Config) (*Benchmark, error) {
 		"condition": value.NewFloats(conds),
 		"shipping":  value.NewFloats(ships),
 	}
-	train, valid, test := splitDataset(inputs, ds.Y, cfg.N)
-	return &Benchmark{
-		Name: "price",
-		Pipeline: &core.Pipeline{
-			Graph: g,
-			Model: model.NewMLP(model.MLPConfig{
-				Task: model.Regression, Hidden: 24, Epochs: 12,
-				LearningRate: 0.05, Seed: cfg.Seed,
-			}),
-		},
-		Train: train, Valid: valid, Test: test,
-		Tables:  map[string]ops.Table{},
-		backend: cfg.Backend,
-	}, nil
+	return assemble(cfg, "price", b, model.NewMLP(model.MLPConfig{
+		Task: model.Regression, Hidden: 24, Epochs: 12,
+		LearningRate: 0.05, Seed: cfg.Seed,
+	}), inputs, ds.Y, nil)
 }

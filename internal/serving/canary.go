@@ -92,19 +92,12 @@ func (r *Registry) StartCanary(name, tag string, o *core.Optimized, fraction flo
 // both the displaced incumbent and the canary's serving scaffolding finish
 // what they admitted.
 func (r *Registry) PromoteCanary(name string) error {
-	r.mu.RLock()
-	h, ok := r.models[name]
-	r.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("serving: promote %q: %w", name, ErrModelNotFound)
-	}
-	h.canaryPermille.Store(0)
-	c := h.canary.Swap(nil)
-	if c == nil {
-		return fmt.Errorf("serving: promote %q: no canary in flight", name)
+	h, c, err := r.detachCanary("promote", name)
+	if err != nil {
+		return err
 	}
 	h.admit.Reprime(c.admit.State())
-	err := r.deploy(name, c.tag, c.opt, nil, c.opt.Inputs())
+	err = r.deploy(name, c.tag, c.opt, nil, c.opt.Inputs())
 	c.beginDrain()
 	return err
 }
@@ -113,19 +106,29 @@ func (r *Registry) PromoteCanary(name string) error {
 // the incumbent — whose admission controller served the majority arm
 // throughout and so was never cold — and the candidate drains.
 func (r *Registry) RollbackCanary(name string) error {
+	_, c, err := r.detachCanary("rollback", name)
+	if err != nil {
+		return err
+	}
+	c.beginDrain()
+	return nil
+}
+
+// detachCanary stops routing to the model's canary and takes it off the
+// model; op names the caller in errors.
+func (r *Registry) detachCanary(op, name string) (*Hosted, *version, error) {
 	r.mu.RLock()
 	h, ok := r.models[name]
 	r.mu.RUnlock()
 	if !ok {
-		return fmt.Errorf("serving: rollback %q: %w", name, ErrModelNotFound)
+		return nil, nil, fmt.Errorf("serving: %s %q: %w", op, name, ErrModelNotFound)
 	}
 	h.canaryPermille.Store(0)
 	c := h.canary.Swap(nil)
 	if c == nil {
-		return fmt.Errorf("serving: rollback %q: no canary in flight", name)
+		return nil, nil, fmt.Errorf("serving: %s %q: no canary in flight", op, name)
 	}
-	c.beginDrain()
-	return nil
+	return h, c, nil
 }
 
 // canaryGuards snapshots both serving arms' guard metrics; ok is false

@@ -25,11 +25,17 @@ func isTransient(err error) bool {
 	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
+// Retries back off from backoffBase, doubling up to backoffMax.
+const (
+	backoffBase = 2 * time.Millisecond
+	backoffMax  = 100 * time.Millisecond
+)
+
 // lookupRetry runs the hedged attempt under the bounded-retry loop:
 // transient failures back off (jittered exponential, capped) and retry;
 // permanent failures and context expiry return immediately.
 func (c *Client) lookupRetry(ctx context.Context, keys []int64) (rows [][]float64, hedgeStart time.Time, err error) {
-	backoff := c.cfg.BackoffBase
+	backoff := backoffBase
 	var lastErr error
 	for try := 0; try <= c.cfg.Retries; try++ {
 		if try > 0 {
@@ -43,8 +49,8 @@ func (c *Client) lookupRetry(ctx context.Context, keys []int64) (rows [][]float6
 				return nil, hedgeStart, ctx.Err()
 			case <-t.C:
 			}
-			if backoff *= 2; backoff > c.cfg.BackoffMax {
-				backoff = c.cfg.BackoffMax
+			if backoff *= 2; backoff > backoffMax {
+				backoff = backoffMax
 			}
 		}
 		rows, hs, err := c.lookupHedged(ctx, keys)

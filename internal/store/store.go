@@ -43,20 +43,12 @@ type Config struct {
 	// ExpectDim, when non-zero, is validated against the server's table
 	// width at dial time; zero accepts whatever the server reports.
 	ExpectDim int
-	// PoolSize caps idle pooled connections (default 8).
-	PoolSize int
-	// DialTimeout bounds connection establishment (default 2s).
-	DialTimeout time.Duration
 	// RequestTimeout bounds one multi-get attempt when the request context
 	// carries no tighter deadline (default 1s).
 	RequestTimeout time.Duration
 	// Retries is the number of re-attempts after a transient failure
 	// (default 2; negative disables retries).
 	Retries int
-	// BackoffBase / BackoffMax shape the jittered exponential backoff
-	// between retries (defaults 2ms / 100ms).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Hedge enables tail-latency hedging: when an attempt is slower than
 	// the hedge delay, a second attempt races it and the first response
 	// wins (default off; DefaultsHedged turns it on).
@@ -78,12 +70,6 @@ type Config struct {
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 8
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = time.Second
 	}
@@ -92,12 +78,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Retries < 0 {
 		cfg.Retries = 0
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 2 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 100 * time.Millisecond
 	}
 	if cfg.BreakerThreshold == 0 {
 		cfg.BreakerThreshold = 5
@@ -308,8 +288,15 @@ type conn struct {
 
 func (cn *conn) close() { cn.c.Close() }
 
+// The pool keeps at most poolSize idle connections; dialTimeout bounds
+// connection establishment.
+const (
+	poolSize    = 8
+	dialTimeout = 2 * time.Second
+)
+
 func (c *Client) dialConn(ctx context.Context) (*conn, error) {
-	d := net.Dialer{Timeout: c.cfg.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	nc, err := d.DialContext(ctx, "tcp", c.cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("store: dial %s: %w", c.cfg.Addr, err)
@@ -336,7 +323,7 @@ func (c *Client) get(ctx context.Context) (*conn, error) {
 // put returns a clean connection to the idle pool.
 func (c *Client) put(cn *conn) {
 	c.mu.Lock()
-	if len(c.conns) < c.cfg.PoolSize && !c.closed.Load() {
+	if len(c.conns) < poolSize && !c.closed.Load() {
 		c.conns = append(c.conns, cn)
 		c.mu.Unlock()
 		return

@@ -48,7 +48,6 @@ const (
 const (
 	DefaultSampleEvery   = 128
 	DefaultBuffer        = 256
-	DefaultSlowBuffer    = 32
 	DefaultSlowThreshold = 25 * time.Millisecond
 )
 
@@ -113,9 +112,10 @@ type Config struct {
 	Buffer int
 	// SlowThreshold tail-samples requests at or above this latency.
 	SlowThreshold time.Duration
-	// SlowBuffer is the recent-slow ring capacity (per-model stats).
-	SlowBuffer int
 }
+
+// slowBuffer is the recent-slow ring capacity (per-model stats).
+const slowBuffer = 32
 
 // Tracer owns sampling decisions and retention for one pipeline. All
 // methods are safe for concurrent use and safe on a nil receiver (no-ops),
@@ -158,15 +158,12 @@ func NewTracer(cfg Config) *Tracer {
 	if cfg.SlowThreshold <= 0 {
 		cfg.SlowThreshold = DefaultSlowThreshold
 	}
-	if cfg.SlowBuffer <= 0 {
-		cfg.SlowBuffer = DefaultSlowBuffer
-	}
 	tr := &Tracer{
 		every:    uint64(cfg.SampleEvery),
 		slow:     cfg.SlowThreshold,
 		hists:    make(map[string]*metrics.Hist),
 		ring:     make([]Snapshot, cfg.Buffer),
-		slowRing: make([]Snapshot, cfg.SlowBuffer),
+		slowRing: make([]Snapshot, slowBuffer),
 	}
 	tr.pool.New = func() any { return &Trace{spans: make([]Span, 0, 32)} }
 	return tr

@@ -99,36 +99,9 @@ func (v Value) Width() int {
 
 // Gather returns a new Value restricted to the given rows, in order.
 func (v Value) Gather(rows []int) Value {
-	switch v.Kind {
-	case Strings:
-		out := make([]string, len(rows))
-		for i, r := range rows {
-			out[i] = v.Strings[r]
-		}
-		return NewStrings(out)
-	case Floats:
-		out := make([]float64, len(rows))
-		for i, r := range rows {
-			out[i] = v.Floats[r]
-		}
-		return NewFloats(out)
-	case Ints:
-		out := make([]int64, len(rows))
-		for i, r := range rows {
-			out[i] = v.Ints[r]
-		}
-		return NewInts(out)
-	case Mat:
-		return NewMat(v.Mat.Gather(rows))
-	case Tokens:
-		out := make([][]string, len(rows))
-		for i, r := range rows {
-			out[i] = v.Tokens[r]
-		}
-		return NewTokens(out)
-	default:
-		return Value{}
-	}
+	var out Value
+	GatherInto(&out, v, rows)
+	return out
 }
 
 // GatherInto gathers the given rows of src into dst, reusing dst's backing
@@ -136,42 +109,27 @@ func (v Value) Gather(rows []int) Value {
 // exclusively owned by the caller and must not alias src; the pooled
 // executor tracks buffer ownership per plan slot to guarantee both.
 func GatherInto(dst *Value, src Value, rows []int) {
+	reuse := src.Kind == dst.Kind
 	switch src.Kind {
 	case Strings:
-		out := growSlice(dst.Strings, len(rows), src.Kind == dst.Kind)
-		for i, r := range rows {
-			out[i] = src.Strings[r]
-		}
-		*dst = NewStrings(out)
+		*dst = NewStrings(gather(dst.Strings, src.Strings, rows, reuse))
 	case Floats:
-		out := growSlice(dst.Floats, len(rows), src.Kind == dst.Kind)
-		for i, r := range rows {
-			out[i] = src.Floats[r]
-		}
-		*dst = NewFloats(out)
+		*dst = NewFloats(gather(dst.Floats, src.Floats, rows, reuse))
 	case Ints:
-		out := growSlice(dst.Ints, len(rows), src.Kind == dst.Kind)
-		for i, r := range rows {
-			out[i] = src.Ints[r]
-		}
-		*dst = NewInts(out)
+		*dst = NewInts(gather(dst.Ints, src.Ints, rows, reuse))
 	case Tokens:
-		out := growSlice(dst.Tokens, len(rows), src.Kind == dst.Kind)
-		for i, r := range rows {
-			out[i] = src.Tokens[r]
-		}
-		*dst = NewTokens(out)
+		*dst = NewTokens(gather(dst.Tokens, src.Tokens, rows, reuse))
 	case Mat:
 		switch m := src.Mat.(type) {
 		case *feature.Dense:
 			prev, _ := dst.Mat.(*feature.Dense)
-			if dst.Kind != Mat {
+			if !reuse {
 				prev = nil
 			}
 			*dst = NewMat(m.GatherReuse(rows, prev))
 		case *feature.CSR:
 			prev, _ := dst.Mat.(*feature.CSR)
-			if dst.Kind != Mat {
+			if !reuse {
 				prev = nil
 			}
 			*dst = NewMat(m.GatherReuse(rows, prev))
@@ -181,6 +139,15 @@ func GatherInto(dst *Value, src Value, rows []int) {
 	default:
 		*dst = Value{}
 	}
+}
+
+// gather copies src's selected rows into dst (see growSlice).
+func gather[T any](dst, src []T, rows []int, reuse bool) []T {
+	out := growSlice(dst, len(rows), reuse)
+	for i, r := range rows {
+		out[i] = src[r]
+	}
+	return out
 }
 
 // growSlice returns a slice of length n, reusing s when reuse is requested
