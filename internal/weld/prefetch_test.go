@@ -3,6 +3,7 @@ package weld
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"willump/internal/kvstore"
 	"willump/internal/ops"
 	"willump/internal/store"
+	"willump/internal/trace"
 	"willump/internal/value"
 )
 
@@ -65,6 +67,10 @@ func startRemoteStore(t *testing.T, nKeys int, latency time.Duration, cfg store.
 	t.Cleanup(func() { c.Close() })
 	return srv, c
 }
+
+// StartRemoteStore is startRemoteStore for the external test package, whose
+// tests drive the cascade and core predict paths weld cannot import.
+var StartRemoteStore = startRemoteStore
 
 // remotePipeline builds and fits
 //
@@ -210,6 +216,120 @@ func TestPrefetchSkipsCachedIFVs(t *testing.T) {
 	run()
 	if n := client.Requests(); n != 1 {
 		t.Errorf("warm cached run made %d total remote requests, want still 1 (all hits, prefetch gated off)", n)
+	}
+}
+
+// TestPrefetchCachedMissesOverlap pins what a point query's cache misses on
+// remote IFVs cost: with three cached remote lookups at 30ms each, a cold
+// query pays about one round trip, not three, because the misses are
+// fetched together; it still makes exactly one request per miss, and a
+// sampled query's store spans overlap in its trace.
+func TestPrefetchCachedMissesOverlap(t *testing.T) {
+	const lat = 30 * time.Millisecond
+	var clients [3]*store.Client
+	b := graph.NewBuilder()
+	var feats []graph.NodeID
+	for j := range clients {
+		_, clients[j] = startRemoteStore(t, 64, lat, store.Config{})
+		name := "k" + strconv.Itoa(j)
+		feats = append(feats, b.Add(name+"_features", ops.NewLookup(name, clients[j]), b.Input(name)))
+	}
+	b.SetOutput(b.Add("concat", ops.NewConcat(), feats...))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := func(k0, k1, k2 int64) map[string]value.Value {
+		return map[string]value.Value{
+			"k0": value.NewInts([]int64{k0}),
+			"k1": value.NewInts([]int64{k1}),
+			"k2": value.NewInts([]int64{k2}),
+		}
+	}
+	p, _ := fitProgram(t, g, point(0, 0, 0))
+	if len(p.prefetch) != 3 {
+		t.Fatalf("prefetch specs = %d, want 3", len(p.prefetch))
+	}
+	ctx := context.Background()
+	uncached := func(in map[string]value.Value) feature.Matrix {
+		t.Helper()
+		m, err := p.RunBatch(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	wantA, wantB, wantC := uncached(point(1, 2, 3)), uncached(point(1, 5, 6)), uncached(point(1, 2, 7))
+	p.EnableFeatureCachingSpecs([]CacheSpec{{IFV: 0, Capacity: 64}, {IFV: 1, Capacity: 64}, {IFV: 2, Capacity: 64}})
+
+	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
+	// query runs one sampled point query and returns its features, wall
+	// time, store requests and trace.
+	query := func(in map[string]value.Value, want feature.Matrix) (time.Duration, int64, trace.Snapshot) {
+		t.Helper()
+		var reqs int64
+		for _, c := range clients {
+			reqs -= c.Requests()
+		}
+		tr := tracer.Begin("point")
+		start := time.Now()
+		r, err := p.NewRun(trace.NewContext(ctx, tr), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := r.PointMatrix(p.AllIFVs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		elapsed := time.Since(start)
+		matricesClose(t, m, want, 0)
+		r.Close()
+		tracer.Finish(tr, "point", start, nil)
+		for _, c := range clients {
+			reqs += c.Requests()
+		}
+		return elapsed, reqs, tracer.Traces()[0]
+	}
+
+	elapsed, reqs, _ := query(point(1, 2, 3), wantA)
+	if elapsed < lat {
+		t.Errorf("cold query took %v, faster than one %v round trip — latency injection broken", elapsed, lat)
+	}
+	if limit := lat * 8 / 5; elapsed >= limit {
+		t.Errorf("cold query took %v; want < %v (three misses fetched together, one after another is %v)", elapsed, limit, 3*lat)
+	}
+	if reqs != 3 {
+		t.Errorf("cold query made %d store requests, want 3 (one per miss)", reqs)
+	}
+	if _, reqs, _ = query(point(1, 2, 3), wantA); reqs != 0 {
+		t.Errorf("warm repeat made %d store requests, want 0", reqs)
+	}
+	if _, reqs, _ = query(point(1, 2, 7), wantC); reqs != 1 {
+		t.Errorf("one miss, two hits made %d store requests, want 1", reqs)
+	}
+
+	_, reqs, snap := query(point(1, 5, 6), wantB)
+	if reqs != 2 {
+		t.Errorf("two misses made %d store requests, want 2", reqs)
+	}
+	count := map[string]int{}
+	var mgets []trace.Span
+	for _, s := range snap.Spans {
+		count[s.Stage]++
+		if s.Stage == trace.StageStoreMGet {
+			mgets = append(mgets, s)
+		}
+	}
+	for stage, want := range map[string]int{"ifv:0": 1, "ifv:1": 1, "ifv:2": 1, trace.StageCacheLookup: 3, trace.StageCacheFill: 2, trace.StageStoreMGet: 2} {
+		if count[stage] != want {
+			t.Errorf("two-miss trace has %d %q spans, want %d (spans %+v)", count[stage], stage, want, snap.Spans)
+		}
+	}
+	if len(mgets) == 2 {
+		a, b := mgets[0], mgets[1]
+		if a.Offset >= b.Offset+b.Dur || b.Offset >= a.Offset+a.Dur {
+			t.Errorf("store spans [%v +%v] and [%v +%v] do not overlap", a.Offset, a.Dur, b.Offset, b.Dur)
+		}
 	}
 }
 

@@ -108,6 +108,10 @@ type Program struct {
 	// compute begins, so the store round trip overlaps CPU work.
 	// Laid out by Fuse (each such step's pre field indexes it); nil before.
 	prefetch []prefetchSpec
+	// remote[i] says IFV i owns a prefetch spec. A cached remote IFV does
+	// not prefetch; a point run fetches its cache misses together instead
+	// (BatchRun.fillRemoteMisses). Laid out by Fuse.
+	remote []bool
 
 	fitted bool
 }
@@ -307,6 +311,7 @@ func (p *Program) layoutSteps() {
 	p.ifvSteps = make([][]int, len(p.A.IFVs))
 	p.reusable = make([]bool, p.G.NumNodes())
 	p.prefetch = nil
+	p.remote = make([]bool, len(p.A.IFVs))
 	producer := make(map[graph.NodeID]int, len(p.Steps))
 	for si := range p.Steps {
 		producer[p.Steps[si].out] = si
@@ -334,6 +339,7 @@ func (p *Program) layoutSteps() {
 		if at, ok := lk.Table().(ops.AsyncTable); ok {
 			st.pre = len(p.prefetch)
 			p.prefetch = append(p.prefetch, prefetchSpec{ifv: st.ifv, src: st.ins[0], at: at})
+			p.remote[st.ifv] = true
 		}
 	}
 }
@@ -459,6 +465,7 @@ func (p *Program) CloneRuntime() *Program {
 		spineFallback: p.spineFallback,
 		allIFVs:       p.allIFVs,
 		prefetch:      p.prefetch,
+		remote:        p.remote,
 		fitted:        p.fitted,
 	}
 	if p.live != nil {

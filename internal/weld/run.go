@@ -70,6 +70,20 @@ type BatchRun struct {
 	// — each spec's step lives in one IFV, so parallel IFV workers touch
 	// disjoint entries.
 	pending []ops.PendingLookup
+
+	// misses and fills are a point run's remote-miss fan-out state (see
+	// fillRemoteMisses), pooled with the run so that a fan-out allocates
+	// only its goroutines.
+	misses []remoteMiss
+	fills  sync.WaitGroup
+}
+
+// remoteMiss is one remote IFV whose point cache probe missed: probed at t0
+// (the start of its ifv:<i> span), filled with the outcome err.
+type remoteMiss struct {
+	ifv int
+	t0  time.Time
+	err error
 }
 
 // ifvCacheScratch holds one IFV's reusable cached-path state: source-column
@@ -296,11 +310,22 @@ func (r *BatchRun) runIFVSteps(i int, sharedOnly bool) error {
 
 // computeIFVs materializes the selected IFVs (by index), each preceded by
 // whatever preprocessing it needs and the run does not hold yet, going
-// through the per-IFV feature cache when one is attached. IFVs waiting on a
-// prefetch this run started compute last: the others' local CPU work
-// overlaps the store round trips, and the prefetched ones join right where
-// their output is consumed.
+// through the per-IFV feature cache when one is attached. A point run first
+// fetches its remote IFVs' cache misses together (fillRemoteMisses). IFVs
+// waiting on a prefetch this run started compute last: the others' local
+// CPU work overlaps the store round trips, and the prefetched ones join
+// right where their output is consumed.
 func (r *BatchRun) computeIFVs(idx []int) error {
+	if err := r.fillRemoteMisses(idx); err != nil {
+		return err
+	}
+	return r.computeEach(idx)
+}
+
+// computeEach is computeIFVs without the remote-miss phase: the part
+// ComputeIFVsParallel's point workers run concurrently on one run, each
+// over its own IFVs.
+func (r *BatchRun) computeEach(idx []int) error {
 	deferred := false
 	for _, i := range idx {
 		if r.late[i] {
@@ -328,7 +353,8 @@ func (r *BatchRun) clock() (t time.Time) {
 	return t
 }
 
-// computeIFV materializes one IFV (cached or direct), once.
+// computeIFV materializes one IFV (cached or direct), once. A cached point
+// IFV is probed, then filled on a miss.
 func (r *BatchRun) computeIFV(i int) error {
 	if r.ifvDone[i] {
 		return nil
@@ -338,37 +364,114 @@ func (r *BatchRun) computeIFV(i int) error {
 	if r.p.caches != nil {
 		c = r.p.caches[i]
 	}
-	if c != nil {
-		if err := r.computeIFVCached(i, c); err != nil {
-			return err
+	var err error
+	switch {
+	case c == nil:
+		err = r.runIFVSteps(i, false)
+	case r.n == 1:
+		if !r.probePoint(i, c) {
+			err = r.pointCacheFill(i, c)
 		}
-	} else if err := r.runIFVSteps(i, false); err != nil {
+	default:
+		err = r.computeIFVCached(i, c)
+	}
+	if err != nil {
 		return err
 	}
+	r.finishIFV(i, t0)
+	return nil
+}
+
+// finishIFV marks IFV i done, closing its ifv:<i> span begun at t0.
+func (r *BatchRun) finishIFV(i int, t0 time.Time) {
 	r.tr.Record(r.p.ifvLabels[i], t0)
 	r.ifvDone[i] = true
+}
+
+// fillRemoteMisses is a point run's first phase: it probes the cache of
+// every requested remote IFV (Program.remote) not yet done and fetches the
+// misses together, so their store round trips overlap instead of queuing one
+// behind another. Two or more misses first run their shared preprocessing,
+// once, then fill one per goroutine, the first on this one; every fill is
+// joined before it returns, on every path, so a recycled run or trace never
+// sees a late fill. This is safe for the reason ComputeIFVsParallel's point
+// mode is: generators write disjoint node slots, per-IFV cache scratch and
+// per-step scratch, and trace.Trace.Record is safe for concurrent use.
+func (r *BatchRun) fillRemoteMisses(idx []int) error {
+	if r.n != 1 || r.p.caches == nil || len(r.p.prefetch) == 0 {
+		return nil
+	}
+	r.misses = r.misses[:0]
+	for _, i := range idx {
+		c := r.p.caches[i]
+		if c == nil || !r.p.remote[i] || r.ifvDone[i] {
+			continue
+		}
+		t0 := r.clock()
+		if r.probePoint(i, c) {
+			r.finishIFV(i, t0)
+		} else {
+			r.misses = append(r.misses, remoteMiss{ifv: i, t0: t0})
+		}
+	}
+	if len(r.misses) == 0 {
+		return nil
+	}
+	if len(r.misses) > 1 {
+		for _, m := range r.misses {
+			if err := r.runIFVSteps(m.ifv, true); err != nil {
+				return err
+			}
+		}
+		for k := 1; k < len(r.misses); k++ {
+			r.fills.Add(1)
+			go func(k int) {
+				defer r.fills.Done()
+				r.fillMiss(k)
+			}(k)
+		}
+	}
+	r.fillMiss(0)
+	r.fills.Wait()
+	for _, m := range r.misses {
+		if m.err != nil {
+			return m.err
+		}
+	}
 	return nil
+}
+
+// fillMiss fills remote miss k through the cache and, on success, marks its
+// IFV done.
+func (r *BatchRun) fillMiss(k int) {
+	m := &r.misses[k]
+	if m.err = r.pointCacheFill(m.ifv, r.p.caches[m.ifv]); m.err == nil {
+		r.finishIFV(m.ifv, m.t0)
+	}
+}
+
+// cacheScratch returns IFV i's cache scratch with its source-column views
+// pointed at this run's columns.
+func (r *BatchRun) cacheScratch(i int) *ifvCacheScratch {
+	cs := &r.cacheScr[i]
+	srcs := r.p.A.IFVs[i].Sources
+	cs.srcVals = growScratch(cs.srcVals, len(srcs))
+	for j, s := range srcs {
+		cs.srcVals[j] = r.vals[s]
+	}
+	return cs
 }
 
 // computeIFVCached serves rows from the IFV's sharded feature cache and
 // computes only the misses. Cached entries hold the IFV's dense
 // feature-vector rows, keyed by the length-prefixed encoding of the
 // generator's raw sources (section 4.5). All per-call state lives in the
-// run's per-IFV scratch, so a warm all-hit batch — and every warm point hit
-// — performs zero heap allocations.
+// run's per-IFV scratch, so a warm all-hit batch performs zero heap
+// allocations. Point runs take probePoint and pointCacheFill instead.
 func (r *BatchRun) computeIFVCached(i int, c *cache.Sharded) error {
 	ifv := r.p.A.IFVs[i]
-	width := r.p.Widths[ifv.Root]
-	cs := &r.cacheScr[i]
-	cs.srcVals = growScratch(cs.srcVals, len(ifv.Sources))
-	for j, s := range ifv.Sources {
-		cs.srcVals[j] = r.vals[s]
-	}
-	if r.n == 1 {
-		return r.computePointCached(i, c, width, cs)
-	}
-
-	out := feature.GrowDense(cs.dense, r.n, width)
+	cs := r.cacheScratch(i)
+	out := feature.GrowDense(cs.dense, r.n, r.p.Widths[ifv.Root])
 	cs.dense = out
 	cs.offs = growScratch(cs.offs, r.n+1)
 	cs.hashes = growScratch(cs.hashes, r.n)
@@ -434,37 +537,36 @@ func (r *BatchRun) fillMisses(i int, c *cache.Sharded, cs *ifvCacheScratch, out 
 	return nil
 }
 
-// computePointCached is the compiled point fast path through the feature
-// cache: encode the key into the run's reused buffer, hash it inline, and on
-// a hit copy the cached row straight into the run's pooled output dense —
-// zero heap allocations once warm. Misses are coalesced: concurrent point
-// queries for the same hot key compute the feature vector once (critical for
-// Zipfian traffic against remote/lookup features), with everyone else
-// waiting and then reading the published entry.
-func (r *BatchRun) computePointCached(i int, c *cache.Sharded, width int, cs *ifvCacheScratch) error {
+// probePoint is the compiled point fast path through the feature cache:
+// encode IFV i's key into the run's reused buffer, hash it inline, and on a
+// hit copy the cached row straight into the run's pooled output dense and
+// the IFV's root slot — zero heap allocations once warm. A miss leaves the
+// key and its hash in the IFV's scratch for pointCacheFill.
+func (r *BatchRun) probePoint(i int, c *cache.Sharded) bool {
 	root := r.p.A.IFVs[i].Root
+	cs := r.cacheScratch(i)
 	cs.keyBuf = cache.AppendRowKey(cs.keyBuf[:0], cs.srcVals, 0)
-	key := cs.keyBuf
-	h := cache.Hash64(key)
-	out := feature.GrowDense(cs.dense, 1, width)
-	cs.dense = out
+	cs.hashes = append(cs.hashes[:0], cache.Hash64(cs.keyBuf))
+	cs.dense = feature.GrowDense(cs.dense, 1, r.p.Widths[root])
 	t0 := r.clock()
-	hit := c.CopyInto(h, key, out.Row(0))
+	hit := c.CopyInto(cs.hashes[0], cs.keyBuf, cs.dense.Row(0))
 	r.tr.Record(trace.StageCacheLookup, t0)
 	if hit {
-		*r.dest(root) = value.NewMat(out)
-		return nil
+		*r.dest(root) = value.NewMat(cs.dense)
 	}
-	t1 := r.clock()
-	err := r.pointCacheFill(i, c, cs, out, key, h, root)
-	r.tr.Record(trace.StageCacheFill, t1)
-	return err
+	return hit
 }
 
-// pointCacheFill is the point-query miss path: coalesce with concurrent
-// misses on the same key, compute as the leader or re-read the published
-// entry as a waiter, falling back to direct computation when either fails.
-func (r *BatchRun) pointCacheFill(i int, c *cache.Sharded, cs *ifvCacheScratch, out *feature.Dense, key []byte, h uint64, root graph.NodeID) error {
+// pointCacheFill is the point-query miss path after probePoint: coalesce
+// with concurrent misses on the same key — concurrent point queries for the
+// same hot key compute the feature vector once (critical for Zipfian traffic
+// against remote/lookup features) — compute as the leader or re-read the
+// published entry as a waiter, falling back to direct computation when
+// either fails.
+func (r *BatchRun) pointCacheFill(i int, c *cache.Sharded) error {
+	defer r.tr.Record(trace.StageCacheFill, r.clock())
+	cs := &r.cacheScr[i]
+	key, h, out, root := cs.keyBuf, cs.hashes[0], cs.dense, r.p.A.IFVs[i].Root
 	leader, err := c.Coalesce(r.ctx, key, func() error {
 		// The leader computes the generator directly on this run (the output
 		// lands in the root slot, exactly like the uncached path) and
@@ -492,8 +594,8 @@ func (r *BatchRun) pointCacheFill(i int, c *cache.Sharded, cs *ifvCacheScratch, 
 	if leader {
 		return nil // the root slot already holds the computed value
 	}
-	// PeekInto, not CopyInto: this lookup already counted its miss above,
-	// and the coalesced re-read must not also count a hit.
+	// PeekInto, not CopyInto: probePoint already counted this lookup's
+	// miss, and the coalesced re-read must not also count a hit.
 	if c.PeekInto(h, key, out.Row(0)) {
 		*r.dest(root) = value.NewMat(out)
 		return nil
@@ -750,12 +852,14 @@ func (p *Program) RunBatch(ctx context.Context, inputs map[string]value.Value) (
 // LPT over profiled costs: generators are disjoint subgraphs, so each worker
 // writes only its own generators' node slots and the shared state stays
 // race-free, and static assignment avoids scheduling overhead; the
-// preprocessing slots generators share are filled before the fan-out. A
-// batch runs contiguous row shards as sub-runs of this run — different
-// inputs end-to-end on different threads, each shard running the
-// preprocessing of its own rows — and stacks their IFV roots back into this
-// run's slots; IFVs waiting on the batch's own prefetch are not
-// sharded but joined here afterwards, so each key is fetched once.
+// preprocessing slots generators share are filled before the fan-out, and
+// the remote cache misses are fetched together before it (fillRemoteMisses),
+// so the workers take only the IFVs left. A batch runs contiguous row shards
+// as sub-runs of this run — different inputs end-to-end on different
+// threads, each shard running the preprocessing of its own rows — and stacks
+// their IFV roots back into this run's slots; IFVs waiting on the batch's own
+// prefetch are not sharded but joined here afterwards, so each key is
+// fetched once.
 func (r *BatchRun) ComputeIFVsParallel(idx []int, workers int) error {
 	if workers <= 1 || (r.n == 1 && len(idx) <= 1) {
 		return r.computeIFVs(idx)
@@ -766,23 +870,29 @@ func (r *BatchRun) ComputeIFVsParallel(idx []int, workers int) error {
 	var sharded []int
 	if r.n == 1 {
 		// Two workers may descend from one preprocessing slot: the union of
-		// the selected IFVs' preprocessing runs once, here, and the workers
+		// the left IFVs' preprocessing runs once, here, and the workers
 		// below find its outputs held.
-		costs := make([]float64, len(idx))
-		for j, i := range idx {
-			if !r.ifvDone[i] {
-				if err := r.runIFVSteps(i, true); err != nil {
-					return err
-				}
+		if err := r.fillRemoteMisses(idx); err != nil {
+			return err
+		}
+		var rest []int
+		var costs []float64
+		for _, i := range idx {
+			if r.ifvDone[i] {
+				continue
 			}
-			costs[j] = r.p.Prof.IFVCost(r.p.A, i)
+			if err := r.runIFVSteps(i, true); err != nil {
+				return err
+			}
+			rest = append(rest, i)
+			costs = append(costs, r.p.Prof.IFVCost(r.p.A, i))
 		}
 		for _, g := range parallel.Assign(costs, workers) {
 			if len(g) == 0 {
 				continue
 			}
 			for j, gi := range g {
-				g[j] = idx[gi]
+				g[j] = rest[gi]
 			}
 			runs, work = append(runs, r), append(work, g)
 		}
@@ -814,7 +924,7 @@ func (r *BatchRun) ComputeIFVsParallel(idx []int, workers int) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = runs[w].computeIFVs(work[w])
+			errs[w] = runs[w].computeEach(work[w])
 		}(w)
 	}
 	wg.Wait()
