@@ -87,15 +87,18 @@ func zipfOpsSharded(c *Sharded, keys []int64, workers, ops int) time.Duration {
 }
 
 // BenchmarkConcurrentZipfian drives the sharded cache under 8-goroutine
-// Zipfian load (also recorded by willump-bench -json as the
-// cache-zipf-sharded workload).
+// Zipfian load and reports the timed phase's hit rate beside its cost, so
+// an admission or eviction change shows in both.
 func BenchmarkConcurrentZipfian(b *testing.B) {
 	const workers = 8
 	keys := zipfKeys(1<<16, 16384, 3)
 	c := NewSharded(1024, 0)
 	zipfOpsSharded(c, keys, workers, 2048) // warm
+	warm := c.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	elapsed := zipfOpsSharded(c, keys, workers, b.N)
+	st := c.Stats()
 	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N*workers), "ns/op-per-worker")
+	b.ReportMetric(Stats{Hits: st.Hits - warm.Hits, Misses: st.Misses - warm.Misses}.HitRate(), "hit-rate")
 }

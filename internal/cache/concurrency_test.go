@@ -64,7 +64,8 @@ func TestShardedConcurrentGetPutEvict(t *testing.T) {
 
 // TestCoalesceSingleComputation holds one leader's computation open until
 // every other goroutine has reached Coalesce for the same key: exactly one
-// computation may run, every waiter must observe its result via the cache.
+// computation may run, every waiter must receive its vector and find it
+// cached.
 func TestCoalesceSingleComputation(t *testing.T) {
 	c := NewSharded(64, 4)
 	k := intKey(99)
@@ -79,12 +80,11 @@ func TestCoalesceSingleComputation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		leader, err := c.Coalesce(context.Background(), k, func() error {
+		leader, err := c.Coalesce(context.Background(), h, k, make([]float64, 2), func() ([]float64, error) {
 			computes.Add(1)
 			close(leaderIn)
 			<-release
-			c.Put(h, k, keyVal(99))
-			return nil
+			return keyVal(99), nil
 		})
 		if !leader || err != nil {
 			t.Errorf("first caller: leader=%v err=%v, want leader with nil error", leader, err)
@@ -98,10 +98,10 @@ func TestCoalesceSingleComputation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			arrived.Add(1)
-			leader, err := c.Coalesce(context.Background(), k, func() error {
+			dst := make([]float64, 2)
+			leader, err := c.Coalesce(context.Background(), h, k, dst, func() ([]float64, error) {
 				computes.Add(1)
-				c.Put(h, k, keyVal(99))
-				return nil
+				return keyVal(99), nil
 			})
 			if err != nil {
 				errs <- err
@@ -111,7 +111,10 @@ func TestCoalesceSingleComputation(t *testing.T) {
 				errs <- fmt.Errorf("waiter became leader while a flight was open")
 				return
 			}
-			dst := make([]float64, 2)
+			if dst[0] != 99 || dst[1] != 198 {
+				errs <- fmt.Errorf("waiter received %v, want the leader's vector", dst)
+				return
+			}
 			if !c.CopyInto(h, k, dst) {
 				errs <- fmt.Errorf("waiter found no cached value after leader finished")
 			}
@@ -153,7 +156,7 @@ func TestCoalesceErrorPropagates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			leader, err := c.Coalesce(context.Background(), k, func() error { return wantErr })
+			leader, err := c.Coalesce(context.Background(), Hash64(k), k, make([]float64, 2), func() ([]float64, error) { return nil, wantErr })
 			if leader {
 				leaders.Add(1)
 			}
@@ -184,11 +187,10 @@ func TestCoalesceWaiterHonorsContext(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Coalesce(context.Background(), k, func() error {
+		_, err := c.Coalesce(context.Background(), Hash64(k), k, make([]float64, 2), func() ([]float64, error) {
 			close(leaderIn)
 			<-release
-			c.Put(Hash64(k), k, keyVal(7))
-			return nil
+			return keyVal(7), nil
 		})
 		done <- err
 	}()
@@ -196,7 +198,10 @@ func TestCoalesceWaiterHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	leader, err := c.Coalesce(ctx, k, func() error { t.Error("waiter must not compute"); return nil })
+	leader, err := c.Coalesce(ctx, Hash64(k), k, make([]float64, 2), func() ([]float64, error) {
+		t.Error("waiter must not compute")
+		return nil, nil
+	})
 	if leader {
 		t.Error("second caller became leader while a flight was open")
 	}
@@ -228,7 +233,7 @@ func TestCoalesceDistinctKeysDoNotSerialize(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			k := intKey(int64(w))
-			_, err := c.Coalesce(context.Background(), k, func() error {
+			_, err := c.Coalesce(context.Background(), Hash64(k), k, make([]float64, 2), func() ([]float64, error) {
 				n := inFlight.Add(1)
 				for {
 					m := maxInFlight.Load()
@@ -238,8 +243,7 @@ func TestCoalesceDistinctKeysDoNotSerialize(t *testing.T) {
 				}
 				<-gate // hold every flight open until all have started
 				inFlight.Add(-1)
-				c.Put(Hash64(k), k, keyVal(int64(w)))
-				return nil
+				return keyVal(int64(w)), nil
 			})
 			if err != nil {
 				t.Error(err)

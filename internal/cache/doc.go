@@ -13,6 +13,9 @@
 //     in pooled entry buffers for collision verification;
 //   - slab-backed entries with CLOCK eviction — no container/list, no
 //     per-entry allocation once warm;
+//   - TinyLFU admission in front of CLOCK: a per-shard count-min sketch of
+//     recent lookups, so a key seen once does not evict a key that is
+//     reused;
 //   - a CopyInto lookup API that copies into caller-owned buffers instead of
 //     leaking internal slices;
 //   - singleflight miss coalescing (Coalesce), so concurrent requests for
@@ -20,5 +23,6 @@
 //
 // Which IFVs get a cache, and how a global entry budget is split between
 // them, is decided statistically at Optimize time (internal/core's cache
-// planner) from profiled generator costs and training-set key reuse.
+// planner) from profiled generator costs and training-set key reuse, with
+// each IFV capped at CapacityFor its estimated key space.
 package cache

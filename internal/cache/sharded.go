@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -18,6 +19,9 @@ type Stats struct {
 	// Coalesced counts lookups that waited on another request's in-flight
 	// computation of the same key instead of computing it themselves.
 	Coalesced int64 `json:"coalesced"`
+	// Rejected counts Puts into a full shard that admission declined: the
+	// candidate was looked up no more often than CLOCK's next victim.
+	Rejected int64 `json:"rejected"`
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
@@ -31,7 +35,8 @@ func (s Stats) HitRate() float64 {
 
 // Sharded is a concurrent fixed-capacity feature-vector cache: a power-of-two
 // number of independently locked shards, each an open-addressing hash table
-// over a slab of entries with CLOCK eviction, built for the serving hot path:
+// over a slab of entries with CLOCK eviction behind frequency-aware
+// admission (sketch.go), built for the serving hot path:
 //
 //   - lookups take one shard mutex, not a global one, so concurrent workers
 //     on different keys proceed in parallel;
@@ -72,8 +77,11 @@ type shard struct {
 	entries  []entry
 	capacity int // max entries; 0 = unbounded
 	hand     int // CLOCK hand over the slab
+	// freq estimates recent lookup frequency per key hash for admission;
+	// unbounded shards never evict and leave it zero.
+	freq sketch
 
-	hits, misses, evictions int64
+	hits, misses, evictions, rejected int64
 }
 
 // defaultShardCount returns a power-of-two shard count sized to the machine.
@@ -97,17 +105,7 @@ func nextPow2(n int) int {
 // nShards <= 0 picks a default sized to GOMAXPROCS; small bounded capacities
 // reduce the shard count so each shard keeps a useful number of entries.
 func NewSharded(capacity, nShards int) *Sharded {
-	if nShards <= 0 {
-		nShards = defaultShardCount()
-	}
-	nShards = nextPow2(nShards)
-	if capacity > 0 {
-		// Keep at least ~4 entries per shard so the budget split is not
-		// destroyed by rounding per-shard capacities up.
-		for nShards > 1 && capacity/nShards < 4 {
-			nShards /= 2
-		}
-	}
+	nShards = shardCount(capacity, nShards)
 	c := &Sharded{
 		shards: make([]shard, nShards),
 		// For a single shard this is 64; shardFor short-circuits that case.
@@ -121,6 +119,85 @@ func NewSharded(capacity, nShards int) *Sharded {
 		c.shards[i].init(perShard)
 	}
 	return c
+}
+
+// shardCount returns the number of shards NewSharded(capacity, nShards)
+// builds: nShards rounded up to a power of two (<= 0 picks a default sized
+// to GOMAXPROCS), halved for a small bounded capacity until each shard keeps
+// at least ~4 entries, so the budget split is not destroyed by rounding
+// per-shard capacities up.
+func shardCount(capacity, nShards int) int {
+	if nShards <= 0 {
+		nShards = defaultShardCount()
+	}
+	nShards = nextPow2(nShards)
+	if capacity > 0 {
+		for nShards > 1 && capacity/nShards < 4 {
+			nShards /= 2
+		}
+	}
+	return nShards
+}
+
+// overflowProb bounds the probability that some shard of a CapacityFor-sized
+// cache is handed more of the keys than it holds.
+const overflowProb = 1e-3
+
+// CapacityFor returns the smallest total capacity at which a cache built by
+// NewSharded(capacity, 0) holds keys distinct keys without evicting any,
+// except with probability below 1e-3 over how the keys hash to its shards
+// (0 for keys <= 0). Keys hash to shards uniformly, so a shard must hold
+// more than its even share: 8 keys in 2 shards of 4 would churn.
+func CapacityFor(keys int) int { return capacityFor(keys, 0) }
+
+// capacityFor is CapacityFor for NewSharded(capacity, nShards). It tries
+// each shard count n that shardCount can pick, smallest first, and returns
+// the first n·m — m the per-shard load bound for n shards — for which
+// shardCount picks n. The capacities each n can be picked at are disjoint
+// and increase with n, so the first fit is the smallest.
+func capacityFor(keys, nShards int) int {
+	if keys <= 0 {
+		return 0
+	}
+	for n := 1; ; n *= 2 {
+		per := shardLoadBound(keys, n)
+		if n > 1 {
+			per = max(per, 4)
+		}
+		if shardCount(n*per, nShards) == n {
+			return n * per
+		}
+	}
+}
+
+// shardLoadBound returns the least m such that, by the union bound over n
+// shards, the chance that any shard receives more than m of keys uniformly
+// hashed keys is at most overflowProb: n·P(Binomial(keys, 1/n) > m) <=
+// overflowProb. The tail is summed downward from 12 standard deviations
+// plus 12 above the mean, beyond which the binomial's mass is negligible
+// against overflowProb, so the cost grows with the square root of keys/n.
+func shardLoadBound(keys, n int) int {
+	if n == 1 {
+		return keys
+	}
+	k, p := float64(keys), 1/float64(n)
+	top := min(keys, int(k*p+12*math.Sqrt(k*p*(1-p))+12))
+	lgk, _ := math.Lgamma(k + 1)
+	lgm, _ := math.Lgamma(float64(top) + 1)
+	lgr, _ := math.Lgamma(k - float64(top) + 1)
+	// logPMF is log P(X = m), stepped down from m = top by the ratio
+	// P(X = m-1) / P(X = m) = m / (keys-m+1) · (1-p) / p.
+	logPMF := lgk - lgm - lgr + float64(top)*math.Log(p) + (k-float64(top))*math.Log1p(-p)
+	logOdds := math.Log1p(-p) - math.Log(p)
+	tail := 0.0 // P(X >= m), neglecting the mass above top
+	for m := top; m > 0; m-- {
+		tail += math.Exp(logPMF)
+		if float64(n)*tail > overflowProb {
+			return m // P(X > m-1) is too large, P(X > m) was not
+		}
+		logPMF += math.Log(float64(m)) - math.Log(k-float64(m)+1) + logOdds
+	}
+	return 0
 }
 
 // init sizes one shard for its per-shard capacity (0 = unbounded).
@@ -137,6 +214,7 @@ func (s *shard) init(capacity int) {
 	s.tmask = uint64(size - 1)
 	if capacity > 0 {
 		s.entries = make([]entry, 0, capacity)
+		s.freq.init(capacity)
 	}
 }
 
@@ -169,10 +247,12 @@ func (s *shard) find(hash uint64, key []byte) int {
 // CopyInto looks up (hash, key) and, on a hit, copies the cached vector into
 // dst and returns true. dst must have the value's length (the per-cache
 // vector width is fixed by construction). Nothing internal escapes, so the
-// caller may freely mutate dst afterwards.
+// caller may freely mutate dst afterwards. Every lookup, hit or miss, counts
+// toward the key's admission frequency.
 func (c *Sharded) CopyInto(hash uint64, key []byte, dst []float64) bool {
 	s := c.shardFor(hash)
 	s.mu.Lock()
+	s.freq.record(hash)
 	if ei := s.find(hash, key); ei >= 0 {
 		e := &s.entries[ei]
 		e.ref = true
@@ -186,31 +266,13 @@ func (c *Sharded) CopyInto(hash uint64, key []byte, dst []float64) bool {
 	return false
 }
 
-// PeekInto is CopyInto without the hit/miss accounting (the reference bit is
-// still refreshed). Coalesced waiters re-read the leader's published entry
-// with it, so one logical lookup that missed and then coalesced is not also
-// counted as a hit — hits + misses stays equal to logical lookups and the
-// reported hit rate is not biased toward 0.5 on exactly the hot-key traffic
-// coalescing serves best.
-func (c *Sharded) PeekInto(hash uint64, key []byte, dst []float64) bool {
-	s := c.shardFor(hash)
-	s.mu.Lock()
-	if ei := s.find(hash, key); ei >= 0 {
-		e := &s.entries[ei]
-		e.ref = true
-		copy(dst, e.val)
-		s.mu.Unlock()
-		return true
-	}
-	s.mu.Unlock()
-	return false
-}
-
 // Contains reports whether (hash, key) is cached without copying the value
-// or refreshing recency. It still counts as a hit or miss.
+// or refreshing recency. It still counts as a hit or miss and toward the
+// key's admission frequency.
 func (c *Sharded) Contains(hash uint64, key []byte) bool {
 	s := c.shardFor(hash)
 	s.mu.Lock()
+	s.freq.record(hash)
 	ok := s.find(hash, key) >= 0
 	if ok {
 		s.hits++
@@ -222,9 +284,10 @@ func (c *Sharded) Contains(hash uint64, key []byte) bool {
 }
 
 // Put inserts or refreshes (hash, key) -> val, copying both key and value
-// into entry-owned buffers. When a bounded shard is full the CLOCK policy
-// evicts one entry and recycles its buffers, so a warm bounded cache
-// allocates nothing per Put.
+// into entry-owned buffers. When a bounded shard is full, the entry CLOCK
+// would evict next is replaced, its buffers recycled, only if the key was
+// looked up more often recently than it; otherwise the Put is declined and
+// counted as Rejected. A warm bounded cache allocates nothing per Put.
 func (c *Sharded) Put(hash uint64, key []byte, val []float64) {
 	s := c.shardFor(hash)
 	s.mu.Lock()
@@ -236,7 +299,15 @@ func (c *Sharded) Put(hash uint64, key []byte, val []float64) {
 		return
 	}
 	if s.capacity > 0 && len(s.entries) >= s.capacity {
-		ei := s.evict()
+		ei := s.victim()
+		if s.freq.estimate(hash) <= s.freq.estimate(s.entries[ei].hash) {
+			s.rejected++
+			s.mu.Unlock()
+			return
+		}
+		s.unlink(ei)
+		s.hand++
+		s.evictions++
 		e := &s.entries[ei]
 		e.hash = hash
 		e.key = append(e.key[:0], key...)
@@ -269,26 +340,21 @@ func (s *shard) insert(ei int) {
 	s.table[i] = int32(ei + 1)
 }
 
-// evict runs the CLOCK hand over the slab: referenced entries get a second
-// chance (ref cleared), the first unreferenced entry is unlinked from the
-// table and its slab slot returned for reuse. Caller holds s.mu; the slab is
-// non-empty.
-func (s *shard) evict() int {
+// victim runs the CLOCK hand over the slab: referenced entries get a second
+// chance (ref cleared), and the first unreferenced entry is returned with
+// the hand left on it, so a declined Put meets the same victim next time.
+// Caller holds s.mu; the slab is non-empty.
+func (s *shard) victim() int {
 	for {
 		if s.hand >= len(s.entries) {
 			s.hand = 0
 		}
 		e := &s.entries[s.hand]
-		if e.ref {
-			e.ref = false
-			s.hand++
-			continue
+		if !e.ref {
+			return s.hand
 		}
-		victim := s.hand
+		e.ref = false
 		s.hand++
-		s.unlink(victim)
-		s.evictions++
-		return victim
 	}
 }
 
@@ -373,13 +439,14 @@ func (c *Sharded) Stats() Stats {
 		out.Hits += s.hits
 		out.Misses += s.misses
 		out.Evictions += s.evictions
+		out.Rejected += s.rejected
 		s.mu.Unlock()
 	}
 	out.Coalesced = c.flight.coalesced.Load()
 	return out
 }
 
-// Reset clears contents and statistics.
+// Reset clears contents, admission frequencies and statistics.
 func (c *Sharded) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -387,7 +454,8 @@ func (c *Sharded) Reset() {
 		clear(s.table)
 		s.entries = s.entries[:0]
 		s.hand = 0
-		s.hits, s.misses, s.evictions = 0, 0, 0
+		s.freq.reset()
+		s.hits, s.misses, s.evictions, s.rejected = 0, 0, 0, 0
 		s.mu.Unlock()
 	}
 	c.flight.coalesced.Store(0)

@@ -62,24 +62,36 @@ func TestShardedUpdateExisting(t *testing.T) {
 	}
 }
 
+// TestShardedEvictionBound overflows a small cache twice: first with keys
+// Put without a lookup, which admission declines once the shards are full,
+// then with keys that missed twice before their Put, which out-count CLOCK's
+// victims and so evict. The size bound holds throughout and every hit
+// returns its own value.
 func TestShardedEvictionBound(t *testing.T) {
 	c := NewSharded(32, 4)
 	bound := c.Capacity()
 	if bound < 32 {
 		t.Fatalf("effective capacity %d below requested 32", bound)
 	}
+	dst := make([]float64, 2)
 	for k := int64(0); k < 1000; k++ {
 		kb := intKey(k)
+		if k >= 500 {
+			c.CopyInto(Hash64(kb), kb, dst)
+			c.CopyInto(Hash64(kb), kb, dst)
+		}
 		c.Put(Hash64(kb), kb, keyVal(k))
 		if c.Len() > bound {
 			t.Fatalf("Len = %d exceeds capacity %d after %d puts", c.Len(), bound, k+1)
 		}
+		if k == 499 && c.Stats().Rejected == 0 {
+			t.Error("no Put declined although unreferenced keys overflowed full shards")
+		}
 	}
 	if c.Stats().Evictions == 0 {
-		t.Error("no evictions recorded despite overflow")
+		t.Error("no evictions recorded despite a re-referenced overflow")
 	}
 	// Every surviving entry must still map to its own value.
-	dst := make([]float64, 2)
 	survivors := 0
 	for k := int64(0); k < 1000; k++ {
 		kb := intKey(k)
@@ -186,7 +198,9 @@ func TestShardedCollisionVerification(t *testing.T) {
 
 // TestShardedProperty drives random Put/CopyInto/evict sequences and checks
 // the standing invariants: the size bound holds, a hit always returns the
-// key's own value, and a just-inserted key hits immediately.
+// key's own value, and a just-inserted key hits exactly when its shard had
+// room or the key out-counted CLOCK's victim — every other Put is declined
+// and counted as rejected.
 func TestShardedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -194,6 +208,7 @@ func TestShardedProperty(t *testing.T) {
 		c := NewSharded(capN, 1<<rng.Intn(3))
 		bound := c.Capacity()
 		dst := make([]float64, 2)
+		var declined int64
 		for i := 0; i < 600; i++ {
 			k := int64(rng.Intn(300))
 			kb := intKey(k)
@@ -203,19 +218,140 @@ func TestShardedProperty(t *testing.T) {
 					return false
 				}
 			} else {
+				s := c.shardFor(h)
+				admit := len(s.entries) < s.capacity ||
+					s.freq.estimate(h) > s.freq.estimate(s.entries[s.victim()].hash)
 				c.Put(h, kb, keyVal(k))
-				if !c.CopyInto(h, kb, dst) || dst[0] != float64(k) {
-					return false // just-inserted key must hit
+				if !admit {
+					declined++
+				}
+				if hit := c.CopyInto(h, kb, dst); hit != admit || hit && dst[0] != float64(k) {
+					return false
 				}
 			}
 			if bound > 0 && c.Len() > bound {
 				return false
 			}
 		}
-		return true
+		return c.Stats().Rejected == declined
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestShardedAdmissionScanResistance warms a hot set that fills the cache,
+// then streams ten times the capacity in keys that are each looked up once.
+// Admission declines them, so the hot set survives; CLOCK alone would have
+// evicted every hot key.
+func TestShardedAdmissionScanResistance(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		const capN = 64
+		c := NewSharded(capN, shards)
+		hot := int64(c.Capacity())
+		dst := make([]float64, 2)
+		lookup := func(k int64) bool {
+			kb := intKey(k)
+			if c.CopyInto(Hash64(kb), kb, dst) {
+				return true
+			}
+			c.Put(Hash64(kb), kb, keyVal(k))
+			return false
+		}
+		// The hot set is as large as the cache; a few hot keys lose to
+		// siblings in a fuller shard, the rest are all resident.
+		for round := 0; round < 8; round++ {
+			for k := int64(0); k < hot; k++ {
+				lookup(k)
+			}
+		}
+		resident := map[int64]bool{}
+		for k := int64(0); k < hot; k++ {
+			kb := intKey(k)
+			if c.Contains(Hash64(kb), kb) {
+				resident[k] = true
+			}
+		}
+		for k := int64(0); k < 10*capN; k++ {
+			lookup(1_000_000 + k)
+		}
+		lost := 0
+		for k := range resident {
+			kb := intKey(k)
+			if !c.CopyInto(Hash64(kb), kb, dst) {
+				lost++
+			} else if dst[0] != float64(k) {
+				t.Fatalf("%d shards: hot key %d maps to %v", shards, k, dst)
+			}
+		}
+		st := c.Stats()
+		t.Logf("%d shards: %d hot keys resident, %d lost to the scan; %+v", shards, len(resident), lost, st)
+		if lost > 0 || len(resident) < int(hot)*3/4 {
+			t.Errorf("%d shards: scan of one-hit keys evicted %d of %d resident hot keys", shards, lost, len(resident))
+		}
+		if st.Rejected < 9*capN {
+			t.Errorf("%d shards: %d of %d one-hit Puts declined, want nearly all", shards, st.Rejected, 10*capN)
+		}
+	}
+}
+
+// TestShardedAdmissionAdmitsRisingKey: a key that keeps missing gains
+// frequency until it out-counts CLOCK's victim, a key put once, and
+// displaces it.
+func TestShardedAdmissionAdmitsRisingKey(t *testing.T) {
+	c := NewSharded(8, 1)
+	dst := make([]float64, 2)
+	for k := int64(0); k < 8; k++ {
+		kb := intKey(k)
+		c.CopyInto(Hash64(kb), kb, dst)
+		c.Put(Hash64(kb), kb, keyVal(k))
+	}
+	rising := intKey(100)
+	h := Hash64(rising)
+	misses := 0
+	for !c.CopyInto(h, rising, dst) {
+		if misses++; misses > 3 {
+			t.Fatalf("key missed %d times and was never admitted: %+v", misses, c.Stats())
+		}
+		c.Put(h, rising, keyVal(100))
+	}
+	if dst[0] != 100 {
+		t.Errorf("admitted key maps to %v", dst)
+	}
+	st := c.Stats()
+	if misses != 2 || st.Rejected != 1 || st.Evictions != 1 || c.Len() != 8 {
+		t.Errorf("rising key admitted after %d misses, stats %+v, len %d; want declined once at 1 lookup, admitted at 2 evicting one cold key", misses, st, c.Len())
+	}
+}
+
+// TestCapacityForHoldsKeySpace: a cache of capacityFor(k, n) entries, built
+// with n shards, holds k keys without evicting or declining any, so after
+// one warm-up pass every lookup hits.
+func TestCapacityForHoldsKeySpace(t *testing.T) {
+	if CapacityFor(0) != 0 || CapacityFor(24) != capacityFor(24, 0) {
+		t.Errorf("CapacityFor(0) = %d, CapacityFor(24) = %d, want 0 and capacityFor(24, 0) = %d",
+			CapacityFor(0), CapacityFor(24), capacityFor(24, 0))
+	}
+	for _, shards := range []int{1, 2, 8} {
+		for _, k := range []int{1, 2, 3, 8, 24, 100, 1000} {
+			capN := capacityFor(k, shards)
+			c := NewSharded(capN, shards)
+			if c.Capacity() != capN || capN < k || capN > 2*k+8*shards {
+				t.Errorf("%d shards, %d keys: capacityFor = %d, effective %d", shards, k, capN, c.Capacity())
+			}
+			dst := make([]float64, 2)
+			for pass := 0; pass < 2; pass++ {
+				for key := int64(0); key < int64(k); key++ {
+					kb := intKey(key)
+					if !c.CopyInto(Hash64(kb), kb, dst) {
+						c.Put(Hash64(kb), kb, keyVal(key))
+					}
+				}
+			}
+			if st := c.Stats(); st.Hits != int64(k) || st.Evictions != 0 || st.Rejected != 0 {
+				t.Errorf("%d shards, %d keys in %d entries: %+v, want %d hits on the second pass", shards, k, capN, st, k)
+			}
+		}
 	}
 }
 

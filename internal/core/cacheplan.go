@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"willump/internal/cache"
@@ -24,6 +26,10 @@ import (
 // only IFVs with a positive score and splits the budget proportional to the
 // scores, so a cheap generator over near-unique keys gets no entries while
 // an expensive generator over a skewed key space gets nearly all of them.
+// No IFV gets more entries than its key space can use: the same scan
+// estimates how many distinct keys the generator has (Chao1), each share is
+// capped at the capacity that holds them all, and what a cap frees is split
+// again over the uncapped IFVs.
 
 const (
 	// cachePlanSampleRows bounds the training rows scanned for key-reuse
@@ -47,6 +53,12 @@ type IFVCacheStat struct {
 	// tuples: the hit rate an unbounded cache would have seen on training
 	// traffic.
 	EstimatedHitRate float64
+	// KeySpace is the estimated number of distinct keys the generator sees:
+	// the bias-corrected Chao1 estimate D + f1·(f1-1)/(2·(f2+1)) over the
+	// same sample, where D keys were distinct and f1, f2 of them seen exactly
+	// once and twice, rounded up (0 when the sample is empty). Under a budget
+	// the IFV gets at most cache.CapacityFor(KeySpace) entries.
+	KeySpace int
 	// Score is Cost * EstimatedHitRate — expected seconds saved per row.
 	Score float64
 	// Capacity is the planned entry budget (0 = unbounded); absent from the
@@ -69,11 +81,8 @@ func planFeatureCaches(prog *weld.Program, train Dataset, opts Options) ([]weld.
 		if !a.Cacheable(g, i) {
 			continue
 		}
-		st := IFVCacheStat{
-			IFV:              i,
-			Cost:             prog.Prof.IFVCost(a, i),
-			EstimatedHitRate: estimateKeyReuse(prog, train, i),
-		}
+		st := IFVCacheStat{IFV: i, Cost: prog.Prof.IFVCost(a, i)}
+		st.EstimatedHitRate, st.KeySpace = estimateKeyReuse(prog, train, i)
 		st.Score = st.Cost * st.EstimatedHitRate
 		stats = append(stats, st)
 		cacheable = append(cacheable, i)
@@ -126,36 +135,46 @@ func planFeatureCaches(prog *weld.Program, train Dataset, opts Options) ([]weld.
 		}
 		return specs, stats
 	}
-	// Select scored IFVs, then enforce the budget: an IFV whose proportional
-	// share falls below the floor is dropped outright (a handful of entries
-	// would thrash without serving hits — that budget does more good on the
-	// high-score generators) and shares are recomputed among the survivors.
-	// The planned capacities therefore never sum past the budget; only the
-	// sharded cache's per-shard rounding (bounded by its shard count, see
-	// Sharded.Capacity) can add a few entries on top.
+	// Select scored IFVs, then enforce the budget: an IFV whose share falls
+	// below the floor is dropped outright (a handful of entries would thrash
+	// without serving hits — that budget does more good on the high-score
+	// generators) and shares are recomputed among the survivors. A share
+	// capped at the IFV's whole key space is exempt from the floor: it holds
+	// every key and cannot thrash. The planned capacities therefore never sum
+	// past the budget; only the sharded cache's per-shard rounding (bounded
+	// by its shard count, see Sharded.Capacity) can add a few entries on top.
+	keyCap := make([]int, len(stats))
 	selected := make([]int, 0, len(stats))
 	for j := range stats {
 		if stats[j].Score > 0 {
 			selected = append(selected, j)
 		}
+		// A key space at least the budget cannot bind, and CapacityFor's cost
+		// grows with it.
+		if k := stats[j].KeySpace; k > 0 && k < opts.FeatureCacheBudget {
+			keyCap[j] = cache.CapacityFor(k)
+		}
+	}
+	kept := func(j int) bool {
+		floor := cachePlanMinEntries
+		if keyCap[j] > 0 {
+			floor = min(floor, keyCap[j])
+		}
+		return stats[j].Capacity >= floor
 	}
 	for {
-		sum := 0.0
+		splitBudget(stats, selected, keyCap, opts.FeatureCacheBudget)
+		survivors := selected[:0]
 		for _, j := range selected {
-			sum += stats[j].Score
-		}
-		kept := selected[:0]
-		for _, j := range selected {
-			share := int(float64(opts.FeatureCacheBudget) * stats[j].Score / sum)
-			if share >= cachePlanMinEntries {
-				kept = append(kept, j)
+			if kept(j) {
+				survivors = append(survivors, j)
 			}
 		}
-		if len(kept) == len(selected) || len(kept) == 0 {
-			selected = kept
+		if len(survivors) == len(selected) || len(survivors) == 0 {
+			selected = survivors
 			break
 		}
-		selected = kept
+		selected = survivors
 	}
 	if len(selected) == 0 && opts.FeatureCacheBudget >= cachePlanMinEntries {
 		// Every share rounded below the floor (tiny budget, many IFVs):
@@ -168,26 +187,61 @@ func planFeatureCaches(prog *weld.Program, train Dataset, opts Options) ([]weld.
 		}
 		if best >= 0 {
 			selected = append(selected, best)
+			splitBudget(stats, selected, keyCap, opts.FeatureCacheBudget)
 		}
 	}
 	var specs []weld.CacheSpec
-	sum := 0.0
-	for _, j := range selected {
-		sum += stats[j].Score
-	}
-	for _, j := range selected {
-		st := &stats[j]
-		st.Capacity = int(float64(opts.FeatureCacheBudget) * st.Score / sum)
-		st.Cached = true
-		specs = append(specs, weld.CacheSpec{IFV: st.IFV, Capacity: st.Capacity})
+	for j := range stats {
+		stats[j].Cached = slices.Contains(selected, j)
+		if !stats[j].Cached {
+			stats[j].Capacity = 0
+			continue
+		}
+		specs = append(specs, weld.CacheSpec{IFV: stats[j].IFV, Capacity: stats[j].Capacity})
 	}
 	return specs, stats
 }
 
-// estimateKeyReuse returns 1 - distinct/sampled over IFV i's raw-source key
-// tuples in the training inputs (0 when the sample is empty or every key is
-// unique).
-func estimateKeyReuse(prog *weld.Program, train Dataset, i int) float64 {
+// splitBudget sets the Capacity of every stats[j], j in sel, by water-filling
+// budget over them in proportion to Score: an IFV whose share would exceed
+// its cap (keyCap[j] > 0) gets the cap, and the entries that frees are split
+// again over the rest, until no cap binds. The capacities sum to at most
+// budget.
+func splitBudget(stats []IFVCacheStat, sel, keyCap []int, budget int) {
+	open := append([]int(nil), sel...)
+	left := float64(budget)
+	for {
+		sum := 0.0
+		for _, j := range open {
+			sum += stats[j].Score
+		}
+		// The fraction first, so a lone IFV's share is exactly left.
+		share := func(j int) float64 { return left * (stats[j].Score / sum) }
+		uncapped := open[:0]
+		freed := 0
+		for _, j := range open {
+			if c := keyCap[j]; c > 0 && float64(c) <= share(j) {
+				stats[j].Capacity = c
+				freed += c
+			} else {
+				uncapped = append(uncapped, j)
+			}
+		}
+		if freed == 0 {
+			for _, j := range open {
+				stats[j].Capacity = int(share(j))
+			}
+			return
+		}
+		open, left = uncapped, left-float64(freed)
+	}
+}
+
+// estimateKeyReuse returns, over IFV i's raw-source key tuples in up to
+// cachePlanSampleRows training rows, 1 - distinct/sampled and the Chao1
+// estimate of the key space rounded up (0, 0 when the sample is empty or a
+// source column is absent).
+func estimateKeyReuse(prog *weld.Program, train Dataset, i int) (reuse float64, keySpace int) {
 	ifv := prog.A.IFVs[i]
 	cols := make([]value.Value, 0, len(ifv.Sources))
 	n := -1
@@ -195,7 +249,7 @@ func estimateKeyReuse(prog *weld.Program, train Dataset, i int) float64 {
 		label := prog.G.Node(sid).Label
 		v, ok := train.Inputs[label]
 		if !ok {
-			return 0 // source column absent; cannot estimate
+			return 0, 0 // source column absent; cannot estimate
 		}
 		cols = append(cols, v)
 		if n == -1 || v.Len() < n {
@@ -203,18 +257,27 @@ func estimateKeyReuse(prog *weld.Program, train Dataset, i int) float64 {
 		}
 	}
 	if n <= 0 {
-		return 0
+		return 0, 0
 	}
 	if n > cachePlanSampleRows {
 		n = cachePlanSampleRows
 	}
-	distinct := make(map[string]struct{}, n)
+	seen := make(map[string]int, n)
 	var buf []byte
 	for row := 0; row < n; row++ {
 		buf = cache.AppendRowKey(buf[:0], cols, row)
-		if _, ok := distinct[string(buf)]; !ok {
-			distinct[string(buf)] = struct{}{}
+		seen[string(buf)]++
+	}
+	var f1, f2 float64
+	for _, c := range seen {
+		switch c {
+		case 1:
+			f1++
+		case 2:
+			f2++
 		}
 	}
-	return 1 - float64(len(distinct))/float64(n)
+	d := float64(len(seen))
+	chao1 := d + f1*(f1-1)/(2*(f2+1))
+	return 1 - d/float64(n), int(math.Ceil(chao1))
 }

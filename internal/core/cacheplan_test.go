@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"willump/internal/artifact"
+	"willump/internal/cache"
 	"willump/internal/fixture"
 	"willump/internal/graph"
 	"willump/internal/model"
@@ -166,6 +167,74 @@ func TestCachePlanBudgetNeverExceeded(t *testing.T) {
 		if total == 0 {
 			t.Errorf("budget %d: nothing cached despite a scorable heavy IFV", budget)
 		}
+	}
+}
+
+// TestCachePlanCapsAtKeySpace: an IFV over 8 keys reuses them almost every
+// row, so its score would claim most of the budget, but it gets no more
+// entries than hold all 8 keys; the entries that frees go to the Zipfian
+// IFV over thousands of keys, and the plan stays within the budget.
+func TestCachePlanCapsAtKeySpace(t *testing.T) {
+	const (
+		budget   = 1024
+		fewKeys  = 8
+		manyKeys = 50000
+		n        = 4096
+	)
+	rng := rand.New(rand.NewSource(5))
+	rows := func(keys int64) map[int64][]float64 {
+		m := make(map[int64][]float64, keys)
+		for k := int64(0); k < keys; k++ {
+			m[k] = []float64{rng.NormFloat64()}
+		}
+		return m
+	}
+	b := graph.NewBuilder()
+	few := b.Add("few_features", ops.NewLookup("few", ops.NewLocalTable(1, rows(fewKeys))), b.Input("few_id"))
+	many := b.Add("many_features", ops.NewLookup("many", ops.NewLocalTable(1, rows(manyKeys))), b.Input("many_id"))
+	b.SetOutput(b.Add("concat", ops.NewConcat(), few, many))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	zipf := rand.NewZipf(rng, 1.1, 1, manyKeys-1)
+	fewIDs, manyIDs, y := make([]int64, n), make([]int64, n), make([]float64, n)
+	for i := range y {
+		fewIDs[i], manyIDs[i] = rng.Int63n(fewKeys), int64(zipf.Uint64())
+		y[i] = float64((fewIDs[i] + manyIDs[i]) % 2)
+	}
+	train := Dataset{Inputs: map[string]value.Value{
+		"few_id": value.NewInts(fewIDs), "many_id": value.NewInts(manyIDs),
+	}, Y: y}
+	p := &Pipeline{Graph: g, Model: model.NewLogistic(model.LinearConfig{Seed: 5})}
+	o, rep, err := Optimize(context.Background(), p, train, Dataset{},
+		Options{FeatureCache: true, FeatureCacheBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.CachePlan) != 2 {
+		t.Fatalf("CachePlan = %+v, want two IFVs", rep.CachePlan)
+	}
+	fewSt, manySt := rep.CachePlan[0], rep.CachePlan[1] // leaf order
+	t.Logf("plan %+v", rep.CachePlan)
+	if fewSt.KeySpace != fewKeys || manySt.KeySpace < budget {
+		t.Fatalf("key spaces %d and %d, want exactly %d and at least the budget %d", fewSt.KeySpace, manySt.KeySpace, fewKeys, budget)
+	}
+	if !fewSt.Cached || !manySt.Cached {
+		t.Fatalf("both IFVs reuse keys and should be cached: %+v", rep.CachePlan)
+	}
+	if limit := cache.CapacityFor(fewKeys); fewSt.Capacity > limit {
+		t.Errorf("8-key IFV got %d entries, want at most CapacityFor(8) = %d", fewSt.Capacity, limit)
+	}
+	if manySt.Capacity != budget-fewSt.Capacity {
+		t.Errorf("Zipfian IFV got %d entries, want the rest of the budget, %d", manySt.Capacity, budget-fewSt.Capacity)
+	}
+	total := 0
+	for _, sp := range o.Prog.CacheSpecs() {
+		total += sp.Capacity
+	}
+	if total > budget {
+		t.Errorf("planned capacities sum to %d, over the budget %d", total, budget)
 	}
 }
 

@@ -34,7 +34,8 @@ func renderMetrics(t *testing.T, serverRequests int64, snaps []modelMetrics) []b
 // (and no batching counters, as between an undeploy and the scrape). The
 // golden was captured from the renderer that preceded the family table (one
 // hand-written loop per family) over this same snapshot; since then it gained
-// only willump_store_hedges_issued_total and willump_store_breaker_opens_total.
+// only willump_store_hedges_issued_total, willump_store_breaker_opens_total
+// and willump_feature_cache_rejected_total.
 // Tracer-fed families need a live tracer's clock and are covered by
 // TestMetricsEndpoint instead.
 func TestMetricsGolden(t *testing.T) {
@@ -54,7 +55,7 @@ func TestMetricsGolden(t *testing.T) {
 			LatencyP50: ms(1.25), LatencyP90: ms(4.5), LatencyP99: ms(12.75), LatencyP999: ms(27.5),
 			CascadeTotal: 4800, CascadeSmallOnly: 4100, CascadeHitRate: 0.8541666666666666,
 			FeatureCache: &FeatureCacheStats{
-				Stats:   cache.Stats{Hits: 8000, Misses: 2000, Evictions: 450, Coalesced: 120},
+				Stats:   cache.Stats{Hits: 8000, Misses: 2000, Evictions: 450, Coalesced: 120, Rejected: 1300},
 				HitRate: 0.8,
 			},
 			FeatureStore: &ops.StoreStats{

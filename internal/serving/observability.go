@@ -192,6 +192,7 @@ var families = []family{
 	{"willump_feature_cache_misses_total", "Feature-cache lookup misses per model.", counter, "", of(cacheOf, func(fc *FeatureCacheStats) []sample { return one(float64(fc.Misses)) })},
 	{"willump_feature_cache_evictions_total", "Feature-cache entries displaced by eviction per model.", counter, "", of(cacheOf, func(fc *FeatureCacheStats) []sample { return one(float64(fc.Evictions)) })},
 	{"willump_feature_cache_coalesced_total", "Feature-cache lookups served by in-flight miss coalescing per model.", counter, "", of(cacheOf, func(fc *FeatureCacheStats) []sample { return one(float64(fc.Coalesced)) })},
+	{"willump_feature_cache_rejected_total", "Feature-cache insertions declined by frequency-aware admission per model.", counter, "", of(cacheOf, func(fc *FeatureCacheStats) []sample { return one(float64(fc.Rejected)) })},
 
 	{"willump_store_requests_total", "Remote feature-store multi-get requests per model.", counter, "", of(storeOf, func(fs *ops.StoreStats) []sample { return one(float64(fs.Requests)) })},
 	{"willump_store_retries_total", "Remote feature-store retried attempts per model.", counter, "", of(storeOf, func(fs *ops.StoreStats) []sample { return one(float64(fs.Retries)) })},

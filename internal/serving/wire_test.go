@@ -159,7 +159,7 @@ func TestWireStatsFeatureCacheGolden(t *testing.T) {
 		Requests: 900, QPS: 12.25,
 		LatencyP50: ms(0.5), LatencyP90: ms(1.5), LatencyP99: ms(3.75),
 		FeatureCache: &FeatureCacheStats{
-			Stats:   cache.Stats{Hits: 8000, Misses: 2000, Evictions: 450, Coalesced: 120},
+			Stats:   cache.Stats{Hits: 8000, Misses: 2000, Evictions: 450, Coalesced: 120, Rejected: 1300},
 			HitRate: 0.8,
 		},
 	})

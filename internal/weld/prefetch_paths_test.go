@@ -8,8 +8,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"willump/internal/cache"
 	"willump/internal/cascade"
 	"willump/internal/core"
 	"willump/internal/graph"
@@ -217,5 +220,154 @@ func TestPrefetchCachedMissesConcurrent(t *testing.T) {
 	}
 	if smallOnly == 0 || cascaded == 0 {
 		t.Errorf("cascade answered %d small-only and %d resumed; want both", smallOnly, cascaded)
+	}
+}
+
+// gatedTable is a local table behind the remote-table interfaces whose
+// lookups block while gate is non-nil, until it is closed, and are counted.
+type gatedTable struct {
+	*ops.LocalTable
+	gate     chan struct{}
+	requests atomic.Int64
+}
+
+func (t *gatedTable) LookupBatchCtx(ctx context.Context, keys []int64) ([][]float64, error) {
+	t.requests.Add(1)
+	if t.gate != nil {
+		select {
+		case <-t.gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return t.LocalTable.LookupBatch(keys)
+}
+
+func (t *gatedTable) LookupBatch(keys []int64) ([][]float64, error) {
+	return t.LookupBatchCtx(context.Background(), keys)
+}
+
+func (t *gatedTable) StartLookup(ctx context.Context, keys []int64) ops.PendingLookup {
+	return gatedLookup{t: t, keys: keys}
+}
+
+type gatedLookup struct {
+	t    *gatedTable
+	keys []int64
+}
+
+func (g gatedLookup) Wait(ctx context.Context) ([][]float64, error) {
+	return g.t.LookupBatchCtx(ctx, g.keys)
+}
+func (g gatedLookup) Cancel() {}
+
+// TestCoalescedWaitersSurviveDeclinedPut: a full feature cache holds a hot
+// set looked up as often as admission counts, and 8 concurrent point
+// queries miss on one cold remote key. The leader's Put is declined — the
+// cold key does not out-count the victim — yet the 7 waiters take the
+// leader's vector instead of fetching again: exactly one store request, and
+// every answer equals PredictBatch's to the bit.
+func TestCoalescedWaitersSurviveDeclinedPut(t *testing.T) {
+	const (
+		capacity = 7 // below 8, so one shard on any machine
+		cold     = int64(40)
+		queries  = 8
+	)
+	ctx := context.Background()
+	rows := make(map[int64][]float64, 64)
+	for k := int64(0); k < 64; k++ {
+		rows[k] = []float64{float64(k%5) - 2, float64(k%3) - 1}
+	}
+	table := &gatedTable{LocalTable: ops.NewLocalTable(2, rows)}
+	b := graph.NewBuilder()
+	b.SetOutput(b.Add("concat", ops.NewConcat(),
+		b.Add("remote_k", ops.NewLookup("remote", table), b.Input("k")),
+		b.Add("local_j", ops.NewLookup("local", ops.NewLocalTable(2, rows)), b.Input("j"))))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	train := core.Dataset{Inputs: map[string]value.Value{}, Y: make([]float64, 256)}
+	ks, js := make([]int64, 256), make([]int64, 256)
+	for i := range ks {
+		ks[i], js[i] = rng.Int63n(64), rng.Int63n(64)
+		train.Y[i] = float64((ks[i] + js[i]) % 2)
+	}
+	train.Inputs["k"], train.Inputs["j"] = value.NewInts(ks), value.NewInts(js)
+	o, _, err := core.Optimize(ctx, &core.Pipeline{Graph: g, Model: model.NewLogistic(model.LinearConfig{Seed: 2})},
+		train, core.Dataset{}, core.Options{FeatureCache: true, FeatureCacheCapacity: capacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := -1
+	for i, ifv := range o.Prog.A.IFVs {
+		if o.Prog.G.Node(ifv.Root).Label == "remote_k" {
+			remote = i
+		}
+	}
+	stats := func() cache.Stats {
+		st, ok := o.Prog.IFVCacheStats(remote)
+		if !ok {
+			t.Fatal("remote IFV has no cache")
+		}
+		return st
+	}
+	point := func(k int64) map[string]value.Value {
+		return map[string]value.Value{"k": value.NewInts([]int64{k}), "j": value.NewInts([]int64{k + 1})}
+	}
+	// Thirteen rounds over a hot set that fills the cache: the sketch ages
+	// (halves) after 10 rounds, leaving each hot key counted 8 times, and the
+	// burst's 8 lookups of the cold key come before the next aging.
+	for round := 0; round < 13; round++ {
+		for k := int64(0); k < capacity; k++ {
+			if _, err := o.PredictPoint(ctx, point(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := stats(); st.Misses != capacity || st.Rejected != 0 {
+		t.Fatalf("warm-up stats %+v, want the %d hot keys resident", st, capacity)
+	}
+
+	before, reqs0 := stats(), table.requests.Load()
+	table.gate = make(chan struct{})
+	got := make([]float64, queries)
+	var wg sync.WaitGroup
+	for q := 0; q < queries; q++ {
+		wg.Add(1)
+		go func(q int) {
+			defer wg.Done()
+			var err error
+			if got[q], err = o.PredictPoint(ctx, point(cold)); err != nil {
+				t.Error(err)
+			}
+		}(q)
+	}
+	// Every query has probed once its miss is counted; the grace period lets
+	// the last of them reach the flight before the leader's fetch returns.
+	for stats().Misses-before.Misses < queries {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(table.gate)
+	wg.Wait()
+	table.gate = nil
+
+	after := stats()
+	if n := table.requests.Load() - reqs0; n != 1 {
+		t.Errorf("%d concurrent queries for one cold key made %d store requests, want 1", queries, n)
+	}
+	if after.Rejected-before.Rejected != 1 || after.Coalesced-before.Coalesced != queries-1 {
+		t.Errorf("burst stats %+v (before %+v): want the leader's Put declined and %d waiters coalesced", after, before, queries-1)
+	}
+	want, err := o.PredictBatch(ctx, point(cold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q, p := range got {
+		if math.Float64bits(p) != math.Float64bits(want[0]) {
+			t.Errorf("query %d: point %v, PredictBatch %v", q, p, want[0])
+		}
 	}
 }

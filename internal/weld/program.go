@@ -389,6 +389,7 @@ func (p *Program) FeatureCacheStats() cache.Stats {
 			out.Misses += s.Misses
 			out.Evictions += s.Evictions
 			out.Coalesced += s.Coalesced
+			out.Rejected += s.Rejected
 		}
 	}
 	return out

@@ -560,27 +560,26 @@ func (r *BatchRun) probePoint(i int, c *cache.Sharded) bool {
 // pointCacheFill is the point-query miss path after probePoint: coalesce
 // with concurrent misses on the same key — concurrent point queries for the
 // same hot key compute the feature vector once (critical for Zipfian traffic
-// against remote/lookup features) — compute as the leader or re-read the
-// published entry as a waiter, falling back to direct computation when
+// against remote/lookup features) — compute as the leader or take the
+// leader's vector as a waiter, falling back to direct computation when
 // either fails.
 func (r *BatchRun) pointCacheFill(i int, c *cache.Sharded) error {
 	defer r.tr.Record(trace.StageCacheFill, r.clock())
 	cs := &r.cacheScr[i]
-	key, h, out, root := cs.keyBuf, cs.hashes[0], cs.dense, r.p.A.IFVs[i].Root
-	leader, err := c.Coalesce(r.ctx, key, func() error {
+	out, root := cs.dense, r.p.A.IFVs[i].Root
+	leader, err := c.Coalesce(r.ctx, cs.hashes[0], cs.keyBuf, out.Row(0), func() ([]float64, error) {
 		// The leader computes the generator directly on this run (the output
-		// lands in the root slot, exactly like the uncached path) and
-		// publishes the materialized row.
+		// lands in the root slot, exactly like the uncached path) and hands
+		// back the materialized row for the cache and the waiters.
 		if err := r.runIFVSteps(i, false); err != nil {
-			return err
+			return nil, err
 		}
 		vec, err := appendRowVec(cs.rowBuf[:0], r.vals[root], 0)
 		if err != nil {
-			return fmt.Errorf("weld: IFV %d output: %w", i, err)
+			return nil, fmt.Errorf("weld: IFV %d output: %w", i, err)
 		}
 		cs.rowBuf = vec
-		c.Put(h, key, vec)
-		return nil
+		return vec, nil
 	})
 	if err != nil {
 		if leader {
@@ -591,18 +590,10 @@ func (r *BatchRun) pointCacheFill(i int, c *cache.Sharded) error {
 		// dead context fails fast on the first plan-step check.
 		return r.runIFVSteps(i, false)
 	}
-	if leader {
-		return nil // the root slot already holds the computed value
-	}
-	// PeekInto, not CopyInto: probePoint already counted this lookup's
-	// miss, and the coalesced re-read must not also count a hit.
-	if c.PeekInto(h, key, out.Row(0)) {
+	if !leader {
 		*r.dest(root) = value.NewMat(out)
-		return nil
 	}
-	// The published entry was evicted before we could read it (tiny cache
-	// under hostile churn): compute locally, without re-coalescing.
-	return r.runIFVSteps(i, false)
+	return nil // a leader's root slot already holds the computed value
 }
 
 // appendRowVec materializes one row of an IFV root's value into dst
