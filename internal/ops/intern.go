@@ -278,7 +278,7 @@ func (x *wordIndex) count(doc []byte, acc *sparseAcc, ids []int32) []int32 {
 func nextField(doc []byte, i int) (start, end int, h uint64) {
 	for i < len(doc) {
 		if c := doc[i]; c < utf8.RuneSelf {
-			if asciiClass[c]&classSpace == 0 {
+			if byteClass[c]&classSpace == 0 {
 				break
 			}
 			i++
@@ -295,7 +295,7 @@ func nextField(doc []byte, i int) (start, end int, h uint64) {
 	for i < len(doc) {
 		w := 1
 		if c := doc[i]; c < utf8.RuneSelf {
-			if asciiClass[c]&classSpace != 0 {
+			if byteClass[c]&classSpace != 0 {
 				break
 			}
 		} else {

@@ -10,6 +10,7 @@ import (
 	"unicode"
 
 	"willump/internal/artifact"
+	"willump/internal/data"
 	"willump/internal/feature"
 	"willump/internal/graph"
 	"willump/internal/value"
@@ -371,9 +372,83 @@ func TestTextKernelsHostileVocabulary(t *testing.T) {
 	}
 }
 
+// TestTextKernelsStatsKeywordTable checks TextStats' keyword table against
+// the oracle where its shortcuts are likeliest to go wrong: words that share
+// a keyword's first byte and length, trim punctuation inside and around
+// keywords, punctuation-only words with and without the "" keyword, lengths
+// around the longest keyword, ASCII and non-ASCII rows alternating in one
+// batch, and a large set with long probe chains and a fingerprint collision.
+func TestTextKernelsStatsKeywordTable(t *testing.T) {
+	product := data.ProductTitles(1, 200)
+	productDocs := append([]string{
+		"brand007 bestprice filler013 type047 cheapest",
+		"BESTPRICE, \"Promo\" promos promo. megasal megasale megasales discount! freebie?",
+		"bestpricf cheapesu prom0 discounT, fReEbIe megasaleS",
+	}, product.Texts...)
+	checkCleanStats(t, productDocs, product.Keywords)
+
+	edgeDocs := []string{
+		`hell's "idiot", 'hell's' hells hell' idiot.. "IDIOT" idio idiots ,idiot,`,
+		".,!?;:'\" ... ' \"",
+		"word . word ,, word",
+		"abcdefgh abcdefghi abcdefghij ABCDEFGHI, abcdefgh. abcdefghij!",
+		"\u0130stanbul stra\u00dfe \xff damn",
+		"Damn, you IDIOT!",
+		"\u0130 \"idiot\", \u00df",
+		"stra\u00dfe ... ,, \u1e9e!",
+		`'hell's' abcdefghi`,
+		"x\xffy \"damn\"",
+		"",
+	}
+	for _, keywords := range [][]string{
+		{"hell's", "IDIOT", "damn", "abcdefghi"},
+		{"hell's", "IDIOT", "damn", "abcdefghi", ""},
+		{"", "\u00df", "\u0130stanbul", "\xff"},
+		{""},
+		nil,
+	} {
+		checkCleanStats(t, edgeDocs, keywords)
+	}
+
+	// The fold rotates each byte 7 bits further than the next, so across 10
+	// bytes the first byte's bit 1 lands on the last byte's bit 0: these two
+	// words have the same fingerprint and length but differ.
+	a, b := "axxxxxxxxb", "cxxxxxxxxc"
+	if kwFingerprint(a) != kwFingerprint(b) {
+		t.Fatalf("fingerprints of %q and %q differ; the collision below is not one", a, b)
+	}
+	big := []string{b}
+	for i := 0; len(big) < 5000; i++ {
+		big = append(big, fmt.Sprintf("kw%x", i*2654435761%1000003))
+	}
+	docs := []string{
+		"axxxxxxxxb cxxxxxxxxc AXXXXXXXXB, \"CXXXXXXXXC\"",
+		strings.Join(big[:50], " "),
+		strings.ToUpper(strings.Join(big[4900:], ". ")),
+		"kw kw0 kwzz kw1 kwfffff kw\u0130 \xff",
+	}
+	ts := NewTextStats(big)
+	if ts.kwProbe == 0 {
+		t.Fatalf("5000 keywords compiled with no probe chain; the set does not exercise probing")
+	}
+	checkCleanStats(t, docs, big)
+	checkCleanStats(t, docs, append(big, a))
+
+	// The table is a compiled form: the saved state is still the sorted,
+	// lower-cased keyword list, the "" keyword included.
+	state, err := NewTextStats([]string{"b", "A", "", "a", "\u0130"}).MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"keywords":["","a","b","i"]}`; string(state) != want {
+		t.Fatalf("MarshalState = %s, want %s", state, want)
+	}
+}
+
 // FuzzTextKernels feeds two arbitrary documents and one arbitrary keyword,
 // batched with the edge cases above, through Clean, TextStats and the chain
-// the fourth argument selects.
+// the fourth argument selects. TextStats runs on the keyword alone and with
+// the edge-case keywords, so the "" keyword is both present and absent.
 func FuzzTextKernels(f *testing.F) {
 	for which := 0; which < kernelChains; which += 7 {
 		f.Add("Hello, World!", "hello world again", "hello", uint(which))
@@ -382,6 +457,7 @@ func FuzzTextKernels(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, a, b, kw string, which uint) {
 		docs := append([]string{a, b, a + " " + b, b + a}, kernelEdgeDocs...)
+		checkCleanStats(t, docs, []string{kw})
 		cleaned := checkCleanStats(t, docs, append([]string{kw}, kernelKeywords...))
 		checkChain(t, docs, cleaned, int(which%uint(kernelChains)))
 	})
@@ -496,7 +572,9 @@ func TestCategoryStateRoundTripNonASCII(t *testing.T) {
 
 // BenchmarkTextKernels times the operator bodies the text pipelines spend
 // their time in, on Toxic-shaped comments: the two fused TF-IDF chains over
-// cleaned text, Clean and TextStats.
+// cleaned text, Clean and TextStats. stats-product runs TextStats on Product
+// titles and their spam words, where every word shares its first byte and
+// length with a keyword.
 func BenchmarkTextKernels(b *testing.B) {
 	words := strings.Fields("the of you is that it not are this was have with be as on your for they but what all about " +
 		"people think article wikipedia page please thanks edit talk source idiot stupid damn hell moron shut hate")
@@ -534,6 +612,7 @@ func BenchmarkTextKernels(b *testing.B) {
 		}
 		return fused
 	}
+	product := data.ProductTitles(1, 2000)
 	for _, bc := range []struct {
 		name string
 		op   graph.Op
@@ -543,6 +622,7 @@ func BenchmarkTextKernels(b *testing.B) {
 		{"tfidf-char", fuse(tokenSource{true, 3, 4}), cleaned},
 		{"clean", NewClean(), raw},
 		{"stats", NewTextStats([]string{"idiot", "stupid", "damn", "hell", "moron", "hate"}), raw},
+		{"stats-product", NewTextStats(product.Keywords), value.NewStrings(product.Texts)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var out value.Value
@@ -554,7 +634,7 @@ func BenchmarkTextKernels(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(docs)), "ns/row")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.in.Len()), "ns/row")
 		})
 	}
 }

@@ -2,6 +2,8 @@ package ops
 
 import (
 	"encoding/json"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"unicode"
@@ -124,11 +126,22 @@ func (t *Tokenize) ApplyBoxed(ins []any) (any, error) {
 // (e.g. curse words for the Toxic benchmark, which the paper's introduction
 // uses as the canonical "important yet inexpensive" feature).
 type TextStats struct {
-	keywords map[string]bool
-	// Prefilter derived from keywords — the longest one's length and their
-	// first bytes — so most words are rejected without a map probe.
+	// The lower-cased non-empty keywords, compiled at setKeywords into an
+	// open-addressed table keyed by fingerprint and length: kwShift turns a
+	// mixed fingerprint into a slot index, kwProbe bounds a lookup's chain
+	// and kwMax is the longest keyword's length. kwEmpty records the ""
+	// keyword, which matches a word made only of trim punctuation.
+	kwSlots []kwSlot
+	kwShift uint
+	kwProbe int
 	kwMax   int
-	kwFirst [256]bool
+	kwEmpty bool
+}
+
+// kwSlot is one keyword-table slot; an empty kw marks a free slot.
+type kwSlot struct {
+	fp uint64
+	kw string
 }
 
 // NewTextStats returns a text-statistics operator counting the given keywords.
@@ -138,19 +151,94 @@ func NewTextStats(keywords []string) *TextStats {
 	return t
 }
 
-// setKeywords installs the lower-cased keyword set and its prefilter.
+// setKeywords compiles the lower-cased keyword set into its table: a power
+// of two at least four times the keyword count, with linear probing. kwProbe
+// is the farthest any keyword sits past its first slot, so a lookup reads at
+// most kwProbe+1 slots and most words, missing every fingerprint, take one.
 func (t *TextStats) setKeywords(keywords []string) {
-	t.keywords = make(map[string]bool, len(keywords))
-	t.kwMax = -1
-	t.kwFirst = [256]bool{}
+	size, shift := 1, uint(64)
+	for size < 4*len(keywords) {
+		size, shift = size*2, shift-1
+	}
+	*t = TextStats{kwSlots: make([]kwSlot, size), kwShift: shift}
 	for _, k := range keywords {
 		k = strings.ToLower(k)
-		t.kwMax = max(t.kwMax, len(k))
-		if k != "" {
-			t.kwFirst[k[0]] = true
+		if k == "" {
+			t.kwEmpty = true
+			continue
 		}
-		t.keywords[k] = true
+		fp := kwFingerprint(k)
+		if isKeyword(t, fp, k) {
+			continue
+		}
+		i, d := t.kwHome(fp), 0
+		for t.kwSlots[i].kw != "" {
+			i, d = (i+1)&(size-1), d+1
+		}
+		t.kwSlots[i] = kwSlot{fp, k}
+		t.kwProbe = max(t.kwProbe, d)
+		t.kwMax = max(t.kwMax, len(k))
 	}
+}
+
+// lowerByte is strings.ToLower on an ASCII byte; bytes of a multi-byte rune
+// map to themselves.
+var lowerByte = func() (t [256]byte) {
+	for c := range t {
+		t[c] = byte(c)
+		if 'A' <= c && c <= 'Z' {
+			t[c] += 'a' - 'A'
+		}
+	}
+	return t
+}()
+
+// kwFold folds one more byte into a word's fingerprint, lower-casing it.
+func kwFold(h uint64, c byte) uint64 {
+	return bits.RotateLeft64(h, 7) ^ uint64(lowerByte[c])
+}
+
+// kwFingerprint is the fingerprint of w's lower-cased bytes.
+func kwFingerprint[T string | []byte](w T) uint64 {
+	var h uint64
+	for i := 0; i < len(w); i++ {
+		h = kwFold(h, w[i])
+	}
+	return h
+}
+
+// kwHome is the first slot probed for fingerprint fp.
+func (t *TextStats) kwHome(fp uint64) int {
+	return int(fp * 0x9e3779b97f4a7c15 >> t.kwShift)
+}
+
+// kwMiss reports a sure miss without the probe loop, so that it inlines:
+// no keyword sits past its first slot and that slot's fingerprint differs.
+func (t *TextStats) kwMiss(fp uint64) bool {
+	return t.kwProbe == 0 && t.kwSlots[t.kwHome(fp)].fp != fp
+}
+
+// isKeyword reports whether w, a non-empty word whose fingerprint is fp,
+// lower-cases to a keyword. A fingerprint match is confirmed byte for byte,
+// so a collision never counts a word; a free slot matches no word, its kw
+// being empty.
+func isKeyword[T string | []byte](t *TextStats, fp uint64, w T) bool {
+	for i, n := t.kwHome(fp), t.kwProbe; n >= 0; i, n = (i+1)&(len(t.kwSlots)-1), n-1 {
+		if slot := &t.kwSlots[i]; slot.fp == fp && len(slot.kw) == len(w) && equalLower(slot.kw, w) {
+			return true
+		}
+	}
+	return false
+}
+
+// equalLower reports whether w lower-cases to kw, which is as long.
+func equalLower[T string | []byte](kw string, w T) bool {
+	for j := range len(kw) {
+		if lowerByte[w[j]] != kw[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // Name implements graph.Op.
@@ -165,16 +253,16 @@ func (t *TextStats) Commutative() bool { return false }
 // Width returns the number of produced features.
 func (t *TextStats) Width() int { return 4 }
 
-// Byte classes of the ASCII range, for the single-pass scans of the text
-// kernels.
+// Byte classes, for the single-pass scans of the text kernels.
 const (
 	classUpper = 1 << iota
 	classLetter
-	classSpace // the ASCII bytes unicode.IsSpace accepts
-	classTrim  // the punctuation stripped from a word before the keyword probe
+	classSpace    // the ASCII bytes unicode.IsSpace accepts
+	classTrim     // the punctuation stripped from a word before the keyword probe
+	classNonASCII // a byte of a multi-byte rune, or an invalid one
 )
 
-var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+var byteClass = func() (t [256]uint8) {
 	for c := range t {
 		switch {
 		case 'A' <= c && c <= 'Z':
@@ -185,22 +273,92 @@ var asciiClass = func() (t [utf8.RuneSelf]uint8) {
 			t[c] = classSpace
 		case strings.IndexByte(".,!?;:'\"", byte(c)) >= 0:
 			t[c] = classTrim
+		case c >= utf8.RuneSelf:
+			t[c] = classNonASCII
 		}
 	}
 	return t
 }()
 
-// statsRow computes the four statistics of s in one pass: upper-case and
-// letter runes are counted as they go by, words are the whitespace-delimited
-// fields (strings.Fields' splitting), and each word is probed against the
-// keywords at its end.
+// byteCounts packs an ASCII byte's upper-case count in the low 32 bits and
+// its letter count in the high 32, so one add tallies both; exact for rows
+// shorter than 4 GiB.
+var byteCounts = func() (t [256]uint64) {
+	for c, class := range byteClass {
+		if class&classUpper != 0 {
+			t[c]++
+		}
+		if class&classLetter != 0 {
+			t[c] += 1 << 32
+		}
+	}
+	return t
+}()
+
+// statsRow computes the four statistics of s in one pass over its bytes:
+// upper-case and letter bytes are counted as they go by, words are the
+// whitespace-delimited fields (strings.Fields' splitting), and each word's
+// fingerprint — folded over the same bytes, past its leading and up to its
+// trailing trim punctuation — is probed in the keyword table at its end. A
+// row holding a byte outside ASCII takes statsRowUnicode instead.
 func (t *TextStats) statsRow(s string, dst []float64) {
+	var counts uint64
+	words, kw := 0, 0
+	for i := 0; i < len(s); {
+		class := byteClass[s[i]]
+		if class&classSpace != 0 {
+			i++
+			continue
+		}
+		// A word: skip its leading trim bytes (neither upper-case nor
+		// letters), then fold the rest, remembering the extent and the
+		// fingerprint as of its last non-trim byte.
+		for class&classTrim != 0 {
+			if i++; i == len(s) {
+				break
+			}
+			class = byteClass[s[i]]
+		}
+		start, end := i, i
+		var h, fp uint64
+		for ; i < len(s); i++ {
+			c := s[i]
+			class := byteClass[c]
+			if class&(classSpace|classNonASCII) != 0 {
+				if class&classNonASCII != 0 {
+					t.statsRowUnicode(s, dst)
+					return
+				}
+				break
+			}
+			counts += byteCounts[c]
+			h = kwFold(h, c)
+			if class&classTrim == 0 {
+				end, fp = i+1, h
+			}
+		}
+		words++
+		if end == start {
+			if t.kwEmpty {
+				kw++
+			}
+		} else if !t.kwMiss(fp) && isKeyword(t, fp, s[start:end]) {
+			kw++
+		}
+	}
+	writeStats(dst, len(s), words, int(counts&math.MaxUint32), int(counts>>32), kw)
+}
+
+// statsRowUnicode is statsRow on a row holding non-ASCII bytes: runes are
+// classified by unicode.IsUpper and IsLetter, and each word is trimmed and
+// lower-cased before its fingerprint is probed in the same table.
+func (t *TextStats) statsRowUnicode(s string, dst []float64) {
 	var upper, letters, words, kw int
 	for i := 0; i < len(s); {
 		// Between words: skip whitespace, which is neither upper-case nor a
 		// letter.
 		if c := s[i]; c < utf8.RuneSelf {
-			if asciiClass[c]&classSpace != 0 {
+			if byteClass[c]&classSpace != 0 {
 				i++
 				continue
 			}
@@ -212,7 +370,7 @@ func (t *TextStats) statsRow(s string, dst []float64) {
 		start := i
 		for i < len(s) {
 			if c := s[i]; c < utf8.RuneSelf {
-				class := asciiClass[c]
+				class := byteClass[c]
 				if class&classSpace != 0 {
 					break
 				}
@@ -234,11 +392,16 @@ func (t *TextStats) statsRow(s string, dst []float64) {
 			i += w
 		}
 		words++
-		if t.isKeyword(s[start:i]) {
+		if t.isKeywordUnicode(s[start:i]) {
 			kw++
 		}
 	}
-	dst[0] = float64(len(s))
+	writeStats(dst, len(s), words, upper, letters, kw)
+}
+
+// writeStats writes a row's four statistics.
+func writeStats(dst []float64, n, words, upper, letters, kw int) {
+	dst[0] = float64(n)
 	dst[1] = float64(words)
 	if letters > 0 {
 		dst[2] = float64(upper) / float64(letters)
@@ -248,36 +411,35 @@ func (t *TextStats) statsRow(s string, dst []float64) {
 	dst[3] = float64(kw)
 }
 
-// isKeyword reports whether word, stripped of leading and trailing
+// isKeywordUnicode reports whether word, stripped of leading and trailing
 // punctuation and lower-cased (strings.ToLower's mapping: per rune, an
 // invalid byte becoming U+FFFD), is a keyword.
-func (t *TextStats) isKeyword(word string) bool {
-	for len(word) > 0 && word[0] < utf8.RuneSelf && asciiClass[word[0]]&classTrim != 0 {
+func (t *TextStats) isKeywordUnicode(word string) bool {
+	for len(word) > 0 && byteClass[word[0]]&classTrim != 0 {
 		word = word[1:]
 	}
-	for n := len(word); n > 0 && word[n-1] < utf8.RuneSelf && asciiClass[word[n-1]]&classTrim != 0; n-- {
+	for n := len(word); n > 0 && byteClass[word[n-1]]&classTrim != 0; n-- {
 		word = word[:n-1]
+	}
+	if word == "" {
+		return t.kwEmpty
 	}
 	var arr [64]byte
 	low := arr[:0]
 	for i := 0; i < len(word); {
+		if len(low) > t.kwMax {
+			return false
+		}
 		if c := word[i]; c < utf8.RuneSelf {
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			low = append(low, c)
+			low = append(low, lowerByte[c])
 			i++
 		} else {
 			r, w := utf8.DecodeRuneInString(word[i:])
 			low = utf8.AppendRune(low, unicode.ToLower(r))
 			i += w
 		}
-		// Most words stop here, on their first byte, without a map probe.
-		if len(low) > t.kwMax || !t.kwFirst[low[0]] {
-			return false
-		}
 	}
-	return t.keywords[string(low)]
+	return isKeyword(t, kwFingerprint(low), low)
 }
 
 // Apply implements graph.Op.
@@ -307,9 +469,14 @@ type textStatsState struct {
 
 // MarshalState implements StateMarshaler.
 func (t *TextStats) MarshalState() ([]byte, error) {
-	kws := make([]string, 0, len(t.keywords))
-	for k := range t.keywords {
-		kws = append(kws, k)
+	var kws []string
+	if t.kwEmpty {
+		kws = append(kws, "")
+	}
+	for _, slot := range t.kwSlots {
+		if slot.kw != "" {
+			kws = append(kws, slot.kw)
+		}
 	}
 	sort.Strings(kws)
 	return json.Marshal(textStatsState{Keywords: kws})
