@@ -494,8 +494,13 @@ func describeArtifact(path string) error {
 			fmt.Printf("feature cache:   capacity %d\n", art.Options.FeatureCacheCapacity)
 		}
 	}
-	if art.Options.Workers > 1 {
-		fmt.Printf("parallelism:     %d workers\n", art.Options.Workers)
+	switch w := art.Options.Workers; w {
+	case 0:
+		fmt.Println("parallelism:     up to GOMAXPROCS workers")
+	case 1:
+		fmt.Println("parallelism:     sequential")
+	default:
+		fmt.Printf("parallelism:     up to %d workers\n", w)
 	}
 	return nil
 }

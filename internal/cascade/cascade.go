@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"willump/internal/feature"
@@ -227,58 +229,133 @@ func (c *Cascade) PredictBatch(ctx context.Context, inputs map[string]value.Valu
 }
 
 // PredictBatchThreshold serves a batch using an explicit threshold (the
-// Figure 7 threshold sweep). The run and its hard-row sub-run execute on
-// pooled states with shared feature buffers: predictions are extracted
-// before both are recycled, so the steady-state batch path allocates only
-// its result and routing slices.
+// Figure 7 threshold sweep). The batch runs on row shards (weld.Shards),
+// each through both stages with no barrier between them: efficient IFVs,
+// small-model scores, routing, and the full model on the shard's hard rows
+// alone. Runs, the hard rows' index and copy of the inputs, and model scratch
+// are pooled, and every score is written into the result in place, so the
+// steady-state batch allocates its result and what its operators allocate
+// per call.
 func (c *Cascade) PredictBatchThreshold(ctx context.Context, inputs map[string]value.Value, threshold float64) ([]float64, ServeStats, error) {
 	run, err := c.Prog.NewRun(ctx, inputs)
 	if err != nil {
 		return nil, ServeStats{}, err
 	}
 	defer run.Close()
-	tr := trace.FromContext(ctx)
+	out := make([]float64, run.Len())
+	j := cascadeJobs.Get().(*cascadeJob)
+	j.c, j.threshold, j.out = c, threshold, out
+	j.cascaded.Store(0)
+	err = run.Shards(nil, c.Prog.AllIFVs(), j)
+	cascaded := int(j.cascaded.Load())
+	j.c, j.out = nil, nil
+	cascadeJobs.Put(j)
+	if err != nil {
+		return nil, ServeStats{}, err
+	}
+	return out, ServeStats{Total: len(out), SmallOnly: len(out) - cascaded, Cascaded: cascaded}, nil
+}
+
+// cascadeJob is PredictBatchThreshold's shard body; cascaded sums the rows
+// its shards sent to the full model.
+type cascadeJob struct {
+	c         *Cascade
+	threshold float64
+	out       []float64
+	cascaded  atomic.Int64
+}
+
+var cascadeJobs = sync.Pool{New: func() any { return new(cascadeJob) }}
+
+func (j *cascadeJob) RunShard(sub *weld.BatchRun, lo, hi int) error {
+	c, out := j.c, j.out[lo:hi]
+	tr := sub.Trace()
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	effX, err := run.MatrixShared(c.Efficient)
+	effX, err := sub.MatrixShared(c.Efficient)
 	if err != nil {
-		return nil, ServeStats{}, err
+		return err
 	}
-	out := c.Small.Predict(effX)
+	s := model.GetScratch()
+	defer model.PutScratch(s)
+	hard := sub.RowScratch(len(out))[:0]
+	for k := range out {
+		out[k] = model.ScoreRow(c.Small, effX, k, s)
+		if !(model.Confidence(out[k]) > j.threshold) {
+			hard = append(hard, k)
+		}
+	}
 	if tr != nil {
 		tr.Record(trace.StageCascadeSmall, t0)
 	}
-	stats := ServeStats{Total: len(out)}
-	hardRows := make([]int, 0, len(out)) // one allocation instead of log2(n) regrows
-	for i, p := range out {
-		if model.Confidence(p) > threshold {
-			stats.SmallOnly++
-		} else {
-			hardRows = append(hardRows, i)
-		}
+	j.cascaded.Add(int64(len(hard)))
+	if len(hard) == 0 {
+		return nil
 	}
-	stats.Cascaded = len(hardRows)
-	if len(hardRows) > 0 {
-		if tr != nil {
-			t0 = time.Now()
-		}
-		sub := run.SubsetRun(hardRows)
-		defer sub.Close()
-		fullX, err := sub.MatrixShared(c.Prog.AllIFVs())
-		if err != nil {
-			return nil, ServeStats{}, err
-		}
-		fullP := c.Full.Predict(fullX)
-		for k, row := range hardRows {
-			out[row] = fullP[k]
-		}
-		if tr != nil {
-			tr.Record(trace.StageCascadeResume, t0)
-		}
+	if tr != nil {
+		t0 = time.Now()
 	}
-	return out, stats, nil
+	hs := sub.SubsetRun(hard)
+	defer hs.Close()
+	fullX, err := hs.MatrixShared(c.Prog.AllIFVs())
+	if err != nil {
+		return err
+	}
+	for k, row := range hard {
+		out[row] = model.ScoreRow(c.Full, fullX, k, s)
+	}
+	if tr != nil {
+		tr.Record(trace.StageCascadeResume, t0)
+	}
+	return nil
+}
+
+// Score writes m's score of the given rows of run (nil: every row) over the
+// IFVs idx into out, one element per row, on row shards (weld.Shards): each
+// shard assembles its rows' features and scores them in place with
+// model.ScoreRow, the row function every model family's Predict is made of,
+// so out holds Predict's scores to the bit. A sampled run records stage,
+// when not empty, around each shard's scoring.
+func Score(run *weld.BatchRun, rows, idx []int, m model.Model, stage string, out []float64) error {
+	j := scoreJobs.Get().(*scoreJob)
+	*j = scoreJob{m: m, idx: idx, stage: stage, out: out}
+	err := run.Shards(rows, idx, j)
+	*j = scoreJob{}
+	scoreJobs.Put(j)
+	return err
+}
+
+// scoreJob is Score's shard body.
+type scoreJob struct {
+	m     model.Model
+	idx   []int
+	stage string
+	out   []float64
+}
+
+var scoreJobs = sync.Pool{New: func() any { return new(scoreJob) }}
+
+func (j *scoreJob) RunShard(sub *weld.BatchRun, lo, hi int) error {
+	x, err := sub.MatrixShared(j.idx)
+	if err != nil {
+		return err
+	}
+	tr := sub.Trace()
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	s := model.GetScratch()
+	for k := range j.out[lo:hi] {
+		j.out[lo+k] = model.ScoreRow(j.m, x, k, s)
+	}
+	model.PutScratch(s)
+	if tr != nil && j.stage != "" {
+		tr.Record(j.stage, t0)
+	}
+	return nil
 }
 
 // PredictPoint serves one example-at-a-time query through the cascade.
@@ -336,16 +413,16 @@ func (c *Cascade) PredictPointThreshold(ctx context.Context, inputs map[string]v
 }
 
 // SmallOnlyPredict runs only the small model over a batch (the orange-X
-// point of Figure 7 and the first stage of top-K filtering).
+// point of Figure 7), on row shards like every batch path.
 func (a *Approx) SmallOnlyPredict(ctx context.Context, inputs map[string]value.Value) ([]float64, error) {
 	run, err := a.Prog.NewRun(ctx, inputs)
 	if err != nil {
 		return nil, err
 	}
 	defer run.Close()
-	effX, err := run.MatrixShared(a.Efficient)
-	if err != nil {
+	out := make([]float64, run.Len())
+	if err := Score(run, nil, a.Efficient, a.Small, "", out); err != nil {
 		return nil, err
 	}
-	return a.Small.Predict(effX), nil
+	return out, nil
 }

@@ -134,8 +134,13 @@ type Options struct {
 	// estimated hit rate, caching only IFVs worth the entries. It takes
 	// precedence over FeatureCacheCapacity.
 	FeatureCacheBudget int
-	// Workers sets the thread count for query-aware parallelization of
-	// example-at-a-time queries (<= 1 disables).
+	// Workers caps the threads of query-aware parallelization (section 4.4):
+	// the row shards of every batch path — cascaded, top-K and uncascaded —
+	// and the feature-generator groups of an example-at-a-time query. 0, the
+	// default (and what artifacts saved without a worker count load as),
+	// uses GOMAXPROCS; 1 runs sequentially; n uses at most n. A query fans
+	// out only as far as its profiled work pays for the hand-off, and every
+	// width gives bit-identical results.
 	Workers int
 	// Tracing enables per-request span tracing and shadow profiling on the
 	// optimized pipeline (see EnableTracing).
@@ -210,6 +215,7 @@ func Optimize(ctx context.Context, p *Pipeline, train, valid Dataset, opts Optio
 	if err != nil {
 		return nil, nil, err
 	}
+	prog.Workers = opts.Workers
 	out, err := prog.Fit(ctx, train.Inputs)
 	if err != nil {
 		return nil, nil, err
@@ -384,64 +390,44 @@ func (o *Optimized) PredictBatch(ctx context.Context, inputs map[string]value.Va
 
 // PredictFull predicts a batch with the compiled full pipeline, bypassing
 // any cascade (the "Willump Compilation" configuration of Figures 5 and 6,
-// and PredictBatch itself when no cascade is deployed). The features
-// materialize into a pooled run state that is recycled once the model has
-// consumed them.
+// and PredictBatch itself when no cascade is deployed). The batch runs on
+// row shards of pooled run states (cascade.Score), each scoring its rows
+// into the result in place.
 func (o *Optimized) PredictFull(ctx context.Context, inputs map[string]value.Value) ([]float64, error) {
-	run, err := o.compiledRun(ctx, inputs)
+	run, err := o.Prog.NewRun(ctx, inputs)
 	if err != nil {
 		return nil, err
 	}
 	defer run.Close()
-	x, err := run.MatrixShared(o.Prog.AllIFVs())
-	if err != nil {
+	out := make([]float64, run.Len())
+	if err := cascade.Score(run, nil, o.Prog.AllIFVs(), o.Model, trace.StageModelScore, out); err != nil {
 		return nil, err
 	}
-	if tr := trace.FromContext(ctx); tr != nil {
-		t0 := time.Now()
-		preds := o.Model.Predict(x)
-		tr.Record(trace.StageModelScore, t0)
-		return preds, nil
-	}
-	return o.Model.Predict(x), nil
+	return out, nil
 }
 
 // PredictPoint answers one example-at-a-time query, applying query-aware
-// parallelization when Workers > 1 and cascades when deployed. Per-request
-// options (cascade-threshold override, deadline) apply to this call alone.
+// parallelization (ComputeIFVsParallel, when the query's generators are
+// costly enough) and cascades when deployed. Per-request options
+// (cascade-threshold override, deadline) apply to this call alone.
 func (o *Optimized) PredictPoint(ctx context.Context, inputs map[string]value.Value, opts ...PredictOption) (float64, error) {
 	p, _, err := o.PredictPointOptions(ctx, inputs, ResolvePredict(opts...))
 	return p, err
 }
 
-// compiledRun starts the run every compiled, uncascaded predict shares: a
-// pooled state with the plan's IFVs computed on Workers goroutines when
-// Workers > 1 — weld picks generator-parallel for a point and row-parallel
-// for a batch (operators are row-local, so either is bit-identical to the
-// sequential path). The caller assembles, scores in place and Closes.
-func (o *Optimized) compiledRun(ctx context.Context, inputs map[string]value.Value) (*weld.BatchRun, error) {
-	run, err := o.Prog.NewRun(ctx, inputs)
-	if err != nil {
-		return nil, err
-	}
-	if o.opts.Workers > 1 {
-		if err := run.ComputeIFVsParallel(o.Prog.AllIFVs(), o.opts.Workers); err != nil {
-			run.Close()
-			return nil, err
-		}
-	}
-	return run, nil
-}
-
 // predictPointCompiled is the compiled (no-cascade) point path: the feature
+// generators spread over the fan-out when they are worth it, the feature
 // vector materialized into the run state's buffer and the model scored in
 // place — zero heap allocations once warm for fully compiled plans.
 func (o *Optimized) predictPointCompiled(ctx context.Context, inputs map[string]value.Value) (float64, error) {
-	run, err := o.compiledRun(ctx, inputs)
+	run, err := o.Prog.NewRun(ctx, inputs)
 	if err != nil {
 		return 0, err
 	}
 	defer run.Close()
+	if err := run.ComputeIFVsParallel(o.Prog.AllIFVs()); err != nil {
+		return 0, err
+	}
 	x, err := run.PointMatrix(o.Prog.AllIFVs())
 	if err != nil {
 		return 0, err

@@ -142,6 +142,7 @@ func LoadWithResolver(r io.Reader, tables map[string]ops.Table, resolve TableRes
 	if err != nil {
 		return nil, err
 	}
+	prog.Workers = art.Options.Workers
 	widths := make(map[graph.NodeID]int, len(art.Widths))
 	for id, width := range art.Widths {
 		widths[graph.NodeID(id)] = width

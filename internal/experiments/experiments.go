@@ -67,7 +67,10 @@ func boundedRows(d core.Dataset, limit int) core.Dataset {
 }
 
 // buildOptimized constructs a benchmark and optimizes it with the given
-// options; the caller must Close the returned benchmark.
+// options; the caller must Close the returned benchmark. The experiments
+// that isolate one optimization (compilation, cascades, top-K filters) pass
+// Workers: 1, so their ratios measure it and not row-parallel batches; Fig. 8
+// sweeps the thread count itself.
 func buildOptimized(name string, s Setup, backend pipeline.Backend, opts core.Options) (*pipeline.Benchmark, *core.Optimized, *core.Report, error) {
 	b, err := pipeline.ByName(name, pipeline.Config{Seed: s.Seed, N: s.N, Backend: backend})
 	if err != nil {

@@ -57,7 +57,7 @@ func Fig5(w io.Writer, s Setup) ([]Fig5Row, error) {
 }
 
 func fig5One(name string, s Setup) (Fig5Row, error) {
-	b, o, _, err := buildOptimized(name, s, pipeline.LocalBackend{}, core.Options{})
+	b, o, _, err := buildOptimized(name, s, pipeline.LocalBackend{}, core.Options{Workers: 1})
 	if err != nil {
 		return Fig5Row{}, err
 	}
@@ -90,7 +90,7 @@ func fig5One(name string, s Setup) (Fig5Row, error) {
 	// Compilation + cascades (classification only, as in the paper).
 	if b.Pipeline.Model.Task() == model.Classification {
 		bc, oc, rep, err := buildOptimized(name, s, pipeline.LocalBackend{},
-			core.Options{Cascades: true, AccuracyTarget: 0.015})
+			core.Options{Workers: 1, Cascades: true, AccuracyTarget: 0.015})
 		if err != nil {
 			return Fig5Row{}, err
 		}
@@ -151,7 +151,7 @@ func Fig6(w io.Writer, s Setup) ([]Fig6Row, error) {
 }
 
 func fig6One(name string, s Setup) (Fig6Row, error) {
-	b, o, _, err := buildOptimized(name, s, pipeline.LocalBackend{}, core.Options{})
+	b, o, _, err := buildOptimized(name, s, pipeline.LocalBackend{}, core.Options{Workers: 1})
 	if err != nil {
 		return Fig6Row{}, err
 	}
@@ -181,7 +181,7 @@ func fig6One(name string, s Setup) (Fig6Row, error) {
 	}
 	if b.Pipeline.Model.Task() == model.Classification {
 		bc, oc, rep, err := buildOptimized(name, s, pipeline.LocalBackend{},
-			core.Options{Cascades: true, AccuracyTarget: 0.015})
+			core.Options{Workers: 1, Cascades: true, AccuracyTarget: 0.015})
 		if err != nil {
 			return Fig6Row{}, err
 		}

@@ -29,7 +29,7 @@ func MicroDrivers(w io.Writer, s Setup) ([]DriverRow, error) {
 	fmt.Fprintf(w, "%-10s %10s\n", "benchmark", "overhead")
 	var out []DriverRow
 	for _, name := range pipeline.Names() {
-		b, o, _, err := buildOptimized(name, s, pipeline.LocalBackend{}, core.Options{})
+		b, o, _, err := buildOptimized(name, s, pipeline.LocalBackend{}, core.Options{Workers: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +69,7 @@ func MicroThreshold(w io.Writer, s Setup) ([]ThresholdRow, error) {
 	var out []ThresholdRow
 	for _, name := range []string{"product", "toxic", "music", "tracking"} {
 		b, o, rep, err := buildOptimized(name, s, pipeline.LocalBackend{},
-			core.Options{Cascades: true, AccuracyTarget: 0.015})
+			core.Options{Workers: 1, Cascades: true, AccuracyTarget: 0.015})
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +121,7 @@ func MicroGamma(w io.Writer, s Setup) ([]GammaRow, error) {
 	fmt.Fprintf(w, "%10s %12s %14s\n", "target", "with rule", "without rule")
 
 	backend := &pipeline.RemoteBackend{Latency: s.RemoteLatency}
-	b, o, _, err := buildOptimized("music", s, backend, core.Options{})
+	b, o, _, err := buildOptimized("music", s, backend, core.Options{Workers: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -190,10 +190,10 @@ func MicroOptTime(w io.Writer, s Setup) ([]OptTimeRow, error) {
 			return nil, err
 		}
 		_, rep, err := core.Optimize(context.Background(), b.Pipeline, b.Train, b.Valid,
-			core.Options{Cascades: true, AccuracyTarget: 0.015, TopK: true})
+			core.Options{Workers: 1, Cascades: true, AccuracyTarget: 0.015, TopK: true})
 		if err != nil {
 			// Regression benchmarks skip cascades; retry with top-K only.
-			_, rep, err = core.Optimize(context.Background(), b.Pipeline, b.Train, b.Valid, core.Options{TopK: true})
+			_, rep, err = core.Optimize(context.Background(), b.Pipeline, b.Train, b.Valid, core.Options{Workers: 1, TopK: true})
 			if err != nil {
 				b.Close()
 				return nil, err

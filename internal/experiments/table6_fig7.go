@@ -51,7 +51,7 @@ func Table6(w io.Writer, s Setup) ([]Table6Row, error) {
 
 func table6One(name string, s Setup) ([]Table6Row, error) {
 	b, o, _, err := buildOptimized(name, s, pipeline.LocalBackend{},
-		core.Options{Cascades: true, AccuracyTarget: 0.015})
+		core.Options{Workers: 1, Cascades: true, AccuracyTarget: 0.015})
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func fig7One(name string, s Setup) ([]Fig7Point, error) {
 	// Lookup benchmarks sweep with remote tables, text benchmarks locally,
 	// matching the throughput scales of the paper's Figure 7 panels.
 	b, o, rep, err := buildOptimized(name, s, topKBackend(name, s),
-		core.Options{Cascades: true, AccuracyTarget: 0.015})
+		core.Options{Workers: 1, Cascades: true, AccuracyTarget: 0.015})
 	if err != nil {
 		return nil, err
 	}

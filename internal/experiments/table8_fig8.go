@@ -230,16 +230,17 @@ func fig8Sweep(name string, prog *weld.Program, test core.Dataset, s Setup, maxT
 	for i := 0; i < k; i++ {
 		points[i] = test.Row(i).Inputs
 	}
-	// One pooled point query with the IFVs computed across threads workers
-	// (one worker is the sequential path).
+	// One pooled point query with the IFVs computed across at most threads
+	// threads (one is the sequential path).
 	latency := func(threads int) (time.Duration, error) {
+		prog.Workers = threads
 		return metrics.Latency(k, func(i int) error {
 			r, err := prog.NewRun(context.Background(), points[i])
 			if err != nil {
 				return err
 			}
 			defer r.Close()
-			if err := r.ComputeIFVsParallel(prog.AllIFVs(), threads); err != nil {
+			if err := r.ComputeIFVsParallel(prog.AllIFVs()); err != nil {
 				return err
 			}
 			_, err = r.PointMatrix(prog.AllIFVs())

@@ -75,7 +75,7 @@ func topKBackend(name string, s Setup) pipeline.Backend {
 }
 
 func table4One(name string, s Setup) (Table4Row, error) {
-	b, o, _, err := buildOptimized(name, s, topKBackend(name, s), core.Options{TopK: true})
+	b, o, _, err := buildOptimized(name, s, topKBackend(name, s), core.Options{Workers: 1, TopK: true})
 	if err != nil {
 		return Table4Row{}, err
 	}
@@ -174,7 +174,7 @@ func Table5(w io.Writer, s Setup) ([]Table5Row, error) {
 }
 
 func table5One(name string, s Setup) (Table5Row, error) {
-	b, o, _, err := buildOptimized(name, s, topKBackend(name, s), core.Options{TopK: true})
+	b, o, _, err := buildOptimized(name, s, topKBackend(name, s), core.Options{Workers: 1, TopK: true})
 	if err != nil {
 		return Table5Row{}, err
 	}
@@ -250,7 +250,7 @@ func Table7(w io.Writer, s Setup) ([]Table7Row, error) {
 }
 
 func table7One(name string, s Setup) ([]Table7Row, error) {
-	b, o, _, err := buildOptimized(name, s, topKBackend(name, s), core.Options{TopK: true})
+	b, o, _, err := buildOptimized(name, s, topKBackend(name, s), core.Options{Workers: 1, TopK: true})
 	if err != nil {
 		return nil, err
 	}

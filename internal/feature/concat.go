@@ -62,44 +62,3 @@ func HStack(ms ...Matrix) Matrix {
 	}
 	return &CSR{rows: rows, cols: totalCols, indptr: indptr, indices: indices, values: values}
 }
-
-// VStack vertically concatenates matrices with equal column counts.
-// If every input is dense the result is dense; otherwise CSR.
-func VStack(ms ...Matrix) Matrix {
-	if len(ms) == 0 {
-		return NewDense(0, 0)
-	}
-	if len(ms) == 1 {
-		return ms[0]
-	}
-	cols := ms[0].Cols()
-	rows := 0
-	allDense := true
-	for i, m := range ms {
-		if m.Cols() != cols {
-			panic(fmt.Sprintf("feature: VStack: matrix %d has %d cols, want %d", i, m.Cols(), cols))
-		}
-		rows += m.Rows()
-		if _, ok := m.(*Dense); !ok {
-			allDense = false
-		}
-	}
-	if allDense {
-		out := NewDense(rows, cols)
-		r := 0
-		for _, m := range ms {
-			d := m.(*Dense)
-			copy(out.data[r*cols:], d.data)
-			r += d.rows
-		}
-		return out
-	}
-	b := NewCSRBuilder(cols)
-	for _, m := range ms {
-		for r := 0; r < m.Rows(); r++ {
-			m.ForEachNZ(r, func(c int, v float64) { b.Add(c, v) })
-			b.EndRow()
-		}
-	}
-	return b.Build()
-}

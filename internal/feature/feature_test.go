@@ -295,23 +295,6 @@ func TestHStackEdgeCases(t *testing.T) {
 	HStack(a, NewDense(2, 1))
 }
 
-func TestVStack(t *testing.T) {
-	a := DenseFromRows([][]float64{{1, 2}})
-	b := DenseFromRows([][]float64{{3, 4}, {5, 6}})
-	m := VStack(a, b)
-	if m.Rows() != 3 || m.Cols() != 2 {
-		t.Fatalf("shape = (%d, %d), want (3, 2)", m.Rows(), m.Cols())
-	}
-	if m.At(2, 1) != 6 || m.At(0, 0) != 1 {
-		t.Error("VStack values wrong")
-	}
-	s := buildCSR(t, 1, 2, map[[2]int]float64{{0, 0}: 7})
-	mixed := VStack(a, s)
-	if mixed.Rows() != 2 || mixed.At(1, 0) != 7 {
-		t.Error("VStack mixed values wrong")
-	}
-}
-
 func TestDot(t *testing.T) {
 	m := DenseFromRows([][]float64{{1, 2, 3}})
 	if got := Dot(m, 0, []float64{1, 10, 100}); got != 321 {

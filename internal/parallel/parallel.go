@@ -4,7 +4,7 @@
 // row sharding for batch queries.
 package parallel
 
-import "sort"
+import "slices"
 
 // Assign statically distributes items with the given costs across at most
 // workers groups, balancing total cost per group using the
@@ -19,37 +19,53 @@ import "sort"
 // request time. Ties break toward the lowest worker index, reproducing the
 // linear scan's assignment exactly.
 func Assign(costs []float64, workers int) [][]int {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(costs) {
-		workers = len(costs)
-	}
+	var a Assigner
+	return a.Assign(costs, workers)
+}
+
+// Assigner is Assign over buffers kept from one call to the next, so a
+// caller scheduling every query assigns without allocating once warm.
+type Assigner struct {
+	order  []int
+	heap   loadHeap
+	groups [][]int
+}
+
+// Assign is the package's Assign; the groups it returns are valid until the
+// next call.
+func (a *Assigner) Assign(costs []float64, workers int) [][]int {
+	workers = min(max(workers, 1), len(costs))
 	if workers == 0 {
 		return nil
 	}
-	order := make([]int, len(costs))
-	for i := range order {
-		order[i] = i
+	a.order = a.order[:0]
+	for i := range costs {
+		a.order = append(a.order, i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if costs[order[a]] != costs[order[b]] {
-			return costs[order[a]] > costs[order[b]]
+	slices.SortFunc(a.order, func(x, y int) int {
+		switch {
+		case costs[x] > costs[y]:
+			return -1
+		case costs[x] < costs[y]:
+			return 1
 		}
-		return order[a] < order[b]
+		return x - y
 	})
-	groups := make([][]int, workers)
-	h := newLoadHeap(workers)
-	for _, item := range order {
-		w := h.min()
-		groups[w] = append(groups[w], item)
-		h.addLoad(costs[item])
+	a.groups = slices.Grow(a.groups[:0], workers)[:workers]
+	for w := range a.groups {
+		a.groups[w] = a.groups[w][:0]
+	}
+	a.heap.reset(workers)
+	for _, item := range a.order {
+		w := a.heap.min()
+		a.groups[w] = append(a.groups[w], item)
+		a.heap.addLoad(costs[item])
 	}
 	// Keep items within each group in their original order.
-	for _, g := range groups {
-		sort.Ints(g)
+	for _, g := range a.groups {
+		slices.Sort(g)
 	}
-	return groups
+	return a.groups
 }
 
 // loadHeap is a binary min-heap of workers keyed by (load, worker index):
@@ -59,12 +75,14 @@ type loadHeap struct {
 	id   []int     // id[i] is the worker index in that slot
 }
 
-func newLoadHeap(workers int) *loadHeap {
-	h := &loadHeap{load: make([]float64, workers), id: make([]int, workers)}
+// reset empties the heap for workers workers.
+func (h *loadHeap) reset(workers int) {
+	h.load = slices.Grow(h.load[:0], workers)[:workers]
+	clear(h.load)
+	h.id = slices.Grow(h.id[:0], workers)[:workers]
 	for i := range h.id {
 		h.id[i] = i // all loads zero: already a valid heap, ids ascending
 	}
-	return h
 }
 
 // less orders slots by load, then worker index for determinism.
@@ -100,31 +118,18 @@ func (h *loadHeap) addLoad(cost float64) {
 	}
 }
 
-// Shard splits n rows into at most workers contiguous [start, end) ranges of
-// near-equal size for data-parallel batch execution.
-func Shard(n, workers int) [][2]int {
-	if workers < 1 {
-		workers = 1
+// Shard returns shard k of n rows split into parts contiguous [lo, hi)
+// ranges of near-equal size — the first n%parts one row longer — for
+// data-parallel batch execution. It computes one range without allocating,
+// so every executor of a fan-out can find its own.
+func Shard(n, parts, k int) (lo, hi int) {
+	base, rem := n/parts, n%parts
+	lo = k*base + min(k, rem)
+	hi = lo + base
+	if k < rem {
+		hi++
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 0 {
-		return nil
-	}
-	out := make([][2]int, 0, workers)
-	base := n / workers
-	rem := n % workers
-	start := 0
-	for w := 0; w < workers; w++ {
-		size := base
-		if w < rem {
-			size++
-		}
-		out = append(out, [2]int{start, start + size})
-		start += size
-	}
-	return out
+	return lo, hi
 }
 
 // MaxLoad returns the maximum per-group cost of an assignment, the quantity

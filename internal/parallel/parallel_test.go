@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -101,21 +102,20 @@ func TestAssignListSchedulingBoundProperty(t *testing.T) {
 }
 
 func TestShard(t *testing.T) {
-	shards := Shard(10, 3)
 	want := [][2]int{{0, 4}, {4, 7}, {7, 10}}
-	if len(shards) != 3 {
-		t.Fatalf("shards = %v", shards)
-	}
-	for i := range want {
-		if shards[i] != want[i] {
-			t.Errorf("shard %d = %v, want %v", i, shards[i], want[i])
+	for k := range want {
+		if lo, hi := Shard(10, 3, k); [2]int{lo, hi} != want[k] {
+			t.Errorf("shard %d = [%d, %d), want %v", k, lo, hi, want[k])
 		}
 	}
-	if s := Shard(2, 5); len(s) != 2 {
-		t.Errorf("Shard(2,5) = %v, want 2 shards", s)
+	// More parts than rows: the rows take one part each, the rest are empty.
+	for k, want := range [][2]int{{0, 1}, {1, 2}, {2, 2}, {2, 2}, {2, 2}} {
+		if lo, hi := Shard(2, 5, k); [2]int{lo, hi} != want {
+			t.Errorf("Shard(2, 5, %d) = [%d, %d), want %v", k, lo, hi, want)
+		}
 	}
-	if s := Shard(0, 3); s != nil {
-		t.Errorf("Shard(0,3) = %v, want nil", s)
+	if lo, hi := Shard(0, 3, 2); lo != 0 || hi != 0 {
+		t.Errorf("Shard(0, 3, 2) = [%d, %d), want empty", lo, hi)
 	}
 }
 
@@ -124,13 +124,13 @@ func TestShardCoversRangeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(100)
 		w := 1 + rng.Intn(10)
-		shards := Shard(n, w)
 		pos := 0
-		for _, s := range shards {
-			if s[0] != pos || s[1] < s[0] {
+		for k := 0; k < w; k++ {
+			lo, hi := Shard(n, w, k)
+			if lo != pos || hi < lo || hi-lo > n/w+1 {
 				return false
 			}
-			pos = s[1]
+			pos = hi
 		}
 		return pos == n
 	}
@@ -193,6 +193,29 @@ func TestAssignMatchesNaiveScan(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (n=%d, w=%d): heap %v != scan %v (costs %v)", trial, n, workers, got, want, costs)
 		}
+	}
+}
+
+// TestAssignerReusesBuffers: one Assigner, reused over assignments of
+// varying shape, answers each like a fresh Assign and allocates nothing
+// once warm.
+func TestAssignerReusesBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var a Assigner
+	for trial := 0; trial < 100; trial++ {
+		costs := make([]float64, 1+rng.Intn(20))
+		for i := range costs {
+			costs[i] = float64(rng.Intn(5))
+		}
+		workers := 1 + rng.Intn(8)
+		got, want := a.Assign(costs, workers), Assign(costs, workers)
+		if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+			t.Fatalf("trial %d: reused %v, fresh %v", trial, got, want)
+		}
+	}
+	costs := []float64{5, 3, 9, 1, 7, 2, 8, 4}
+	if allocs := testing.AllocsPerRun(100, func() { a.Assign(costs, 3) }); allocs != 0 {
+		t.Errorf("warm Assigner allocates %.1f objects per assignment, want 0", allocs)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 
 	"willump/internal/cascade"
 	"willump/internal/model"
@@ -85,6 +86,11 @@ func (f *Filter) TopK(ctx context.Context, inputs map[string]value.Value, k int)
 // the serving layer's per-request budget override (PredictOptions.Budget);
 // subsetSize < 0 selects the configured default policy. Explicit sizes are
 // clamped to [k, n].
+//
+// Both passes run on row shards (cascade.Score): the filter scores over
+// every candidate, TopIndices on the caller, then the re-rank over the kept
+// candidates. Runs and score buffers are pooled, so a warm query allocates
+// the kept candidates, the result and what its operators allocate per call.
 func (f *Filter) TopKSubset(ctx context.Context, inputs map[string]value.Value, k int, subsetSize int) ([]int, error) {
 	prog := f.Approx.Prog
 	run, err := prog.NewRun(ctx, inputs)
@@ -92,40 +98,37 @@ func (f *Filter) TopKSubset(ctx context.Context, inputs map[string]value.Value, 
 		return nil, err
 	}
 	defer run.Close()
-	effX, err := run.MatrixShared(f.Approx.Efficient)
-	if err != nil {
-		return nil, err
-	}
-	n := effX.Rows()
+	n := run.Len()
 	if k <= 0 || k > n {
 		return nil, fmt.Errorf("topk: k=%d out of range for batch of %d", k, n)
 	}
-	approxScores := f.Approx.Small.Predict(effX)
 	if subsetSize < 0 {
 		subsetSize = f.SubsetSize(n, k)
 	}
-	if subsetSize < k {
-		subsetSize = k
-	}
-	if subsetSize > n {
-		subsetSize = n
-	}
-	candidates := TopIndices(approxScores, subsetSize)
-
-	sub := run.SubsetRun(candidates)
-	defer sub.Close()
-	fullX, err := sub.MatrixShared(prog.AllIFVs())
-	if err != nil {
+	subsetSize = min(max(subsetSize, k), n)
+	sc := scoreBufs.Get().(*scores)
+	defer scoreBufs.Put(sc)
+	sc.filter = slices.Grow(sc.filter[:0], n)[:n]
+	if err := cascade.Score(run, nil, f.Approx.Efficient, f.Approx.Small, "", sc.filter); err != nil {
 		return nil, err
 	}
-	fullScores := f.Full.Predict(fullX)
-	order := TopIndices(fullScores, k)
-	out := make([]int, k)
-	for i, o := range order {
-		out[i] = candidates[o]
+	candidates := TopIndices(sc.filter, subsetSize)
+	sc.full = slices.Grow(sc.full[:0], subsetSize)[:subsetSize]
+	if err := cascade.Score(run, candidates, prog.AllIFVs(), f.Full, "", sc.full); err != nil {
+		return nil, err
 	}
-	return out, nil
+	order := TopIndices(sc.full, k)
+	for i, o := range order {
+		order[i] = candidates[o]
+	}
+	return order, nil
 }
+
+// scores holds a top-K query's filter and re-rank scores, pooled across
+// queries.
+type scores struct{ filter, full []float64 }
+
+var scoreBufs = sync.Pool{New: func() any { return new(scores) }}
 
 // ExactTopK computes the ground-truth top K using the full pipeline and full
 // model over the whole batch (the unoptimized query the paper measures

@@ -141,6 +141,23 @@ func GatherInto(dst *Value, src Value, rows []int) {
 	}
 }
 
+// Slice returns rows [lo, hi) of a slice-backed column as a view sharing its
+// backing array, capped at hi so an append cannot reach past the view. A
+// matrix has no such view: ok is false.
+func (v Value) Slice(lo, hi int) (view Value, ok bool) {
+	switch v.Kind {
+	case Strings:
+		return NewStrings(v.Strings[lo:hi:hi]), true
+	case Floats:
+		return NewFloats(v.Floats[lo:hi:hi]), true
+	case Ints:
+		return NewInts(v.Ints[lo:hi:hi]), true
+	case Tokens:
+		return NewTokens(v.Tokens[lo:hi:hi]), true
+	}
+	return Value{}, false
+}
+
 // gather copies src's selected rows into dst (see growSlice).
 func gather[T any](dst, src []T, rows []int, reuse bool) []T {
 	out := growSlice(dst, len(rows), reuse)

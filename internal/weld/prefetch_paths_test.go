@@ -84,6 +84,9 @@ func TestPrefetchCachedMissesConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Microsecond lookups never earn a fan-out; force it, as a costly
+	// generator would.
+	weld.ForceFanOut(t, o.Prog, 4)
 	// The remote IFVs, by root label; remote_k0 is the cascade's efficient
 	// set.
 	var remoteIFVs, rest []int

@@ -419,7 +419,7 @@ func (f failOn) ApplyBoxed(ins []any) (any, error) { return ins[0], nil }
 // TestRowParallelFailedShardCancelsPrefetch: when one row shard of a
 // parallel batch fails, every shard still goes back to the pool and no
 // prefetch handle is left neither joined nor cancelled. A healthy sharded
-// batch fetches each key once, on the parent run.
+// batch fetches each key once, on the parent run, before it fans out.
 func TestRowParallelFailedShardCancelsPrefetch(t *testing.T) {
 	rows := make(map[int64][]float64, 16)
 	for k := int64(0); k < 16; k++ {
@@ -443,20 +443,14 @@ func TestRowParallelFailedShardCancelsPrefetch(t *testing.T) {
 	if len(p.prefetch) != 1 {
 		t.Fatalf("prefetch specs = %d, want 1", len(p.prefetch))
 	}
+	ForceFanOut(t, p, 3)
 	run := func(in map[string]value.Value) (feature.Matrix, error) {
 		r, err := p.NewRun(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		if err := r.ComputeIFVsParallel(p.AllIFVs(), 3); err != nil {
-			return nil, err
-		}
-		m, err := r.MatrixShared(p.AllIFVs())
-		if err != nil {
-			return nil, err
-		}
-		return owned(m), nil
+		return shardRows(r, nil, p.AllIFVs())
 	}
 
 	got, err := run(good)

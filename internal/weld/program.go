@@ -72,6 +72,16 @@ type Program struct {
 	// Prof accumulates node timings during Fit (the cascades cost model)
 	// and driver marshaling time during interpreted-boundary crossings.
 	Prof *Profile
+	// ifvCost[i] is IFV i's profiled per-row cost in seconds, read from Prof
+	// at Fuse so a fan-out sizes itself without taking the profile's lock.
+	ifvCost []float64
+
+	// Workers caps the threads one query's fan-out uses (shard.go): 0 means
+	// GOMAXPROCS, 1 runs every query sequentially, n at most n. Set it
+	// before the program serves.
+	Workers int
+	// fanOutForced lifts the fan-out's work gate (ForceFanOut).
+	fanOutForced bool
 
 	// live, when non-nil, is the shadow profile: traced (head-sampled)
 	// production requests accumulate per-node timings here, so the cost
@@ -110,8 +120,12 @@ type Program struct {
 	prefetch []prefetchSpec
 	// remote[i] says IFV i owns a prefetch spec. A cached remote IFV does
 	// not prefetch; a point run fetches its cache misses together instead
-	// (BatchRun.fillRemoteMisses). Laid out by Fuse.
-	remote []bool
+	// (BatchRun.fillRemoteMisses). storeBound[i] says IFV i's generator looks
+	// up a remote table at all (one taking a context or able to prefetch):
+	// row shards would split its one multi-get per batch into one per shard
+	// (see Shards). Both laid out by Fuse.
+	remote     []bool
+	storeBound []bool
 
 	fitted bool
 }
@@ -291,27 +305,33 @@ func topoSortSteps(steps []step, g *graph.Graph) []step {
 
 // Fuse rebuilds the plan with chain fusion enabled. It requires fitted
 // operators and is called automatically at the end of Fit (and Restore).
-// Fusing also installs the run-state pool sized for the final plan shape.
+// Fusing also installs the run-state pool sized for the final plan shape and
+// reads the profiled IFV costs the fan-out gate uses.
 func (p *Program) Fuse() {
 	p.buildSteps(true)
 	p.layoutSteps()
 	p.initPool()
+	p.ifvCost = make([]float64, len(p.A.IFVs))
+	for i := range p.ifvCost {
+		p.ifvCost[i] = p.Prof.IFVCost(p.A, i)
+	}
 }
 
 // layoutSteps decides, once per fused plan, everything a run would otherwise
 // rediscover per call: which steps each IFV needs (graph.ExecutionOrder's
 // answer for that IFV alone, mapped to the steps producing those nodes),
 // which node slots hold state-owned buffers (a step that writes through
-// ApplyInto or the interpreted driver; see state.go), and which lookup
-// steps can prefetch — a Lookup whose only input is a raw
-// source (its key column is available the moment a run starts) and whose
-// table can begin a fetch without blocking. Plans without such steps get an
-// empty prefetch index and pay nothing at run time.
+// ApplyInto or the interpreted driver; see state.go), which IFVs look up a
+// remote table, and which lookup steps can prefetch — a Lookup whose only
+// input is a raw source (its key column is available the moment a run
+// starts) and whose table can begin a fetch without blocking. Plans without
+// such steps get an empty prefetch index and pay nothing at run time.
 func (p *Program) layoutSteps() {
 	p.ifvSteps = make([][]int, len(p.A.IFVs))
 	p.reusable = make([]bool, p.G.NumNodes())
 	p.prefetch = nil
 	p.remote = make([]bool, len(p.A.IFVs))
+	p.storeBound = make([]bool, len(p.A.IFVs))
 	producer := make(map[graph.NodeID]int, len(p.Steps))
 	for si := range p.Steps {
 		producer[p.Steps[si].out] = si
@@ -333,10 +353,15 @@ func (p *Program) layoutSteps() {
 
 		st.pre = -1
 		lk, ok := st.op.(*ops.Lookup)
-		if !ok || st.ifv < 0 || len(st.ins) != 1 || !p.G.Node(st.ins[0]).IsSource() {
+		if !ok || st.ifv < 0 {
 			continue
 		}
-		if at, ok := lk.Table().(ops.AsyncTable); ok {
+		_, isCtx := lk.Table().(ops.CtxTable)
+		at, isAsync := lk.Table().(ops.AsyncTable)
+		if isCtx || isAsync {
+			p.storeBound[st.ifv] = true
+		}
+		if isAsync && len(st.ins) == 1 && p.G.Node(st.ins[0]).IsSource() {
 			st.pre = len(p.prefetch)
 			p.prefetch = append(p.prefetch, prefetchSpec{ifv: st.ifv, src: st.ins[0], at: at})
 			p.remote[st.ifv] = true
@@ -461,12 +486,15 @@ func (p *Program) CloneRuntime() *Program {
 		Widths:        p.Widths,
 		Spans:         p.Spans,
 		Prof:          p.Prof.Clone(),
+		ifvCost:       p.ifvCost,
+		Workers:       p.Workers,
 		ifvLabels:     p.ifvLabels,
 		ifvSpine:      p.ifvSpine,
 		spineFallback: p.spineFallback,
 		allIFVs:       p.allIFVs,
 		prefetch:      p.prefetch,
 		remote:        p.remote,
+		storeBound:    p.storeBound,
 		fitted:        p.fitted,
 	}
 	if p.live != nil {

@@ -11,7 +11,6 @@ import (
 	"willump/internal/feature"
 	"willump/internal/graph"
 	"willump/internal/ops"
-	"willump/internal/parallel"
 	"willump/internal/trace"
 	"willump/internal/value"
 )
@@ -60,7 +59,7 @@ type BatchRun struct {
 	roots      []*value.Value
 
 	// cacheScr[i] is IFV i's cached-execution scratch. Indexed per IFV so
-	// ComputeIFVsParallel workers (which own disjoint IFV sets) never share
+	// ComputeIFVsParallel's parts (which own disjoint IFV sets) never share
 	// a buffer.
 	cacheScr []ifvCacheScratch
 
@@ -76,6 +75,21 @@ type BatchRun struct {
 	// only its goroutines.
 	misses []remoteMiss
 	fills  sync.WaitGroup
+
+	// gathered[id] is the buffer a sub-run's copy of a slot it may not write
+	// in place (a caller's column, an Apply-only operator's output) is
+	// gathered into, kept across acquisitions so a warm SubsetRun allocates
+	// nothing; gatheredSome says this acquisition wrote one, so Close has
+	// caller strings to drop from them.
+	gathered     []value.Value
+	gatheredSome bool
+
+	// fan is the run's fan-out state (shard.go); iota is the identity row
+	// index its contiguous shards are cut from, and rowScr the buffer
+	// RowScratch hands out. All three are pooled with the run.
+	fan    fan
+	iota   []int
+	rowScr []int
 }
 
 // remoteMiss is one remote IFV whose point cache probe missed: probed at t0
@@ -139,6 +153,10 @@ func (p *Program) NewRun(ctx context.Context, inputs map[string]value.Value) (*B
 
 // Len returns the batch size.
 func (r *BatchRun) Len() int { return r.n }
+
+// Trace returns the request trace the run records into, nil when the
+// request is not sampled.
+func (r *BatchRun) Trace() *trace.Trace { return r.tr }
 
 // runStep executes plan step si, reading and writing r.vals. The run's
 // context is checked first, so cancellation lands on a block boundary.
@@ -322,9 +340,9 @@ func (r *BatchRun) computeIFVs(idx []int) error {
 	return r.computeEach(idx)
 }
 
-// computeEach is computeIFVs without the remote-miss phase: the part
-// ComputeIFVsParallel's point workers run concurrently on one run, each
-// over its own IFVs.
+// computeEach is computeIFVs without the remote-miss phase: what
+// ComputeIFVsParallel's parts run concurrently on one run, each over its own
+// IFVs.
 func (r *BatchRun) computeEach(idx []int) error {
 	deferred := false
 	for _, i := range idx {
@@ -396,7 +414,11 @@ func (r *BatchRun) finishIFV(i int, t0 time.Time) {
 // joined before it returns, on every path, so a recycled run or trace never
 // sees a late fill. This is safe for the reason ComputeIFVsParallel's point
 // mode is: generators write disjoint node slots, per-IFV cache scratch and
-// per-step scratch, and trace.Trace.Record is safe for concurrent use.
+// per-step scratch, and trace.Trace.Record is safe for concurrent use. The
+// fills wait on the store rather than compute, so they take goroutines of
+// their own, not the fan-out pool's GOMAXPROCS−1 workers: a fill would hold a
+// worker for a round trip, and fills no worker took would queue behind each
+// other.
 func (r *BatchRun) fillRemoteMisses(idx []int) error {
 	if r.n != 1 || r.p.caches == nil || len(r.p.prefetch) == 0 {
 		return nil
@@ -615,20 +637,47 @@ func appendRowVec(dst []float64, v value.Value, row int) ([]float64, error) {
 // SubsetRun returns a new run restricted to the given rows, carrying over
 // every value already computed (gathered to the subset). Cascades use it to
 // run the full model only on low-confidence rows, top-K to re-rank the
-// filtered subset, the feature cache to compute its misses and the
-// row-parallel batch mode to shard; it is the one way a run over part of
-// another run's rows is made. The sub-run is pooled like any other: Close it
-// when nothing derived from it escapes.
-func (r *BatchRun) SubsetRun(rows []int) *BatchRun {
+// filtered subset, the feature cache to compute its misses and Shards to cut
+// its shards; it is the one way a run over part of another run's rows is
+// made. The sub-run is pooled like any other: Close it when nothing derived
+// from it escapes.
+func (r *BatchRun) SubsetRun(rows []int) *BatchRun { return r.subRun(rows, false) }
+
+// subRun is SubsetRun. A slot the sub-run may never write in place — a
+// caller's column, an Apply-only operator's output (see state.go) — is
+// gathered into the sub-run's own gathered buffer, or, when contiguous says
+// rows are consecutive and its kind has one, viewed (value.Slice); either
+// way Close drops the slot unwritten.
+func (r *BatchRun) subRun(rows []int, contiguous bool) *BatchRun {
 	sub := r.p.getRun(r.ctx)
 	sub.n = len(rows)
 	copy(sub.ifvDone, r.ifvDone)
 	for id, ok := range r.have {
-		if ok {
+		switch {
+		case !ok:
+		case r.p.reusable[id]:
 			value.GatherInto(sub.dest(graph.NodeID(id)), r.vals[id], rows)
+		default:
+			v, view := value.Value{}, false
+			if contiguous && len(rows) > 0 {
+				v, view = r.vals[id].Slice(rows[0], rows[0]+len(rows))
+			}
+			if !view {
+				value.GatherInto(&sub.gathered[id], r.vals[id], rows)
+				v, sub.gatheredSome = sub.gathered[id], true
+			}
+			sub.vals[id], sub.have[id] = v, true
 		}
 	}
 	return sub
+}
+
+// RowScratch returns a run-owned index buffer of length n, valid until
+// Close, for building a row subset of the run (a cascade shard's hard rows)
+// without allocating.
+func (r *BatchRun) RowScratch(n int) []int {
+	r.rowScr = growScratch(r.rowScr, n)
+	return r.rowScr
 }
 
 // PointMatrix is MatrixShared for a point query: it insists on a single-row
@@ -835,107 +884,4 @@ func (p *Program) RunBatch(ctx context.Context, inputs map[string]value.Value) (
 	out := m.Gather(rows)
 	p.Prof.addTotal(time.Since(start).Seconds())
 	return out, nil
-}
-
-// ComputeIFVsParallel computes the given IFVs on up to workers goroutines,
-// choosing the paper's parallelization mode from the batch size (section
-// 4.4). A point query spreads its feature generators over the workers by
-// LPT over profiled costs: generators are disjoint subgraphs, so each worker
-// writes only its own generators' node slots and the shared state stays
-// race-free, and static assignment avoids scheduling overhead; the
-// preprocessing slots generators share are filled before the fan-out, and
-// the remote cache misses are fetched together before it (fillRemoteMisses),
-// so the workers take only the IFVs left. A batch runs contiguous row shards
-// as sub-runs of this run — different inputs end-to-end on different
-// threads, each shard running the preprocessing of its own rows — and stacks
-// their IFV roots back into this run's slots; IFVs waiting on the batch's own
-// prefetch are not sharded but joined here afterwards, so each key is
-// fetched once.
-func (r *BatchRun) ComputeIFVsParallel(idx []int, workers int) error {
-	if workers <= 1 || (r.n == 1 && len(idx) <= 1) {
-		return r.computeIFVs(idx)
-	}
-	// runs[w] computes IFVs work[w] on its own goroutine.
-	var runs []*BatchRun
-	var work [][]int
-	var sharded []int
-	if r.n == 1 {
-		// Two workers may descend from one preprocessing slot: the union of
-		// the left IFVs' preprocessing runs once, here, and the workers
-		// below find its outputs held.
-		if err := r.fillRemoteMisses(idx); err != nil {
-			return err
-		}
-		var rest []int
-		var costs []float64
-		for _, i := range idx {
-			if r.ifvDone[i] {
-				continue
-			}
-			if err := r.runIFVSteps(i, true); err != nil {
-				return err
-			}
-			rest = append(rest, i)
-			costs = append(costs, r.p.Prof.IFVCost(r.p.A, i))
-		}
-		for _, g := range parallel.Assign(costs, workers) {
-			if len(g) == 0 {
-				continue
-			}
-			for j, gi := range g {
-				g[j] = rest[gi]
-			}
-			runs, work = append(runs, r), append(work, g)
-		}
-	} else {
-		for _, i := range idx {
-			if !r.ifvDone[i] && !r.late[i] {
-				sharded = append(sharded, i)
-			}
-		}
-		shards := parallel.Shard(r.n, workers)
-		if len(sharded) == 0 || len(shards) <= 1 {
-			return r.computeIFVs(idx)
-		}
-		rows := make([]int, r.n)
-		for row := range rows {
-			rows[row] = row
-		}
-		for _, sh := range shards {
-			sub := r.SubsetRun(rows[sh[0]:sh[1]])
-			// Every shard goes back to the pool on every path, after its
-			// roots were stacked below.
-			defer sub.Close()
-			runs, work = append(runs, sub), append(work, sharded)
-		}
-	}
-	errs := make([]error, len(runs))
-	var wg sync.WaitGroup
-	for w := range runs {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = runs[w].computeEach(work[w])
-		}(w)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	mats := make([]feature.Matrix, len(runs))
-	for _, i := range sharded {
-		root := r.p.A.IFVs[i].Root
-		for w, sub := range runs {
-			m, err := sub.vals[root].AsMatrix()
-			if err != nil {
-				return fmt.Errorf("weld: IFV %d output: %w", i, err)
-			}
-			mats[w] = m
-		}
-		*r.dest(root) = value.NewMat(feature.VStack(mats...))
-		r.ifvDone[i] = true
-	}
-	return r.computeIFVs(idx)
 }

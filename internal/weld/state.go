@@ -32,8 +32,10 @@ import (
 // caller's columns, and an operator that has only Apply may return its input
 // or a view of it, so neither is ever an ApplyInto, FromBoxedInto or
 // GatherInto destination: dest clears them before every write and Close
-// drops them. Every computed value is written through dest (only NewRun
-// places the caller's columns directly), so nothing else has to know the rule.
+// drops them. Every computed value is written through dest, so nothing else
+// has to know the rule; only a sub-run places such slots itself (subRun),
+// as views of its parent's or as copies in its own gathered buffers, which
+// nothing but subRun writes.
 
 // initPool sizes and installs the state pool for the current fused plan.
 // Called at the end of Fuse, so re-fusing drops states shaped for the old
@@ -49,6 +51,7 @@ func (p *Program) newState() *BatchRun {
 		p:        p,
 		vals:     make([]value.Value, nn),
 		have:     make([]bool, nn),
+		gathered: make([]value.Value, nn),
 		ifvDone:  make([]bool, len(p.A.IFVs)),
 		late:     make([]bool, len(p.A.IFVs)),
 		stepIns:  make([][]value.Value, len(p.Steps)),
@@ -59,6 +62,7 @@ func (p *Program) newState() *BatchRun {
 	for i := range p.Steps {
 		r.stepIns[i] = make([]value.Value, len(p.Steps[i].ins))
 	}
+	r.fan.r, r.fan.done = r, make(chan struct{}, 1)
 	return r
 }
 
@@ -107,6 +111,14 @@ func (r *BatchRun) Close() {
 		if !r.p.reusable[i] {
 			r.vals[i] = value.Value{}
 		}
+	}
+	if r.gatheredSome {
+		// A gathered copy keeps its buffer, not the caller's strings.
+		for i := range r.gathered {
+			clear(r.gathered[i].Strings)
+			clear(r.gathered[i].Tokens)
+		}
+		r.gatheredSome = false
 	}
 	for _, ins := range r.stepIns {
 		clear(ins)

@@ -293,11 +293,12 @@ func TestPointParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ForceFanOut(t, p, 4)
 	r, err := p.NewRun(context.Background(), point)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ComputeIFVsParallel(p.AllIFVs(), 4); err != nil {
+	if err := r.ComputeIFVsParallel(p.AllIFVs()); err != nil {
 		t.Fatal(err)
 	}
 	par, err := r.MatrixShared(p.AllIFVs())
@@ -310,15 +311,13 @@ func TestPointParallelMatchesSequential(t *testing.T) {
 func TestBatchShardedMatchesSequential(t *testing.T) {
 	g, inputs := textPipeline(t)
 	p, want := fitProgram(t, g, inputs)
+	ForceFanOut(t, p, 3)
 	r, err := p.NewRun(context.Background(), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.ComputeIFVsParallel(p.AllIFVs(), 3); err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.MatrixShared(p.AllIFVs())
+	got, err := shardRows(r, nil, p.AllIFVs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,11 +430,13 @@ func TestPreprocessingRunsOnDemand(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 3} {
+		ForceFanOut(t, p, workers)
 		if got := counted(func(r *BatchRun) {
-			if err := r.ComputeIFVsParallel(p.AllIFVs(), workers); err != nil {
+			m, err := shardRows(r, nil, p.AllIFVs())
+			if err != nil {
 				t.Fatal(err)
 			}
-			matricesClose(t, assemble(r, p.AllIFVs()), want, 0)
+			matricesClose(t, m, want, 0)
 		}); got != int64(n) {
 			t.Errorf("batch on %d workers cleaned %d rows, want %d", workers, got, n)
 		}
@@ -445,7 +446,7 @@ func TestPreprocessingRunsOnDemand(t *testing.T) {
 			t.Fatal(err)
 		}
 		cleaned.Store(0)
-		if err := r.ComputeIFVsParallel(p.AllIFVs(), workers); err != nil {
+		if err := r.ComputeIFVsParallel(p.AllIFVs()); err != nil {
 			t.Fatal(err)
 		}
 		m, err := r.PointMatrix(p.AllIFVs())
@@ -728,11 +729,9 @@ var execModes = []struct {
 		return m.Gather(inv), nil
 	}},
 	{"row-parallel", func(p *Program, in map[string]value.Value, n int, _ *rand.Rand) (feature.Matrix, error) {
+		p.Workers = 3
 		return runWith(p, in, func(r *BatchRun) (feature.Matrix, error) {
-			if err := r.ComputeIFVsParallel(p.AllIFVs(), 3); err != nil {
-				return nil, err
-			}
-			return r.MatrixShared(p.AllIFVs())
+			return shardRows(r, nil, p.AllIFVs())
 		})
 	}},
 	{"point-by-point", func(p *Program, in map[string]value.Value, n int, _ *rand.Rand) (feature.Matrix, error) {
@@ -787,16 +786,17 @@ func runWith(p *Program, in map[string]value.Value, body func(*BatchRun) (featur
 }
 
 // pointwise answers in one row at a time through PointMatrix, with the IFVs
-// spread over workers goroutines when workers > 1.
+// spread over at most workers threads.
 func pointwise(p *Program, in map[string]value.Value, n, workers int) (feature.Matrix, error) {
-	rows := make([]feature.Matrix, n)
+	p.Workers = workers
+	rows := make([][]float64, n)
 	for row := range rows {
 		point := make(map[string]value.Value, len(in))
 		for k, v := range in {
 			point[k] = v.Gather([]int{row})
 		}
 		m, err := runWith(p, point, func(r *BatchRun) (feature.Matrix, error) {
-			if err := r.ComputeIFVsParallel(p.AllIFVs(), workers); err != nil {
+			if err := r.ComputeIFVsParallel(p.AllIFVs()); err != nil {
 				return nil, err
 			}
 			return r.PointMatrix(p.AllIFVs())
@@ -804,9 +804,9 @@ func pointwise(p *Program, in map[string]value.Value, n, workers int) (feature.M
 		if err != nil {
 			return nil, err
 		}
-		rows[row] = m
+		rows[row] = feature.RowDense(m, 0, nil)
 	}
-	return feature.VStack(rows...), nil
+	return feature.DenseFromRows(rows), nil
 }
 
 // Property: every way of driving the compiled plan agrees with the
@@ -895,6 +895,7 @@ func TestCompiledInterpretedAgreeProperty(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(99))
 	for _, plan := range plans {
+		ForceFanOut(t, plan.p, 1) // the parallel modes set their own width
 		for trial := 0; trial < 20; trial++ {
 			n := trial // 0 and 1 first, then random sizes
 			if trial > 1 {
@@ -957,6 +958,7 @@ func TestParallelPythonStepsRaceFree(t *testing.T) {
 	}
 	// One row puts both python generators on one state (generator-parallel);
 	// the whole batch runs them on row shards (row-parallel).
+	ForceFanOut(t, p, 2)
 	point := map[string]value.Value{"a": value.NewFloats(av[:1]), "b": value.NewFloats(bv[:1])}
 	for _, in := range []map[string]value.Value{point, inputs} {
 		want, err := p.RunBatch(context.Background(), in)
@@ -968,10 +970,14 @@ func TestParallelPythonStepsRaceFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.ComputeIFVsParallel(p.AllIFVs(), 2); err != nil {
-				t.Fatal(err)
+			var got feature.Matrix
+			if in["a"].Len() == 1 {
+				if err = r.ComputeIFVsParallel(p.AllIFVs()); err == nil {
+					got, err = r.MatrixShared(p.AllIFVs())
+				}
+			} else {
+				got, err = shardRows(r, nil, p.AllIFVs())
 			}
-			got, err := r.MatrixShared(p.AllIFVs())
 			if err != nil {
 				t.Fatal(err)
 			}

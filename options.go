@@ -120,9 +120,14 @@ func WithTracing(sampleRate float64, bufferSize int) Option {
 	}
 }
 
-// WithWorkers sets the thread count for query-aware parallelization of
-// example-at-a-time queries (<= 1 disables). Negative values are clamped to
-// zero (disabled) rather than propagated into the scheduler.
+// WithWorkers caps the threads of query-aware parallelization: the row
+// shards every batch path (cascaded, top-K and uncascaded) runs on, and the
+// feature-generator groups of an example-at-a-time query. 0, the default —
+// and what an artifact saved without a worker count loads as — uses
+// GOMAXPROCS; 1 runs every query sequentially; n uses at most n. A query fans
+// out only as far as its profiled work pays for the hand-off, and every
+// width gives bit-identical results. Negative values are clamped to zero
+// rather than propagated into the scheduler.
 func WithWorkers(n int) Option {
 	return func(o *core.Options) {
 		if n < 0 {
