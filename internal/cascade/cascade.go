@@ -338,22 +338,30 @@ type scoreJob struct {
 var scoreJobs = sync.Pool{New: func() any { return new(scoreJob) }}
 
 func (j *scoreJob) RunShard(sub *weld.BatchRun, lo, hi int) error {
-	x, err := sub.MatrixShared(j.idx)
+	return ScoreRows(sub, j.idx, j.m, j.stage, j.out[lo:hi])
+}
+
+// ScoreRows is the body of Score's shards: it writes m's score of every row
+// of run over the IFVs idx into out, one element per row, recording stage
+// as Score does. A shard job that does more with its rows' scores (top-K's
+// per-shard selection) calls it itself.
+func ScoreRows(run *weld.BatchRun, idx []int, m model.Model, stage string, out []float64) error {
+	x, err := run.MatrixShared(idx)
 	if err != nil {
 		return err
 	}
-	tr := sub.Trace()
+	tr := run.Trace()
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
 	s := model.GetScratch()
-	for k := range j.out[lo:hi] {
-		j.out[lo+k] = model.ScoreRow(j.m, x, k, s)
+	for k := range out {
+		out[k] = model.ScoreRow(m, x, k, s)
 	}
 	model.PutScratch(s)
-	if tr != nil && j.stage != "" {
-		tr.Record(j.stage, t0)
+	if tr != nil && stage != "" {
+		tr.Record(stage, t0)
 	}
 	return nil
 }

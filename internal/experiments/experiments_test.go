@@ -188,7 +188,6 @@ func TestTables23Shapes(t *testing.T) {
 }
 
 func TestTable4Shapes(t *testing.T) {
-	skipTimingUnderRace(t)
 	rows, err := Table4(io.Discard, qs())
 	if err != nil {
 		t.Fatalf("Table4: %v", err)
@@ -200,10 +199,11 @@ func TestTable4Shapes(t *testing.T) {
 		if r.Benchmark == "tracking" {
 			t.Error("tracking must be excluded from top-K (degenerate)")
 		}
-		// Shape: filtering beats the compiled unfiltered query.
-		if r.FilteredThroughput <= r.CompiledThroughput {
-			t.Errorf("%s: filtered %.0f <= compiled %.0f", r.Benchmark,
-				r.FilteredThroughput, r.CompiledThroughput)
+		// Shape: filtering beats the compiled unfiltered query, because the
+		// full model scores only the kept subset (rows, not the clock).
+		if r.FullRows >= r.Rows {
+			t.Errorf("%s: the full model scores %d of %d rows per filtered query", r.Benchmark,
+				r.FullRows, r.Rows)
 		}
 		if math.IsNaN(r.FilteredAverageValue) || math.IsNaN(r.PythonAverageValue) {
 			t.Errorf("%s: NaN average value (model diverged?)", r.Benchmark)

@@ -110,6 +110,36 @@ func (m *CSR) GatherReuse(rows []int, prev *CSR) *CSR {
 	return prev
 }
 
+// StackCSR stacks the rows of parts, in order, into prev's storage when
+// capacity allows (nil: fresh storage) and returns it: the one matrix of
+// which the parts are consecutive row blocks. The parts share one column
+// count; prev must not alias any of them and must no longer be in use.
+func StackCSR(prev *CSR, parts []*CSR) *CSR {
+	rows, nnz := 0, 0
+	for _, p := range parts {
+		rows, nnz = rows+p.rows, nnz+p.NNZ()
+	}
+	if prev == nil {
+		prev = &CSR{}
+	}
+	prev.indptr = growInts(prev.indptr, rows+1)
+	prev.indices = growInts(prev.indices, nnz)
+	prev.values = growFloats(prev.values, nnz)
+	prev.rows, prev.cols = rows, 0
+	prev.indptr[0] = 0
+	row, at := 0, 0
+	for _, p := range parts {
+		prev.cols = p.cols
+		for r := 1; r <= p.rows; r++ {
+			prev.indptr[row+r] = at + p.indptr[r]
+		}
+		copy(prev.indices[at:], p.indices)
+		copy(prev.values[at:], p.values)
+		row, at = row+p.rows, at+p.NNZ()
+	}
+	return prev
+}
+
 // growInts returns a slice of length n, reusing s's backing array when
 // possible. Contents are unspecified.
 func growInts(s []int, n int) []int {

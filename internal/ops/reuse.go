@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"willump/internal/feature"
 	"willump/internal/graph"
@@ -374,9 +375,15 @@ func zeroFloats(s []float64) {
 }
 
 // ApplyInto implements graph.IntoApplier. The whole column is cleaned into
-// one reused byte buffer and converted to a string once (Go strings are
-// immutable, so the result cannot live in the buffer itself); the rows are
-// substrings of it, making a call one allocation however many rows it has.
+// one reused byte buffer, and the rows are substrings of a string viewing
+// that buffer (unsafe.String), so a warm call allocates nothing.
+//
+// The rows live as long as the output-reuse contract lets any ApplyInto
+// output live: until the next ApplyInto with the same scratch cell, which
+// rewrites the buffer under them. Nothing may keep them longer — the
+// executor consumes a run's values before its state is reused, and no
+// operator retains its inputs. Apply runs ApplyInto on a fresh scratch cell
+// no one reuses (applyFresh), so its rows are ordinary immutable strings.
 func (c *Clean) ApplyInto(ins []value.Value, out *value.Value, scratch *any) error {
 	if err := checkOneStrings(c.Name(), ins); err != nil {
 		return err
@@ -387,7 +394,7 @@ func (c *Clean) ApplyInto(ins []value.Value, out *value.Value, scratch *any) err
 		s.b = appendClean(s.b, str)
 		s.ends = append(s.ends, len(s.b))
 	}
-	all := string(s.b)
+	all := unsafe.String(unsafe.SliceData(s.b), len(s.b))
 	dst := s.strings(len(s.ends))
 	start := 0
 	for i, end := range s.ends {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"willump/internal/graph"
@@ -18,6 +20,37 @@ type batchOnlyTable struct{ t *LocalTable }
 func (b batchOnlyTable) Dim() int                                      { return b.t.Dim() }
 func (b batchOnlyTable) LookupBatch(keys []int64) ([][]float64, error) { return b.t.LookupBatch(keys) }
 func (b batchOnlyTable) Requests() int64                               { return b.t.Requests() }
+
+// TestCleanApplyOutlivesApplyInto: Clean.ApplyInto's rows view its scratch
+// cell's buffer, which the next call with that cell rewrites, but Apply's
+// view a cell nothing reuses: later ApplyInto calls — longer, shorter, on a
+// reused cell or a fresh one — leave an Apply result as it was.
+func TestCleanApplyOutlivesApplyInto(t *testing.T) {
+	c := NewClean()
+	docs := []string{"Hello, World!", "a-b_c", "BAD cat is bad!"}
+	got, err := c.Apply([]value.Value{value.NewStrings(docs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(got.Strings))
+	for i, s := range got.Strings {
+		want[i] = strings.Clone(s)
+	}
+	var out value.Value
+	var scratch any
+	for _, batch := range [][]string{{strings.Repeat("OVERWRITE ", 40)}, docs, {"zz", "y"}, {}} {
+		if err := c.ApplyInto([]value.Value{value.NewStrings(batch)}, &out, &scratch); err != nil {
+			t.Fatal(err)
+		}
+		var fresh any
+		if err := c.ApplyInto([]value.Value{value.NewStrings(batch)}, &out, &fresh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(got.Strings, want) {
+		t.Errorf("Apply's rows became %q after later ApplyInto calls, want %q", got.Strings, want)
+	}
+}
 
 // sameValue fails unless got and want hold the same kind, shape, matrix
 // representation and bits.

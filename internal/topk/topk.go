@@ -3,7 +3,11 @@
 // top-scoring elements of a batch. The filter model — built exactly like a
 // cascade's small model — scores every element cheaply, a subset of the
 // top-scoring elements (c_k * K, with a minimum of 5% of the batch) is kept,
-// and only that subset is re-ranked by the full model. The package also
+// and only that subset is re-ranked by the full model. The query pays for
+// the filter pass once: the filter's features are computed for every
+// element on row shards, which also pick the subset among their own rows,
+// and the re-rank reuses those features for the kept elements. Rankings,
+// filter and final alike, break score ties by row index. The package also
 // provides the random-sampling baseline and the ranking-accuracy metrics
 // (precision@K, mean average precision, average value) of Tables 4, 5 and 7.
 package topk
@@ -11,6 +15,7 @@ package topk
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -19,6 +24,7 @@ import (
 	"willump/internal/cascade"
 	"willump/internal/model"
 	"willump/internal/value"
+	"willump/internal/weld"
 )
 
 // Config controls filter-model serving.
@@ -87,10 +93,16 @@ func (f *Filter) TopK(ctx context.Context, inputs map[string]value.Value, k int)
 // subsetSize < 0 selects the configured default policy. Explicit sizes are
 // clamped to [k, n].
 //
-// Both passes run on row shards (cascade.Score): the filter scores over
-// every candidate, TopIndices on the caller, then the re-rank over the kept
-// candidates. Runs and score buffers are pooled, so a warm query allocates
-// the kept candidates, the result and what its operators allocate per call.
+// Both passes run on row shards. Each filter shard scores its rows with the
+// filter model and selects its own subsetSize best (filterJob); the shards
+// leave the efficient IFVs in the run (weld.ShardsKeep). The caller merges
+// the shards' picks into the candidates — exactly the subsetSize best filter
+// scores, ties by row index, NaN last, as TopIndices ranks them — and the
+// re-rank (cascade.Score) gathers the efficient IFVs for them instead of
+// computing them again. The candidates are re-ranked in ascending row order,
+// so the answer ranks by full-model score, then by row index, like
+// ExactTopK. Runs, scores and candidates are pooled, so a warm query
+// allocates its result and what its operators allocate per call.
 func (f *Filter) TopKSubset(ctx context.Context, inputs map[string]value.Value, k int, subsetSize int) ([]int, error) {
 	prog := f.Approx.Prog
 	run, err := prog.NewRun(ctx, inputs)
@@ -105,30 +117,93 @@ func (f *Filter) TopKSubset(ctx context.Context, inputs map[string]value.Value, 
 	if subsetSize < 0 {
 		subsetSize = f.SubsetSize(n, k)
 	}
-	subsetSize = min(max(subsetSize, k), n)
-	sc := scoreBufs.Get().(*scores)
-	defer scoreBufs.Put(sc)
-	sc.filter = slices.Grow(sc.filter[:0], n)[:n]
-	if err := cascade.Score(run, nil, f.Approx.Efficient, f.Approx.Small, "", sc.filter); err != nil {
+	q := queries.Get().(*query)
+	defer func() {
+		q.f = nil
+		queries.Put(q)
+	}()
+	q.f, q.subset = f, min(max(subsetSize, k), n)
+	q.scores = growTo(q.scores, n)
+	q.picks = growTo(q.picks, n)
+	q.ends = growTo(q.ends, n)
+	if err := run.ShardsKeep(f.Approx.Efficient, &q.filterJob); err != nil {
 		return nil, err
 	}
-	candidates := TopIndices(sc.filter, subsetSize)
-	sc.full = slices.Grow(sc.full[:0], subsetSize)[:subsetSize]
-	if err := cascade.Score(run, candidates, prog.AllIFVs(), f.Full, "", sc.full); err != nil {
+	cands := q.candidates()
+	q.full = growTo(q.full, len(cands))
+	if err := cascade.Score(run, cands, prog.AllIFVs(), f.Full, "", q.full); err != nil {
 		return nil, err
 	}
-	order := TopIndices(sc.full, k)
-	for i, o := range order {
-		order[i] = candidates[o]
+	q.order = growTo(q.order, len(cands))
+	for i := range q.order {
+		q.order[i] = i
 	}
-	return order, nil
+	top := rankTop(q.full, q.order, k)
+	out := make([]int, len(top))
+	for i, c := range top {
+		out[i] = cands[c]
+	}
+	return out, nil
 }
 
-// scores holds a top-K query's filter and re-rank scores, pooled across
-// queries.
-type scores struct{ filter, full []float64 }
+// filterJob is a top-K query's filter pass over row shards: each shard
+// scores its rows [lo, hi) with the filter model into scores, selects its
+// subset best rows into the head of picks[lo:hi] and records hi at ends[lo].
+type filterJob struct {
+	f      *Filter
+	subset int
+	scores []float64
+	picks  []int
+	ends   []int
+}
 
-var scoreBufs = sync.Pool{New: func() any { return new(scores) }}
+func (j *filterJob) RunShard(sub *weld.BatchRun, lo, hi int) error {
+	if err := cascade.ScoreRows(sub, j.f.Approx.Efficient, j.f.Approx.Small, "", j.scores[lo:hi]); err != nil {
+		return err
+	}
+	j.pick(lo, hi)
+	return nil
+}
+
+// pick selects the shard [lo, hi)'s subset best rows once it has scored them.
+func (j *filterJob) pick(lo, hi int) {
+	picks := j.picks[lo:hi]
+	for k := range picks {
+		picks[k] = lo + k
+	}
+	selectTop(j.scores, picks, j.subset)
+	j.ends[lo] = hi
+}
+
+// candidates merges the shards' picks into the subset best rows of the
+// filter pass, in ascending row order. A row among the subset best of the
+// batch is among the subset best of its shard, so the merge selects over
+// shards × subset entries, not over every row.
+func (j *filterJob) candidates() []int {
+	m := 0
+	for lo := 0; lo < len(j.scores); lo = j.ends[lo] {
+		m += copy(j.picks[m:], j.picks[lo:lo+min(j.subset, j.ends[lo]-lo)])
+	}
+	cands := j.picks[:m]
+	selectTop(j.scores, cands, j.subset)
+	cands = cands[:j.subset]
+	slices.Sort(cands)
+	return cands
+}
+
+// query is a top-K query's state, pooled across queries: its filter pass,
+// the re-rank scores of the candidates and their ranking.
+type query struct {
+	filterJob
+	full  []float64
+	order []int
+}
+
+var queries = sync.Pool{New: func() any { return new(query) }}
+
+// growTo returns a slice of length n reusing s's backing array when it can.
+// Contents are unspecified.
+func growTo[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // ExactTopK computes the ground-truth top K using the full pipeline and full
 // model over the whole batch (the unoptimized query the paper measures
@@ -191,29 +266,28 @@ func (f *Filter) SampledTopK(ctx context.Context, inputs map[string]value.Value,
 // below every number (NaNs among themselves by ascending index), so NaNs
 // fill the tail only when fewer than k rows have a real score. k is clamped
 // to [0, len(scores)].
-//
-// It selects with a bounded heap — the k best seen so far, worst on top —
-// and sorts only those: most of the other rows cost one comparison against
-// the heap's top, and the result slice is the only allocation.
 func TopIndices(scores []float64, k int) []int {
-	n := len(scores)
-	k = max(0, min(k, n))
-	top := make([]int, k)
-	for i := range top {
-		top[i] = i
+	rows := make([]int, len(scores))
+	for i := range rows {
+		rows[i] = i
 	}
-	if 0 < k && k < n {
-		for i := k/2 - 1; i >= 0; i-- {
-			siftDown(scores, top, i)
-		}
-		for i := k; i < n; i++ {
-			if rankBefore(scores, i, top[0]) {
-				top[0] = i
-				siftDown(scores, top, 0)
-			}
-		}
-	}
-	slices.SortFunc(top, func(a, b int) int {
+	return slices.Clip(rankTop(scores, rows, k))
+}
+
+// rankTop reorders rows so that its first k entries — k clamped to [0,
+// len(rows)] — are its k best under rankBefore, in rank order, and returns
+// them: a selection over every row, then a sort of the k selected alone.
+func rankTop(scores []float64, rows []int, k int) []int {
+	k = max(0, min(k, len(rows)))
+	selectTop(scores, rows, k)
+	top := rows[:k]
+	sortByRank(scores, top)
+	return top
+}
+
+// sortByRank sorts rows into rankBefore's order.
+func sortByRank(scores []float64, rows []int) {
+	slices.SortFunc(rows, func(a, b int) int {
 		switch {
 		case rankBefore(scores, a, b):
 			return -1
@@ -222,7 +296,62 @@ func TopIndices(scores []float64, k int) []int {
 		}
 		return 0
 	})
-	return top
+}
+
+// selectTop reorders rows so that its first k entries are its k best under
+// rankBefore, in no particular order. It is quickselect, expected O(n): each
+// round partitions the range holding the k-th position around the median
+// of its first, middle and last rows, and narrows to the side that position
+// falls on. rankBefore is a total order, so the k selected are the same
+// whatever the partitions; a range that fails to shrink within 2·log₂ n
+// rounds is sorted instead, which bounds the worst case at O(n log n).
+func selectTop(scores []float64, rows []int, k int) {
+	lo, hi := 0, len(rows)
+	if k <= 0 || k >= hi {
+		return
+	}
+	// Invariant: lo < k < hi, every row before lo ranks before every row
+	// from lo on, and every row before hi before every row from hi on.
+	for rounds := 2 * bits.Len(uint(hi)); ; rounds-- {
+		if rounds == 0 {
+			sortByRank(scores, rows[lo:hi])
+			return
+		}
+		p := lo + partition(scores, rows[lo:hi])
+		switch {
+		case p == k || p == k-1:
+			return
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p
+		}
+	}
+}
+
+// partition reorders rows (at least two) around a pivot, the median under
+// rankBefore of the first, middle and last rows: the rows ranking before it,
+// then the pivot, then the rest. It returns the pivot's position.
+func partition(scores []float64, rows []int) int {
+	last, mid := len(rows)-1, len(rows)/2
+	order := func(i, j int) {
+		if rankBefore(scores, rows[j], rows[i]) {
+			rows[i], rows[j] = rows[j], rows[i]
+		}
+	}
+	order(0, mid)
+	order(0, last)
+	order(mid, last)
+	rows[mid], rows[last] = rows[last], rows[mid]
+	pivot, p := rows[last], 0
+	for i := range rows[:last] {
+		if rankBefore(scores, rows[i], pivot) {
+			rows[p], rows[i] = rows[i], rows[p]
+			p++
+		}
+	}
+	rows[p], rows[last] = rows[last], rows[p]
+	return p
 }
 
 // rankBefore is TopIndices' total order: whether row a ranks before row b.
@@ -239,22 +368,4 @@ func rankBefore(scores []float64, a, b int) bool {
 		return bNaN
 	}
 	return a < b
-}
-
-// siftDown moves heap[i] down until the heap order that keeps the
-// worst-ranked row on top holds below position i again.
-func siftDown(scores []float64, heap []int, i int) {
-	for {
-		worst := i
-		for c := 2*i + 1; c <= 2*i+2 && c < len(heap); c++ {
-			if rankBefore(scores, heap[worst], heap[c]) {
-				worst = c
-			}
-		}
-		if worst == i {
-			return
-		}
-		heap[i], heap[worst] = heap[worst], heap[i]
-		i = worst
-	}
 }

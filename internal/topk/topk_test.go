@@ -15,6 +15,14 @@ import (
 
 func newFilter(t *testing.T, cfg Config) (*Filter, fixture.Data) {
 	t.Helper()
+	_, f, test := newFilterFixture(t, cfg)
+	return f, test
+}
+
+// newFilterFixture is newFilter, also returning the fixture, whose lookup
+// tables count the rows each IFV is computed for.
+func newFilterFixture(t *testing.T, cfg Config) (*fixture.Regression, *Filter, fixture.Data) {
+	t.Helper()
 	fx, err := fixture.NewRegression(21, 1500, 500, 1200, 300)
 	if err != nil {
 		t.Fatalf("fixture: %v", err)
@@ -23,7 +31,7 @@ func newFilter(t *testing.T, cfg Config) (*Filter, fixture.Data) {
 	if err != nil {
 		t.Fatalf("BuildApprox: %v", err)
 	}
-	return NewFilter(approx, fx.Model, cfg), fx.Test
+	return fx, NewFilter(approx, fx.Model, cfg), fx.Test
 }
 
 func TestTopIndices(t *testing.T) {

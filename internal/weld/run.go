@@ -90,6 +90,12 @@ type BatchRun struct {
 	fan    fan
 	iota   []int
 	rowScr []int
+
+	// kept[i] is the run's own buffer for IFV i's root, which ShardsKeep
+	// writes the shards' rows into and then places in the root's slot. It
+	// only ever holds that root, so it stays with the run across
+	// acquisitions like any state-owned buffer.
+	kept []value.Value
 }
 
 // remoteMiss is one remote IFV whose point cache probe missed: probed at t0

@@ -7,7 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"willump/internal/feature"
 	"willump/internal/parallel"
+	"willump/internal/value"
 )
 
 // Query-aware parallelization (section 4.4) has one fan-out: a query splits
@@ -66,8 +68,27 @@ type ShardJob interface {
 // in flight runs at width 1: its batch time is a store round trip, and
 // shards would each make their own. When Shards returns, every shard's run
 // is closed and every part, its trace spans included, has finished; the
-// first error wins, and a shard's panic is re-raised here only then.
+// first error wins, and a shard's panic is re-raised here only then. r
+// holds afterwards what it held before: what the shards computed went with
+// them (ShardsKeep keeps it).
 func (r *BatchRun) Shards(rows, need []int, job ShardJob) error {
+	return r.shards(rows, need, job, false)
+}
+
+// ShardsKeep is Shards over every row of r that leaves the IFVs need in r,
+// as if r had computed them, for a later SubsetRun of r to gather instead of
+// computing them again (top-K's re-rank of the filter's candidates). The
+// slots are decided before the fan-out: r owns one buffer per IFV root
+// (BatchRun.kept). Each shard writes its rows of a dense root into it in
+// place, by row range, as it finishes; a sparse root is stacked from the
+// shards once they have all finished. A root of another kind, or one the job
+// did not compute, stays with the shards, and r computes it when asked. At
+// width 1 the job runs on r itself and there is nothing to copy.
+func (r *BatchRun) ShardsKeep(need []int, job ShardJob) error {
+	return r.shards(nil, need, job, true)
+}
+
+func (r *BatchRun) shards(rows, need []int, job ShardJob, keep bool) error {
 	n := r.n
 	if rows != nil {
 		n = len(rows)
@@ -99,7 +120,83 @@ func (r *BatchRun) Shards(rows, need []int, job ShardJob) error {
 		}
 		f.rows = r.iota[:n]
 	}
-	return f.run(w)
+	if !keep {
+		return f.run(w)
+	}
+	f.keep = need
+	f.subs = growScratch(f.subs, w)
+	f.written = growScratch(f.written, len(need))
+	clear(f.subs)
+	clear(f.written)
+	defer f.closeSubs()
+	if err := f.run(w); err != nil {
+		return err
+	}
+	r.joinKept()
+	return nil
+}
+
+// keepDense writes a keeping part's rows [lo, hi) of each kept root that
+// came out dense into r's buffer for it, which the first part to get there
+// sizes.
+func (f *fan) keepDense(sub *BatchRun, lo, hi int) {
+	r := f.r
+	for j, i := range f.keep {
+		d, ok := sub.vals[r.p.A.IFVs[i].Root].Mat.(*feature.Dense)
+		if !ok || r.ifvDone[i] || !sub.ifvDone[i] {
+			continue
+		}
+		f.mu.Lock()
+		if f.written[j] == 0 {
+			prev, _ := r.kept[i].Mat.(*feature.Dense)
+			r.kept[i] = value.NewMat(feature.GrowDense(prev, r.n, d.Cols()))
+		}
+		f.written[j] += hi - lo
+		dst := r.kept[i].Mat.(*feature.Dense)
+		f.mu.Unlock()
+		copy(dst.Data()[lo*d.Cols():hi*d.Cols()], d.Data())
+	}
+}
+
+// joinKept marks done in r each kept IFV whose root every part left in r's
+// buffer — written in place when dense, stacked here when sparse.
+func (r *BatchRun) joinKept() {
+	f := &r.fan
+	for j, i := range f.keep {
+		root := r.p.A.IFVs[i].Root
+		if r.ifvDone[i] || (f.written[j] != r.n && !r.stackKept(i)) {
+			continue
+		}
+		r.vals[root], r.have[root], r.ifvDone[i] = r.kept[i], true, true
+	}
+}
+
+// stackKept stacks IFV i's root from the parts into r's buffer for it,
+// reporting false, and leaving it for r to compute, unless every part
+// computed it as CSR.
+func (r *BatchRun) stackKept(i int) bool {
+	f := &r.fan
+	defer func() { clear(f.csrs) }()
+	f.csrs = f.csrs[:0]
+	for _, sub := range f.subs {
+		m, ok := sub.vals[r.p.A.IFVs[i].Root].Mat.(*feature.CSR)
+		if !ok || !sub.ifvDone[i] {
+			return false
+		}
+		f.csrs = append(f.csrs, m)
+	}
+	prev, _ := r.kept[i].Mat.(*feature.CSR)
+	r.kept[i] = value.NewMat(feature.StackCSR(prev, f.csrs))
+	return true
+}
+
+// closeSubs closes a keeping fan-out's part runs, on every path.
+func (f *fan) closeSubs() {
+	for k, sub := range f.subs {
+		sub.Close()
+		f.subs[k] = nil
+	}
+	f.keep = nil
 }
 
 // ComputeIFVsParallel computes the given IFVs of a point query with its
@@ -217,6 +314,14 @@ type fan struct {
 	job        ShardJob
 	groups     [][]int
 
+	// A keeping fan-out's (ShardsKeep) IFVs, its parts' runs — left open
+	// until the roots are joined — the rows of each IFV's dense root written
+	// into r, and the parts' sparse roots being stacked.
+	keep    []int
+	subs    []*BatchRun
+	written []int
+	csrs    []*feature.CSR
+
 	// ComputeIFVsParallel's buffers: the IFVs it spreads, their costs and
 	// their LPT assignment.
 	ifvs   []int
@@ -252,12 +357,13 @@ var shardWorkers struct {
 // theirs. Waking a parked goroutine takes 60–300 µs on a 2-core VM — its
 // idle core has to be woken — which is most of a shard's time, while a
 // polling one reacts within a microsecond. 200 µs outlasts the caller's own
-// work between the two fan-outs of a top-K query (TopIndices, ~50 µs) and
-// between back-to-back batches, so a worker stays in the query. Polling
-// yields the thread to any other runnable goroutine (runtime.Gosched), but it
-// does spend CPU time where none is spare, as under a CPU quota: one worker
-// polls at a time, so the pool's polling costs at most one core whatever its
-// size, and a caller's at most spinFor per fan-out.
+// work between back-to-back batches and between the two fan-outs of a top-K
+// query (merging the filter shards' picks: ~5 µs for 2000 rows kept to 200),
+// so a worker stays in the query. Polling yields the thread to any other
+// runnable goroutine (runtime.Gosched), but it does spend CPU time where none
+// is spare, as under a CPU quota: one worker polls at a time, so the pool's
+// polling costs at most one core whatever its size, and a caller's at most
+// spinFor per fan-out.
 const spinFor = 200 * time.Microsecond
 
 func startShardWorkers() {
@@ -403,9 +509,10 @@ func (f *fan) claim() {
 	}
 }
 
-// part runs part k, recycling the shard's run on every path. A panic is
-// recovered — on a worker it would end the process, on the caller skip the
-// join — and kept for run to re-raise.
+// part runs part k, recycling the shard's run on every path — a keeping
+// fan-out's once its roots are joined (closeSubs). A panic is recovered — on
+// a worker it would end the process, on the caller skip the join — and kept
+// for run to re-raise.
 func (f *fan) part(k int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -422,6 +529,14 @@ func (f *fan) part(k int) (err error) {
 	}
 	lo, hi := parallel.Shard(len(f.rows), f.parts, k)
 	sub := f.r.subRun(f.rows[lo:hi], f.contiguous)
-	defer sub.Close()
-	return f.job.RunShard(sub, lo, hi)
+	if f.keep == nil {
+		defer sub.Close()
+		return f.job.RunShard(sub, lo, hi)
+	}
+	f.subs[k] = sub
+	if err := f.job.RunShard(sub, lo, hi); err != nil {
+		return err
+	}
+	f.keepDense(sub, lo, hi)
+	return nil
 }

@@ -3,6 +3,7 @@ package weld
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -169,6 +170,79 @@ func TestShardsMatchSequential(t *testing.T) {
 		if plan.name == "csr" && !seqCSR {
 			t.Fatal("the CSR plan's sequential batch did not assemble CSR")
 		}
+	}
+}
+
+// TestShardsKeep: a keeping fan-out of 2, 3 and rows+16 shards leaves the
+// IFVs its job computed done in its run — dense roots written in place, CSR
+// roots stacked, cold and through a feature cache (whose rows are dense) —
+// so a sub-run gathers them and resumes to the sequential rows bit for bit;
+// a scalar root stays with the shards, and the sub-run computes it. A
+// fan-out that does not keep leaves the run as it was, and at width 1 the
+// job ran on the run itself either way.
+func TestShardsKeep(t *testing.T) {
+	tg, tin := textPipeline(t)
+	lg, lin, _, _ := lookupPipeline(t)
+	cg, cin := csrPipeline(t)
+	pg, pin := passthroughPipeline(t)
+	for _, plan := range []struct {
+		name string
+		g    *graph.Graph
+		in   map[string]value.Value
+		kept bool // whether the plan's uncached roots are dense or CSR
+	}{{"dense", lg, lin, true}, {"csr", cg, cin, true}, {"mixed", tg, tin, true}, {"scalar", pg, pin, false}} {
+		p, want := fitProgram(t, plan.g, plan.in)
+		n := want.Rows()
+		odd := []int{}
+		for row := 1; row < n; row += 2 {
+			odd = append(odd, row)
+		}
+		for _, cached := range []bool{false, true} {
+			if cached {
+				p.EnableFeatureCachingSpecs([]CacheSpec{{IFV: 0}})
+			}
+			for _, shards := range []int{1, 2, 3, n + 16} {
+				ForceFanOut(t, p, shards)
+				for _, keep := range []bool{false, true, true} { // a second keep reuses the run's buffers
+					r, err := p.NewRun(context.Background(), plan.in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					j := newRowsJob(n, p.AllIFVs(), nil)
+					if keep {
+						err = r.ShardsKeep(p.AllIFVs(), j)
+					} else {
+						err = r.Shards(nil, p.AllIFVs(), j)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					what := fmt.Sprintf("%s cached=%v shards=%d keep=%v", plan.name, cached, shards, keep)
+					for i := range p.A.IFVs {
+						done := shards == 1 || keep && (plan.kept || cached && i == 0)
+						if r.ifvDone[i] != done {
+							t.Errorf("%s: IFV %d done in the run: %v, want %v", what, i, r.ifvDone[i], done)
+						}
+					}
+					if r.fan.keep != nil || slices.ContainsFunc(r.fan.subs, func(s *BatchRun) bool { return s != nil }) {
+						t.Errorf("%s: the fan-out still holds its parts", what)
+					}
+					sub := r.SubsetRun(odd)
+					x, err := sub.MatrixShared(p.AllIFVs())
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k, row := range odd {
+						if !sameBits(feature.RowDense(x, k, nil), feature.RowDense(want, row, nil)) {
+							t.Fatalf("%s: resumed row %d differs from the sequential batch", what, row)
+						}
+					}
+					sub.Close()
+					r.Close()
+				}
+			}
+		}
+		p.DisableFeatureCaching()
 	}
 }
 
@@ -396,9 +470,9 @@ func (j *meetJob) RunShard(sub *BatchRun, lo, hi int) error {
 // TestShardsPanic: a shard that panics — on a pool worker, or on the caller
 // while every worker is held — neither ends the process nor skips the join:
 // the batch re-raises the panic on its caller once every shard has finished
-// and been closed, and the recycled run keeps nothing of it. Afterwards the
-// workers still take shards, and the next batch and the next parallel point
-// are correct.
+// and been closed — a keeping batch's parts too — and the recycled run
+// keeps nothing of it. Afterwards the workers still take shards, and the
+// next batch and the next parallel point are correct.
 func TestShardsPanic(t *testing.T) {
 	g, in, _ := sharedCleanPipeline(t)
 	p, want := fitProgram(t, g, in)
@@ -409,9 +483,10 @@ func TestShardsPanic(t *testing.T) {
 	}
 	ForceFanOut(t, p, n)
 	point := map[string]value.Value{"text": value.NewStrings(in["text"].Strings[1:2])}
-	// batch runs j over the shards of a fresh run, closed on the way out as
-	// the predict paths do, and returns the run and what the batch returned
-	// or panicked with.
+	// batch runs j over the shards of a fresh run, keeping their roots when
+	// keep is set, closed on the way out as the predict paths do, and returns
+	// the run and what the batch returned or panicked with.
+	keep := false
 	batch := func(j ShardJob) (r *BatchRun, err error, panicked any) {
 		done := make(chan struct{})
 		go func() {
@@ -421,7 +496,11 @@ func TestShardsPanic(t *testing.T) {
 				return
 			}
 			defer r.Close()
-			err = r.Shards(nil, p.AllIFVs(), j)
+			if keep {
+				err = r.ShardsKeep(p.AllIFVs(), j)
+			} else {
+				err = r.Shards(nil, p.AllIFVs(), j)
+			}
 		}()
 		select {
 		case <-done:
@@ -430,8 +509,12 @@ func TestShardsPanic(t *testing.T) {
 		}
 		return r, err, panicked
 	}
-	for _, held := range []bool{false, true} {
-		name := map[bool]string{false: "workers free", true: "workers held"}[held]
+	// A keeping batch runs with the workers held: its parts' runs stay open
+	// past the shards, so the caller panicking in every one of them is the
+	// case to close.
+	for _, c := range []struct{ held, keep bool }{{false, false}, {true, false}, {true, true}} {
+		held, name := c.held, fmt.Sprintf("workers held=%v keep=%v", c.held, c.keep)
+		keep = c.keep
 		j := &meetJob{rowsJob: newRowsJob(n, p.AllIFVs(), nil), panics: true}
 		var r *BatchRun
 		var err error
@@ -452,7 +535,8 @@ func TestShardsPanic(t *testing.T) {
 				t.Errorf("%s: a panicked shard's run was not closed", name)
 			}
 		}
-		if f := &r.fan; f.job != nil || f.rows != nil || f.groups != nil || f.err != nil || f.panicked != nil || f.active.Load() != 0 {
+		if f := &r.fan; f.job != nil || f.rows != nil || f.groups != nil || f.err != nil || f.panicked != nil || f.active.Load() != 0 ||
+			f.keep != nil || slices.ContainsFunc(f.subs, func(s *BatchRun) bool { return s != nil }) {
 			t.Errorf("%s: the recycled run's fan-out still holds the panicked batch", name)
 		}
 

@@ -35,7 +35,9 @@ import (
 // drops them. Every computed value is written through dest, so nothing else
 // has to know the rule; only a sub-run places such slots itself (subRun),
 // as views of its parent's or as copies in its own gathered buffers, which
-// nothing but subRun writes.
+// nothing but subRun writes, and a keeping fan-out places an IFV root's
+// slot in the run's own kept buffer for that root (ShardsKeep), which
+// nothing but the fan-out writes while the root is not computed.
 
 // initPool sizes and installs the state pool for the current fused plan.
 // Called at the end of Fuse, so re-fusing drops states shaped for the old
@@ -57,6 +59,7 @@ func (p *Program) newState() *BatchRun {
 		stepIns:  make([][]value.Value, len(p.Steps)),
 		scratch:  make([]any, len(p.Steps)),
 		cacheScr: make([]ifvCacheScratch, len(p.A.IFVs)),
+		kept:     make([]value.Value, len(p.A.IFVs)),
 		pending:  make([]ops.PendingLookup, len(p.prefetch)),
 	}
 	for i := range p.Steps {

@@ -3,7 +3,9 @@ package willump_test
 import (
 	"context"
 	"math/rand"
+	"syscall"
 	"testing"
+	"time"
 
 	"willump/internal/core"
 	"willump/internal/fixture"
@@ -183,42 +185,56 @@ func firstRows(d core.Dataset, n int) map[string]value.Value {
 
 // BenchmarkTextPipelines times the three text workloads of the repository
 // benchmark in process: a 1024-row cascaded toxic batch, toxic point queries
-// cycling over the test rows, and TopK(20) over 2000 product candidates.
+// cycling over the test rows, and TopK(20) over 2000 product candidates. The
+// batch workloads also run at Workers: 1, so that their row shards' cost
+// shows beside their gain: cpu-ns/op is the process CPU time per op, which
+// on the sharded runs counts every core and the pool's polling.
 func BenchmarkTextPipelines(b *testing.B) {
 	ctx := context.Background()
-	b.Run("toxic-batch", func(b *testing.B) {
-		o, bm := textFixture(b, "toxic", core.Options{Cascades: true})
-		in := firstRows(bm.Test, 1024)
-		b.ReportAllocs()
-		for b.Loop() {
-			if _, err := o.PredictBatch(ctx, in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	for _, workers := range []int{0, 1} {
+		suffix := map[int]string{0: "", 1: "-workers1"}[workers]
+		b.Run("toxic-batch"+suffix, func(b *testing.B) {
+			o, bm := textFixture(b, "toxic", core.Options{Cascades: true, Workers: workers})
+			in := firstRows(bm.Test, 1024)
+			loopCPU(b, func(int) error { _, err := o.PredictBatch(ctx, in); return err })
+		})
+		b.Run("product-topk"+suffix, func(b *testing.B) {
+			o, bm := textFixture(b, "product", core.Options{TopK: true, Workers: workers})
+			in := firstRows(bm.Test, 2000)
+			loopCPU(b, func(int) error { _, err := o.TopK(ctx, in, 20); return err })
+		})
+	}
 	b.Run("toxic-point", func(b *testing.B) {
 		o, bm := textFixture(b, "toxic", core.Options{Cascades: true})
 		points := make([]map[string]value.Value, bm.Test.Len())
 		for i := range points {
 			points[i] = bm.Test.Row(i).Inputs
 		}
-		b.ReportAllocs()
-		i := 0
-		for b.Loop() {
-			if _, err := o.PredictPoint(ctx, points[i%len(points)]); err != nil {
-				b.Fatal(err)
-			}
-			i++
-		}
+		loopCPU(b, func(i int) error { _, err := o.PredictPoint(ctx, points[i%len(points)]); return err })
 	})
-	b.Run("product-topk", func(b *testing.B) {
-		o, bm := textFixture(b, "product", core.Options{TopK: true})
-		in := firstRows(bm.Test, 2000)
-		b.ReportAllocs()
-		for b.Loop() {
-			if _, err := o.TopK(ctx, in, 20); err != nil {
-				b.Fatal(err)
-			}
+}
+
+// loopCPU runs op, handed the iteration number, as b's timed loop and
+// reports allocations and cpu-ns/op: the process's CPU time, user and system
+// (getrusage), over the loop per op.
+func loopCPU(b *testing.B, op func(i int) error) {
+	b.ReportAllocs()
+	cpu0 := processCPU(b)
+	i := 0
+	for b.Loop() {
+		if err := op(i); err != nil {
+			b.Fatal(err)
 		}
-	})
+		i++
+	}
+	b.ReportMetric(float64(processCPU(b)-cpu0)/float64(i), "cpu-ns/op")
+}
+
+// processCPU returns the CPU time the process has spent, user and system.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
