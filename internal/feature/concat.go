@@ -9,6 +9,13 @@ import "fmt"
 //
 // If every input is dense the result is dense; otherwise the result is CSR.
 // HStack of zero matrices returns an empty 0x0 dense matrix.
+//
+// HStack is the concat operator's whole-batch Apply, the path weld.Fit
+// evaluates a training batch with. Like the per-row interpreted baseline
+// (weld.RunInterpreted), it stands for the unoptimized pipeline, so it visits
+// sparse rows one entry at a time on purpose: only the compiled assembler
+// moves them as blocks (CSRBuilder.AppendRow), and what the optimized path is
+// measured against does not get faster with it.
 func HStack(ms ...Matrix) Matrix {
 	if len(ms) == 0 {
 		return NewDense(0, 0)

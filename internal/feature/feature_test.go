@@ -1,7 +1,9 @@
 package feature
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -150,6 +152,109 @@ func TestCSRBuilderCancellingDuplicatesDropped(t *testing.T) {
 	m := b.Build()
 	if m.NNZ() != 0 {
 		t.Errorf("NNZ = %d, want 0 after exact cancellation", m.NNZ())
+	}
+}
+
+// TestCSRBuilderAppendRowMatchesAdd: appending sorted segments as blocks
+// builds the same matrix, to the bit, as adding their entries one at a time
+// — zero values dropped, segments at any offset, overlapping segments summed
+// — and leaves the row flagged unsorted exactly when Add does, including a
+// segment appended after a higher column.
+func TestCSRBuilderAppendRowMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const cols = 40
+	bulk, each := NewCSRBuilder(cols), NewCSRBuilder(cols)
+	for _, c := range []struct {
+		off      int
+		cols     []int
+		vals     []float64
+		unsorted bool
+	}{
+		{0, []int{5, 7}, []float64{1, 1}, true},    // repeats column 5
+		{0, []int{3, 7}, []float64{0, 1}, false},   // below it, but dropped
+		{2, []int{4, 6}, []float64{1, 1}, false},   // shifted past it
+		{0, []int{2, 9}, []float64{1, -1}, true},   // below it
+		{10, []int{-4, 0}, []float64{1, 1}, false}, // negative, shifted past it
+	} {
+		bulk.Add(5, 2)
+		each.Add(5, 2)
+		bulk.AppendRow(c.off, c.cols, c.vals)
+		for k, col := range c.cols {
+			each.Add(c.off+col, c.vals[k])
+		}
+		if bulk.unsorted != c.unsorted || each.unsorted != c.unsorted {
+			t.Fatalf("AppendRow(%d, %v, %v) after column 5: unsorted = %v (Add: %v), want %v",
+				c.off, c.cols, c.vals, bulk.unsorted, each.unsorted, c.unsorted)
+		}
+		bulk.EndRow()
+		each.EndRow()
+	}
+	for r := 0; r < 500; r++ {
+		if rng.Intn(4) == 0 { // a higher column first: the row is unsorted
+			c, v := cols/2+rng.Intn(cols/2), float64(1+rng.Intn(3))
+			bulk.Add(c, v)
+			each.Add(c, v)
+		}
+		for s := rng.Intn(4); s > 0; s-- {
+			off := rng.Intn(cols / 2)
+			var segCols []int
+			var segVals []float64
+			for c := 0; off+c < cols; c++ {
+				if rng.Intn(3) > 0 {
+					continue
+				}
+				v := rng.NormFloat64()
+				switch rng.Intn(6) {
+				case 0:
+					v = 0
+				case 1:
+					v = math.Copysign(0, -1)
+				}
+				segCols, segVals = append(segCols, c), append(segVals, v)
+			}
+			bulk.AppendRow(off, segCols, segVals)
+			for k, c := range segCols {
+				each.Add(off+c, segVals[k])
+			}
+			if bulk.unsorted != each.unsorted {
+				t.Fatalf("row %d: unsorted = %v after AppendRow, %v after Add", r, bulk.unsorted, each.unsorted)
+			}
+		}
+		bulk.EndRow()
+		each.EndRow()
+	}
+	got, want := bulk.Build(), each.Build()
+	if !reflect.DeepEqual(got.indptr, want.indptr) || !reflect.DeepEqual(got.indices, want.indices) {
+		t.Fatal("AppendRow and Add built different row structures")
+	}
+	for k := range want.values {
+		if math.Float64bits(got.values[k]) != math.Float64bits(want.values[k]) {
+			t.Fatalf("entry %d = %v, want %v", k, got.values[k], want.values[k])
+		}
+	}
+}
+
+// TestCSRBuilderAppendRowPanics: a segment reaching outside the matrix, or
+// with more columns than values, panics instead of building a corrupt row.
+func TestCSRBuilderAppendRowPanics(t *testing.T) {
+	for _, c := range []struct {
+		off  int
+		cols []int
+		vals []float64
+	}{
+		{0, []int{1, 4}, []float64{1, 1}},  // past the last column
+		{2, []int{0, 2}, []float64{1, 1}},  // shifted past it
+		{-1, []int{0, 2}, []float64{1, 1}}, // shifted before column 0
+		{0, []int{0, 1}, []float64{1}},     // values missing
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AppendRow(%d, %v, %v) on 4 columns did not panic", c.off, c.cols, c.vals)
+				}
+			}()
+			NewCSRBuilder(4).AppendRow(c.off, c.cols, c.vals)
+		}()
 	}
 }
 

@@ -2,6 +2,7 @@ package feature
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -169,7 +170,9 @@ func (m *CSR) ToDense() *Dense {
 
 // CSRBuilder incrementally assembles a CSR matrix row by row. Entries of
 // the row being built are appended straight to the matrix's index and value
-// slices, past the last committed row; EndRow commits them.
+// slices, past the last committed row — one at a time (Add), or a sorted
+// segment at once (AppendRow, how vectorizers and the assembler move rows);
+// EndRow commits them.
 type CSRBuilder struct {
 	cols    int
 	indptr  []int
@@ -200,6 +203,49 @@ func (b *CSRBuilder) Add(c int, v float64) {
 	}
 	b.indices = append(b.indices, c)
 	b.values = append(b.values, v)
+}
+
+// AppendRow records the entries (off+cols[k], vals[k]) for the row currently
+// being built, as one block: the row Add would build from them in order,
+// zero values dropped as Add drops them. cols must be strictly ascending (a
+// CSR row view, a drained accumulator); the shifted range is checked once per
+// call, at its ends. Only the block's first entry is compared with what the
+// row holds already, so a segment appended after higher columns flags the
+// row for EndRow's sort, as Add would.
+func (b *CSRBuilder) AppendRow(off int, cols []int, vals []float64) {
+	n := len(cols)
+	if n != len(vals) {
+		panic(fmt.Sprintf("feature: CSRBuilder.AppendRow: %d columns, %d values", n, len(vals)))
+	}
+	if n == 0 {
+		return
+	}
+	if lo, hi := off+cols[0], off+cols[n-1]; lo < 0 || hi >= b.cols {
+		panic(fmt.Sprintf("feature: CSRBuilder.AppendRow: columns [%d, %d] out of range [0, %d)", lo, hi, b.cols))
+	}
+	at := len(b.indices)
+	b.indices = append(b.indices, cols...)
+	b.values = append(b.values, vals...)
+	if off != 0 {
+		idx := b.indices[at:]
+		for k := range idx {
+			idx[k] += off
+		}
+	}
+	if slices.Contains(vals, 0) {
+		idx, vs := b.indices[at:], b.values[at:]
+		kept := 0
+		for k, v := range vs {
+			if v != 0 {
+				idx[kept], vs[kept] = idx[k], v
+				kept++
+			}
+		}
+		b.indices, b.values = b.indices[:at+kept], b.values[:at+kept]
+	}
+	if at > b.indptr[len(b.indptr)-1] && at < len(b.indices) && b.indices[at] <= b.indices[at-1] {
+		b.unsorted = true
+	}
 }
 
 // EndRow finishes the current row. Columns that arrived strictly ascending

@@ -229,9 +229,9 @@ func (a *sparseAcc) countTokens(doc []string, vocab map[string]int) {
 	}
 }
 
-// emitRow appends one document's TF-IDF entries to b, given its drained
-// term counts (which it overwrites with the unnormalized weights). Norms sum
-// in ascending column order.
+// emitRow appends one document's TF-IDF entries to b as one block, given its
+// drained term counts, which it scales in place into the row's weights. Norms
+// sum in ascending column order.
 func (t *TFIDF) emitRow(cols []int, tf []float64, b *feature.CSRBuilder) {
 	for k, col := range cols {
 		tf[k] *= t.idf[col]
@@ -253,9 +253,10 @@ func (t *TFIDF) emitRow(cols []int, tf []float64, b *feature.CSRBuilder) {
 	if norm == 0 {
 		norm = 1
 	}
-	for k, col := range cols {
-		b.Add(col, tf[k]/norm)
+	for k := range tf {
+		tf[k] /= norm
 	}
+	b.AppendRow(0, cols, tf)
 	b.EndRow()
 }
 
@@ -349,15 +350,15 @@ func (c *CountVectorizer) Fit(ins []value.Value) error {
 	return err
 }
 
-// emitRow appends one document's term counts (or presence flags) to b.
+// emitRow appends one document's term counts (or presence flags, written
+// over them) to b.
 func (c *CountVectorizer) emitRow(cols []int, tf []float64, b *feature.CSRBuilder) {
-	for k, col := range cols {
-		if c.Binary {
-			b.Add(col, 1)
-		} else {
-			b.Add(col, tf[k])
+	if c.Binary {
+		for k := range tf {
+			tf[k] = 1
 		}
 	}
+	b.AppendRow(0, cols, tf)
 	b.EndRow()
 }
 

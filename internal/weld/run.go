@@ -821,8 +821,10 @@ func writeDense(seg []float64, v *value.Value, row int, spine []graph.Op) int {
 }
 
 // writeSparse streams row of root value v into the CSR builder at column
-// offset off and returns its width. Spine ops apply per stored entry — their
-// sparse semantics (implicit zeros stay zero) by construction.
+// offset off and returns its width. A CSR row with no spine to apply moves
+// as one block (CSRBuilder.AppendRow); otherwise entries go one at a time,
+// and spine ops apply per stored entry — their sparse semantics (implicit
+// zeros stay zero) by construction.
 func writeSparse(b *feature.CSRBuilder, off int, v *value.Value, row int, spine []graph.Op) int {
 	switch v.Kind {
 	case value.Floats:
@@ -841,6 +843,10 @@ func writeSparse(b *feature.CSRBuilder, off int, v *value.Value, row int, spine 
 			}
 		case *feature.CSR:
 			cols, vals := m.RowView(row)
+			if len(spine) == 0 {
+				b.AppendRow(off, cols, vals)
+				break
+			}
 			for k, c := range cols {
 				b.Add(off+c, applySpineScalar(spine, vals[k]))
 			}

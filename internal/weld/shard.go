@@ -404,7 +404,8 @@ func pollTask() (fanTask, bool) {
 // returns when every part has finished, with the first error; a part's panic
 // is re-raised here instead. A task no worker takes in time is harmless: the
 // caller claims its part meanwhile, and join drops a task whose fan-out has
-// closed.
+// closed. When run returns, no pool channel holds a task of this fan-out
+// that no worker will read.
 func (f *fan) run(parts int) error {
 	shardWorkers.once.Do(startShardWorkers)
 	f.mu.Lock()
@@ -413,10 +414,14 @@ func (f *fan) run(parts int) error {
 	f.parts, f.open, f.err, f.panicked = parts, true, nil, nil
 	f.next.Store(0)
 	f.mu.Unlock()
-	for k := 1; k < parts && f.offer(epoch, k == 1); k++ {
+	hot := false
+	for k := 1; k < parts && f.offer(epoch, k == 1, &hot); k++ {
 	}
 	f.claim()
 	f.finish()
+	if hot {
+		dropHot()
+	}
 	err, panicked := f.err, f.panicked
 	f.rows, f.job, f.groups, f.err, f.panicked = nil, nil, nil, nil, nil
 	if panicked != nil {
@@ -439,15 +444,16 @@ func (f *fan) finish() {
 }
 
 // offer queues a task for the workers — the first of a fan-out in hot when a
-// worker is polling — reporting false when the queue is full: every worker
-// is busy and has a task waiting already. A first task left in hot by a
-// poller that stopped just then waits for the next poller, which drops it;
-// its part is claimed meanwhile.
-func (f *fan) offer(epoch uint64, first bool) bool {
+// worker is polling, setting *hot — reporting false when the queue is full:
+// every worker is busy and has a task waiting already. A first task left in
+// hot by a poller that stopped just then is claimed by the caller meanwhile,
+// and dropped by run (dropHot).
+func (f *fan) offer(epoch uint64, first bool, hot *bool) bool {
 	t := fanTask{f, epoch}
 	if first && shardWorkers.spinning.Load() {
 		select {
 		case shardWorkers.hot <- t:
+			*hot = true
 			return true
 		default:
 		}
@@ -457,6 +463,21 @@ func (f *fan) offer(epoch uint64, first bool) bool {
 		return true
 	default:
 		return false
+	}
+}
+
+// dropHot empties hot once a fan-out that offered there has finished. Only
+// pollers read hot, so a task the last poller left behind would otherwise
+// stay until the next one — never, in a process that fans out no more — and
+// pin its fan, and through it a run with every buffer it grew. hot holds one
+// task: if it is not this fan-out's, this fan-out's was taken already, and
+// the one found is dropped too rather than put back, where it could outlive
+// its own fan-out's check. Dropping a task is harmless: its caller claims the
+// part itself.
+func dropHot() {
+	select {
+	case <-shardWorkers.hot:
+	default:
 	}
 }
 

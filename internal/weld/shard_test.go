@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"willump/internal/feature"
 	"willump/internal/graph"
@@ -434,6 +435,44 @@ func TestShardsNoWait(t *testing.T) {
 		t.Fatal("a sharded batch waited for a held worker")
 	}
 	matricesClose(t, feature.DenseFromRows(j.rows), want, 0)
+}
+
+// TestShardsLeaveNoStaleHotTask: a fan-out whose first task went to hot for
+// a poller that stopped just then — spinning is set here with no poller, so
+// nobody reads hot — leaves no task there when it returns, so its run, which
+// such a task would pin through the fan, can be collected once closed.
+func TestShardsLeaveNoStaleHotTask(t *testing.T) {
+	g, in := passthroughPipeline(t)
+	p, _ := fitProgram(t, g, in)
+	ForceFanOut(t, p, 2)
+	shardWorkers.once.Do(startShardWorkers)
+	for t0 := time.Now(); !shardWorkers.spinning.CompareAndSwap(false, true); runtime.Gosched() {
+		if time.Since(t0) > 10*time.Second {
+			t.Fatal("a pool worker kept polling for 10 s")
+		}
+	}
+	defer shardWorkers.spinning.Store(false)
+
+	r, err := p.NewRun(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Shards(nil, nil, spinJob(0)); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(shardWorkers.hot); n != 0 {
+		t.Fatalf("%d task(s) left in hot after the fan-out returned", n)
+	}
+	run := weak.Make(r)
+	r.Close()
+	r = nil
+	// The program's run pool lets go of a recycled run within two cycles.
+	for range 5 {
+		runtime.GC()
+	}
+	if run.Value() != nil {
+		t.Fatal("a closed run is still reachable after five GCs")
+	}
 }
 
 // meetJob runs rowsJob's shards, except that when meet is set its first
