@@ -282,19 +282,28 @@ func TestTextPipelineAllocBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	easy := -1
+	easy, hard := -1, -1
 	for i, p := range small {
-		if model.Confidence(p) > o.Cascade.Threshold {
+		switch {
+		case model.Confidence(p) > o.Cascade.Threshold && easy < 0:
 			easy = i
-			break
+		case model.Confidence(p) <= o.Cascade.Threshold && hard < 0:
+			hard = i
 		}
 	}
-	if easy < 0 {
-		t.Fatal("toxic: the small model answers no test row")
+	if easy < 0 || hard < 0 {
+		t.Fatalf("toxic: no test row for the small model (%d) or for the full model (%d)", easy, hard)
 	}
 	point := bm.Test.Row(easy).Inputs
 	if allocs := leastAllocs(t, 200, func() error { _, err := o.PredictPoint(ctx, point); return err }); allocs != 0 {
 		t.Errorf("warm small-model toxic PredictPoint allocates %.1f objects/op, want 0", allocs)
+	}
+	// A row the small model does not answer resumes into every IFV and
+	// assembles a one-row CSR into the run's pooled builder: nothing
+	// touches the heap either.
+	point = bm.Test.Row(hard).Inputs
+	if allocs := leastAllocs(t, 200, func() error { _, err := o.PredictPoint(ctx, point); return err }); allocs != 0 {
+		t.Errorf("warm full-model toxic PredictPoint allocates %.1f objects/op, want 0", allocs)
 	}
 
 	// A 1024-row cascaded batch on two row shards (7010 allocations before

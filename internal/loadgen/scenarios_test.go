@@ -2,10 +2,14 @@ package loadgen
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"willump/internal/admission"
+	"willump/internal/core"
+	"willump/internal/serving"
 	"willump/internal/value"
 )
 
@@ -62,24 +66,70 @@ func TestOverloadShedsWithoutCollapse(t *testing.T) {
 // the same 5x-capacity offered load, an SLO-aware env with the degradation
 // ladder must deliver strictly more goodput (successful answers, degraded
 // included) than a 429-only baseline, while criticality-high traffic sees
-// zero hard errors (sheds are allowed; 500s are not) and at least some
-// answers really were served degraded.
+// zero hard errors (sheds are allowed; 500s are not), and the ladder really
+// does serve degraded answers.
+//
+// The ladder's engagement does not hang on machine speed: the store takes
+// 9 ms against a 10 ms SLO, so every computed request alone runs at >= 900‰
+// of the SLO, past the 800‰ degrade rung. Both envs first answer each hot
+// key once (criticality high, which computes on every rung). That leaves
+// the brownout env's controller on the degrade rung, where a
+// low-criticality request for a hot key is answered from the prediction
+// cache, marked degraded; how many such answers the overload itself gets
+// depends on the pressure's swings, so the run only logs it.
 func TestBrownoutBeatsShedOnlyGoodput(t *testing.T) {
+	const hotKeys = 64
 	spec := ScenarioSpec{
 		Name: "brownout-test", Arrivals: "steady", QPS: 1500, Duration: 2 * time.Second,
-		Keys: "hotset", HotKeys: 64, HotFrac: 0.9, Seed: 11, Workers: 128,
+		Keys: "hotset", HotKeys: hotKeys, HotFrac: 0.9, Seed: 11, Workers: 128,
 		Criticality: true,
 		Budget:      Budget{MaxErrorRate: 0.02, MaxOverloadRate: Unchecked, MaxHighCritHardErrors: 0},
 	}
+	warm := func(e *Env) {
+		t.Helper()
+		for k := int64(0); k < hotKeys; k++ {
+			// A shed is the Release race of the previous request: the
+			// model is idle again a moment later, and an idle model admits.
+			for {
+				_, err := e.client.PredictModelResult(context.Background(), e.ModelName, e.inputs(k), core.WithCriticality("high"))
+				if err == nil {
+					break
+				}
+				if !errors.Is(err, serving.ErrOverloaded) {
+					t.Fatalf("warming key %d: %v", k, err)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	admissionOf := func(e *Env) admission.Snapshot {
+		t.Helper()
+		ms, err := e.reg.Stats(e.ModelName)
+		if err != nil || ms.Admission == nil {
+			t.Fatalf("no admission stats: %v", err)
+		}
+		return *ms.Admission
+	}
 
 	brownout, err := NewLocalEnv(EnvConfig{
-		QueueDepth: 4, StoreLatency: 5 * time.Millisecond, Seed: 4,
+		QueueDepth: 4, StoreLatency: 9 * time.Millisecond, Seed: 4,
 		SLO: 10 * time.Millisecond, Brownout: true, CacheCapacity: 8192,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer brownout.Close()
+	warm(brownout)
+	if lvl := admissionOf(brownout).Level; lvl < admission.LevelDegrade {
+		t.Fatalf("after the warm-up the ladder sits at level %d, want >= %d: a computed request no longer crosses the degrade rung", lvl, admission.LevelDegrade)
+	}
+	res, err := brownout.client.PredictModelResult(context.Background(), brownout.ModelName, brownout.inputs(1), core.WithCriticality("low"))
+	if err != nil || res.Degraded != admission.DegradedCache {
+		t.Fatalf("a low-criticality request for a hot key on the degrade rung got %+v, %v; want an answer from the prediction cache", res, err)
+	}
+	if got := admissionOf(brownout).DegradedCache; got != 1 {
+		t.Fatalf("the controller counted %d degraded cache answers, want 1", got)
+	}
 	rep, err := RunScenario(context.Background(), brownout, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -89,12 +139,13 @@ func TestBrownoutBeatsShedOnlyGoodput(t *testing.T) {
 	baseSpec.Name = "brownout-baseline"
 	baseSpec.Budget = Budget{MaxErrorRate: 0.02, MaxOverloadRate: Unchecked, MaxHighCritHardErrors: Unchecked}
 	baseline, err := NewLocalEnv(EnvConfig{
-		QueueDepth: 4, StoreLatency: 5 * time.Millisecond, Seed: 4,
+		QueueDepth: 4, StoreLatency: 9 * time.Millisecond, Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer baseline.Close()
+	warm(baseline)
 	base, err := RunScenario(context.Background(), baseline, baseSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +154,9 @@ func TestBrownoutBeatsShedOnlyGoodput(t *testing.T) {
 	if base.Overloaded == 0 {
 		t.Fatal("429-only baseline shed nothing; the comparison load is not an overload")
 	}
+	t.Logf("goodput: brownout %d (%d degraded), 429-only %d", rep.Success, rep.DegradedResponses, base.Success)
 	if rep.Success <= base.Success {
 		t.Errorf("brownout goodput %d does not beat 429-only baseline %d", rep.Success, base.Success)
-	}
-	if rep.DegradedResponses == 0 {
-		t.Error("brownout run served no degraded answers; the ladder never engaged")
 	}
 	if rep.HighCritStarted == 0 {
 		t.Fatal("no criticality-high requests started; classification is broken")

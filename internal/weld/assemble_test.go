@@ -3,12 +3,14 @@ package weld
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"willump/internal/feature"
 	"willump/internal/graph"
+	"willump/internal/model"
 	"willump/internal/ops"
 	"willump/internal/value"
 )
@@ -223,5 +225,113 @@ func TestAssemblerAppendRowMatchesPerEntry(t *testing.T) {
 			}
 			r.Close()
 		}
+	}
+}
+
+// TestPointRowLayout: a point row takes the batch layout. Over the mixed
+// text plan, cold, behind an elementwise Clip spine and under spineFallback,
+// PointMatrix assembles a CSR row that stores exactly the nonzeros of the
+// same row of the sequential batch, far fewer than its width; over the
+// all-dense lookup plan it assembles dense. Logistic, MLP and GBDT score
+// the point row to the bit like the batch row.
+func TestPointRowLayout(t *testing.T) {
+	// Enough distinct n-grams to fill the vocabulary, so a row's nonzeros
+	// are a small share of the width.
+	words := []string{"bad", "dog", "cat", "fox", "sun", "rain", "good", "day", "tree", "lake", "road", "bird"}
+	rng := rand.New(rand.NewSource(9))
+	docs := make([]string, 32)
+	for i := range docs {
+		doc := words[rng.Intn(len(words))]
+		for k := 0; k < 3; k++ {
+			doc += " " + words[rng.Intn(len(words))]
+		}
+		docs[i] = doc
+	}
+	tin := map[string]value.Value{"text": value.NewStrings(docs)}
+	lg, lin, _, _ := lookupPipeline(t)
+	for _, plan := range []struct {
+		name     string
+		g        *graph.Graph
+		in       map[string]value.Value
+		dense    bool
+		fallback bool
+	}{
+		{"mixed", textGraph(t, nil), tin, false, false},
+		{"mixed-clip", textGraph(t, ops.NewClip(-0.5, 0.5)), tin, false, false},
+		{"mixed-fallback", textGraph(t, negate{}), tin, false, true},
+		{"lookup", lg, lin, true, false},
+	} {
+		p, x := fitProgram(t, plan.g, plan.in)
+		if p.spineFallback != plan.fallback {
+			t.Fatalf("%s: spineFallback = %v, want %v", plan.name, p.spineFallback, plan.fallback)
+		}
+		seq, err := p.RunBatch(context.Background(), plan.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := seq.Rows()
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = float64(i % 2)
+		}
+		models := []model.Model{
+			model.NewLogistic(model.LinearConfig{Seed: 1}),
+			model.NewMLP(model.MLPConfig{Hidden: 4, Epochs: 3, Seed: 2}),
+			model.NewGBDT(model.GBDTConfig{Task: model.Classification, Trees: 5, MaxDepth: 3, Seed: 3}),
+		}
+		batch := make([][]float64, len(models))
+		for k, m := range models {
+			if err := m.Train(x, y); err != nil {
+				t.Fatalf("%s: %T.Train: %v", plan.name, m, err)
+			}
+			batch[k] = m.Predict(seq)
+		}
+		s := model.GetScratch()
+		for row := 0; row < n; row++ {
+			point := make(map[string]value.Value, len(plan.in))
+			for k, v := range plan.in {
+				point[k] = v.Gather([]int{row})
+			}
+			r, err := p.NewRun(context.Background(), point)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pm, err := r.PointMatrix(p.AllIFVs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := feature.RowDense(seq, row, nil)
+			nnz := 0
+			for _, v := range want {
+				if v != 0 {
+					nnz++
+				}
+			}
+			switch m := pm.(type) {
+			case *feature.Dense:
+				if !plan.dense {
+					t.Fatalf("%s row %d: point row assembled dense over a sparse root", plan.name, row)
+				}
+			case *feature.CSR:
+				if plan.dense {
+					t.Fatalf("%s row %d: point row assembled CSR over dense roots", plan.name, row)
+				}
+				if m.NNZ() != nnz || 4*nnz > m.Cols() {
+					t.Fatalf("%s row %d: point row stores %d entries of %d columns, want the batch row's %d nonzeros", plan.name, row, m.NNZ(), m.Cols(), nnz)
+				}
+			default:
+				t.Fatalf("%s row %d: point row assembled %T", plan.name, row, pm)
+			}
+			if !sameBits(feature.RowDense(pm, 0, nil), want) {
+				t.Fatalf("%s row %d: point row differs from the batch row", plan.name, row)
+			}
+			for k, m := range models {
+				if got := model.ScoreRow(m, pm, 0, s); math.Float64bits(got) != math.Float64bits(batch[k][row]) {
+					t.Fatalf("%s row %d: %T scores the point row %v, the batch row %v", plan.name, row, m, got, batch[k][row])
+				}
+			}
+			r.Close()
+		}
+		model.PutScratch(s)
 	}
 }

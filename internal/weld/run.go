@@ -50,8 +50,8 @@ type BatchRun struct {
 	stepIns [][]value.Value
 	scratch []any
 
-	// Assembler output buffers (dense for all-dense batches and every point
-	// query, CSR otherwise) and its per-call scratch.
+	// Assembler output buffers (dense when every selected root is dense,
+	// CSR otherwise, whatever the row count) and its per-call scratch.
 	outDense   *feature.Dense
 	outCSR     *feature.CSR
 	outBuilder feature.CSRBuilder
@@ -687,8 +687,8 @@ func (r *BatchRun) RowScratch(n int) []int {
 }
 
 // PointMatrix is MatrixShared for a point query: it insists on a single-row
-// run, whose matrix is always the dense 1 x w form, so the model scores the
-// row without a sparse walk.
+// run, whose 1 x w matrix takes the batch layout, so a row with sparse roots
+// is CSR and the model scores only its stored entries.
 func (r *BatchRun) PointMatrix(idx []int) (feature.Matrix, error) {
 	if r.n != 1 {
 		return nil, fmt.Errorf("weld: point query got %d rows", r.n)
@@ -702,7 +702,7 @@ func (r *BatchRun) PointMatrix(idx []int) (feature.Matrix, error) {
 // commute with concatenation). Selecting every IFV reproduces the full
 // feature vector of the original pipeline; calling it again with a superset
 // of IFVs (the cascade resume) reuses everything already computed. The
-// output is dense for a single row or when every selected root is dense;
+// output is dense iff every selected root is dense, for any row count;
 // otherwise rows stream into a reused CSR builder. After warm-up it performs
 // no heap allocation. The result is valid only until the next MatrixShared
 // or PointMatrix call on this run or Close; it must be consumed (model
@@ -751,7 +751,7 @@ func (r *BatchRun) MatrixShared(idx []int) (feature.Matrix, error) {
 
 	var dst *feature.Dense
 	b := &r.outBuilder
-	if r.n == 1 || allDense {
+	if allDense {
 		dst = feature.GrowDense(r.outDense, r.n, total)
 		r.outDense = dst
 	} else {
@@ -785,8 +785,9 @@ func (r *BatchRun) MatrixShared(idx []int) (feature.Matrix, error) {
 	return r.outCSR, nil
 }
 
-// writeDense writes row of root value v, with the elementwise spine folded
-// over it, into the head of seg and returns its width.
+// writeDense writes row of root value v (a scalar column or a dense
+// matrix), with the elementwise spine folded over it, into the head of seg
+// and returns its width.
 func writeDense(seg []float64, v *value.Value, row int, spine []graph.Op) int {
 	switch v.Kind {
 	case value.Floats:
@@ -797,19 +798,7 @@ func writeDense(seg []float64, v *value.Value, row int, spine []graph.Op) int {
 		seg[0] = float64(v.Ints[row])
 	case value.Mat:
 		seg = seg[:v.Mat.Cols()]
-		switch m := v.Mat.(type) {
-		case *feature.Dense:
-			copy(seg, m.Row(row))
-		case *feature.CSR:
-			clear(seg)
-			cols, vals := m.RowView(row)
-			for k, c := range cols {
-				seg[c] = vals[k]
-			}
-		default:
-			clear(seg)
-			m.ForEachNZ(row, func(c int, x float64) { seg[c] = x })
-		}
+		copy(seg, v.Mat.(*feature.Dense).Row(row))
 	}
 	for _, op := range spine {
 		ew := op.(graph.Elementwise)

@@ -22,17 +22,19 @@ import (
 
 // rowsJob is a ShardJob copying each shard's assembled rows of the IFVs idx
 // to rows and, when m is set, m's scores of them to scores, at the shard's
-// positions. It records the runs it was handed and counts the one-row
-// shards that assembled dense.
+// positions. It records the runs it was handed, counts the one-row shards
+// that assembled dense, and counts the shards whose layout broke the
+// assembler's rule: dense iff every root it concatenated is dense.
 type rowsJob struct {
 	idx    []int
 	m      model.Model
 	rows   [][]float64
 	scores []float64
 
-	mu       sync.Mutex
-	subs     []*BatchRun
-	denseOne atomic.Int64
+	mu        sync.Mutex
+	subs      []*BatchRun
+	denseOne  atomic.Int64
+	badLayout atomic.Int64
 }
 
 func (j *rowsJob) RunShard(sub *BatchRun, lo, hi int) error {
@@ -43,7 +45,11 @@ func (j *rowsJob) RunShard(sub *BatchRun, lo, hi int) error {
 	if err != nil {
 		return err
 	}
-	if _, dense := x.(*feature.Dense); dense && hi-lo == 1 {
+	_, dense := x.(*feature.Dense)
+	if dense != rootsDense(sub, j.idx) {
+		j.badLayout.Add(1)
+	}
+	if dense && hi-lo == 1 {
 		j.denseOne.Add(1)
 	}
 	s := model.GetScratch()
@@ -55,6 +61,19 @@ func (j *rowsJob) RunShard(sub *BatchRun, lo, hi int) error {
 		}
 	}
 	return nil
+}
+
+// rootsDense reports whether every root of the IFVs idx on r is a scalar
+// column or a dense matrix.
+func rootsDense(r *BatchRun, idx []int) bool {
+	for _, i := range idx {
+		if v := r.vals[r.p.A.IFVs[i].Root]; v.Kind == value.Mat {
+			if _, ok := v.Mat.(*feature.Dense); !ok {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // newRowsJob sizes a rowsJob for n rows.
@@ -109,9 +128,10 @@ func csrPipeline(t *testing.T) (*graph.Graph, map[string]value.Value) {
 
 // TestShardsMatchSequential: a fan-out of 1, 2, 3 and rows+16 shards
 // assembles and scores every row to the bit like the sequential path, over
-// dense, CSR and mixed IFV roots, cold and through feature caches; a one-row
-// shard assembles dense and still scores like the CSR rows of the
-// sequential batch.
+// dense, CSR and mixed IFV roots, cold and through feature caches. Every
+// shard, one row or many, assembles dense iff the roots it concatenates are:
+// a plan's own roots cold, and with IFV 0's cache hits (dense rows) in its
+// place once cached.
 func TestShardsMatchSequential(t *testing.T) {
 	tg, tin := textPipeline(t)
 	lg, lin, _, _ := lookupPipeline(t)
@@ -137,7 +157,21 @@ func TestShardsMatchSequential(t *testing.T) {
 		}
 		wantScores := m.Predict(seq)
 		_, seqCSR := seq.(*feature.CSR)
+		cold, err := p.NewRun(context.Background(), plan.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cold.computeIFVs(p.AllIFVs()); err != nil {
+			t.Fatal(err)
+		}
+		othersDense := rootsDense(cold, p.AllIFVs()[1:])
+		coldDense := othersDense && rootsDense(cold, []int{0})
+		cold.Close()
 		for _, cached := range []bool{false, true} {
+			wantDenseOne := int64(0)
+			if coldDense || cached && othersDense {
+				wantDenseOne = int64(n)
+			}
 			if cached {
 				p.EnableFeatureCachingSpecs([]CacheSpec{{IFV: 0}})
 			}
@@ -161,8 +195,11 @@ func TestShardsMatchSequential(t *testing.T) {
 					if !sameBits(j.scores, wantScores) {
 						t.Fatalf("%s cached=%v shards=%d: scores %v, sequential %v", plan.name, cached, shards, j.scores, wantScores)
 					}
-					if shards > n && j.denseOne.Load() != int64(n) {
-						t.Fatalf("%s: %d of %d one-row shards assembled dense", plan.name, j.denseOne.Load(), n)
+					if bad := j.badLayout.Load(); bad != 0 {
+						t.Fatalf("%s cached=%v shards=%d: %d shards assembled a layout their roots do not call for", plan.name, cached, shards, bad)
+					}
+					if shards > n && j.denseOne.Load() != wantDenseOne {
+						t.Fatalf("%s cached=%v pass %d: %d of %d one-row shards assembled dense, want %d", plan.name, cached, pass, j.denseOne.Load(), n, wantDenseOne)
 					}
 				}
 			}

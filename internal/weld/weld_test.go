@@ -23,6 +23,17 @@ import (
 // concat(tfidf, stats)
 func textPipeline(t *testing.T) (*graph.Graph, map[string]value.Value) {
 	t.Helper()
+	docs := []string{
+		"good dog plays fetch", "bad cat is bad", "the quick brown fox",
+		"bad weather today", "nice sunny day", "dogs and cats living together",
+	}
+	return textGraph(t, nil), map[string]value.Value{"text": value.NewStrings(docs)}
+}
+
+// textGraph is the text pipeline's graph, word TF-IDF (a CSR root) beside
+// TextStats (a dense one), with spine, when set, over their concatenation.
+func textGraph(t *testing.T, spine graph.Op) *graph.Graph {
+	t.Helper()
 	b := graph.NewBuilder()
 	text := b.Input("text")
 	clean := b.Add("clean", ops.NewClean(), text)
@@ -30,17 +41,16 @@ func textPipeline(t *testing.T) (*graph.Graph, map[string]value.Value) {
 	ng := b.Add("ngram", ops.NewWordNGrams(1, 2), tok)
 	tfidf := b.Add("tfidf", ops.NewTFIDF(64, ops.NormL2), ng)
 	stats := b.Add("stats", ops.NewTextStats([]string{"bad"}), text)
-	cat := b.Add("concat", ops.NewConcat(), tfidf, stats)
-	b.SetOutput(cat)
+	out := b.Add("concat", ops.NewConcat(), tfidf, stats)
+	if spine != nil {
+		out = b.Add("spine", spine, out)
+	}
+	b.SetOutput(out)
 	g, err := b.Build()
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	docs := []string{
-		"good dog plays fetch", "bad cat is bad", "the quick brown fox",
-		"bad weather today", "nice sunny day", "dogs and cats living together",
-	}
-	return g, map[string]value.Value{"text": value.NewStrings(docs)}
+	return g
 }
 
 // lookupPipeline builds a MusicRec-style graph with two local lookup tables.
