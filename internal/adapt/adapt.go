@@ -14,8 +14,8 @@ import (
 )
 
 // Config tunes one model's adaptation controller. The zero value is
-// usable: every field defaults to production-safe settings; tests and
-// the loadgen drift scenario compress cadences.
+// usable: every field defaults to production-safe settings; tests
+// compress cadences.
 type Config struct {
 	// SampleEvery shadow-samples one request in N into the detectors
 	// (default 8; 1 samples everything).

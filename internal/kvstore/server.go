@@ -77,23 +77,6 @@ func (s *Server) SetLatencyFunc(fn func() time.Duration) {
 // retry tests. The listener itself stays up.
 func (s *Server) DropNextConns(n int) { s.dropConns.Store(int64(n)) }
 
-// TailLatency builds a latency model for SetLatencyFunc that answers every
-// Nth request in slow and the rest in base — deterministic tail injection
-// for chaos scenarios and hedging tests. every <= 1 makes every request
-// slow; the returned func is safe for concurrent use.
-func TailLatency(every int, base, slow time.Duration) func() time.Duration {
-	if every <= 1 {
-		return func() time.Duration { return slow }
-	}
-	var n atomic.Int64
-	return func() time.Duration {
-		if n.Add(1)%int64(every) == 0 {
-			return slow
-		}
-		return base
-	}
-}
-
 func (s *Server) requestLatency() time.Duration {
 	s.latMu.RLock()
 	fn := s.latFn

@@ -300,3 +300,138 @@ func TestCriticalityHeaderFoldsIn(t *testing.T) {
 		t.Errorf("garbage header status = %d, want 429 (classified normal)", code)
 	}
 }
+
+// TestBrownoutAnswersWhereShedOnlyRefuses is the brownout payoff with the
+// pressure scripted and the queue held. The same deployment runs behind an
+// SLO-aware registry with the ladder and a prediction cache (A) and behind a
+// 429-only registry of the same queue depth (B). Both answer the same hot
+// keys once, then hold their queue full behind a blocked predictor, so
+// neither can compute anything new; A is scripted to the degrade and then the
+// cache-only rung. Over the same request list — hot and cold keys, low,
+// normal and high criticality — A answers strictly more than B: every A
+// answer comes from the prediction cache, carries the cache marker and is
+// counted once by the controller, and nothing on either registry, high
+// criticality included, fails with anything but ErrOverloaded.
+func TestBrownoutAnswersWhereShedOnlyRefuses(t *testing.T) {
+	const (
+		slo   = 100 * time.Millisecond
+		depth = 2
+		hot   = 4
+		hold  = -1.0 // the row the predictor blocks on
+	)
+	ctx := context.Background()
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	pred := PredictorFunc(func(_ context.Context, inputs map[string]value.Value) ([]float64, error) {
+		xs := inputs["x"].Floats
+		out := make([]float64, len(xs))
+		for i, x := range xs {
+			if x == hold {
+				entered <- struct{}{}
+				<-release
+			}
+			out[i] = 2 * x
+		}
+		return out, nil
+	})
+
+	var released sync.Once
+	doRelease := func() { released.Do(func() { close(release) }) }
+
+	// held deploys pred, answers the hot keys once, and holds the queue: one
+	// request blocked inside the predictor, depth more queued behind it.
+	// Their replies arrive on the returned channel after the release.
+	held := func(opts Options) (*Hosted, <-chan error) {
+		t.Helper()
+		reg := NewRegistry(opts)
+		t.Cleanup(func() { reg.Close(ctx) }) //nolint:errcheck
+		// Cleanups run last-in first-out: the release comes before Close,
+		// which waits for the held requests.
+		t.Cleanup(doRelease)
+		if err := reg.DeployPredictor("m", "v1", pred, []string{"x"}); err != nil {
+			t.Fatal(err)
+		}
+		h, err := reg.lookup("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < hot; k++ {
+			if _, _, err := serveRow(ctx, h, oneRow(float64(k))); err != nil {
+				t.Fatalf("warming key %d: %v", k, err)
+			}
+		}
+		replies := make(chan error, depth+1)
+		for i := 0; i <= depth; i++ {
+			x := hold
+			if i > 0 {
+				x = float64(1000 + i) // a filler: cold, and never blocks
+			}
+			go func() {
+				_, _, err := serveRow(ctx, h, oneRow(x))
+				replies <- err
+			}()
+			if i == 0 {
+				<-entered
+			}
+		}
+		awaitQueued(t, h.active.Load(), depth)
+		return h, replies
+	}
+	a, aHeld := held(Options{QueueDepth: depth, SLOTargetP99: slo, Brownout: true, CacheCapacity: 64})
+	b, bHeld := held(Options{QueueDepth: depth})
+
+	// The request list: every hot key and as many cold ones, at every
+	// criticality.
+	var keys []float64
+	for k := 0; k < hot; k++ {
+		keys = append(keys, float64(k), float64(100+k))
+	}
+	// serveList sends the list and returns how many requests were answered.
+	serveList := func(who string, h *Hosted) (answered int64) {
+		t.Helper()
+		for _, crit := range []string{"low", "normal", "high"} {
+			for _, k := range keys {
+				ans := h.serve(call{ctx: ctx, inputs: oneRow(k), n: 1, po: core.PredictOptions{Criticality: crit}})
+				if ans.err != nil {
+					if !errors.Is(ans.err, ErrOverloaded) {
+						t.Errorf("%s: %s-criticality key %v failed with %v, want an answer or ErrOverloaded", who, crit, k, ans.err)
+					}
+					continue
+				}
+				if ans.degraded != admission.DegradedCache || len(ans.preds) != 1 || ans.preds[0] != 2*k {
+					t.Errorf("%s: %s-criticality key %v answered %v marked %q with the queue held, want the cached [%v] marked %q",
+						who, crit, k, ans.preds, ans.degraded, 2*k, admission.DegradedCache)
+				}
+				answered++
+			}
+		}
+		return answered
+	}
+
+	var answeredA, answeredB int64
+	for _, level := range []admission.Level{admission.LevelDegrade, admission.LevelCacheOnly} {
+		press(t, a, slo, level)
+		before := a.admit.Snapshot()
+		n := serveList("brownout", a)
+		after := a.admit.Snapshot()
+		if got := [3]int64{after.DegradedCache - before.DegradedCache, after.DegradedSmallOnly - before.DegradedSmallOnly,
+			after.DegradedBudget - before.DegradedBudget}; got != [3]int64{n, 0, 0} {
+			t.Errorf("at rung %d the degraded counters (cache, small-only, budget) rose by %v for %d cache answers", level, got, n)
+		}
+		answeredA += n
+		answeredB += serveList("429-only", b)
+	}
+	t.Logf("answered with the queue held: brownout %d, 429-only %d", answeredA, answeredB)
+	if answeredA <= answeredB {
+		t.Errorf("brownout answered %d, 429-only %d: the ladder answered nothing the shed-only registry refused", answeredA, answeredB)
+	}
+
+	doRelease()
+	for _, replies := range []<-chan error{aHeld, bHeld} {
+		for i := 0; i <= depth; i++ {
+			if err := <-replies; err != nil {
+				t.Errorf("a request admitted before the hold failed after the release: %v", err)
+			}
+		}
+	}
+}

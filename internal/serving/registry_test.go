@@ -40,8 +40,15 @@ func startRegistryServer(t *testing.T, opts Options) (*Registry, *Client) {
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	return reg, NewClient(base)
+	// Closing the client's idle connections first spares Close the seconds
+	// net/http waits on a connection that was dialed but never carried a
+	// request, which a burst of concurrent requests can leave behind.
+	hc := &http.Client{Timeout: 30 * time.Second, Transport: DefaultTransport()}
+	t.Cleanup(func() {
+		hc.CloseIdleConnections()
+		srv.Close()
+	})
+	return reg, NewClient(base, WithHTTPClient(hc))
 }
 
 func oneRow(x float64) map[string]value.Value {
@@ -225,16 +232,17 @@ func TestHotSwapUnderLoadZeroFailures(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl429 floods a tiny queue behind a blocked predictor:
-// overflow requests must be rejected with the retryable ErrOverloaded, and
-// the blocked ones must still complete once released.
+// TestAdmissionControl429 holds the predictor and drives a burst of probes
+// at a small queue: overload sheds with 429 and does not collapse. Every
+// probe is admitted or refused with the retryable ErrOverloaded, no more
+// are admitted than the queue holds beside the one in flight, the client's
+// 429s are exactly the stats' rejections, and every admitted request
+// succeeds once the predictor is released.
 func TestAdmissionControl429(t *testing.T) {
+	const depth, probes = 4, 16
 	release := make(chan struct{})
 	var released sync.Once
 	doRelease := func() { released.Do(func() { close(release) }) }
-	// A test failure must still release the predictor, or the server's
-	// drain (registered earlier, run later) would hang forever.
-	t.Cleanup(doRelease)
 	var entered sync.Once
 	started := make(chan struct{})
 	slow := PredictorFunc(func(_ context.Context, inputs map[string]value.Value) ([]float64, error) {
@@ -243,48 +251,82 @@ func TestAdmissionControl429(t *testing.T) {
 		n := inputs["x"].Len()
 		return make([]float64, n), nil
 	})
-	reg, cli := startRegistryServer(t, Options{QueueDepth: 1})
+	reg, cli := startRegistryServer(t, Options{QueueDepth: depth})
+	// A test failure must still release the predictor, or the server's
+	// drain would hang forever: cleanups run last-in first-out, so this one
+	// runs before the drain registered above.
+	t.Cleanup(doRelease)
 	if err := reg.DeployPredictor("m", "v1", slow, nil); err != nil {
 		t.Fatal(err)
 	}
+	h, err := reg.lookup("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := h.active.Load()
 	ctx := context.Background()
 
 	// The first request occupies the batcher; wait until it is inside the
 	// predictor so nothing else can merge into its batch.
-	results := make(chan error, 1)
+	first := make(chan error, 1)
 	go func() {
 		_, err := cli.PredictModel(ctx, "m", oneRow(1))
-		results <- err
+		first <- err
 	}()
 	<-started
-	// Probes now fill the depth-1 queue: an admitted probe parks there
-	// (bounded wait, then its client gives up while the entry stays
-	// queued), after which further probes must be rejected with the
-	// retryable ErrOverloaded.
+
+	// The burst: an admitted probe parks in the queue until the release, a
+	// refused one returns at once. The burst has settled when every probe is
+	// one or the other.
+	replies := make(chan error, probes)
+	for i := 0; i < probes; i++ {
+		go func() {
+			_, err := cli.PredictModel(ctx, "m", oneRow(2))
+			replies <- err
+		}()
+	}
+	var refused []error
 	deadline := time.After(10 * time.Second)
-	for {
-		pctx, pcancel := context.WithTimeout(ctx, 200*time.Millisecond)
-		_, err := cli.PredictModel(pctx, "m", oneRow(2))
-		pcancel()
-		if errors.Is(err, ErrOverloaded) {
-			break
-		}
+	for len(refused)+int(v.queued.Load()) < probes {
 		select {
+		case err := <-replies:
+			refused = append(refused, err)
+		case <-time.After(time.Millisecond):
 		case <-deadline:
-			t.Fatalf("never saw ErrOverloaded; last err = %v", err)
-		case <-time.After(2 * time.Millisecond):
+			t.Fatalf("burst never settled: %d refused, %d queued of %d probes", len(refused), v.queued.Load(), probes)
 		}
 	}
+	for _, err := range refused {
+		if !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("a probe refused while the queue was full got %v, want ErrOverloaded", err)
+		}
+	}
+	admitted := probes - len(refused)
+	if admitted > depth {
+		t.Fatalf("%d probes admitted beside the one in flight, want at most the queue depth %d", admitted, depth)
+	}
+	if len(refused) == 0 {
+		t.Fatalf("a burst of %d probes at a depth-%d queue refused nothing", probes, depth)
+	}
+
 	doRelease()
-	if err := <-results; err != nil {
-		t.Fatalf("admitted request failed: %v", err)
+	if err := <-first; err != nil {
+		t.Fatalf("the request in flight failed: %v", err)
+	}
+	for i := 0; i < admitted; i++ {
+		if err := <-replies; err != nil {
+			t.Fatalf("an admitted probe failed after the release: %v", err)
+		}
 	}
 	st, err := cli.Stats(ctx, "m")
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if st.Rejected == 0 {
-		t.Errorf("stats rejected = 0, want > 0")
+	if st.Rejected != int64(len(refused)) {
+		t.Errorf("stats rejected = %d, the client saw %d 429s", st.Rejected, len(refused))
+	}
+	if st.Requests != int64(admitted+1) || st.Errors != 0 {
+		t.Errorf("stats served %d with %d errors, want the %d admitted and no errors", st.Requests, st.Errors, admitted+1)
 	}
 }
 
@@ -295,7 +337,6 @@ func TestAdmissionControl429(t *testing.T) {
 func TestDirectPathAdmission(t *testing.T) {
 	release := make(chan struct{})
 	var released sync.Once
-	t.Cleanup(func() { released.Do(func() { close(release) }) })
 	started := make(chan struct{})
 	var entered sync.Once
 	slow := PredictorFunc(func(_ context.Context, inputs map[string]value.Value) ([]float64, error) {
@@ -304,6 +345,8 @@ func TestDirectPathAdmission(t *testing.T) {
 		return make([]float64, inputs["x"].Len()), nil
 	})
 	reg, cli := startRegistryServer(t, Options{QueueDepth: 1})
+	// Runs before the server's drain, which would wait on the predictor.
+	t.Cleanup(func() { released.Do(func() { close(release) }) })
 	if err := reg.DeployPredictor("m", "v1", slow, nil); err != nil {
 		t.Fatal(err)
 	}

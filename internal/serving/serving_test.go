@@ -219,7 +219,8 @@ func TestServerWithE2ECache(t *testing.T) {
 
 // TestShutdownDrainsInFlightBatch closes the server while a batch is being
 // predicted: the in-flight request must complete successfully, and requests
-// arriving after Shutdown began must be rejected cleanly.
+// arriving after Shutdown began must be rejected cleanly — every one of them,
+// not just the first, so a drain never reports success after a refusal.
 func TestShutdownDrainsInFlightBatch(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -261,6 +262,15 @@ func TestShutdownDrainsInFlightBatch(t *testing.T) {
 		case <-deadline:
 			t.Fatal("new requests still accepted after Shutdown began")
 		case <-time.After(5 * time.Millisecond):
+		}
+	}
+
+	// Once one late arrival is refused, every later one is too.
+	for i := 0; i < 16; i++ {
+		if _, err := cli.Predict(context.Background(), map[string]value.Value{
+			"x": value.NewFloats([]float64{3}),
+		}); err == nil {
+			t.Fatalf("late request %d succeeded after an earlier one was refused", i)
 		}
 	}
 
@@ -354,10 +364,12 @@ func TestServeAfterCloseRejected(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := cli.Predict(context.Background(), map[string]value.Value{
-		"x": value.NewFloats([]float64{1}),
-	}); err == nil {
-		t.Fatal("Predict after Close should fail")
+	for i := 0; i < 16; i++ {
+		if _, err := cli.Predict(context.Background(), map[string]value.Value{
+			"x": value.NewFloats([]float64{1}),
+		}); err == nil {
+			t.Fatalf("Predict %d after Close should fail", i)
+		}
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
