@@ -3,7 +3,10 @@
 package kvstore_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -234,4 +237,57 @@ func TestDimProbe(t *testing.T) {
 	if _, err := store.Dial(context.Background(), store.Config{Addr: addr, ExpectDim: 4}); err == nil {
 		t.Error("Dial expecting 4-wide rows accepted a 3-wide server")
 	}
+}
+
+// appendMGetResponse frames rows as a server answers an MGET (nil rows
+// missing).
+func appendMGetResponse(dst []byte, rows [][]float64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rows)))
+	for _, row := range rows {
+		if row == nil {
+			dst = binary.LittleEndian.AppendUint32(dst, kvstore.MissingDim)
+			continue
+		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(row)))
+		for _, v := range row {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
+	}
+	return dst
+}
+
+// FuzzKVStoreFrames feeds arbitrary bytes to the client's frame readers: a
+// dim-probe answer followed by an MGET response of the width it reported,
+// and the same bytes as an MGET response of a fixed width. Nothing may panic
+// or allocate by a width no check has bounded, and a nil error means one row
+// per key, each missing (nil) or exactly the width.
+func FuzzKVStoreFrames(f *testing.F) {
+	dim2 := binary.LittleEndian.AppendUint32(nil, 2)
+	f.Add(appendMGetResponse(dim2, [][]float64{{1, 2}, nil, {math.NaN(), -0.0}}), uint8(3))
+	f.Add(appendMGetResponse(dim2, nil), uint8(0))
+	f.Add(appendMGetResponse(binary.LittleEndian.AppendUint32(nil, 0), [][]float64{{}, nil}), uint8(2))
+	f.Add(appendMGetResponse(binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFE), [][]float64{{1}}), uint8(1))
+	f.Add(appendMGetResponse(dim2, [][]float64{{1, 2, 3}}), uint8(1))
+	f.Add(append(appendMGetResponse(dim2, [][]float64{{1, 2}}), 0xFF, 0xFF, 0xFF, 0xFF), uint8(2))
+	f.Fuzz(func(t *testing.T, frame []byte, nkeys uint8) {
+		check := func(what string, r *bytes.Reader, dim int) {
+			rows, err := kvstore.ReadMGetResponse(r, int(nkeys), dim)
+			if err != nil {
+				return
+			}
+			if len(rows) != int(nkeys) {
+				t.Fatalf("%s: %d rows for %d keys", what, len(rows), nkeys)
+			}
+			for i, row := range rows {
+				if row != nil && len(row) != dim {
+					t.Fatalf("%s: row %d is %d wide, want %d", what, i, len(row), dim)
+				}
+			}
+		}
+		r := bytes.NewReader(frame)
+		if dim, err := kvstore.ReadDimResponse(r); err == nil {
+			check("after dim probe", r, dim)
+		}
+		check("fixed width", bytes.NewReader(frame), 2)
+	})
 }

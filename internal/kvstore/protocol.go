@@ -27,6 +27,11 @@ const missingDim = MissingDim
 // maxBatch bounds the per-request key count a server will accept.
 const maxBatch = 1 << 20
 
+// maxDim bounds the row width a client accepts (64 Ki columns, 512 KiB a
+// row): the width sizes every value buffer a response is read into, so a
+// width taken unchecked from a frame (0xFFFFFFFE) would ask for ~32 GiB.
+const maxDim = 1 << 16
+
 // AppendMGet appends the framed MGET request for keys to dst and returns
 // the extended slice.
 func AppendMGet(dst []byte, keys []int64) []byte {
@@ -49,6 +54,9 @@ func AppendDimProbe(dst []byte) []byte {
 // r. Missing keys come back as nil rows. The returned rows are freshly
 // allocated; r is left positioned at the next response frame.
 func ReadMGetResponse(r io.Reader, nkeys, dim int) ([][]float64, error) {
+	if dim < 0 || dim > maxDim {
+		return nil, fmt.Errorf("kvstore: row width %d out of range [0, %d]", dim, maxDim)
+	}
 	var cnt [4]byte
 	if _, err := io.ReadFull(r, cnt[:]); err != nil {
 		return nil, fmt.Errorf("kvstore: read count: %w", err)
@@ -83,11 +91,16 @@ func ReadMGetResponse(r io.Reader, nkeys, dim int) ([][]float64, error) {
 	return out, nil
 }
 
-// ReadDimResponse reads the dim-query response from r.
+// ReadDimResponse reads the dim-query response from r, rejecting a width
+// above maxDim.
 func ReadDimResponse(r io.Reader) (int, error) {
 	var buf [4]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return 0, fmt.Errorf("kvstore: read dim probe: %w", err)
 	}
-	return int(binary.LittleEndian.Uint32(buf[:])), nil
+	dim := binary.LittleEndian.Uint32(buf[:])
+	if dim > maxDim {
+		return 0, fmt.Errorf("kvstore: server reports %d-wide rows, more than %d", dim, maxDim)
+	}
+	return int(dim), nil
 }

@@ -133,8 +133,7 @@ func (f *FusedText) row(doc string, s *csrScratch) {
 	default:
 		s.ids = f.words.count(s.doc, &s.acc, s.ids)
 	}
-	cols, tf := s.acc.drain()
-	f.vec.emitRow(cols, tf, &s.b)
+	f.vec.emitRow(&s.acc, &s.b)
 }
 
 // hashRow is row's HashingVectorizer tail: every token's bucket is its

@@ -20,9 +20,12 @@ type packedTable struct {
 	shift uint
 }
 
+// packedSlot is one table entry. link fills what would be padding: a
+// gramIndex keeps a term's suffix link there; other tables leave it unused.
 type packedSlot struct {
-	key uint64
-	val int32 // -1 marks an empty slot
+	key  uint64
+	val  int32 // -1 marks an empty slot
+	link int32
 }
 
 func newPackedTable(n int) *packedTable {
@@ -60,50 +63,80 @@ const maxPackedGram = 8
 // gramIndex is a fitted char n-gram vocabulary compiled for byte windows of
 // lengths [minN, maxN]: one packed table per length up to maxPackedGram, and
 // the vocabulary's own string probe for longer windows.
+//
+// The windows ending at one byte are suffixes of each other, so each packed
+// term carries a suffix link: the column of its longest proper suffix of at
+// least minN bytes that is also a term (-1 when none is), in its slot and in
+// links by column. Following links from a term's column enumerates every
+// shorter term among its suffixes, so count probes only until the longest
+// window that is a term.
 type gramIndex struct {
 	minN, maxN int
 	tabs       [maxPackedGram + 1]*packedTable // by window length
+	links      []int32                         // by column; -1 ends a chain
 	vocab      map[string]int
 }
 
 func newGramIndex(vocab map[string]int, minN, maxN int) *gramIndex {
-	g := &gramIndex{minN: minN, maxN: maxN, vocab: vocab}
+	g := &gramIndex{minN: minN, maxN: maxN, vocab: vocab, links: make([]int32, len(vocab))}
+	hi := min(maxN, maxPackedGram)
 	var sizes [maxPackedGram + 1]int
 	for term := range vocab {
-		if n := len(term); n >= minN && n <= maxN && n <= maxPackedGram {
+		if n := len(term); n >= minN && n <= hi {
 			sizes[n]++
 		}
 	}
-	for n := minN; n <= maxN && n <= maxPackedGram; n++ {
+	for n := minN; n <= hi; n++ {
 		g.tabs[n] = newPackedTable(sizes[n])
 	}
+	for i := range g.links {
+		g.links[i] = -1
+	}
 	for term, col := range vocab {
-		if n := len(term); n >= minN && n <= maxN && n <= maxPackedGram {
-			var key uint64
-			for i := 0; i < n; i++ {
-				key = key<<8 | uint64(term[i])
-			}
-			g.tabs[n].put(key, int32(col))
+		n := len(term)
+		if n < minN || n > hi {
+			continue
 		}
+		var key uint64
+		for i := 0; i < n; i++ {
+			key = key<<8 | uint64(term[i])
+		}
+		link := int32(-1)
+		for k := n - 1; k >= minN; k-- {
+			if suf, ok := vocab[term[n-k:]]; ok {
+				link = int32(suf)
+				break
+			}
+		}
+		t := g.tabs[n]
+		t.slots[t.slot(key)] = packedSlot{key: key, val: int32(col), link: link}
+		g.links[col] = link
 	}
 	return g
 }
 
 // count tallies the vocabulary hits of every byte window of doc into acc.
 // The packed windows roll: w holds the last eight bytes, and the n-byte
-// window ending at a position is w's low n bytes.
+// window ending at a position is w's low n bytes. At each byte the windows
+// are probed longest first; the first that is a term is counted with its
+// suffix chain, and no shorter window is probed.
 func (g *gramIndex) count(doc []byte, acc *sparseAcc) {
 	hi := min(g.maxN, maxPackedGram)
 	var w uint64
 	for e, c := range doc {
 		w = w<<8 | uint64(c)
-		for n := g.minN; n <= hi && n <= e+1; n++ {
+		for n := min(hi, e+1); n >= g.minN; n-- {
 			key := w
 			if n < 8 {
 				key &= 1<<(8*uint(n)) - 1
 			}
-			if col := g.tabs[n].get(key); col >= 0 {
-				acc.hit(int(col))
+			t := g.tabs[n]
+			if s := &t.slots[t.slot(key)]; s.val >= 0 {
+				acc.hit(int(s.val))
+				for l := s.link; l >= 0; l = g.links[l] {
+					acc.hit(int(l))
+				}
+				break
 			}
 		}
 	}

@@ -1,9 +1,11 @@
 package ops
 
 import (
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -372,6 +374,103 @@ func TestTextKernelsHostileVocabulary(t *testing.T) {
 	}
 }
 
+// gramVocab loads terms, in column order, as a fitted L2 TF-IDF through
+// UnmarshalState: the path a saved vocabulary takes, which need not be
+// closed under suffixes the way a top-K-by-df fit nearly always is.
+func gramVocab(t *testing.T, terms []string) *TFIDF {
+	t.Helper()
+	idf := make([]float64, len(terms))
+	for i := range idf {
+		idf[i] = 1 + float64(i%7)/4
+	}
+	state, err := json.Marshal(map[string]any{"max_features": len(terms), "norm": int(NormL2), "fitted": true, "terms": terms, "idf": artifact.Vector(idf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := &TFIDF{}
+	if err := vec.UnmarshalState(state); err != nil {
+		t.Fatal(err)
+	}
+	return vec
+}
+
+// checkGramChain fuses a char (minN, maxN) chain over terms and compares it
+// with the oracle on docs.
+func checkGramChain(t *testing.T, what string, minN, maxN int, terms, docs []string) {
+	t.Helper()
+	src := tokenSource{true, minN, maxN}
+	vec := gramVocab(t, terms)
+	fused, ok := FuseTextChain(append(src.ops(), vec))
+	if !ok {
+		t.Fatalf("%s: chain did not fuse", what)
+	}
+	want := make([]oracleRow, len(docs))
+	for i, s := range docs {
+		want[i] = oracleTFIDF(src.oracle(s), vec)
+	}
+	sameRows(t, fmt.Sprintf("%s %v", what, src), applyChain(t, []graph.Op{fused}, value.NewStrings(docs)), want, docs)
+}
+
+// The char n-gram count probes the longest window first and reaches the
+// shorter terms among its suffixes through links fitted at Fuse. These
+// vocabularies break the suffix closure a fitted one nearly always has, so
+// the links skip lengths, end early, cross from the string probe's lengths
+// into the packed ones, and meet windows cut short by the start of a row.
+func TestTextKernelsGramSuffixLinks(t *testing.T) {
+	// A 4-gram whose 3-suffix is absent: "abcd" must not count "bcd"; "bcde"
+	// links to "cde", and "cd" is shorter than minN.
+	checkGramChain(t, "missing 3-suffix", 3, 4,
+		[]string{"abc", "abcd", "bcde", "cd", "cde", "xab"},
+		[]string{"abcd", "abcde", "bcd", "xabcdx", "cdecde", "abcdabcd", "ab", ""})
+	// A (2,5) chain with gaps at lengths 4 and 3: "abcde" links straight to
+	// "de", which links nowhere ("e" is shorter than minN); "bcdf" links to
+	// "cdf", whose chain ends without "df".
+	checkGramChain(t, "gaps at 4 and 3", 2, 5,
+		[]string{"abcde", "de", "e", "bcdf", "cdf", "xabcd", "bc"},
+		[]string{"abcde", "zabcdez", "de", "cde", "bcde", "bcdf", "xabcdef", "abcdebcdf"})
+	// A (7,9) chain across maxPackedGram: the 9-gram is a string probe, its
+	// 8- and 7-suffixes packed; "qrstuvwx" has no 7-suffix term.
+	checkGramChain(t, "across maxPackedGram", 7, 9,
+		[]string{"abcdefghi", "bcdefghi", "cdefghi", "defghij", "qrstuvwx", "rstuvw", "pqrstuvwx"},
+		[]string{"abcdefghi", "xabcdefghij", "cdefghi", "bcdefghij", "pqrstuvwx", "qrstuvwxy", "abcdefg"})
+	// Windows at the start of a row are shorter than maxN: a leading NUL
+	// byte must not match the zero high bytes of a row that has not yet
+	// filled the rolling window, and a row shorter than minN counts nothing.
+	checkGramChain(t, "row start", 2, 5,
+		[]string{"\x00ab", "ab", "\x00\x00a", "abc", "\x00abc", "bc"},
+		[]string{"ab", "abc", "\x00abc", "a", "\x00", "\x00\x00abc", "b\x00ab", ""})
+	checkGramChain(t, "row start", 3, 8,
+		[]string{"\x00\x00\x00\x00\x00abc", "abc", "\x00abc", "bc", "abcdefgh", "cdefgh"},
+		[]string{"abc", "abcdefgh", "\x00abc", "\x00\x00\x00\x00\x00abc", "xabcdefgh", "ab"})
+
+	// Random halves of every n-gram the documents hold, so chains with
+	// gaps at every length, for each band the kernel treats differently.
+	docs := []string{"abcabcabd abcd", "the cat sat on the mat", "aaaaaaaaaaaa", "abcdefghijkl bcdefghijk", "x"}
+	rng := rand.New(rand.NewSource(1))
+	for _, band := range [][2]int{{1, 2}, {2, 5}, {3, 4}, {1, 8}, {6, 10}} {
+		src := tokenSource{true, band[0], band[1]}
+		seen := make(map[string]bool)
+		var all []string
+		for _, d := range docs {
+			for _, g := range src.oracle(d) {
+				if !seen[g] {
+					seen[g] = true
+					all = append(all, g)
+				}
+			}
+		}
+		for round := 0; round < 8; round++ {
+			var terms []string
+			for _, g := range all {
+				if rng.Intn(2) == 0 {
+					terms = append(terms, g)
+				}
+			}
+			checkGramChain(t, fmt.Sprintf("random half %d", round), band[0], band[1], terms, docs)
+		}
+	}
+}
+
 // TestTextKernelsStatsKeywordTable checks TextStats' keyword table against
 // the oracle where its shortcuts are likeliest to go wrong: words that share
 // a keyword's first byte and length, trim punctuation inside and around
@@ -572,9 +671,10 @@ func TestCategoryStateRoundTripNonASCII(t *testing.T) {
 
 // BenchmarkTextKernels times the operator bodies the text pipelines spend
 // their time in, on Toxic-shaped comments: the two fused TF-IDF chains over
-// cleaned text, Clean and TextStats. stats-product runs TextStats on Product
-// titles and their spam words, where every word shares its first byte and
-// length with a keyword.
+// cleaned text, Clean and TextStats. tfidf-char-miss runs the char chain
+// over rows whose windows mostly miss its vocabulary. stats-product runs
+// TextStats on Product titles and their spam words, where every word shares
+// its first byte and length with a keyword.
 func BenchmarkTextKernels(b *testing.B) {
 	words := strings.Fields("the of you is that it not are this was have with be as on your for they but what all about " +
 		"people think article wikipedia page please thanks edit talk source idiot stupid damn hell moron shut hate")
@@ -612,6 +712,17 @@ func BenchmarkTextKernels(b *testing.B) {
 		}
 		return fused
 	}
+	// The same bytes shuffled within each row: the toxic-fitted char chain
+	// then finds few of its windows in the vocabulary, and probes every
+	// length at most bytes instead of stopping at the first.
+	charChain := fuse(tokenSource{true, 3, 4})
+	rng := rand.New(rand.NewSource(1))
+	shuffled := value.NewStrings(make([]string, len(docs)))
+	for i, d := range cleaned.Strings {
+		p := []byte(d)
+		rng.Shuffle(len(p), func(a, b int) { p[a], p[b] = p[b], p[a] })
+		shuffled.Strings[i] = string(p)
+	}
 	product := data.ProductTitles(1, 2000)
 	for _, bc := range []struct {
 		name string
@@ -619,7 +730,8 @@ func BenchmarkTextKernels(b *testing.B) {
 		in   value.Value
 	}{
 		{"tfidf-word", fuse(tokenSource{false, 1, 2}), cleaned},
-		{"tfidf-char", fuse(tokenSource{true, 3, 4}), cleaned},
+		{"tfidf-char", charChain, cleaned},
+		{"tfidf-char-miss", charChain, shuffled},
 		{"clean", NewClean(), raw},
 		{"stats", NewTextStats([]string{"idiot", "stupid", "damn", "hell", "moron", "hate"}), raw},
 		{"stats-product", NewTextStats(product.Keywords), value.NewStrings(product.Texts)},

@@ -62,9 +62,9 @@ func (v *vocabulary) fit(op string, maxFeatures int, ins []value.Value) ([]keyCo
 type vocabVectorizer interface {
 	graph.Op
 	terms() *vocabulary
-	// emitRow appends one document's entries to b, given its drained term
-	// counts in ascending column order (which it may overwrite).
-	emitRow(cols []int, tf []float64, b *feature.CSRBuilder)
+	// emitRow drains one document's term counts from acc and appends the
+	// document's entries to b.
+	emitRow(acc *sparseAcc, b *feature.CSRBuilder)
 }
 
 // keyCount is one counted key: a term with its document frequency, or a
@@ -191,18 +191,20 @@ func (a *sparseAcc) reset(width int) {
 	}
 }
 
-// hit counts one occurrence of column col.
+// hit counts one occurrence of column col. The touched bit is set on every
+// hit, not tested for first: about half of a row's hits are first hits, a
+// branch no predictor learns.
 func (a *sparseAcc) hit(col int) {
-	if a.counts[col] == 0 {
-		a.touched[col>>6] |= 1 << (uint(col) & 63)
-	}
+	a.touched[col>>6] |= 1 << (uint(col) & 63)
 	a.counts[col]++
 }
 
 // drain returns the touched columns in ascending order with their counts,
-// and zeroes the accumulator for the next row. The slices are reused by the
-// next drain; callers may overwrite tf.
-func (a *sparseAcc) drain() (cols []int, tf []float64) {
+// each times weight[col] unless weight is nil, and the sum of the squares of
+// those values, added in the same order; it zeroes the accumulator for the
+// next row. The slices are reused by the next drain; callers may overwrite
+// tf.
+func (a *sparseAcc) drain(weight []float64) (cols []int, tf []float64, sq float64) {
 	cols, tf = a.cols[:0], a.tf[:0]
 	for w, word := range a.touched {
 		if word == 0 {
@@ -211,13 +213,18 @@ func (a *sparseAcc) drain() (cols []int, tf []float64) {
 		a.touched[w] = 0
 		for ; word != 0; word &= word - 1 {
 			col := w<<6 | bits.TrailingZeros64(word)
+			v := float64(a.counts[col])
+			if weight != nil {
+				v *= weight[col]
+			}
 			cols = append(cols, col)
-			tf = append(tf, float64(a.counts[col]))
+			tf = append(tf, v)
+			sq += v * v
 			a.counts[col] = 0
 		}
 	}
 	a.cols, a.tf = cols, tf
-	return cols, tf
+	return cols, tf, sq
 }
 
 // countTokens tallies the vocabulary hits of one token list.
@@ -229,13 +236,11 @@ func (a *sparseAcc) countTokens(doc []string, vocab map[string]int) {
 	}
 }
 
-// emitRow appends one document's TF-IDF entries to b as one block, given its
-// drained term counts, which it scales in place into the row's weights. Norms
-// sum in ascending column order.
-func (t *TFIDF) emitRow(cols []int, tf []float64, b *feature.CSRBuilder) {
-	for k, col := range cols {
-		tf[k] *= t.idf[col]
-	}
+// emitRow appends one document's TF-IDF entries to b as one block: the drain
+// scales its term counts by idf and sums their squares, and the row is
+// normalized in place. Norms sum in ascending column order.
+func (t *TFIDF) emitRow(acc *sparseAcc, b *feature.CSRBuilder) {
+	cols, tf, sq := acc.drain(t.idf)
 	norm := 1.0 // NormNone: x/1 is x
 	switch t.Norm {
 	case NormL1:
@@ -244,10 +249,6 @@ func (t *TFIDF) emitRow(cols []int, tf []float64, b *feature.CSRBuilder) {
 			norm += math.Abs(v)
 		}
 	case NormL2:
-		var sq float64
-		for _, v := range tf {
-			sq += v * v
-		}
 		norm = math.Sqrt(sq)
 	}
 	if norm == 0 {
@@ -287,8 +288,7 @@ func applyVocabInto(v vocabVectorizer, ins []value.Value, out *value.Value, scra
 	s.b.ResetFrom(len(vb.vocab), s.m)
 	for _, doc := range ins[0].Tokens {
 		s.acc.countTokens(doc, vb.vocab)
-		cols, tf := s.acc.drain()
-		v.emitRow(cols, tf, &s.b)
+		v.emitRow(&s.acc, &s.b)
 	}
 	*out = value.NewMat(s.finish())
 	return nil
@@ -313,8 +313,7 @@ func applyVocabBoxed(v vocabVectorizer, ins []any) (any, error) {
 	acc.reset(len(vb.vocab))
 	acc.countTokens(doc, vb.vocab)
 	b := feature.NewCSRBuilder(len(vb.vocab))
-	cols, tf := acc.drain()
-	v.emitRow(cols, tf, b)
+	v.emitRow(&acc, b)
 	return feature.RowDense(b.Build(), 0, nil), nil
 }
 
@@ -352,7 +351,8 @@ func (c *CountVectorizer) Fit(ins []value.Value) error {
 
 // emitRow appends one document's term counts (or presence flags, written
 // over them) to b.
-func (c *CountVectorizer) emitRow(cols []int, tf []float64, b *feature.CSRBuilder) {
+func (c *CountVectorizer) emitRow(acc *sparseAcc, b *feature.CSRBuilder) {
+	cols, tf, _ := acc.drain(nil)
 	if c.Binary {
 		for k := range tf {
 			tf[k] = 1

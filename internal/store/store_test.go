@@ -2,6 +2,9 @@ package store_test
 
 import (
 	"context"
+	"encoding/binary"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,6 +62,40 @@ func TestDialProbesDimAndValidates(t *testing.T) {
 		t.Error("Dial with ExpectDim 5 against a 3-wide server succeeded")
 	} else if !strings.Contains(err.Error(), "3") || !strings.Contains(err.Error(), "5") {
 		t.Errorf("dim mismatch error %q does not name both widths", err)
+	}
+}
+
+// A server whose dim probe reports an absurd width is refused at Dial, with
+// no width expectation configured: the width sizes every later read, so the
+// first lookup (or the breaker's fallback) would otherwise allocate by it.
+func TestDialRejectsHugeDim(t *testing.T) {
+	for _, dim := range []uint32{0xFFFFFFFE, kvstore.MissingDim, 1 << 31, 1<<16 + 1} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			var hdr [5]byte
+			if _, err := io.ReadFull(conn, hdr[:]); err != nil || hdr[0] != 'D' {
+				return
+			}
+			conn.Write(binary.LittleEndian.AppendUint32(nil, dim))
+			io.Copy(io.Discard, conn) // until the client hangs up
+		}()
+		c, err := store.Dial(context.Background(), store.Config{Addr: ln.Addr().String()})
+		if err == nil {
+			c.Close()
+			t.Errorf("Dial accepted a server reporting %d-wide rows", dim)
+		}
+		ln.Close()
+		<-done
 	}
 }
 
