@@ -230,12 +230,12 @@ func (c *Cascade) PredictBatch(ctx context.Context, inputs map[string]value.Valu
 
 // PredictBatchThreshold serves a batch using an explicit threshold (the
 // Figure 7 threshold sweep). The batch runs on row shards (weld.Shards),
-// each through both stages with no barrier between them: efficient IFVs,
-// small-model scores, routing, and the full model on the shard's hard rows
-// alone. Runs, the hard rows' index and copy of the inputs, and model scratch
-// are pooled, and every score is written into the result in place, so the
-// steady-state batch allocates its result and what its operators allocate
-// per call.
+// each through both stages with no barrier between them: small-model scores
+// over the efficient IFVs, routing, and full-model scores on the shard's
+// hard rows alone, each pass one weld.BatchRun.Score. Runs, the hard rows'
+// index and copy of the inputs, and the scores are pooled, and every score
+// is written into the result in place, so the steady-state batch allocates
+// its result and what its operators allocate per call.
 func (c *Cascade) PredictBatchThreshold(ctx context.Context, inputs map[string]value.Value, threshold float64) ([]float64, ServeStats, error) {
 	run, err := c.Prog.NewRun(ctx, inputs)
 	if err != nil {
@@ -274,16 +274,14 @@ func (j *cascadeJob) RunShard(sub *weld.BatchRun, lo, hi int) error {
 	if tr != nil {
 		t0 = time.Now()
 	}
-	effX, err := sub.MatrixShared(c.Efficient)
+	small, err := sub.Score(c.Efficient, c.Small)
 	if err != nil {
 		return err
 	}
-	s := model.GetScratch()
-	defer model.PutScratch(s)
 	hard := sub.RowScratch(len(out))[:0]
-	for k := range out {
-		out[k] = model.ScoreRow(c.Small, effX, k, s)
-		if !(model.Confidence(out[k]) > j.threshold) {
+	for k, p := range small {
+		out[k] = p
+		if !(model.Confidence(p) > j.threshold) {
 			hard = append(hard, k)
 		}
 	}
@@ -297,14 +295,17 @@ func (j *cascadeJob) RunShard(sub *weld.BatchRun, lo, hi int) error {
 	if tr != nil {
 		t0 = time.Now()
 	}
-	hs := sub.SubsetRun(hard)
-	defer hs.Close()
-	fullX, err := hs.MatrixShared(c.Prog.AllIFVs())
+	hs := sub // every row hard (a point query's): resume on sub itself
+	if len(hard) < len(out) {
+		hs = sub.SubsetRun(hard)
+		defer hs.Close()
+	}
+	full, err := hs.Score(c.Prog.AllIFVs(), c.Full)
 	if err != nil {
 		return err
 	}
 	for k, row := range hard {
-		out[row] = model.ScoreRow(c.Full, fullX, k, s)
+		out[row] = full[k]
 	}
 	if tr != nil {
 		tr.Record(trace.StageCascadeResume, t0)
@@ -314,10 +315,10 @@ func (j *cascadeJob) RunShard(sub *weld.BatchRun, lo, hi int) error {
 
 // Score writes m's score of the given rows of run (nil: every row) over the
 // IFVs idx into out, one element per row, on row shards (weld.Shards): each
-// shard assembles its rows' features and scores them in place with
-// model.ScoreRow, the row function every model family's Predict is made of,
-// so out holds Predict's scores to the bit. A sampled run records stage,
-// when not empty, around each shard's scoring.
+// shard scores its rows with weld.BatchRun.Score, which gives
+// model.ScoreRow's scores, the row function every model family's Predict is
+// made of, so out holds Predict's scores to the bit. A sampled run records
+// stage, when not empty, around each shard's scoring.
 func Score(run *weld.BatchRun, rows, idx []int, m model.Model, stage string, out []float64) error {
 	j := scoreJobs.Get().(*scoreJob)
 	*j = scoreJob{m: m, idx: idx, stage: stage, out: out}
@@ -338,32 +339,16 @@ type scoreJob struct {
 var scoreJobs = sync.Pool{New: func() any { return new(scoreJob) }}
 
 func (j *scoreJob) RunShard(sub *weld.BatchRun, lo, hi int) error {
-	return ScoreRows(sub, j.idx, j.m, j.stage, j.out[lo:hi])
-}
-
-// ScoreRows is the body of Score's shards: it writes m's score of every row
-// of run over the IFVs idx into out, one element per row, recording stage
-// as Score does. A shard job that does more with its rows' scores (top-K's
-// per-shard selection) calls it itself.
-func ScoreRows(run *weld.BatchRun, idx []int, m model.Model, stage string, out []float64) error {
-	x, err := run.MatrixShared(idx)
-	if err != nil {
-		return err
-	}
-	tr := run.Trace()
-	var t0 time.Time
+	tr, t0 := sub.Trace(), time.Time{}
 	if tr != nil {
 		t0 = time.Now()
 	}
-	s := model.GetScratch()
-	for k := range out {
-		out[k] = model.ScoreRow(m, x, k, s)
+	scores, err := sub.Score(j.idx, j.m)
+	copy(j.out[lo:hi], scores)
+	if j.stage != "" {
+		tr.Record(j.stage, t0)
 	}
-	model.PutScratch(s)
-	if tr != nil && stage != "" {
-		tr.Record(stage, t0)
-	}
-	return nil
+	return err
 }
 
 // PredictPoint serves one example-at-a-time query through the cascade.
@@ -374,11 +359,11 @@ func (c *Cascade) PredictPoint(ctx context.Context, inputs map[string]value.Valu
 
 // PredictPointThreshold serves one example-at-a-time query using an
 // explicit confidence threshold (the serving layer's per-request override).
-// The query executes on the pooled point path: efficient IFVs materialize
-// into the state's feature-vector buffer, the small model scores in place,
-// and only unconfident queries resume the same state to compute the
-// remaining IFVs — zero heap allocations once warm. Like the batch path it
-// reports which model answered.
+// The query is a batch of one on the pooled point path: a batch's shard
+// body runs on its run, so the small model scores over the efficient IFVs,
+// and only an unconfident query resumes the same state for the full model —
+// zero heap allocations once warm. Like the batch path it reports which
+// model answered.
 func (c *Cascade) PredictPointThreshold(ctx context.Context, inputs map[string]value.Value, threshold float64) (float64, ServeStats, error) {
 	run, err := c.Prog.NewRun(ctx, inputs)
 	if err != nil {
@@ -388,36 +373,13 @@ func (c *Cascade) PredictPointThreshold(ctx context.Context, inputs map[string]v
 	if run.Len() != 1 {
 		return 0, ServeStats{}, fmt.Errorf("cascade: point query got %d rows", run.Len())
 	}
-	s := model.GetScratch()
-	defer model.PutScratch(s)
-	tr := trace.FromContext(ctx)
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	effX, err := run.PointMatrix(c.Efficient)
-	if err != nil {
+	var p [1]float64
+	j := cascadeJob{c: c, threshold: threshold, out: p[:]}
+	if err := j.RunShard(run, 0, 1); err != nil {
 		return 0, ServeStats{}, err
 	}
-	p := model.ScoreRow(c.Small, effX, 0, s)
-	if tr != nil {
-		tr.Record(trace.StageCascadeSmall, t0)
-	}
-	if model.Confidence(p) > threshold {
-		return p, ServeStats{Total: 1, SmallOnly: 1}, nil
-	}
-	if tr != nil {
-		t0 = time.Now()
-	}
-	fullX, err := run.PointMatrix(c.Prog.AllIFVs())
-	if err != nil {
-		return 0, ServeStats{}, err
-	}
-	p = model.ScoreRow(c.Full, fullX, 0, s)
-	if tr != nil {
-		tr.Record(trace.StageCascadeResume, t0)
-	}
-	return p, ServeStats{Total: 1, Cascaded: 1}, nil
+	cascaded := int(j.cascaded.Load())
+	return p[0], ServeStats{Total: 1, SmallOnly: 1 - cascaded, Cascaded: cascaded}, nil
 }
 
 // SmallOnlyPredict runs only the small model over a batch (the orange-X

@@ -207,11 +207,12 @@ func (b *CSRBuilder) Add(c int, v float64) {
 
 // AppendRow records the entries (off+cols[k], vals[k]) for the row currently
 // being built, as one block: the row Add would build from them in order,
-// zero values dropped as Add drops them. cols must be strictly ascending (a
-// CSR row view, a drained accumulator); the shifted range is checked once per
-// call, at its ends. Only the block's first entry is compared with what the
-// row holds already, so a segment appended after higher columns flags the
-// row for EndRow's sort, as Add would.
+// zero values dropped as Add drops them, in the one pass that shifts and
+// copies them. cols must be strictly ascending (a CSR row view, a drained
+// accumulator); the shifted range is checked once per call, at its ends.
+// Only the block's first kept entry is compared with what the row holds
+// already, so a segment appended after higher columns flags the row for
+// EndRow's sort, as Add would.
 func (b *CSRBuilder) AppendRow(off int, cols []int, vals []float64) {
 	n := len(cols)
 	if n != len(vals) {
@@ -224,26 +225,18 @@ func (b *CSRBuilder) AppendRow(off int, cols []int, vals []float64) {
 		panic(fmt.Sprintf("feature: CSRBuilder.AppendRow: columns [%d, %d] out of range [0, %d)", lo, hi, b.cols))
 	}
 	at := len(b.indices)
-	b.indices = append(b.indices, cols...)
-	b.values = append(b.values, vals...)
-	if off != 0 {
-		idx := b.indices[at:]
-		for k := range idx {
-			idx[k] += off
+	b.indices, b.values = slices.Grow(b.indices, n)[:at+n], slices.Grow(b.values, n)[:at+n]
+	idx, vs := b.indices[at:], b.values[at:]
+	kept := 0
+	for k, c := range cols {
+		v := vals[k]
+		idx[kept], vs[kept] = off+c, v
+		if v != 0 {
+			kept++
 		}
 	}
-	if slices.Contains(vals, 0) {
-		idx, vs := b.indices[at:], b.values[at:]
-		kept := 0
-		for k, v := range vs {
-			if v != 0 {
-				idx[kept], vs[kept] = idx[k], v
-				kept++
-			}
-		}
-		b.indices, b.values = b.indices[:at+kept], b.values[:at+kept]
-	}
-	if at > b.indptr[len(b.indptr)-1] && at < len(b.indices) && b.indices[at] <= b.indices[at-1] {
+	b.indices, b.values = b.indices[:at+kept], b.values[:at+kept]
+	if kept > 0 && at > b.indptr[len(b.indptr)-1] && b.indices[at] <= b.indices[at-1] {
 		b.unsorted = true
 	}
 }

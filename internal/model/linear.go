@@ -80,8 +80,20 @@ func (m *linear) Fresh() Model {
 // NumFeatures implements Model.
 func (m *linear) NumFeatures() int { return len(m.w) }
 
-// Weights returns the trained coefficient vector (shared; do not mutate).
+// Weights implements Linear.
 func (m *linear) Weights() []float64 { return m.w }
+
+// Bias implements Linear.
+func (m *linear) Bias() float64 { return m.b }
+
+// Link implements Linear: the sigmoid for Logistic, the identity for
+// LinearRegression.
+func (m *linear) Link(z float64) float64 {
+	if m.logit {
+		return sigmoid(z)
+	}
+	return z
+}
 
 func sigmoid(z float64) float64 {
 	if z >= 0 {
@@ -144,11 +156,7 @@ func (m *linear) Predict(x feature.Matrix) []float64 {
 
 // PredictRow implements Model.
 func (m *linear) PredictRow(x feature.Matrix, r int) float64 {
-	z := feature.Dot(x, r, m.w) + m.b
-	if m.logit {
-		return sigmoid(z)
-	}
-	return z
+	return m.Link(feature.Dot(x, r, m.w) + m.b)
 }
 
 // Importances implements Importancer: |coefficient| x mean |feature value|,

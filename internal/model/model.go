@@ -92,6 +92,16 @@ func ScoreRow(m Model, x feature.Matrix, r int, s *Scratch) float64 {
 	return m.PredictRow(x, r)
 }
 
+// Linear is implemented by the linear families, whose score of row r of x
+// is Link(feature.Dot(x, r, Weights()) + Bias()): what lets a caller that
+// makes the features take the dot product itself, without assembling x.
+// Weights is shared; callers must not mutate it.
+type Linear interface {
+	Weights() []float64
+	Bias() float64
+	Link(z float64) float64
+}
+
 // Importancer is implemented by models with native per-feature prediction
 // importances, available after Train.
 type Importancer interface {

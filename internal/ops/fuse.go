@@ -115,9 +115,14 @@ func (f *FusedText) Width() int {
 	return f.hv.Width()
 }
 
-// row streams one document through the whole chain into the CSR builder:
-// the (cleaned) bytes land in the scratch document buffer, the token source
-// walks them once, and nothing per token is allocated or built as a string.
+// Dots reports whether the chain ends in a vocabulary vectorizer, whose rows
+// DotInto can fold into a dot product.
+func (f *FusedText) Dots() bool { return f.vec != nil }
+
+// row streams one document through the whole chain into the scratch's sink
+// (a hashing chain's into its CSR builder): the (cleaned) bytes land in the
+// scratch document buffer, the token source walks them once, and nothing
+// per token is allocated or built as a string.
 func (f *FusedText) row(doc string, s *csrScratch) {
 	if f.clean != nil {
 		s.doc = appendClean(s.doc[:0], doc)
@@ -133,7 +138,7 @@ func (f *FusedText) row(doc string, s *csrScratch) {
 	default:
 		s.ids = f.words.count(s.doc, &s.acc, s.ids)
 	}
-	f.vec.emitRow(&s.acc, &s.b)
+	f.vec.emitRow(&s.acc, &s.out)
 }
 
 // hashRow is row's HashingVectorizer tail: every token's bucket is its

@@ -309,6 +309,106 @@ func checkChain(t *testing.T, docs []string, cleaned value.Value, which int) {
 		}
 		sameRows(t, fmt.Sprintf("%s fused pass %d", what, pass), out, want, docs)
 	}
+	if f := fused.(*FusedText); f.Dots() {
+		checkDot(t, what, f, in, out.Mat, &scratch)
+	} else if err := f.DotInto([]value.Value{in}, make([]float64, f.Width()), make([]float64, len(docs)), &scratch); err == nil {
+		t.Fatalf("%s: DotInto folded a hashing chain", what)
+	}
+	if tf, ok := vec.(*TFIDF); ok {
+		hostile := hostileIDF(t, tf)
+		chain[len(chain)-1] = hostile
+		fused, ok := FuseTextChain(chain)
+		if !ok {
+			t.Fatalf("%s: chain with a loaded vocabulary did not fuse", what)
+		}
+		var scratch any
+		if err := fused.(graph.IntoApplier).ApplyInto([]value.Value{in}, &out, &scratch); err != nil {
+			t.Fatal(err)
+		}
+		checkDot(t, what+" hostile idf", fused.(*FusedText), in, out.Mat, &scratch)
+	}
+}
+
+// dotWeights are n weights with NaN, ±Inf and zeros among ordinary values.
+func dotWeights(n int) []float64 {
+	w := make([]float64, n)
+	for c := range w {
+		switch {
+		case c%7 == 3:
+			w[c] = math.NaN()
+		case c%11 == 5:
+			w[c] = math.Inf(1)
+		case c%13 == 6:
+			w[c] = math.Inf(-1)
+		case c%5 == 0:
+			w[c] = 0
+		default:
+			w[c] = float64(c%9-4) * 0.37
+		}
+	}
+	return w
+}
+
+// checkDot checks f.DotInto over in against the rows m that ApplyInto
+// emitted for in, through the same scratch cell: from zero sums it must give
+// feature.Dot over each row to the bit, and from nonzero sums the same
+// products added on in column order. NaNs match any NaN: which payload an
+// operation on two NaNs keeps depends on its operand order in the machine
+// code, which race instrumentation changes.
+func checkDot(t *testing.T, what string, f *FusedText, in value.Value, m feature.Matrix, scratch *any) {
+	t.Helper()
+	for _, w := range [][]float64{dotWeights(f.Width()), dotWeights(f.Width() + 3)[3:]} {
+		for _, start := range []float64{0, -1.5} {
+			sums := make([]float64, in.Len())
+			for k := range sums {
+				sums[k] = start * float64(k)
+			}
+			if err := f.DotInto([]value.Value{in}, w, sums, scratch); err != nil {
+				t.Fatal(err)
+			}
+			for k, got := range sums {
+				want := start * float64(k)
+				if start == 0 {
+					want = feature.Dot(m, k, w)
+				} else {
+					cols, vals := m.(*feature.CSR).RowView(k)
+					for j, c := range cols {
+						want += vals[j] * w[c]
+					}
+				}
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("%s: DotInto row %d from %v = %v, the emitted row dots to %v", what, k, start*float64(k), got, want)
+				}
+			}
+		}
+	}
+}
+
+// hostileIDF reloads tf through UnmarshalState with idf weights of 0, NaN
+// and ±Inf among its own, as a saved state may carry them.
+func hostileIDF(t *testing.T, tf *TFIDF) *TFIDF {
+	t.Helper()
+	state, err := tf.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st map[string]any
+	if err := json.Unmarshal(state, &st); err != nil {
+		t.Fatal(err)
+	}
+	idf := append([]float64(nil), tf.idf...)
+	for c := range idf {
+		idf[c] = [...]float64{idf[c], 0, math.NaN(), math.Inf(1), idf[c], math.Inf(-1)}[c%6]
+	}
+	st["idf"] = artifact.Vector(idf)
+	if state, err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	loaded := &TFIDF{}
+	if err := loaded.UnmarshalState(state); err != nil {
+		t.Fatal(err)
+	}
+	return loaded
 }
 
 // kernelEdgeDocs are the inputs the kernels' fast paths and fallbacks
@@ -371,6 +471,47 @@ func TestTextKernelsHostileVocabulary(t *testing.T) {
 			want[i] = oracleTFIDF(src.oracle(s), vec)
 		}
 		sameRows(t, src.String(), applyChain(t, []graph.Op{fused}, value.NewStrings(docs)), want, docs)
+	}
+}
+
+// TestFusedLinearDotLoadedVocabulary: DotInto folds what ApplyInto emits
+// for vocabularies no fit produces — terms no token stream matches, idf
+// weights of 0, NaN and ±Inf, every norm — over empty, blank and non-ASCII
+// documents, and refuses weights narrower than the vocabulary or sums that
+// are not one per document.
+func TestFusedLinearDotLoadedVocabulary(t *testing.T) {
+	terms := []string{"a", "a b", "", "ab", "héllo", "\xffab", "b", "b a", "abc", "bc", "llo", "é"}
+	docs := []value.Value{
+		value.NewStrings([]string{"a b", "", "   ", "héllo wörld", "\xffab\xffab", "a b c b a", "abcabc"}),
+		value.NewStrings(nil),
+	}
+	for _, norm := range []Norm{NormNone, NormL1, NormL2} {
+		for _, src := range []tokenSource{{false, 1, 2}, {true, 1, 3}, {true, 2, 2}} {
+			vec := gramVocab(t, terms)
+			vec.Norm = norm
+			vec = hostileIDF(t, vec)
+			fused, ok := FuseTextChain(append(src.ops(), vec))
+			if !ok {
+				t.Fatalf("%v: chain did not fuse", src)
+			}
+			f := fused.(*FusedText)
+			for _, in := range docs {
+				var out value.Value
+				var scratch any
+				if err := f.ApplyInto([]value.Value{in}, &out, &scratch); err != nil {
+					t.Fatal(err)
+				}
+				checkDot(t, fmt.Sprintf("norm %d %v", norm, src), f, in, out.Mat, &scratch)
+			}
+			var scratch any
+			in := []value.Value{docs[0]}
+			if err := f.DotInto(in, make([]float64, f.Width()-1), make([]float64, docs[0].Len()), &scratch); err == nil {
+				t.Errorf("%v: DotInto accepted %d weights for %d columns", src, f.Width()-1, f.Width())
+			}
+			if err := f.DotInto(in, make([]float64, f.Width()), make([]float64, 1), &scratch); err == nil {
+				t.Errorf("%v: DotInto accepted 1 sum for %d documents", src, docs[0].Len())
+			}
+		}
 	}
 }
 

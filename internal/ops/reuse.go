@@ -57,11 +57,13 @@ func applyFresh(op graph.IntoApplier, ins []value.Value) (value.Value, error) {
 }
 
 // csrScratch backs the sparse-output vectorizers: a reused CSR builder, the
-// matrix whose slices it reclaims between runs, the per-row sparse
-// accumulator, and the fused chain's document bytes and token ids.
+// matrix whose slices it reclaims between runs, the sink rows are emitted
+// to, the per-row sparse accumulator, and the fused chain's document bytes
+// and token ids.
 type csrScratch struct {
 	b   feature.CSRBuilder
 	m   *feature.CSR
+	out rowSink
 	acc sparseAcc
 	doc []byte
 	ids []int32
@@ -185,10 +187,36 @@ func (f *FusedText) ApplyInto(ins []value.Value, out *value.Value, scratch *any)
 		s.acc.reset(f.Width())
 	}
 	s.b.ResetFrom(f.Width(), s.m)
+	s.out = rowSink{b: &s.b}
 	for _, doc := range ins[0].Strings {
 		f.row(doc, s)
 	}
 	*out = value.NewMat(s.finish())
+	return nil
+}
+
+// DotInto is ApplyInto with the rows folded into a dot product with w: for
+// each document row k, it adds to acc[k] every nonzero entry ApplyInto would
+// emit for the row times its weight, in ascending column order, instead of
+// building the row — the products feature.Dot adds over it, in its order,
+// so a running sum over a wider row continues bit for bit. Only a chain
+// ending in a vocabulary vectorizer folds (Dots); it shares ApplyInto's
+// scratch cell.
+func (f *FusedText) DotInto(ins []value.Value, w, acc []float64, scratch *any) error {
+	if err := checkOneStrings(f.Name(), ins); err != nil {
+		return err
+	}
+	if !f.Dots() || len(w) < f.Width() || len(acc) != ins[0].Len() {
+		return fmt.Errorf("ops: %s: DotInto over %d weights and %d sums", f.Name(), len(w), len(acc))
+	}
+	s := getCSRScratch(scratch)
+	s.acc.reset(f.Width())
+	s.out = rowSink{w: w}
+	for k, doc := range ins[0].Strings {
+		s.out.dot = acc[k]
+		f.row(doc, s)
+		acc[k] = s.out.dot
+	}
 	return nil
 }
 

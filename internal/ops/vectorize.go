@@ -62,9 +62,40 @@ func (v *vocabulary) fit(op string, maxFeatures int, ins []value.Value) ([]keyCo
 type vocabVectorizer interface {
 	graph.Op
 	terms() *vocabulary
-	// emitRow drains one document's term counts from acc and appends the
-	// document's entries to b.
-	emitRow(acc *sparseAcc, b *feature.CSRBuilder)
+	// emitRow drains one document's term counts from acc and emits the
+	// document's row to out.
+	emitRow(acc *sparseAcc, out *rowSink)
+}
+
+// rowSink is where a vectorizer emits its rows: into the CSR builder b, or,
+// when w is set, into dot, the running dot product of the current row with
+// the weights w (FusedText.DotInto).
+type rowSink struct {
+	b   *feature.CSRBuilder
+	w   []float64
+	dot float64
+}
+
+// put emits one row whose entries are (cols[k], vals[k]/div): appended to b
+// as one block (vals is scaled in place), or, each nonzero one times its
+// weight, added to dot in ascending column order — the products, in the
+// order, feature.Dot adds over the appended row.
+func (s *rowSink) put(cols []int, vals []float64, div float64) {
+	if s.w == nil {
+		for k := range vals {
+			vals[k] /= div
+		}
+		s.b.AppendRow(0, cols, vals)
+		s.b.EndRow()
+		return
+	}
+	dot, w := s.dot, s.w
+	for k, c := range cols {
+		if v := vals[k] / div; v != 0 {
+			dot += v * w[c]
+		}
+	}
+	s.dot = dot
 }
 
 // keyCount is one counted key: a term with its document frequency, or a
@@ -236,10 +267,10 @@ func (a *sparseAcc) countTokens(doc []string, vocab map[string]int) {
 	}
 }
 
-// emitRow appends one document's TF-IDF entries to b as one block: the drain
-// scales its term counts by idf and sums their squares, and the row is
-// normalized in place. Norms sum in ascending column order.
-func (t *TFIDF) emitRow(acc *sparseAcc, b *feature.CSRBuilder) {
+// emitRow emits one document's TF-IDF row: the drain scales its term counts
+// by idf and sums their squares, and each entry is divided by the norm as it
+// is emitted. Norms sum in ascending column order.
+func (t *TFIDF) emitRow(acc *sparseAcc, out *rowSink) {
 	cols, tf, sq := acc.drain(t.idf)
 	norm := 1.0 // NormNone: x/1 is x
 	switch t.Norm {
@@ -254,11 +285,7 @@ func (t *TFIDF) emitRow(acc *sparseAcc, b *feature.CSRBuilder) {
 	if norm == 0 {
 		norm = 1
 	}
-	for k := range tf {
-		tf[k] /= norm
-	}
-	b.AppendRow(0, cols, tf)
-	b.EndRow()
+	out.put(cols, tf, norm)
 }
 
 // Apply implements graph.Op.
@@ -286,9 +313,10 @@ func applyVocabInto(v vocabVectorizer, ins []value.Value, out *value.Value, scra
 	s := getCSRScratch(scratch)
 	s.acc.reset(len(vb.vocab))
 	s.b.ResetFrom(len(vb.vocab), s.m)
+	s.out = rowSink{b: &s.b}
 	for _, doc := range ins[0].Tokens {
 		s.acc.countTokens(doc, vb.vocab)
-		v.emitRow(&s.acc, &s.b)
+		v.emitRow(&s.acc, &s.out)
 	}
 	*out = value.NewMat(s.finish())
 	return nil
@@ -313,7 +341,7 @@ func applyVocabBoxed(v vocabVectorizer, ins []any) (any, error) {
 	acc.reset(len(vb.vocab))
 	acc.countTokens(doc, vb.vocab)
 	b := feature.NewCSRBuilder(len(vb.vocab))
-	v.emitRow(&acc, b)
+	v.emitRow(&acc, &rowSink{b: b})
 	return feature.RowDense(b.Build(), 0, nil), nil
 }
 
@@ -349,17 +377,16 @@ func (c *CountVectorizer) Fit(ins []value.Value) error {
 	return err
 }
 
-// emitRow appends one document's term counts (or presence flags, written
-// over them) to b.
-func (c *CountVectorizer) emitRow(acc *sparseAcc, b *feature.CSRBuilder) {
+// emitRow emits one document's term counts (or presence flags, written
+// over them).
+func (c *CountVectorizer) emitRow(acc *sparseAcc, out *rowSink) {
 	cols, tf, _ := acc.drain(nil)
 	if c.Binary {
 		for k := range tf {
 			tf[k] = 1
 		}
 	}
-	b.AppendRow(0, cols, tf)
-	b.EndRow()
+	out.put(cols, tf, 1)
 }
 
 // Apply implements graph.Op.

@@ -158,9 +158,11 @@ type filterJob struct {
 }
 
 func (j *filterJob) RunShard(sub *weld.BatchRun, lo, hi int) error {
-	if err := cascade.ScoreRows(sub, j.f.Approx.Efficient, j.f.Approx.Small, "", j.scores[lo:hi]); err != nil {
+	scores, err := sub.Score(j.f.Approx.Efficient, j.f.Approx.Small)
+	if err != nil {
 		return err
 	}
+	copy(j.scores[lo:hi], scores)
 	j.pick(lo, hi)
 	return nil
 }

@@ -29,7 +29,12 @@ import (
 )
 
 // Well-known stage names recorded by the serving path. Weld step and IFV
-// spans use dynamic labels ("step:<op>", "ifv:<index>") instead.
+// spans use dynamic labels ("step:<op>", "ifv:<index>") instead. The
+// cascade stages and a batch's model:score span a whole scoring pass
+// (weld.BatchRun.Score), computing the IFVs it scores included: a linear
+// model takes its dot products inside the text kernels, so their
+// ifv:<index> spans nest inside it. A compiled point's model:score times
+// the scoring alone.
 const (
 	StageQueueWait     = "queue:wait"
 	StageBatchAssemble = "batch:assemble"

@@ -19,8 +19,8 @@ package weld
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
-	"sync"
 
 	"willump/internal/cache"
 	"willump/internal/graph"
@@ -98,9 +98,9 @@ type Program struct {
 	caches     []*cache.Sharded
 	cacheSpecs []CacheSpec
 
-	// pool recycles run states shaped for the fused plan (see state.go).
+	// runs recycles run states shaped for the fused plan (see state.go).
 	// Installed by Fuse; nil before the program is fitted.
-	pool *sync.Pool
+	runs *runList
 
 	// ifvSpine[i] lists the non-concat spine operators applicable to IFV i,
 	// in spine order; precomputed so the assembler needs no per-call
@@ -111,6 +111,11 @@ type Program struct {
 
 	// allIFVs is the cached [0, len(IFVs)) index list (shared, read-only).
 	allIFVs []int
+
+	// dotSteps[i] is IFV i's one generator step when it is an
+	// ops.FusedText whose rows fold into a dot product (Dots) and no spine
+	// operator applies to the IFV, else -1 (see BatchRun.Score).
+	dotSteps []int
 
 	// prefetch lists the plan's async remote-lookup steps: single-node
 	// Lookup steps keyed directly by a source column whose table supports
@@ -305,7 +310,7 @@ func topoSortSteps(steps []step, g *graph.Graph) []step {
 
 // Fuse rebuilds the plan with chain fusion enabled. It requires fitted
 // operators and is called automatically at the end of Fit (and Restore).
-// Fusing also installs the run-state pool sized for the final plan shape and
+// Fusing also installs the run-state free list for the final plan shape and
 // reads the profiled IFV costs the fan-out gate uses.
 func (p *Program) Fuse() {
 	p.buildSteps(true)
@@ -321,7 +326,8 @@ func (p *Program) Fuse() {
 // rediscover per call: which steps each IFV needs (graph.ExecutionOrder's
 // answer for that IFV alone, mapped to the steps producing those nodes),
 // which node slots hold state-owned buffers (a step that writes through
-// ApplyInto or the interpreted driver; see state.go), which IFVs look up a
+// ApplyInto or the interpreted driver; see state.go), which IFVs' generators
+// fold into a linear model's dot product (dotSteps), which IFVs look up a
 // remote table, and which lookup steps can prefetch — a Lookup whose only
 // input is a raw source (its key column is available the moment a run
 // starts) and whose table can begin a fetch without blocking. Plans without
@@ -344,6 +350,18 @@ func (p *Program) layoutSteps() {
 			if si, ok := producer[id]; ok {
 				p.ifvSteps[i] = append(p.ifvSteps[i], si)
 			}
+		}
+	}
+	p.dotSteps = make([]int, len(p.A.IFVs))
+	for i, steps := range p.ifvSteps {
+		p.dotSteps[i] = -1
+		if len(steps) == 0 || len(p.ifvSpine[i]) > 0 {
+			continue
+		}
+		last := steps[len(steps)-1]
+		f, ok := p.Steps[last].op.(*ops.FusedText)
+		if ok && f.Dots() && !slices.ContainsFunc(steps[:len(steps)-1], func(si int) bool { return p.Steps[si].ifv >= 0 }) {
+			p.dotSteps[i] = last
 		}
 	}
 	for si := range p.Steps {
@@ -472,43 +490,23 @@ func (p *Program) Fitted() bool { return p.fitted }
 // fused steps and their layout, fitted operators, spine/prefetch indexes —
 // but owns its own mutable runtime state: a copied cost model, fresh feature
 // caches built from the same plan (so the candidate's hit counters don't
-// pollute the incumbent's), a fresh run-state pool (pooled states hold
+// pollute the incumbent's), a fresh run-state free list (idle states hold
 // per-program cache references), and its own live-profile accumulator when
 // the original had one.
 func (p *Program) CloneRuntime() *Program {
-	c := &Program{
-		G:             p.G,
-		A:             p.A,
-		Order:         p.Order,
-		Steps:         p.Steps,
-		ifvSteps:      p.ifvSteps,
-		reusable:      p.reusable,
-		Widths:        p.Widths,
-		Spans:         p.Spans,
-		Prof:          p.Prof.Clone(),
-		ifvCost:       p.ifvCost,
-		Workers:       p.Workers,
-		ifvLabels:     p.ifvLabels,
-		ifvSpine:      p.ifvSpine,
-		spineFallback: p.spineFallback,
-		allIFVs:       p.allIFVs,
-		prefetch:      p.prefetch,
-		remote:        p.remote,
-		storeBound:    p.storeBound,
-		fitted:        p.fitted,
-	}
+	c := *p
+	c.Prof, c.live, c.fanOutForced = p.Prof.Clone(), nil, false
+	c.caches, c.cacheSpecs = nil, nil
 	if p.live != nil {
 		c.live = NewProfile()
 	}
 	if len(p.cacheSpecs) > 0 {
-		specs := make([]CacheSpec, len(p.cacheSpecs))
-		copy(specs, p.cacheSpecs)
-		c.EnableFeatureCachingSpecs(specs)
+		c.EnableFeatureCachingSpecs(p.cacheSpecs) // into fresh slices: c's are nil
 	}
-	if p.pool != nil {
+	if p.runs != nil {
 		c.initPool()
 	}
-	return c
+	return &c
 }
 
 // resolveInputs maps source labels to columnar values (indexed by node) and

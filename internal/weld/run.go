@@ -10,6 +10,7 @@ import (
 	"willump/internal/cache"
 	"willump/internal/feature"
 	"willump/internal/graph"
+	"willump/internal/model"
 	"willump/internal/ops"
 	"willump/internal/trace"
 	"willump/internal/value"
@@ -32,6 +33,8 @@ type BatchRun struct {
 	p   *Program
 	ctx context.Context
 	n   int
+	// point says the state was acquired for a point run (see state.go).
+	point bool
 
 	// tr is the request's trace, extracted once from ctx at acquisition.
 	// nil for unsampled requests: every hook below is guarded on it, so
@@ -57,6 +60,14 @@ type BatchRun struct {
 	outBuilder feature.CSRBuilder
 	ordered    []int
 	roots      []*value.Value
+
+	// Score's output, the IFVs it reads in place on its fused path, the
+	// weights the dot step it is running folds its rows into scores with
+	// (see execStep), and the model scratch of its assembled path.
+	scores  []float64
+	inPlace []int
+	dot     []float64
+	mscr    model.Scratch
 
 	// cacheScr[i] is IFV i's cached-execution scratch. Indexed per IFV so
 	// ComputeIFVsParallel's parts (which own disjoint IFV sets) never share
@@ -130,7 +141,7 @@ func (p *Program) NewRun(ctx context.Context, inputs map[string]value.Value) (*B
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r := p.getRun(ctx)
+	r := p.getRun(ctx, isPoint(inputs))
 	n, err := p.resolveInto(inputs, r.vals)
 	if err != nil {
 		r.Close()
@@ -192,7 +203,9 @@ func (r *BatchRun) runStep(si int) error {
 }
 
 // execStep is runStep's body: it executes plan step si without tracing,
-// writing the step's value through its slot's destination (see dest).
+// writing the step's value through its slot's destination (see dest), or,
+// while Score's fused path sets r.dot, folding a dot step's rows into
+// r.scores (Program.dotSteps).
 func (r *BatchRun) execStep(si int) error {
 	st := &r.p.Steps[si]
 	ins := r.stepIns[si]
@@ -204,6 +217,9 @@ func (r *BatchRun) execStep(si int) error {
 	}
 	if !st.op.Compilable() {
 		return r.runPythonStep(si, ins)
+	}
+	if r.dot != nil {
+		return st.wrap(st.op.(*ops.FusedText).DotInto(ins, r.dot, r.scores, &r.scratch[si]))
 	}
 	out := r.dest(st.out)
 	if lk, ok := st.op.(*ops.Lookup); ok {
@@ -655,7 +671,7 @@ func (r *BatchRun) SubsetRun(rows []int) *BatchRun { return r.subRun(rows, false
 // rows are consecutive and its kind has one, viewed (value.Slice); either
 // way Close drops the slot unwritten.
 func (r *BatchRun) subRun(rows []int, contiguous bool) *BatchRun {
-	sub := r.p.getRun(r.ctx)
+	sub := r.p.getRun(r.ctx, r.point)
 	sub.n = len(rows)
 	copy(sub.ifvDone, r.ifvDone)
 	for id, ok := range r.have {
@@ -839,10 +855,6 @@ func writeSparse(b *feature.CSRBuilder, off int, v *value.Value, row int, spine 
 			for k, c := range cols {
 				b.Add(off+c, applySpineScalar(spine, vals[k]))
 			}
-		default:
-			m.ForEachNZ(row, func(c int, x float64) {
-				b.Add(off+c, applySpineScalar(spine, x))
-			})
 		}
 		return v.Mat.Cols()
 	}
@@ -855,6 +867,104 @@ func applySpineScalar(ops []graph.Op, v float64) float64 {
 		v = op.(graph.Elementwise).ApplyScalar(v)
 	}
 	return v
+}
+
+// Score returns m's score of every row of the run over the IFVs idx: what
+// model.ScoreRow gives each row of MatrixShared(idx), to the bit. The slice
+// is the run's, valid until the next Score or Close, which also invalidate
+// MatrixShared's result.
+//
+// A linear model (model.Linear) takes its dot product where the features
+// are made when some IFV of idx has a dot step (Program.dotSteps) the run
+// has not computed and no feature cache: the step adds each row's entries
+// times their weights to the row's running sum instead of emitting the row,
+// the other IFVs add the entries MatrixShared stores for them, IFV by IFV
+// in MatrixShared's column order, and the fused IFVs stay uncomputed.
+// Other models, and plans whose spine needs Apply, score MatrixShared(idx).
+func (r *BatchRun) Score(idx []int, m model.Model) ([]float64, error) {
+	r.scores = growScratch(r.scores, r.n)
+	if lin, ok := m.(model.Linear); ok && !r.p.spineFallback {
+		for _, i := range idx {
+			if r.dotStep(i) >= 0 {
+				return r.scores, r.scoreFused(idx, lin)
+			}
+		}
+	}
+	x, err := r.MatrixShared(idx)
+	if err != nil {
+		return nil, err
+	}
+	for k := range r.scores {
+		r.scores[k] = model.ScoreRow(m, x, k, &r.mscr)
+	}
+	return r.scores, nil
+}
+
+// dotStep returns IFV i's dot step when Score would take its dot product
+// through it on this run, else -1.
+func (r *BatchRun) dotStep(i int) int {
+	if r.ifvDone[i] || (r.p.caches != nil && r.p.caches[i] != nil) {
+		return -1
+	}
+	return r.p.dotSteps[i]
+}
+
+// scoreFused is Score's fused path for lin, whose weights cover the columns
+// (Load checks a model's width against its plan's).
+func (r *BatchRun) scoreFused(idx []int, lin model.Linear) error {
+	r.ordered = append(r.ordered[:0], idx...)
+	slices.Sort(r.ordered)
+	r.inPlace = r.inPlace[:0]
+	for _, i := range r.ordered {
+		if r.dotStep(i) < 0 {
+			r.inPlace = append(r.inPlace, i)
+		}
+	}
+	if err := r.computeIFVs(r.inPlace); err != nil {
+		return err
+	}
+	if r.outCSR == nil {
+		r.outCSR = new(feature.CSR)
+	}
+	clear(r.scores)
+	w, off := lin.Weights(), 0
+	for _, i := range r.ordered {
+		root := r.p.A.IFVs[i].Root
+		n := r.p.Widths[root]
+		if si := r.dotStep(i); si >= 0 {
+			t0 := r.clock()
+			if err := r.runIFVSteps(i, true); err != nil {
+				return err
+			}
+			r.dot = w[off : off+n]
+			err := r.runStep(si)
+			if r.dot = nil; err != nil {
+				return err
+			}
+			r.tr.Record(r.p.ifvLabels[i], t0)
+		} else {
+			// The rows MatrixShared stores for the IFV, through its writer.
+			b := &r.outBuilder
+			b.ResetFrom(n, r.outCSR)
+			for row := range r.scores {
+				writeSparse(b, 0, &r.vals[root], row, r.p.ifvSpine[i])
+				b.EndRow()
+			}
+			b.BuildInto(r.outCSR)
+			for row := range r.scores {
+				cols, vals := r.outCSR.RowView(row)
+				for k, c := range cols {
+					r.scores[row] += vals[k] * w[off+c]
+				}
+			}
+		}
+		off += n
+	}
+	b := lin.Bias()
+	for k, z := range r.scores {
+		r.scores[k] = lin.Link(z + b)
+	}
+	return nil
 }
 
 // AllIFVs returns the index list [0, len(IFVs)). The slice is shared and

@@ -10,19 +10,24 @@ import (
 	"willump/internal/value"
 )
 
-// The pooled execution subsystem: every fused Program owns a sync.Pool of
-// run states whose buffers are preallocated from the plan shape (node count,
-// step count, per-step arity). A BatchRun acquired from the pool and
-// recycled with Close reuses, on its next acquisition:
+// The pooled execution subsystem: every fused Program keeps its idle run
+// states, whose buffers are preallocated from the plan shape (node count,
+// step count, per-step arity). A BatchRun acquired from them and returned
+// with Close reuses, on its next acquisition:
 //
 //   - the per-node value and availability slices;
 //   - the per-step input slices (no per-step make([]value.Value, ...));
 //   - the per-step operator scratch cells driving ApplyInto buffer reuse;
 //   - the interpreted-boundary driver buffers;
-//   - the assembler's output buffers behind MatrixShared and PointMatrix.
+//   - the assembler's output buffers behind MatrixShared and PointMatrix,
+//     and the scores and model scratch behind Score.
 //
-// After warm-up a compiled point query executes with zero heap allocations,
-// and batch predictions allocate only their result slices.
+// A point state, taken by a run of one short row (isPoint), waits on a
+// free list of at most maxIdlePoints states that outlives garbage
+// collections and serves only such runs, so after warm-up a compiled point
+// query executes with zero heap allocations however often the collector
+// runs. Every other state waits in a sync.Pool, which a collection
+// empties; a batch prediction allocates its result slices.
 //
 // The one ownership rule: whether a node slot's previous buffer may be
 // written over is a property of the plan, fixed at Fuse in
@@ -39,12 +44,29 @@ import (
 // slot in the run's own kept buffer for that root (ShardsKeep), which
 // nothing but the fan-out writes while the root is not computed.
 
-// initPool sizes and installs the state pool for the current fused plan.
-// Called at the end of Fuse, so re-fusing drops states shaped for the old
-// plan.
-func (p *Program) initPool() {
-	p.pool = &sync.Pool{New: func() any { return p.newState() }}
+// maxIdlePoints bounds the point states a Program keeps across collections:
+// the most point runs found in flight at once on one Program over the
+// benchmark's five workloads, 2 in music-remote-point (two closed-loop
+// callers) and 1 in toxic-point and serve-http-point. Point states beyond it
+// go to the pool.
+const maxIdlePoints = 2
+
+// maxPointBytes bounds the text a point run's inputs hold, and so what an
+// idle point state keeps of the buffers that grow with it (document bytes,
+// token ids, n-gram expansions). The benchmark datasets' documents are
+// under 300 bytes.
+const maxPointBytes = 16 << 10
+
+// runList is a Program's idle run states: the free list of point states,
+// buffered to maxIdlePoints, and the pool of the others.
+type runList struct {
+	points  chan *BatchRun
+	batches sync.Pool
 }
+
+// initPool installs empty idle lists for the current fused plan. Called at
+// the end of Fuse, so re-fusing drops states shaped for the old plan.
+func (p *Program) initPool() { p.runs = &runList{points: make(chan *BatchRun, maxIdlePoints)} }
 
 // newState allocates a run state shaped for the program's plan.
 func (p *Program) newState() *BatchRun {
@@ -69,9 +91,22 @@ func (p *Program) newState() *BatchRun {
 	return r
 }
 
-// getRun acquires a reset run state from the pool.
-func (p *Program) getRun(ctx context.Context) *BatchRun {
-	r := p.pool.Get().(*BatchRun)
+// getRun acquires a reset run state for a point run or any other: an idle
+// one from the free list or the pool, else a new one.
+func (p *Program) getRun(ctx context.Context, point bool) *BatchRun {
+	var r *BatchRun
+	if point {
+		select {
+		case r = <-p.runs.points:
+		default:
+		}
+	} else {
+		r, _ = p.runs.batches.Get().(*BatchRun)
+	}
+	if r == nil {
+		r = p.newState()
+	}
+	r.point = point
 	r.ctx = ctx
 	r.tr = trace.FromContext(ctx)
 	clear(r.have)
@@ -95,7 +130,7 @@ func (r *BatchRun) dest(id graph.NodeID) *value.Value {
 	return &r.vals[id]
 }
 
-// Close recycles the run's buffers into its Program's pool. After Close,
+// Close returns the run's state to its Program's idle states. After Close,
 // the run and every matrix, vector, or value obtained from it are invalid.
 // Only call Close when nothing derived from the run escaped: the predict
 // paths use MatrixShared/PointMatrix (whose outputs they consume before
@@ -103,7 +138,7 @@ func (r *BatchRun) dest(id graph.NodeID) *value.Value {
 // matrix (training helpers) simply skip Close and let the GC reclaim the
 // state.
 func (r *BatchRun) Close() {
-	if r == nil || r.p == nil || r.p.pool == nil {
+	if r == nil || r.p == nil || r.p.runs == nil {
 		return
 	}
 	// Drop references to values the state does not own (caller input
@@ -143,7 +178,34 @@ func (r *BatchRun) Close() {
 	}
 	r.ctx = nil
 	r.tr = nil
-	r.p.pool.Put(r)
+	if r.point {
+		select {
+		case r.p.runs.points <- r:
+			return
+		default:
+		}
+	}
+	r.p.runs.batches.Put(r)
+}
+
+// isPoint reports whether a run over inputs takes a point state: one row
+// of at most maxPointBytes of text.
+func isPoint(inputs map[string]value.Value) bool {
+	size := 0
+	for _, v := range inputs {
+		if v.Len() != 1 {
+			return false
+		}
+		for _, s := range v.Strings {
+			size += len(s)
+		}
+		for _, t := range v.Tokens {
+			for _, s := range t {
+				size += len(s)
+			}
+		}
+	}
+	return len(inputs) > 0 && size <= maxPointBytes
 }
 
 // growScratch returns a slice of length n reusing s's backing array when

@@ -825,7 +825,10 @@ func pointwise(p *Program, in map[string]value.Value, n, workers int) (feature.M
 // IFV roots from operators that have only Apply, and a plan whose spine
 // needs the generic Apply branch —
 // including 1-row batches and the empty batch (where the reference has no
-// width to compare, so only the row count is checked).
+// width to compare, so only the row count is checked). The fused mode
+// scores with a random linear model through BatchRun.Score, over every IFV
+// and over a random subset: to the bit what the assembled matrix scores,
+// and within 1e-9 of the interpreted matrix's dot products.
 func TestCompiledInterpretedAgreeProperty(t *testing.T) {
 	words := []string{"bad", "dog", "cat", "fox", "sun", "rain", "good", "day"}
 	tg, tin := textPipeline(t)
@@ -931,7 +934,45 @@ func TestCompiledInterpretedAgreeProperty(t *testing.T) {
 					matricesClose(t, got, want, 1e-9)
 				}
 			}
+			if n > 0 {
+				checkFusedMode(t, plan.name, plan.p, in, want, rng)
+			}
 		}
+	}
+}
+
+// checkFusedMode is the property's fused mode over one batch.
+func checkFusedMode(t *testing.T, name string, p *Program, in map[string]value.Value, want feature.Matrix, rng *rand.Rand) {
+	t.Helper()
+	w := make([]float64, want.Cols())
+	for c := range w {
+		w[c] = rng.NormFloat64()
+	}
+	m := linearModel(t, false, w, 0.5)
+	subset := []int{}
+	for _, i := range p.AllIFVs() {
+		if rng.Intn(2) == 0 {
+			subset = append(subset, i)
+		}
+	}
+	for _, idx := range [][]int{p.AllIFVs(), subset} {
+		r, err := p.NewRun(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Score(idx, m)
+		if err != nil {
+			t.Fatalf("%s/fused: %v", name, err)
+		}
+		requireBits(t, name+"/fused", got, assembledScores(t, p, in, idx, m))
+		if len(idx) == len(p.AllIFVs()) {
+			for k, z := range got {
+				if ref := feature.Dot(want, k, w) + 0.5; math.Abs(z-ref) > 1e-9 {
+					t.Fatalf("%s/fused: row %d scores %v, interpreted %v", name, k, z, ref)
+				}
+			}
+		}
+		r.Close()
 	}
 }
 
