@@ -149,7 +149,8 @@ func TestFusedLinearScoreMatchesAssembled(t *testing.T) {
 					t.Fatal(err)
 				}
 				got = make([]float64, len(cands))
-				if err := cascade.Score(run, cands, all, o.Filter.Full, "", got); err != nil {
+				full := model.Bind(o.Filter.Full)
+				if err := cascade.Score(run, cands, all, full, "", got); err != nil {
 					t.Fatal(err)
 				}
 				run.Close()
@@ -192,10 +193,11 @@ func TestPointZeroAllocsAfterGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Every point, and enough calls besides for the runtime to cache the
-	// type assertions on the path: it adds a type to an assertion site's
-	// cache on one miss in 1024, allocating the cache anew.
-	for k := range max(len(points), 20000) {
+	// One pass over the points grows the state's buffers to the longest
+	// row. No more: the path asserts no interface per call (a plan step's
+	// operator kind and a model's scoring interfaces are resolved where they
+	// are bound), so there is no runtime type-assertion cache left to fill.
+	for k := range points {
 		predict(k)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -115,6 +115,10 @@ type Cascade struct {
 	// recorded during threshold selection.
 	FullAccuracy    float64
 	CascadeAccuracy float64
+
+	// small and full are Small and Full bound for scoring, by Train and
+	// Restore.
+	small, full model.Scorer
 }
 
 // thresholdCandidates are the integer multiples of 0.1 the paper restricts
@@ -136,7 +140,7 @@ func Train(ctx context.Context, prog *weld.Program, fullModel model.Model,
 	if err != nil {
 		return nil, err
 	}
-	c := &Cascade{Approx: approx, Full: fullModel}
+	c := Restore(approx, fullModel, 0, 0, 0)
 	if err := c.selectThreshold(ctx, validInputs, validY, cfg.AccuracyTarget); err != nil {
 		return nil, err
 	}
@@ -207,6 +211,8 @@ func Restore(approx *Approx, full model.Model, threshold, fullAccuracy, cascadeA
 		Threshold:       threshold,
 		FullAccuracy:    fullAccuracy,
 		CascadeAccuracy: cascadeAccuracy,
+		small:           model.Bind(approx.Small),
+		full:            model.Bind(full),
 	}
 }
 
@@ -274,7 +280,7 @@ func (j *cascadeJob) RunShard(sub *weld.BatchRun, lo, hi int) error {
 	if tr != nil {
 		t0 = time.Now()
 	}
-	small, err := sub.Score(c.Efficient, c.Small)
+	small, err := sub.Score(c.Efficient, c.small)
 	if err != nil {
 		return err
 	}
@@ -300,7 +306,7 @@ func (j *cascadeJob) RunShard(sub *weld.BatchRun, lo, hi int) error {
 		hs = sub.SubsetRun(hard)
 		defer hs.Close()
 	}
-	full, err := hs.Score(c.Prog.AllIFVs(), c.Full)
+	full, err := hs.Score(c.Prog.AllIFVs(), c.full)
 	if err != nil {
 		return err
 	}
@@ -319,7 +325,7 @@ func (j *cascadeJob) RunShard(sub *weld.BatchRun, lo, hi int) error {
 // model.ScoreRow's scores, the row function every model family's Predict is
 // made of, so out holds Predict's scores to the bit. A sampled run records
 // stage, when not empty, around each shard's scoring.
-func Score(run *weld.BatchRun, rows, idx []int, m model.Model, stage string, out []float64) error {
+func Score(run *weld.BatchRun, rows, idx []int, m model.Scorer, stage string, out []float64) error {
 	j := scoreJobs.Get().(*scoreJob)
 	*j = scoreJob{m: m, idx: idx, stage: stage, out: out}
 	err := run.Shards(rows, idx, j)
@@ -330,7 +336,7 @@ func Score(run *weld.BatchRun, rows, idx []int, m model.Model, stage string, out
 
 // scoreJob is Score's shard body.
 type scoreJob struct {
-	m     model.Model
+	m     model.Scorer
 	idx   []int
 	stage string
 	out   []float64
@@ -391,7 +397,7 @@ func (a *Approx) SmallOnlyPredict(ctx context.Context, inputs map[string]value.V
 	}
 	defer run.Close()
 	out := make([]float64, run.Len())
-	if err := Score(run, nil, a.Efficient, a.Small, "", out); err != nil {
+	if err := Score(run, nil, a.Efficient, model.Bind(a.Small), "", out); err != nil {
 		return nil, err
 	}
 	return out, nil

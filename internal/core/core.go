@@ -182,6 +182,8 @@ type Report struct {
 type Optimized struct {
 	Prog  *weld.Program
 	Model model.Model
+	// scorer is Model bound for scoring (Optimize, Load, CloneForRefit).
+	scorer model.Scorer
 
 	Cascade *cascade.Cascade // nil unless cascades were built
 	Approx  *cascade.Approx  // non-nil when cascades or top-K filters exist
@@ -242,7 +244,7 @@ func Optimize(ctx context.Context, p *Pipeline, train, valid Dataset, opts Optio
 		return nil, nil, err
 	}
 
-	o := &Optimized{Prog: prog, Model: full, opts: opts}
+	o := &Optimized{Prog: prog, Model: full, scorer: model.Bind(full), opts: opts}
 	rep := &Report{NumIFVs: len(prog.A.IFVs)}
 	preds := full.Predict(x)
 	if full.Task() == model.Classification {
@@ -400,7 +402,7 @@ func (o *Optimized) PredictFull(ctx context.Context, inputs map[string]value.Val
 	}
 	defer run.Close()
 	out := make([]float64, run.Len())
-	if err := cascade.Score(run, nil, o.Prog.AllIFVs(), o.Model, trace.StageModelScore, out); err != nil {
+	if err := cascade.Score(run, nil, o.Prog.AllIFVs(), o.scorer, trace.StageModelScore, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -436,11 +438,11 @@ func (o *Optimized) predictPointCompiled(ctx context.Context, inputs map[string]
 	defer model.PutScratch(s)
 	if tr := trace.FromContext(ctx); tr != nil {
 		t0 := time.Now()
-		p := model.ScoreRow(o.Model, x, 0, s)
+		p := o.scorer.ScoreRow(x, 0, s)
 		tr.Record(trace.StageModelScore, t0)
 		return p, nil
 	}
-	return model.ScoreRow(o.Model, x, 0, s), nil
+	return o.scorer.ScoreRow(x, 0, s), nil
 }
 
 // PredictInterpreted predicts a batch on the interpreted ("Python") path:

@@ -106,7 +106,7 @@ func (o *Optimized) ReplanFeatureCache(reservoir Dataset, budget int) ([]weld.Ca
 // not traces.
 func (o *Optimized) CloneForRefit() *Optimized {
 	prog := o.Prog.CloneRuntime()
-	c := &Optimized{Prog: prog, Model: o.Model, opts: o.opts}
+	c := &Optimized{Prog: prog, Model: o.Model, scorer: o.scorer, opts: o.opts}
 	c.cachePlan = append([]IFVCacheStat(nil), o.cachePlan...)
 	if o.Approx != nil {
 		ap := *o.Approx

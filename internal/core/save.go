@@ -161,8 +161,9 @@ func LoadWithResolver(r io.Reader, tables map[string]ops.Table, resolve TableRes
 		return nil, fmt.Errorf("core: artifact model takes %d features but the pipeline produces %d", got, want)
 	}
 	o := &Optimized{
-		Prog:  prog,
-		Model: m,
+		Prog:   prog,
+		Model:  m,
+		scorer: model.Bind(m),
 		opts: Options{
 			Cascades:             art.Options.Cascades,
 			AccuracyTarget:       art.Options.AccuracyTarget,

@@ -86,10 +86,32 @@ type RowScorer interface {
 // allocation-free (GBDT walks its trees iteratively; the linear models use
 // the devirtualized feature.Dot), so they need no scratch.
 func ScoreRow(m Model, x feature.Matrix, r int, s *Scratch) float64 {
-	if rs, ok := m.(RowScorer); ok {
-		return rs.PredictRowScratch(x, r, s)
+	b := Bind(m)
+	return b.ScoreRow(x, r, s)
+}
+
+// Scorer is a model bound for scoring: its optional interfaces are
+// asserted once, where it is bound, not on every call (the runtime fills an
+// assertion site's type cache now and then, allocating it anew each time).
+type Scorer struct {
+	Model
+	Linear Linear // the model's dot-product form, nil when it has none
+	rows   RowScorer
+}
+
+// Bind binds m for scoring.
+func Bind(m Model) Scorer {
+	lin, _ := m.(Linear)
+	rows, _ := m.(RowScorer)
+	return Scorer{m, lin, rows}
+}
+
+// ScoreRow is ScoreRow for the bound model.
+func (s *Scorer) ScoreRow(x feature.Matrix, r int, scr *Scratch) float64 {
+	if s.rows != nil {
+		return s.rows.PredictRowScratch(x, r, scr)
 	}
-	return m.PredictRow(x, r)
+	return s.PredictRow(x, r)
 }
 
 // Linear is implemented by the linear families, whose score of row r of x

@@ -119,10 +119,10 @@ func (f *Filter) TopKSubset(ctx context.Context, inputs map[string]value.Value, 
 	}
 	q := queries.Get().(*query)
 	defer func() {
-		q.f = nil
+		q.f, q.small = nil, model.Scorer{}
 		queries.Put(q)
 	}()
-	q.f, q.subset = f, min(max(subsetSize, k), n)
+	q.f, q.small, q.subset = f, model.Bind(f.Approx.Small), min(max(subsetSize, k), n)
 	q.scores = growTo(q.scores, n)
 	q.picks = growTo(q.picks, n)
 	q.ends = growTo(q.ends, n)
@@ -131,7 +131,7 @@ func (f *Filter) TopKSubset(ctx context.Context, inputs map[string]value.Value, 
 	}
 	cands := q.candidates()
 	q.full = growTo(q.full, len(cands))
-	if err := cascade.Score(run, cands, prog.AllIFVs(), f.Full, "", q.full); err != nil {
+	if err := cascade.Score(run, cands, prog.AllIFVs(), model.Bind(f.Full), "", q.full); err != nil {
 		return nil, err
 	}
 	q.order = growTo(q.order, len(cands))
@@ -151,6 +151,7 @@ func (f *Filter) TopKSubset(ctx context.Context, inputs map[string]value.Value, 
 // subset best rows into the head of picks[lo:hi] and records hi at ends[lo].
 type filterJob struct {
 	f      *Filter
+	small  model.Scorer
 	subset int
 	scores []float64
 	picks  []int
@@ -158,7 +159,7 @@ type filterJob struct {
 }
 
 func (j *filterJob) RunShard(sub *weld.BatchRun, lo, hi int) error {
-	scores, err := sub.Score(j.f.Approx.Efficient, j.f.Approx.Small)
+	scores, err := sub.Score(j.f.Approx.Efficient, j.small)
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"weak"
 
@@ -112,7 +114,7 @@ func requireBits(t *testing.T, what string, got, want []float64) {
 // scoreJob scores each shard's rows into out[lo:hi] through BatchRun.Score.
 type scoreJob struct {
 	idx []int
-	m   model.Model
+	m   model.Scorer
 	out []float64
 }
 
@@ -197,6 +199,7 @@ func TestFusedLinearScoreMatchesAssembled(t *testing.T) {
 			models = []model.Model{mlp}
 		}
 		for mi, m := range models {
+			bound := model.Bind(m)
 			for _, idx := range subsets {
 				what := fmt.Sprintf("%s model %d IFVs %v", plan.name, mi, idx)
 				want := assembledScores(t, p, in, idx, m)
@@ -206,7 +209,7 @@ func TestFusedLinearScoreMatchesAssembled(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := r.Score(idx, m)
+				got, err := r.Score(idx, bound)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -220,14 +223,14 @@ func TestFusedLinearScoreMatchesAssembled(t *testing.T) {
 				}
 				// The rest on the same run: computed IFVs read in place,
 				// the others fused, then the hard rows on a sub-run.
-				got, err = r.Score(p.AllIFVs(), m)
+				got, err = r.Score(p.AllIFVs(), bound)
 				if err != nil {
 					t.Fatal(err)
 				}
 				requireBits(t, what+" resumed", got, all)
 				hard := []int{1, 4, 6, 9}
 				sub := r.SubsetRun(hard)
-				got, err = sub.Score(p.AllIFVs(), m)
+				got, err = sub.Score(p.AllIFVs(), bound)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -246,7 +249,7 @@ func TestFusedLinearScoreMatchesAssembled(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := pr.Score(idx, m)
+					got, err := pr.Score(idx, bound)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -261,7 +264,7 @@ func TestFusedLinearScoreMatchesAssembled(t *testing.T) {
 						t.Fatal(err)
 					}
 					out := make([]float64, len(docs))
-					if err := r.Shards(nil, idx, scoreJob{idx, m, out}); err != nil {
+					if err := r.Shards(nil, idx, scoreJob{idx, bound, out}); err != nil {
 						t.Fatal(err)
 					}
 					r.Close()
@@ -303,4 +306,92 @@ func TestLongPointDocumentNotKeptAfterGC(t *testing.T) {
 		t.Fatal("a short point query's state did not outlive two collections")
 	}
 	runtime.KeepAlive(p)
+}
+
+// TestIdlePointSlots: point queries on one Program from more goroutines
+// than it has idle point slots never share a state; after they stop and two
+// collections, the states still alive are the ones in the slots, at most
+// maxIdlePoints. Point-ness reads only the graph's sources: a point whose
+// inputs map also holds an unused 1 MiB text column takes a point state.
+func TestIdlePointSlots(t *testing.T) {
+	docs := []string{"Good dog plays fetch", "BAD cat is bad!", "día de sol, bad", "nice sunny day"}
+	p, _ := fitProgram(t, fusedGraph(t, ops.NewTFIDF(64, ops.NormL2), ops.NewTFIDF(64, ops.NormL2), false),
+		map[string]value.Value{"text": value.NewStrings(docs)})
+	const workers, calls = maxIdlePoints + 3, 200
+	var (
+		held sync.Map // states in use, by run
+		mu   sync.Mutex
+		seen = map[weak.Pointer[BatchRun]]bool{}
+	)
+	// Every worker holds its first run until all have one, so that more
+	// states than slots are in use at once.
+	var first sync.WaitGroup
+	first.Add(workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range calls {
+				doc := docs[(w+k)%len(docs)]
+				r, err := p.NewRun(context.Background(), map[string]value.Value{"text": value.NewStrings([]string{doc})})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !r.point {
+					t.Error("a one-row point query did not take a point state")
+				}
+				if _, dup := held.LoadOrStore(r, true); dup {
+					t.Error("one state held by two runs at once")
+				}
+				mu.Lock()
+				seen[weak.Make(r)] = true
+				mu.Unlock()
+				if _, err := r.MatrixShared(p.AllIFVs()); err != nil {
+					t.Error(err)
+				}
+				if k == 0 {
+					first.Done()
+					first.Wait()
+				}
+				held.Delete(r)
+				r.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	if len(seen) <= maxIdlePoints {
+		t.Fatalf("%d workers used %d states, want more than the %d slots", workers, len(seen), maxIdlePoints)
+	}
+	runtime.GC()
+	runtime.GC()
+	var idle []*BatchRun
+	for i := range p.runs.points {
+		idle = append(idle, p.runs.points[i].Load())
+	}
+	alive := 0
+	for w := range seen {
+		if r := w.Value(); r != nil {
+			alive++
+			if !slices.Contains(idle, r) {
+				t.Error("a state outside the idle point slots outlives two collections")
+			}
+		}
+	}
+	if alive == 0 || alive > maxIdlePoints {
+		t.Fatalf("%d states outlive two collections, want 1 to %d", alive, maxIdlePoints)
+	}
+
+	r, err := p.NewRun(context.Background(), map[string]value.Value{
+		"text":   value.NewStrings(docs[:1]),
+		"unused": value.NewStrings([]string{strings.Repeat("x", 1<<20)}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.point {
+		t.Fatal("a point beside an unused 1 MiB input column did not take a point state")
+	}
+	r.Close()
 }

@@ -118,7 +118,7 @@ func TestPrefetchCachedMissesConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	run.Close()
-	c := &cascade.Cascade{Approx: &cascade.Approx{Prog: o.Prog, Small: small, Efficient: []int{eff}, Rest: rest}, Full: o.Model}
+	c := cascade.Restore(&cascade.Approx{Prog: o.Prog, Small: small, Efficient: []int{eff}, Rest: rest}, o.Model, 0, 0, 0)
 
 	// Zipfian queries; the threshold is the small model's median confidence
 	// over them, so about half the rows resume into the remaining IFVs.

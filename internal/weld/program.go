@@ -39,6 +39,13 @@ type step struct {
 	spine bool           // true for spine (concat / elementwise) steps
 	label string         // precomputed trace span label ("step:<op>"), so recording allocates nothing
 	pre   int            // index into Program.prefetch when the step's lookup can prefetch, else -1; set by Fuse
+
+	// The operator's kind, resolved at Fuse so that a run asserts nothing;
+	// the interfaces and the lookup are nil when the op is not one.
+	compiled bool
+	into     graph.IntoApplier
+	lookup   *ops.Lookup
+	ctxTable bool
 }
 
 // Program is a compiled ML inference pipeline: the optimized executable the
@@ -63,6 +70,10 @@ type Program struct {
 	Steps    []step
 	ifvSteps [][]int
 	reusable []bool
+	// borrowed lists the node slots that hold values the run does not own:
+	// the sources and the outputs of steps that are not reusable. Close
+	// drops them. Laid out by Fuse.
+	borrowed []graph.NodeID
 
 	// Widths maps IFV roots to output widths; set by Fit.
 	Widths map[graph.NodeID]int
@@ -142,9 +153,9 @@ type prefetchSpec struct {
 	at  ops.AsyncTable // the step's table, asserted once at fuse time
 }
 
-// Compile builds a Program from a transformation graph: analysis, block
-// sorting, and step construction. Fusion requires fitted operators, so
-// Compile defers it; call Fit and then Fuse (Fit calls Fuse automatically).
+// Compile builds a Program from a transformation graph: analysis and block
+// sorting. The plan's steps fuse fitted operators, so Compile leaves them to
+// Fuse, which Fit (and Restore) calls.
 func Compile(g *graph.Graph) (*Program, error) {
 	a, err := graph.Analyze(g)
 	if err != nil {
@@ -163,7 +174,6 @@ func Compile(g *graph.Graph) (*Program, error) {
 		p.ifvLabels[i] = "ifv:" + strconv.Itoa(i)
 	}
 	p.buildSpineIndex()
-	p.buildSteps(false)
 	return p, nil
 }
 
@@ -196,8 +206,8 @@ func (p *Program) buildSpineIndex() {
 }
 
 // buildSteps constructs the execution plan, fusing compilable
-// single-consumer chains when fuse is true.
-func (p *Program) buildSteps(fuse bool) {
+// single-consumer chains.
+func (p *Program) buildSteps() {
 	g, a := p.G, p.A
 	spine := make(map[graph.NodeID]bool)
 	for _, id := range a.Spine {
@@ -214,7 +224,7 @@ func (p *Program) buildSteps(fuse bool) {
 			continue
 		}
 		st := step{op: n.Op, out: id, ins: n.Inputs, nodes: []graph.NodeID{id}, ifv: a.IFVOf(id), spine: spine[id]}
-		if fuse && !spine[id] {
+		if !spine[id] {
 			chainNodes, chainOps := p.maximalChain(id)
 			if len(chainNodes) > 1 {
 				if fused, ok := ops.FuseTextChain(chainOps); ok {
@@ -308,12 +318,12 @@ func topoSortSteps(steps []step, g *graph.Graph) []step {
 	return order
 }
 
-// Fuse rebuilds the plan with chain fusion enabled. It requires fitted
-// operators and is called automatically at the end of Fit (and Restore).
+// Fuse builds the plan, fusing chains. It requires fitted operators and is
+// called automatically at the end of Fit (and Restore).
 // Fusing also installs the run-state free list for the final plan shape and
 // reads the profiled IFV costs the fan-out gate uses.
 func (p *Program) Fuse() {
-	p.buildSteps(true)
+	p.buildSteps()
 	p.layoutSteps()
 	p.initPool()
 	p.ifvCost = make([]float64, len(p.A.IFVs))
@@ -364,19 +374,26 @@ func (p *Program) layoutSteps() {
 			p.dotSteps[i] = last
 		}
 	}
+	p.borrowed = append([]graph.NodeID(nil), p.G.Sources()...)
 	for si := range p.Steps {
 		st := &p.Steps[si]
-		_, into := st.op.(graph.IntoApplier)
-		p.reusable[st.out] = into || !st.op.Compilable()
+		st.compiled = st.op.Compilable()
+		st.into, _ = st.op.(graph.IntoApplier)
+		if p.reusable[st.out] = st.into != nil || !st.compiled; !p.reusable[st.out] {
+			p.borrowed = append(p.borrowed, st.out)
+		}
 
 		st.pre = -1
-		lk, ok := st.op.(*ops.Lookup)
-		if !ok || st.ifv < 0 {
+		st.lookup, _ = st.op.(*ops.Lookup)
+		if st.lookup == nil {
 			continue
 		}
-		_, isCtx := lk.Table().(ops.CtxTable)
-		at, isAsync := lk.Table().(ops.AsyncTable)
-		if isCtx || isAsync {
+		_, st.ctxTable = st.lookup.Table().(ops.CtxTable)
+		at, isAsync := st.lookup.Table().(ops.AsyncTable)
+		if st.ifv < 0 {
+			continue
+		}
+		if st.ctxTable || isAsync {
 			p.storeBound[st.ifv] = true
 		}
 		if isAsync && len(st.ins) == 1 && p.G.Node(st.ins[0]).IsSource() {
@@ -513,13 +530,14 @@ func (p *Program) CloneRuntime() *Program {
 // validates equal batch lengths.
 func (p *Program) resolveInputs(inputs map[string]value.Value) ([]value.Value, int, error) {
 	vals := make([]value.Value, p.G.NumNodes())
-	n, err := p.resolveInto(inputs, vals)
+	n, err := p.resolve(inputs, func(sid graph.NodeID, v value.Value) { vals[sid] = v })
 	return vals, n, err
 }
 
-// resolveInto is resolveInputs writing the caller's columns into vals,
-// without allocating.
-func (p *Program) resolveInto(inputs map[string]value.Value, vals []value.Value) (int, error) {
+// resolve looks every source's column up in inputs, checks that they agree
+// on the row count, and hands each to put, in source order, without
+// allocating.
+func (p *Program) resolve(inputs map[string]value.Value, put func(graph.NodeID, value.Value)) (int, error) {
 	n := -1
 	for _, sid := range p.G.Sources() {
 		label := p.G.Node(sid).Label
@@ -532,7 +550,7 @@ func (p *Program) resolveInto(inputs map[string]value.Value, vals []value.Value)
 		} else if v.Len() != n {
 			return 0, fmt.Errorf("weld: input %q has %d rows, want %d", label, v.Len(), n)
 		}
-		vals[sid] = v
+		put(sid, v)
 	}
 	if n < 0 {
 		return 0, fmt.Errorf("weld: graph has no sources")

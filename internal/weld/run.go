@@ -141,16 +141,32 @@ func (p *Program) NewRun(ctx context.Context, inputs map[string]value.Value) (*B
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r := p.getRun(ctx, isPoint(inputs))
-	n, err := p.resolveInto(inputs, r.vals)
+	// One pass over the sources resolves them and decides the run's kind:
+	// the first column's row count picks the idle states it is taken from,
+	// and a one-row run over more than maxPointBytes of text moves to a
+	// pooled state.
+	var r *BatchRun
+	size := 0
+	n, err := p.resolve(inputs, func(sid graph.NodeID, v value.Value) {
+		if r == nil {
+			r = p.getRun(ctx, v.Len() == 1)
+		}
+		r.vals[sid], r.have[sid] = v, true
+		size += textBytes(&v)
+	})
 	if err != nil {
 		r.Close()
 		return nil, err
 	}
-	r.n = n
-	for _, sid := range p.G.Sources() {
-		r.have[sid] = true
+	if r.point && size > maxPointBytes {
+		b := p.getRun(ctx, false)
+		for _, sid := range p.G.Sources() {
+			b.vals[sid], b.have[sid] = r.vals[sid], true
+		}
+		r.Close()
+		r = b
 	}
+	r.n = n
 	// Kick off the plan's async remote lookups before any local compute
 	// runs, so the store round trips overlap CPU work. IFVs with a feature
 	// cache are skipped: the cached path fetches only its misses, and
@@ -203,26 +219,28 @@ func (r *BatchRun) runStep(si int) error {
 }
 
 // execStep is runStep's body: it executes plan step si without tracing,
-// writing the step's value through its slot's destination (see dest), or,
-// while Score's fused path sets r.dot, folding a dot step's rows into
-// r.scores (Program.dotSteps).
+// through the operator kind Fuse resolved for it, writing the step's value
+// through its slot's destination (see dest), or, while Score's fused path
+// sets r.dot, folding a dot step's rows into r.scores (Program.dotSteps).
 func (r *BatchRun) execStep(si int) error {
 	st := &r.p.Steps[si]
 	ins := r.stepIns[si]
+	// The views may be caller columns: the idle state must not keep them.
+	defer clear(ins)
 	for i, in := range st.ins {
 		if !r.have[in] {
 			return fmt.Errorf("weld: step %d input %d not computed", st.out, in)
 		}
 		ins[i] = r.vals[in]
 	}
-	if !st.op.Compilable() {
+	if !st.compiled {
 		return r.runPythonStep(si, ins)
 	}
 	if r.dot != nil {
 		return st.wrap(st.op.(*ops.FusedText).DotInto(ins, r.dot, r.scores, &r.scratch[si]))
 	}
 	out := r.dest(st.out)
-	if lk, ok := st.op.(*ops.Lookup); ok {
+	if lk := st.lookup; lk != nil {
 		// Join an outstanding async prefetch here — where the lookup's
 		// output is first consumed — bounded by the run's (request) context.
 		if pi := st.pre; pi >= 0 && r.pending[pi] != nil {
@@ -237,14 +255,14 @@ func (r *BatchRun) execStep(si int) error {
 		// Synchronous remote lookups still get deadline/cancellation
 		// propagation when the table honors contexts; local tables keep the
 		// allocation-free ApplyInto path below.
-		if _, isCtx := lk.Table().(ops.CtxTable); isCtx {
+		if st.ctxTable {
 			var err error
 			*out, err = lk.ApplyCtx(r.ctx, ins)
 			return st.wrap(err)
 		}
 	}
-	if ia, ok := st.op.(graph.IntoApplier); ok {
-		return st.wrap(ia.ApplyInto(ins, out, &r.scratch[si]))
+	if st.into != nil {
+		return st.wrap(st.into.ApplyInto(ins, out, &r.scratch[si]))
 	}
 	var err error
 	*out, err = st.op.Apply(ins)
@@ -495,7 +513,8 @@ func (r *BatchRun) fillMiss(k int) {
 }
 
 // cacheScratch returns IFV i's cache scratch with its source-column views
-// pointed at this run's columns.
+// pointed at this run's columns, which the caller clears once it has
+// encoded its keys.
 func (r *BatchRun) cacheScratch(i int) *ifvCacheScratch {
 	cs := &r.cacheScr[i]
 	srcs := r.p.A.IFVs[i].Sources
@@ -532,6 +551,7 @@ func (r *BatchRun) computeIFVCached(i int, c *cache.Sharded) error {
 			cs.missRows = append(cs.missRows, row)
 		}
 	}
+	clear(cs.srcVals)
 	r.tr.Record(trace.StageCacheLookup, t0)
 	if len(cs.missRows) > 0 {
 		t1 := r.clock()
@@ -590,6 +610,7 @@ func (r *BatchRun) probePoint(i int, c *cache.Sharded) bool {
 	root := r.p.A.IFVs[i].Root
 	cs := r.cacheScratch(i)
 	cs.keyBuf = cache.AppendRowKey(cs.keyBuf[:0], cs.srcVals, 0)
+	clear(cs.srcVals)
 	cs.hashes = append(cs.hashes[:0], cache.Hash64(cs.keyBuf))
 	cs.dense = feature.GrowDense(cs.dense, 1, r.p.Widths[root])
 	t0 := r.clock()
@@ -881,12 +902,12 @@ func applySpineScalar(ops []graph.Op, v float64) float64 {
 // the other IFVs add the entries MatrixShared stores for them, IFV by IFV
 // in MatrixShared's column order, and the fused IFVs stay uncomputed.
 // Other models, and plans whose spine needs Apply, score MatrixShared(idx).
-func (r *BatchRun) Score(idx []int, m model.Model) ([]float64, error) {
+func (r *BatchRun) Score(idx []int, m model.Scorer) ([]float64, error) {
 	r.scores = growScratch(r.scores, r.n)
-	if lin, ok := m.(model.Linear); ok && !r.p.spineFallback {
+	if m.Linear != nil && !r.p.spineFallback {
 		for _, i := range idx {
 			if r.dotStep(i) >= 0 {
-				return r.scores, r.scoreFused(idx, lin)
+				return r.scores, r.scoreFused(idx, m.Linear)
 			}
 		}
 	}
@@ -895,7 +916,7 @@ func (r *BatchRun) Score(idx []int, m model.Model) ([]float64, error) {
 		return nil, err
 	}
 	for k := range r.scores {
-		r.scores[k] = model.ScoreRow(m, x, k, &r.mscr)
+		r.scores[k] = m.ScoreRow(x, k, &r.mscr)
 	}
 	return r.scores, nil
 }
@@ -975,8 +996,12 @@ func (p *Program) AllIFVs() []int { return p.allIFVs }
 // the full feature matrix as a copy the caller owns. The context is checked
 // between plan steps, so cancelling it aborts a long batch promptly. This is
 // the one place end-to-end time is recorded for the profiler's
-// driver-overhead accounting; predict paths that consume features in place
-// use NewRun + MatrixShared + Close and never take the profile lock.
+// driver-overhead accounting. Predict paths consume features in place
+// (NewRun + MatrixShared + Close) and record no end-to-end time, but a plan
+// with a non-compilable step still writes the profile, and takes its lock,
+// on every call: runPythonStep adds its node and driver times (the credit
+// pipeline's ops.Ratio, for one). ROADMAP item 1 stage A freezes the cost
+// model at Optimize and deletes those writes.
 func (p *Program) RunBatch(ctx context.Context, inputs map[string]value.Value) (feature.Matrix, error) {
 	start := time.Now()
 	r, err := p.NewRun(ctx, inputs)

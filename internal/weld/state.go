@@ -3,6 +3,7 @@ package weld
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"willump/internal/graph"
 	"willump/internal/ops"
@@ -22,12 +23,22 @@ import (
 //   - the assembler's output buffers behind MatrixShared and PointMatrix,
 //     and the scores and model scratch behind Score.
 //
-// A point state, taken by a run of one short row (isPoint), waits on a
-// free list of at most maxIdlePoints states that outlives garbage
-// collections and serves only such runs, so after warm-up a compiled point
-// query executes with zero heap allocations however often the collector
-// runs. Every other state waits in a sync.Pool, which a collection
-// empties; a batch prediction allocates its result slices.
+// A point state serves only point runs: one row of at most maxPointBytes
+// of text in the graph's source columns. NewRun decides it in the one pass
+// that resolves them from the inputs map: a first column of one row takes a
+// point state, and a run whose sources then hold more text moves to a
+// pooled state before it computes anything. Idle point states sit in
+// maxIdlePoints fixed slots, taken with an atomic swap and returned with a
+// compare-and-swap, which outlive garbage collections, so after warm-up a
+// compiled point query executes with zero heap allocations however often
+// the collector runs. Every other state waits in a sync.Pool, which a
+// collection empties; a batch prediction allocates its result slices.
+//
+// A run leaves its state clean as it goes, so that Close and the next
+// acquisition reset only what the run wrote: a step clears its input views
+// when it finishes, the cached paths drop their source-column views once the
+// key is encoded, and Close drops the caller's columns and what Apply-only
+// operators returned (Program.borrowed).
 //
 // The one ownership rule: whether a node slot's previous buffer may be
 // written over is a property of the plan, fixed at Fuse in
@@ -51,22 +62,22 @@ import (
 // go to the pool.
 const maxIdlePoints = 2
 
-// maxPointBytes bounds the text a point run's inputs hold, and so what an
+// maxPointBytes bounds the text a point run's sources hold, and so what an
 // idle point state keeps of the buffers that grow with it (document bytes,
 // token ids, n-gram expansions). The benchmark datasets' documents are
 // under 300 bytes.
 const maxPointBytes = 16 << 10
 
-// runList is a Program's idle run states: the free list of point states,
-// buffered to maxIdlePoints, and the pool of the others.
+// runList is a Program's idle run states: the point states' slots and the
+// pool of the others.
 type runList struct {
-	points  chan *BatchRun
+	points  [maxIdlePoints]atomic.Pointer[BatchRun]
 	batches sync.Pool
 }
 
 // initPool installs empty idle lists for the current fused plan. Called at
 // the end of Fuse, so re-fusing drops states shaped for the old plan.
-func (p *Program) initPool() { p.runs = &runList{points: make(chan *BatchRun, maxIdlePoints)} }
+func (p *Program) initPool() { p.runs = new(runList) }
 
 // newState allocates a run state shaped for the program's plan.
 func (p *Program) newState() *BatchRun {
@@ -92,13 +103,16 @@ func (p *Program) newState() *BatchRun {
 }
 
 // getRun acquires a reset run state for a point run or any other: an idle
-// one from the free list or the pool, else a new one.
+// one from the point slots or the pool, else a new one.
 func (p *Program) getRun(ctx context.Context, point bool) *BatchRun {
 	var r *BatchRun
 	if point {
-		select {
-		case r = <-p.runs.points:
-		default:
+		for i := range p.runs.points {
+			if s := &p.runs.points[i]; s.Load() != nil {
+				if r = s.Swap(nil); r != nil {
+					break
+				}
+			}
 		}
 	} else {
 		r, _ = p.runs.batches.Get().(*BatchRun)
@@ -112,9 +126,6 @@ func (p *Program) getRun(ctx context.Context, point bool) *BatchRun {
 	clear(r.have)
 	clear(r.ifvDone)
 	clear(r.late)
-	// Sub-runs and fresh acquisitions must never see another run's
-	// outstanding prefetch handles.
-	clear(r.pending)
 	return r
 }
 
@@ -145,10 +156,8 @@ func (r *BatchRun) Close() {
 	// columns, and whatever an Apply-only operator returned) so pooling does
 	// not extend their lifetime; state-owned buffers are retained as the
 	// reuse arena.
-	for i := range r.vals {
-		if !r.p.reusable[i] {
-			r.vals[i] = value.Value{}
-		}
+	for _, id := range r.p.borrowed {
+		r.vals[id] = value.Value{}
 	}
 	if r.gatheredSome {
 		// A gathered copy keeps its buffer, not the caller's strings.
@@ -158,18 +167,13 @@ func (r *BatchRun) Close() {
 		}
 		r.gatheredSome = false
 	}
-	for _, ins := range r.stepIns {
-		clear(ins)
-	}
-	clear(r.roots[:cap(r.roots)])
-	// Cache scratch holds views of node-slot values (which may be caller
-	// input columns); drop them too. Key/row/dense buffers stay as the reuse
-	// arena.
-	for i := range r.cacheScr {
-		clear(r.cacheScr[i].srcVals)
+	if r.p.spineFallback {
+		// Only the spine fallback's roots point outside the state.
+		clear(r.roots[:cap(r.roots)])
 	}
 	// Abandoned prefetches (a cascade that never consumed the lookup, an
-	// early error) must not keep fetching after the run is recycled.
+	// early error) must not keep fetching after the run is recycled; the
+	// next acquisition finds every handle nil.
 	for i, pd := range r.pending {
 		if pd != nil {
 			pd.Cancel()
@@ -179,33 +183,27 @@ func (r *BatchRun) Close() {
 	r.ctx = nil
 	r.tr = nil
 	if r.point {
-		select {
-		case r.p.runs.points <- r:
-			return
-		default:
+		for i := range r.p.runs.points {
+			if r.p.runs.points[i].CompareAndSwap(nil, r) {
+				return
+			}
 		}
 	}
 	r.p.runs.batches.Put(r)
 }
 
-// isPoint reports whether a run over inputs takes a point state: one row
-// of at most maxPointBytes of text.
-func isPoint(inputs map[string]value.Value) bool {
+// textBytes is the text v holds, what a point state's buffers grow with.
+func textBytes(v *value.Value) int {
 	size := 0
-	for _, v := range inputs {
-		if v.Len() != 1 {
-			return false
-		}
-		for _, s := range v.Strings {
+	for _, s := range v.Strings {
+		size += len(s)
+	}
+	for _, t := range v.Tokens {
+		for _, s := range t {
 			size += len(s)
 		}
-		for _, t := range v.Tokens {
-			for _, s := range t {
-				size += len(s)
-			}
-		}
 	}
-	return len(inputs) > 0 && size <= maxPointBytes
+	return size
 }
 
 // growScratch returns a slice of length n reusing s's backing array when

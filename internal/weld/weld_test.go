@@ -11,6 +11,7 @@ import (
 
 	"willump/internal/feature"
 	"willump/internal/graph"
+	"willump/internal/model"
 	"willump/internal/ops"
 	"willump/internal/value"
 )
@@ -949,6 +950,7 @@ func checkFusedMode(t *testing.T, name string, p *Program, in map[string]value.V
 		w[c] = rng.NormFloat64()
 	}
 	m := linearModel(t, false, w, 0.5)
+	bound := model.Bind(m)
 	subset := []int{}
 	for _, i := range p.AllIFVs() {
 		if rng.Intn(2) == 0 {
@@ -960,7 +962,7 @@ func checkFusedMode(t *testing.T, name string, p *Program, in map[string]value.V
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Score(idx, m)
+		got, err := r.Score(idx, bound)
 		if err != nil {
 			t.Fatalf("%s/fused: %v", name, err)
 		}

@@ -185,7 +185,8 @@ func firstRows(d core.Dataset, n int) map[string]value.Value {
 
 // BenchmarkTextPipelines times the three text workloads of the repository
 // benchmark in process: a 1024-row cascaded toxic batch, toxic point queries
-// cycling over the test rows, and TopK(20) over 2000 product candidates. The
+// cycling over the test rows (also split into the easy and the hard ones),
+// and TopK(20) over 2000 product candidates. The
 // batch workloads also run at Workers: 1, so that their row shards' cost
 // shows beside their gain: cpu-ns/op is the process CPU time per op, which
 // on the sharded runs counts every core and the pool's polling.
@@ -204,14 +205,32 @@ func BenchmarkTextPipelines(b *testing.B) {
 			loopCPU(b, func(int) error { _, err := o.TopK(ctx, in, 20); return err })
 		})
 	}
-	b.Run("toxic-point", func(b *testing.B) {
-		o, bm := textFixture(b, "toxic", core.Options{Cascades: true})
-		points := make([]map[string]value.Value, bm.Test.Len())
-		for i := range points {
-			points[i] = bm.Test.Row(i).Inputs
+	// The point rows: every test point, then the points the small model
+	// answers alone (easy) and those the cascade sends on to the full model
+	// (hard), split once by how the cascade served each.
+	o, bm := textFixture(b, "toxic", core.Options{Cascades: true})
+	var all, easy, hard []map[string]value.Value
+	for i := range bm.Test.Len() {
+		in := bm.Test.Row(i).Inputs
+		_, st, err := o.PredictPointOptions(ctx, in, core.ResolvePredict())
+		if err != nil {
+			b.Fatal(err)
 		}
-		loopCPU(b, func(i int) error { _, err := o.PredictPoint(ctx, points[i%len(points)]); return err })
-	})
+		all = append(all, in)
+		if st.Cascaded == 0 {
+			easy = append(easy, in)
+		} else {
+			hard = append(hard, in)
+		}
+	}
+	for _, row := range []struct {
+		name   string
+		points []map[string]value.Value
+	}{{"toxic-point", all}, {"toxic-point-easy", easy}, {"toxic-point-hard", hard}} {
+		b.Run(row.name, func(b *testing.B) {
+			loopCPU(b, func(i int) error { _, err := o.PredictPoint(ctx, row.points[i%len(row.points)]); return err })
+		})
+	}
 }
 
 // loopCPU runs op, handed the iteration number, as b's timed loop and
